@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +32,6 @@ FORMAT_VERSION = 1
 
 class ConfigError(ValueError):
     """Invalid or unresolvable experiment configuration."""
-
-
-def _thread_count(jobs: int) -> int:
-    cap = os.environ.get("ITERLEARN_THREADS")
-    if cap:
-        try:
-            cap_n = max(1, int(cap))
-        except ValueError:
-            raise ConfigError(f"ITERLEARN_THREADS must be an integer, got {cap!r}")
-    else:
-        cap_n = os.cpu_count() or 1
-    return max(1, min(jobs, cap_n))
 
 
 def _matrix_field(obj, name: str, base: Path) -> np.ndarray:
@@ -88,7 +74,11 @@ def _parse_uncertainty(obj, dimension: int) -> plant.UncertaintyModel:
 
 
 class Experiment:
-    """A parsed config able to materialize per-seed runs."""
+    """A parsed config able to materialize per-seed runs.
+
+    Each seed's plant and gains are built once and shared by every run,
+    condition report and certificate search of that seed.
+    """
 
     def __init__(self, doc: dict, base: Path):
         if not isinstance(doc, dict):
@@ -125,8 +115,12 @@ class Experiment:
         self._uncertainty_doc = doc.get("uncertainty")
         self._u0_doc = doc.get("u0")
         self._ilc_base: plant.LiftedIlcSystem | None = None
+        self._plants: dict[int, plant.TransferPlant] = {}
+        self._gains: dict[int, GainSet] = {}
         if self._plant_doc.get("kind") == "ilc_lift":
             self._ilc_base = self._ilc_system(self._plant_doc)
+            if self._plant_doc.get("role") == "uncertain_nominal":
+                self._nominal_lift, _, _ = plant.lift_ilc(self._ilc_base)
             # a descriptor carried in the system file is the fallback
             if self._uncertainty_doc is None:
                 self._uncertainty_doc = self._ilc_base.uncertainty_model
@@ -157,6 +151,11 @@ class Experiment:
 
     # -- plant ---------------------------------------------------------
     def plant_for(self, seed: int) -> plant.TransferPlant:
+        if seed not in self._plants:
+            self._plants[seed] = self._build_plant(seed)
+        return self._plants[seed]
+
+    def _build_plant(self, seed: int) -> plant.TransferPlant:
         doc = self._plant_doc
         kind = doc.get("kind", "direct")
         if kind == "direct":
@@ -179,7 +178,7 @@ class Experiment:
             if role == "model_free":
                 return plant.TransferPlant(nominal=np.zeros_like(P_true), delta=P_true)
             if role == "uncertain_nominal":
-                P_nom, _, _ = plant.lift_ilc(sys0)
+                P_nom = self._nominal_lift
                 return plant.TransferPlant(nominal=P_nom, delta=P_true - P_nom)
             raise ConfigError(f"unknown plant role {role!r}")
         raise ConfigError(f"unknown plant kind {kind!r}")
@@ -196,7 +195,12 @@ class Experiment:
             raise ConfigError(f"invalid ILC system: {exc}") from exc
 
     # -- gains ----------------------------------------------------------
-    def gains_for(self, seed: int, a_plant: plant.TransferPlant) -> GainSet:
+    def gains_for(self, seed: int) -> GainSet:
+        if seed not in self._gains:
+            self._gains[seed] = self._build_gains(self.plant_for(seed))
+        return self._gains[seed]
+
+    def _build_gains(self, a_plant: plant.TransferPlant) -> GainSet:
         doc = self._gains_doc
         p, m = a_plant.shape
 
@@ -273,7 +277,7 @@ class Experiment:
     def simulation_config(self, law_mode: str, seed: int) -> SimulationConfig:
         a_plant = self.plant_for(seed)
         p, m = a_plant.shape
-        gains = self.gains_for(seed, a_plant)
+        gains = self.gains_for(seed)
         if self._target_doc is None:
             raise ConfigError("config missing field 'target'")
         target = np.asarray(self._target_doc, dtype=float).reshape(-1)
@@ -301,7 +305,7 @@ class Experiment:
     # -- condition reports -------------------------------------------------
     def condition_reports(self, seed: int) -> list[stability.ConditionReport]:
         a_plant = self.plant_for(seed)
-        gains = self.gains_for(seed, a_plant)
+        gains = self.gains_for(seed)
         reports = [stability.check_condition("eq04", a_plant, gains)]
         if np.any(a_plant.nominal != 0.0):
             reports.append(stability.check_condition("eq48", a_plant, gains))
@@ -361,14 +365,6 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
-def _run_one(exp: Experiment, law_mode: str, seed: int, out: Path):
-    config = exp.simulation_config(law_mode, seed)
-    trace = learner.run(config)
-    trace_file = out / f"trace_{law_mode}_seed{seed}.csv"
-    learner.write_trace_csv(trace_file, trace)
-    return trace, trace_file
-
-
 def cmd_simulate(args) -> int:
     exp = load_experiment(args.config)
     if args.seeds:
@@ -380,40 +376,35 @@ def cmd_simulate(args) -> int:
     out = Path(args.out or exp.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(law, seed) for law in exp.laws for seed in exp.seeds]
-    results = {}
-    with ThreadPoolExecutor(max_workers=_thread_count(len(jobs))) as pool:
-        futures = {
-            pool.submit(_run_one, exp, law, seed, out): (law, seed) for law, seed in jobs
-        }
-        for fut, key in futures.items():
-            results[key] = fut.result()
-
     tail_window = min(plant.default_tail_window(exp.iterations), exp.iterations)
     runs = []
     curves = []
-    for law, seed in jobs:
-        trace, trace_file = results[(law, seed)]
-        n = len(trace)
-        w = min(tail_window, n)
-        runs.append(
-            {
-                "law": law,
-                "seed": seed,
-                "trace_file": trace_file.name,
-                "rows": n,
-                "sup_err": float(trace.err_inf.max()),
-                "final_tail_err": float(trace.err_inf[n - w :].max()),
-                "diverged": trace.diverged,
-                "diverged_at": trace.diverged_at,
-            }
-        )
-        curves.append((f"{law} seed {seed}", list(trace.err_inf)))
-        _say(
-            args.quiet,
-            f"{law} seed {seed}: tail {runs[-1]['final_tail_err']:.3e}"
-            + (" DIVERGED" if trace.diverged else ""),
-        )
+    for law in exp.laws:
+        configs = [exp.simulation_config(law, seed) for seed in exp.seeds]
+        for seed, trace in zip(exp.seeds, learner.run_batch(configs)):
+            trace_file = out / f"trace_{law}_seed{seed}.csv"
+            learner.write_trace_csv(trace_file, trace)
+            n = len(trace)
+            w = min(tail_window, n)
+            runs.append(
+                {
+                    "law": law,
+                    "seed": seed,
+                    "trace_file": trace_file.name,
+                    "rows": n,
+                    "sup_err": float(trace.err_inf.max()),
+                    "final_tail_err": float(trace.err_inf[n - w :].max()),
+                    "diverged": trace.diverged,
+                    "diverged_at": trace.diverged_at,
+                }
+            )
+            curves.append((f"{law} seed {seed}", list(trace.err_inf)))
+            _say(
+                args.quiet,
+                f"{law} seed {seed}: tail {runs[-1]['final_tail_err']:.3e}"
+                + (" DIVERGED" if trace.diverged else ""),
+            )
+        del trace  # its views hold this law's whole batch
 
     summary = {
         "format_version": FORMAT_VERSION,
@@ -446,7 +437,7 @@ def cmd_check(args) -> int:
     }
     if exp.structure is not None:
         first_plant = exp.plant_for(exp.seeds[0])
-        gains = exp.gains_for(exp.seeds[0], first_plant)
+        gains = exp.gains_for(exp.seeds[0])
         if exp.surrogate is not None and gains.Hbar is not None:
             lmi_id, nominal = "eq101", exp.surrogate
         elif gains.Hbar is not None:

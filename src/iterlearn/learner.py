@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matanalysis import as_matrix
-from .observer import ObserverGain, ObserverState, build_extended, eso_step
-from .plant import DiffStats, TransferPlant, UncertaintyModel, generate_N
+from .observer import ObserverGain
+from .plant import DiffStats, TransferPlant, UncertaintyModel, uncertainty_sequence
 
 __all__ = [
     "LAW_MODES",
@@ -35,6 +35,7 @@ __all__ = [
     "synth_H_pseudo",
     "synth_Hbar",
     "run",
+    "run_batch",
     "estimate_stability_profile",
     "trace_to_csv",
     "write_trace_csv",
@@ -44,7 +45,7 @@ __all__ = [
 
 LAW_MODES = ("p_type", "eso_full_state", "eso_mixed", "eso_robust", "eso_model_free")
 
-#: Input magnitude beyond which a run is declared divergent.
+#: Input or observer-estimate magnitude beyond which a run is declared divergent.
 DIVERGENCE_CAP = 1e12
 
 TRACE_CSV_HEADER = "k,err_inf,err_2,u_norm,ubar_norm,obs_err_norm,diverged"
@@ -200,118 +201,133 @@ class IterationTrace:
         return self.err_inf.shape[0]
 
 
-def _inf_norm(v: np.ndarray) -> float:
-    return float(np.abs(v).max()) if v.size else 0.0
-
-
 def run(config: SimulationConfig) -> IterationTrace:
-    """Iterate the closed loop and record the trace.
+    """Iterate one closed loop and record its trace (see ``run_batch``)."""
+    return run_batch([config])[0]
 
-    Each iteration observes ``Y_k = P U_k + N_k``, forms the tracking
-    error, computes the law's input correction from the current observer
-    state, then advances the observer with that correction and the
-    measured error.  A run is truncated and flagged once the input leaves
-    the divergence cap.
+
+# a diverged run is stepped on until the batch ends and may overflow; its
+# rows past the divergence are dropped
+@np.errstate(over="ignore", invalid="ignore")
+def run_batch(configs) -> list[IterationTrace]:
+    """Iterate the closed loops of several configs together; one trace each.
+
+    The configs must share the law, the plant shape and the iteration
+    count.  Each iteration observes ``Y_k = P U_k + N_k``, forms the
+    tracking error, computes the law's input correction from the current
+    observer state, then advances the observer with that correction and
+    the measured error.  The runs are stacked, so every product is one
+    ``np.matmul`` of ``(runs, p, m)`` matrices with ``(runs, m, 1)``
+    columns, and a run takes the same arithmetic whether it is stepped
+    alone or with others.  A run is truncated and flagged once its input
+    or an observer estimate is non-finite or leaves the divergence cap;
+    the other runs continue.
     """
-    plant = config.plant
-    P = plant.full()
-    p, m = P.shape
-    mode = config.law.mode
-    gains = config.gains
-    model = config.uncertainty.with_seed(config.seed)
+    configs = list(configs)
+    if len({(c.law.mode, c.plant.shape, c.iterations) for c in configs}) != 1:
+        raise ValueError("run_batch needs configs sharing the law, plant shape and iterations")
+    mode, iterations = configs[0].law.mode, configs[0].iterations
+
+    def stack(get) -> np.ndarray:
+        return np.stack([get(c) for c in configs])
+
+    P = stack(lambda c: c.plant.full())
+    negK = -stack(lambda c: c.gains.K)
+    # vectors are stacked as (runs, length, 1) columns
+    target = stack(lambda c: c.target)[..., None]
+    N = stack(lambda c: uncertainty_sequence(c.uncertainty.with_seed(c.seed), iterations + 1))
+    N = N[..., None]
+    U = stack(lambda c: np.zeros(c.plant.shape[1]) if c.u0 is None else c.u0)[..., None]
 
     uses_observer = mode != "p_type"
     if uses_observer:
+        L1 = stack(lambda c: c.gains.observer.L1)
+        L2 = stack(lambda c: c.gains.observer.L2)
         if mode in ("eso_full_state", "eso_mixed"):
-            P_used = P
-            delta_for_truth = None
-        elif mode == "eso_robust":
-            P_used = plant.nominal
-            delta_for_truth = plant.delta
-        else:  # eso_model_free
-            P_used = config.law.surrogate
-            delta_for_truth = P - config.law.surrogate
-        es = build_extended(p, P_used)
-        state = ObserverState.zero(p)
+            H = stack(lambda c: c.gains.H)
+            P_used, delta_for_truth = P, None
+        else:
+            Hbar = stack(lambda c: c.gains.Hbar)
+            if mode == "eso_robust":
+                P_used = stack(lambda c: c.plant.nominal)
+                delta_for_truth = stack(lambda c: c.plant.delta)
+            else:  # eso_model_free
+                P_used = stack(lambda c: c.law.surrogate)
+                delta_for_truth = P - P_used
+        e_hat = np.zeros_like(target)
+        d_hat = np.zeros_like(target)
 
-    U = np.zeros(m) if config.u0 is None else config.u0.copy()
+    # recorded rows: one (runs, iterations, width, 1) array per trace field
+    fields = {"u": U, "y": target, "e": target, "ubar": U}
+    if uses_observer:
+        fields.update(e_hat=target, d_hat=target)
+    rec = {name: np.zeros((len(configs), iterations) + v.shape[1:]) for name, v in fields.items()}
+    diverged_at: list[int | None] = [None] * len(configs)
 
-    u_rows, y_rows, e_rows, ubar_rows = [], [], [], []
-    eh_rows, dh_rows, dt_rows = [], [], []
-    diverged = False
-    diverged_at = None
-
-    N_next = generate_N(model, 0)
-    for k in range(config.iterations):
-        N_k = N_next
-        N_next = generate_N(model, k + 1)
-        Y = P @ U + N_k
-        E = config.target - Y
-
+    for k in range(iterations):
+        Y = P @ U + N[:, k]
+        E = target - Y
         if mode == "p_type":
-            ubar = -gains.K @ E
+            ubar = negK @ E
         elif mode == "eso_full_state":
-            ubar = -gains.K @ state.e_hat - gains.H @ state.d_hat
+            ubar = negK @ e_hat - H @ d_hat
         elif mode == "eso_mixed":
-            ubar = -gains.K @ E - gains.H @ state.d_hat
+            ubar = negK @ E - H @ d_hat
         else:  # eso_robust, eso_model_free
-            ubar = -gains.K @ (E + gains.Hbar @ state.d_hat)
-
-        # ground-truth disturbance aggregate seen by this law's observer
-        D_k = N_k - N_next
-        if uses_observer:
-            d_true = D_k if delta_for_truth is None else D_k + delta_for_truth @ ubar
-            eh_rows.append(state.e_hat.copy())
-            dh_rows.append(state.d_hat.copy())
-            dt_rows.append(d_true)
-
-        u_rows.append(U.copy())
-        y_rows.append(Y)
-        e_rows.append(E)
-        ubar_rows.append(ubar)
-
-        if uses_observer:
-            state = eso_step(es, gains.observer, state, ubar, E)
+            ubar = negK @ (E + Hbar @ d_hat)
+        rec["u"][:, k] = U
+        rec["y"][:, k] = Y
+        rec["e"][:, k] = E
+        rec["ubar"][:, k] = ubar
         U = U - ubar
+        size = np.abs(U).max(axis=(1, 2))
+        if uses_observer:
+            rec["e_hat"][:, k] = e_hat
+            rec["d_hat"][:, k] = d_hat
+            e_hat, d_hat = (
+                e_hat - L1 @ e_hat + d_hat + P_used @ ubar + L1 @ E,
+                d_hat - L2 @ e_hat + L2 @ E,
+            )
+            size = np.maximum(size, np.abs(e_hat).max(axis=(1, 2)))
+            size = np.maximum(size, np.abs(d_hat).max(axis=(1, 2)))
 
-        if not np.all(np.isfinite(U)) or _inf_norm(U) > DIVERGENCE_CAP:
-            diverged = True
-            diverged_at = k
+        for b in np.flatnonzero(~(size <= DIVERGENCE_CAP)):  # NaN compares false
+            if diverged_at[b] is None:
+                diverged_at[b] = k
+        if None not in diverged_at:
             break
 
-    u = np.array(u_rows)
-    y = np.array(y_rows)
-    e = np.array(e_rows)
-    ubar = np.array(ubar_rows)
-    n = u.shape[0]
     if uses_observer:
-        e_hat = np.array(eh_rows)
-        d_hat = np.array(dh_rows)
-        d_true = np.array(dt_rows)
-        obs_err = np.maximum(
-            np.abs(e - e_hat).max(axis=1), np.abs(d_true - d_hat).max(axis=1)
+        # ground-truth disturbance aggregate seen by this law's observer
+        rec["d_true"] = N[:, :-1] - N[:, 1:]
+        if delta_for_truth is not None:
+            rec["d_true"] += delta_for_truth[:, None] @ rec["ubar"]
+    traces = []
+    for b, at in enumerate(diverged_at):
+        n = iterations if at is None else at + 1
+        t = {name: a[b, :n, :, 0] for name, a in rec.items()}
+        if uses_observer:
+            obs_err = np.maximum(
+                np.abs(t["e"] - t["e_hat"]).max(axis=1),
+                np.abs(t["d_true"] - t["d_hat"]).max(axis=1),
+            )
+        else:
+            t.update(e_hat=None, d_hat=None, d_true=None)
+            obs_err = np.full(n, np.nan)
+        traces.append(
+            IterationTrace(
+                mode=mode,
+                **t,
+                err_inf=np.abs(t["e"]).max(axis=1),
+                err_2=np.linalg.norm(t["e"], axis=1),
+                u_norm=np.abs(t["u"]).max(axis=1),
+                ubar_norm=np.abs(t["ubar"]).max(axis=1),
+                obs_err_norm=obs_err,
+                diverged=at is not None,
+                diverged_at=at,
+            )
         )
-    else:
-        e_hat = d_hat = d_true = None
-        obs_err = np.full(n, np.nan)
-
-    return IterationTrace(
-        mode=mode,
-        u=u,
-        y=y,
-        e=e,
-        ubar=ubar,
-        e_hat=e_hat,
-        d_hat=d_hat,
-        d_true=d_true,
-        err_inf=np.abs(e).max(axis=1),
-        err_2=np.linalg.norm(e, axis=1),
-        u_norm=np.abs(u).max(axis=1),
-        ubar_norm=np.abs(ubar).max(axis=1),
-        obs_err_norm=obs_err,
-        diverged=diverged,
-        diverged_at=diverged_at,
-    )
+    return traces
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 __all__ = [
     "NORM_KINDS",
@@ -167,6 +166,7 @@ def contraction_norm(M, epsilon: float, cond_cap: float = DEFAULT_COND_CAP) -> W
     rho = spectral_radius(M)
     target = rho + epsilon
 
+    from scipy.linalg import schur  # deferred: simulate needs no scipy
     T, Z = schur(M, output="real")
     blocks = _schur_blocks(T)
 

@@ -27,6 +27,7 @@ __all__ = [
     "simulate_time_domain",
     "sample_structured_delta",
     "generate_N",
+    "uncertainty_sequence",
     "diff_stats",
     "perturb_elementwise",
     "perturb_system",
@@ -210,6 +211,19 @@ class UncertaintyModel:
         )
 
 
+def uncertainty_sequence(model: UncertaintyModel, n: int) -> np.ndarray:
+    """Rows ``N_0 .. N_{n-1}`` as one ``(n, p)`` array, in O(n).
+
+    Row ``k`` equals ``generate_N(model, k)`` bit for bit.
+    """
+    if model.kind == "cumulative_sine":
+        # a cumsum adds in order, so entry k does not depend on later entries
+        i = np.arange(n)
+        entries = np.cumsum(np.sin(i / 200.0) / np.sqrt(i + 1.0))
+        return np.repeat(entries[:, None], model.dimension, axis=1)
+    return np.array([generate_N(model, k) for k in range(n)]).reshape(n, model.dimension)
+
+
 def generate_N(model: UncertaintyModel, k: int) -> np.ndarray:
     """Uncertainty vector at iteration ``k`` (deterministic per model)."""
     if k < 0:
@@ -222,9 +236,7 @@ def generate_N(model: UncertaintyModel, k: int) -> np.ndarray:
     if model.kind == "ramp":
         return k * model.slope
     if model.kind == "cumulative_sine":
-        i = np.arange(k + 1)
-        entry = float(np.sum(np.sin(i / 200.0) / np.sqrt(i + 1.0)))
-        return np.full(p, entry)
+        return uncertainty_sequence(model, k + 1)[k].copy()
     if model.kind == "table":
         row = min(k, model.table.shape[0] - 1)
         return model.table[row].copy()
@@ -263,7 +275,7 @@ def diff_stats(
         raise ValueError("order must be 0, 1 or 2")
     if not (horizon > tail_window >= 1):
         raise ValueError("need horizon > tail_window >= 1")
-    values = np.stack([generate_N(model, k) for k in range(horizon + order + 1)])
+    values = uncertainty_sequence(model, horizon + order + 1)
     for _ in range(order):
         values = values[1:] - values[:-1]
     norms = np.abs(values[: horizon + 1]).max(axis=1)

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .learner import GainSet
 from .matanalysis import as_matrix, is_negative_definite, induced_norm, spectral_radius
@@ -401,6 +400,7 @@ def lmi_search(
     M0 = _nominal_closed_matrix(lmi_id, nominal, gains)
     if spectral_radius(M0) >= 1.0:
         return None
+    from scipy.linalg import solve_discrete_lyapunov  # deferred: simulate needs no scipy
     p = gains.observer.p
     Qfull = solve_discrete_lyapunov(M0.T, np.eye(3 * p))
     Qfull = 0.5 * (Qfull + Qfull.T)

@@ -310,11 +310,78 @@ def test_ilc_file_uncertainty_descriptor_is_fallback(tmp_path):
     assert data["err_inf"][-1] < 1e-9
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("ITERLEARN_THREADS", "1")
+def test_simulate_seed_alone_or_batched_same_bytes(tmp_path):
+    # the runs of one law are stepped together; a seed's trace must not
+    # depend on which other seeds share its batch
     config = write_reference_experiment(tmp_path, seeds=[1, 2], iterations=30)
-    out = tmp_path / "out"
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    assert main(["simulate", "--config", str(config), "--out", str(both), "--quiet"]) == EXIT_OK
+    assert len(list(both.glob("trace_*.csv"))) == 4
+    argv = ["simulate", "--config", str(config), "--out", str(alone), "--seeds", "2", "--quiet"]
+    assert main(argv) == EXIT_OK
+    assert len(list(alone.glob("trace_*.csv"))) == 2
+    for name in ("trace_eso_model_free_seed2.csv", "trace_p_type_seed2.csv"):
+        assert (both / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_simulate_lifts_each_seed_once(tmp_path, monkeypatch):
+    from iterlearn import plant
+
+    calls = []
+    real_lift = plant.lift_ilc
+    monkeypatch.setattr(plant, "lift_ilc", lambda sys: calls.append(sys) or real_lift(sys))
+    config = write_reference_experiment(tmp_path, seeds=[1, 2, 3], iterations=10)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    assert len(calls) == 3
+    calls.clear()
+    doc = json.loads(config.read_text())
+    doc["structure"] = {"phi1": (0.05 * np.eye(20)).tolist(), "phi2": np.eye(20).tolist()}
+    write_json(config, doc)
+    assert main(["check", "--config", str(config), "--out", str(tmp_path / "c"), "--quiet"]) == 0
+    assert len(calls) == 3
+    calls.clear()
+    doc["plant"]["role"] = "uncertain_nominal"  # one more lift: the nominal system
+    write_json(config, doc)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "n"), "--quiet"]) == 0
+    assert len(calls) == 4
+
+
+def observer_divergence_config(tmp_path, laws):
+    # H = 0 leaves the input loop stable while the observer loop has
+    # spectral radius 2.47, so only the observer estimates blow up
+    doc = {
+        "format_version": 1,
+        "plant": {"kind": "direct", "nominal": [[1.0, 0.0], [0.0, 1.0]]},
+        "target": [1.0, -0.5],
+        "uncertainty": {"kind": "cumulative_sine"},
+        "gains": {
+            "K": [[0.5, 0.0], [0.0, 0.5]],
+            "H": [[0.0, 0.0], [0.0, 0.0]],
+            "L1": {"scaled_identity": 3.5},
+            "L2": {"scaled_identity": 0.1},
+        },
+        "laws": laws,
+        "iterations": 2000,
+        "seeds": [0],
+    }
+    path = tmp_path / "config.json"
+    write_json(path, doc)
+    return path
+
+
+def test_simulate_observer_only_divergence(tmp_path):
+    config = observer_divergence_config(tmp_path, ["eso_mixed"])
+    out = tmp_path / "one"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_DIVERGED
+    (run,) = json.loads((out / "summary.json").read_text())["runs"]
+    assert run["diverged"] is True and run["rows"] == run["diverged_at"] + 1 < 2000
+    data = read_trace_csv(out / "trace_eso_mixed_seed0.csv")
+    assert all(np.all(np.isfinite(col)) for col in data.values())
+    assert data["diverged"][-1] == 1 and not np.any(data["diverged"][:-1])
+
+    config = observer_divergence_config(tmp_path, ["eso_mixed", "p_type"])
+    out = tmp_path / "two"
     assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
-    assert len(list(out.glob("trace_*.csv"))) == 4
-    monkeypatch.setenv("ITERLEARN_THREADS", "soup")
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    runs = json.loads((out / "summary.json").read_text())["runs"]
+    assert [r["diverged"] for r in runs] == [True, False]
+    assert runs[1]["rows"] == 2000

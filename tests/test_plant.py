@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iterlearn.plant import (
+    UNCERTAINTY_KINDS,
     LiftedIlcSystem,
     StructuredUncertainty,
     TransferPlant,
@@ -17,6 +18,7 @@ from iterlearn.plant import (
     sample_structured_delta,
     save_ilc_system,
     simulate_time_domain,
+    uncertainty_sequence,
 )
 
 A_BENCH = np.array([[0.72, 0.0, 0.0], [1.0, -1.04, -0.81], [0.0, 0.81, 0.0]])
@@ -183,6 +185,32 @@ def test_seeded_bounded_deterministic_and_bounded():
     assert np.array_equal(a, generate_N(model, 11))
     assert not np.array_equal(a, generate_N(model, 12))
     assert np.abs(a).max() <= 0.3
+
+
+def test_uncertainty_sequence_rows_equal_generate_N():
+    models = [
+        UncertaintyModel.zero(2),
+        UncertaintyModel.constant([0.3, -1.0]),
+        UncertaintyModel.ramp([0.1, -0.7]),
+        UncertaintyModel.cumulative_sine(2),
+        UncertaintyModel.from_table([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        UncertaintyModel.seeded_bounded(2, bound=0.4, seed=5),
+    ]
+    assert {m.kind for m in models} == set(UNCERTAINTY_KINDS)
+    for model in models:
+        rows = uncertainty_sequence(model, 300)
+        assert rows.shape == (300, 2)
+        for k in range(300):
+            assert np.array_equal(rows[k], generate_N(model, k)), (model.kind, k)
+        assert uncertainty_sequence(model, 0).shape == (0, 2)
+
+
+def test_cumulative_sine_sequence_matches_direct_sum():
+    model = UncertaintyModel.cumulative_sine(3)
+    i = np.arange(4001)
+    direct = np.sum(np.sin(i / 200.0) / np.sqrt(i + 1.0))
+    assert np.abs(uncertainty_sequence(model, 4001)[4000] - direct).max() < 1e-12
+    assert np.abs(generate_N(model, 4000) - direct).max() < 1e-12
 
 
 def test_negative_iteration_rejected():
