@@ -53,6 +53,7 @@ from .stability import (
     check_condition,
     lmi_search,
     lmi_verify,
+    loop_matrix,
     theorem_implication_check,
     verify_separation,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "check_condition",
     "lmi_search",
     "lmi_verify",
+    "loop_matrix",
     "theorem_implication_check",
     "verify_separation",
     "__version__",

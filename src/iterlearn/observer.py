@@ -122,7 +122,7 @@ def check_observer_condition(es: ExtendedSystem, gains: ObserverGain) -> tuple[b
     """Spectral radius of the closed observer matrix and whether it is < 1."""
     if gains.p != es.p:
         raise ValueError("observer gain size does not match the extended system")
-    rho = spectral_radius(es.Abar - gains.stacked @ es.Cbar)
+    rho = spectral_radius(error_dynamics_matrix(gains))
     return rho < 1.0, rho
 
 
@@ -182,7 +182,7 @@ def simulate_observation_error(
         driving = np.asarray(driving, dtype=float)
         if driving.shape != (horizon, 2 * p):
             raise ValueError(f"driving must have shape ({horizon}, {2 * p})")
-    A_cl = es.Abar - gains.stacked @ es.Cbar
+    A_cl = error_dynamics_matrix(gains)
     out = np.zeros((horizon + 1, 2 * p))
     out[0] = x
     for k in range(horizon):

@@ -26,6 +26,7 @@ from .plant import (
     lift_ilc,
     perturb_system,
 )
+from .stability import loop_matrix
 
 __all__ = [
     "REFERENCE_HORIZON",
@@ -146,20 +147,9 @@ def closed_loop_amplification(
     matrix; draws with huge amplification are spectrally stable yet reach
     useless steady-state accuracy.
     """
-    p = P.shape[0]
-    og = gains.observer
-    I = np.eye(p)
-    A_lc = np.block([[I - og.L1, I], [-og.L2, I]])
-    F = np.hstack([np.zeros((p, p)), I])
-    M = np.block(
-        [
-            [I - P @ gains.K, gains.Hbar @ F],
-            [og.stacked @ (surrogate - P) @ gains.K, A_lc],
-        ]
-    )
-    return float(
-        np.linalg.norm(np.linalg.inv(np.eye(3 * p) - M), np.inf)
-    )
+    plant = TransferPlant(nominal=np.zeros_like(P), delta=P)
+    M = loop_matrix("eq102", plant, gains, surrogate)
+    return float(np.linalg.norm(np.linalg.inv(np.eye(M.shape[0]) - M), np.inf))
 
 
 def write_reference_experiment(

@@ -7,6 +7,8 @@ matrix inequalities whose negative definiteness certifies the spectral
 conditions for every admissible structured model error (``eq44``,
 ``eq65``, ``eq101``).  Certificates are verified exactly; the search is a
 Lyapunov-seeded heuristic, not a general-purpose semidefinite solver.
+Every closed-loop matrix, including the certificate seed and the
+separation targets, is laid out by ``loop_matrix``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learner import GainSet
+from .observer import build_extended, error_dynamics_matrix
 from .matanalysis import as_matrix, is_negative_definite, induced_norm, spectral_radius
 from .plant import StructuredUncertainty, TransferPlant, sample_structured_delta
 
@@ -27,6 +30,7 @@ __all__ = [
     "CONDITION_DESCRIPTIONS",
     "ConditionReport",
     "LmiCertificate",
+    "loop_matrix",
     "check_condition",
     "verify_separation",
     "lmi_verify",
@@ -75,16 +79,66 @@ def _require(value, name: str, condition_id: str):
     return value
 
 
-def _observer_blocks(gains: GainSet, condition_id: str):
+def _observer_blocks(gains: GainSet, condition_id: str, P_used):
+    """The observer loop ``A_lc``, the stacked gain ``Lbar`` and the extended
+    system around ``P_used``."""
     og = _require(gains.observer, "observer gains", condition_id)
-    p = og.p
-    I = np.eye(p)
-    Z = np.zeros((p, p))
-    A_lc = np.block([[I - og.L1, I], [-og.L2, I]])
-    Lbar = og.stacked
-    F = np.hstack([Z, I])
-    Cbar = np.hstack([I, Z])
-    return p, A_lc, Lbar, F, Cbar
+    return error_dynamics_matrix(og), og.stacked, build_extended(og.p, P_used)
+
+
+def _surrogate(surrogate, condition_id: str) -> np.ndarray:
+    return as_matrix(_require(surrogate, "a surrogate", condition_id), "surrogate")
+
+
+def loop_matrix(
+    condition_id: str,
+    plant: TransferPlant | None = None,
+    gains: GainSet | None = None,
+    surrogate=None,
+) -> np.ndarray:
+    """The block matrix of a catalog condition.
+
+    This is the one place that lays out each design's closed loop.  The
+    learning loops are ``I - X K`` with ``X`` the true map (``eq04``), the
+    nominal map (``eq48``) or the surrogate (``eq95``); ``eq17`` is the
+    observer loop ``A_lc``.  The design with the compensation gain ``H``
+    (``eq41``) has its own form; the aggregated-disturbance (``eq62``) and
+    model-free (``eq102``) designs share
+    ``[[I - P K, Hbar F], [Lbar (P_used - P) K, A_lc]]``, where ``P`` is the
+    true map and ``P_used`` the map the observer knows: the nominal map
+    (``P_used - P = -delta``) or the surrogate.
+    """
+    if condition_id not in CONDITION_IDS:
+        raise ValueError(f"unknown condition id {condition_id!r}")
+    if gains is None:
+        raise ValueError(f"condition {condition_id} requires gains")
+    K = gains.K
+    if condition_id == "eq17":
+        return error_dynamics_matrix(_require(gains.observer, "observer gains", condition_id))
+    if condition_id == "eq95":
+        Ps = _surrogate(surrogate, condition_id)
+        return np.eye(Ps.shape[0]) - Ps @ K
+    plant = _require(plant, "a plant", condition_id)
+    if condition_id == "eq48":
+        return np.eye(plant.shape[0]) - plant.nominal @ K
+    P = plant.full()
+    I = np.eye(P.shape[0])
+    if condition_id == "eq04":
+        return I - P @ K
+    if condition_id == "eq41":
+        H = _require(gains.H, "H", condition_id)
+        A_lc, _, es = _observer_blocks(gains, condition_id, P)
+        CPd = es.Cbar.T @ plant.delta
+        return np.block(
+            [[I - P @ K, -P @ H @ es.F], [CPd @ K, A_lc + CPd @ H @ es.F]]
+        )
+    Hbar = _require(gains.Hbar, "Hbar", condition_id)
+    if condition_id == "eq62":
+        mismatch = -plant.delta
+    else:
+        mismatch = _surrogate(surrogate, condition_id) - P
+    A_lc, Lbar, es = _observer_blocks(gains, condition_id, P)
+    return np.block([[I - P @ K, Hbar @ es.F], [Lbar @ mismatch @ K, A_lc]])
 
 
 def check_condition(
@@ -93,55 +147,8 @@ def check_condition(
     gains: GainSet | None = None,
     surrogate=None,
 ) -> ConditionReport:
-    """Assemble the block matrix of a catalog condition and test rho < 1."""
-    if condition_id not in CONDITION_IDS:
-        raise ValueError(f"unknown condition id {condition_id!r}")
-    if gains is None:
-        raise ValueError(f"condition {condition_id} requires gains")
-    K = gains.K
-
-    if condition_id == "eq04":
-        P = _require(plant, "a plant", condition_id).full()
-        M = np.eye(P.shape[0]) - P @ K
-    elif condition_id == "eq48":
-        P0 = _require(plant, "a plant", condition_id).nominal
-        M = np.eye(P0.shape[0]) - P0 @ K
-    elif condition_id == "eq95":
-        Ps = as_matrix(_require(surrogate, "a surrogate", condition_id), "surrogate")
-        M = np.eye(Ps.shape[0]) - Ps @ K
-    elif condition_id == "eq17":
-        _, M, _, _, _ = _observer_blocks(gains, condition_id)
-    elif condition_id == "eq41":
-        plant = _require(plant, "a plant", condition_id)
-        H = _require(gains.H, "H", condition_id)
-        p, A_lc, Lbar, F, Cbar = _observer_blocks(gains, condition_id)
-        P = plant.full()
-        Pd = plant.delta
-        M = np.block(
-            [
-                [np.eye(p) - P @ K, -P @ H @ F],
-                [Cbar.T @ Pd @ K, A_lc + Cbar.T @ Pd @ H @ F],
-            ]
-        )
-    elif condition_id == "eq62":
-        plant = _require(plant, "a plant", condition_id)
-        Hbar = _require(gains.Hbar, "Hbar", condition_id)
-        p, A_lc, Lbar, F, _ = _observer_blocks(gains, condition_id)
-        P = plant.full()
-        Pd = plant.delta
-        M = np.block([[np.eye(p) - P @ K, Hbar @ F], [-Lbar @ Pd @ K, A_lc]])
-    elif condition_id == "eq102":
-        plant = _require(plant, "a plant", condition_id)
-        Ps = as_matrix(_require(surrogate, "a surrogate", condition_id), "surrogate")
-        Hbar = _require(gains.Hbar, "Hbar", condition_id)
-        p, A_lc, Lbar, F, _ = _observer_blocks(gains, condition_id)
-        Pd = plant.delta
-        M = np.block(
-            [[np.eye(p) - Pd @ K, Hbar @ F], [Lbar @ (Ps - Pd) @ K, A_lc]]
-        )
-    else:  # pragma: no cover
-        raise AssertionError(condition_id)
-
+    """Spectral radius of a catalog condition's block matrix; holds if < 1."""
+    M = loop_matrix(condition_id, plant, gains, surrogate)
     rho = spectral_radius(M)
     return ConditionReport(
         condition_id=condition_id, rho=rho, holds=rho < 1.0, matrix_dim=M.shape[0]
@@ -161,55 +168,52 @@ def verify_separation(
     """
     if identity_id not in SEPARATION_IDS:
         raise ValueError(f"unknown separation identity {identity_id!r}")
-    p, A_lc, Lbar, F, Cbar = _observer_blocks(gains, identity_id)
+    P = plant.full()
+    P0 = plant.nominal
+    # the observer of eq20/eq30 knows the true map, that of eq61/eq76 the nominal
+    A_lc, Lbar, es = _observer_blocks(
+        gains, identity_id, P if identity_id in ("eq20", "eq30") else P0
+    )
+    p, F, Bbar = es.p, es.F, es.Bbar_used
     K = gains.K
     I = np.eye(p)
     Zp = np.zeros((2 * p, p))
+    shear = -es.Cbar.T
 
-    if identity_id in ("eq20", "eq30"):
-        P = plant.full()
+    if identity_id == "eq20":
         H = _require(gains.H, "H", identity_id)
-        Bbar = np.vstack([P, np.zeros_like(P)])
-        if identity_id == "eq20":
-            Kbar = np.hstack([K, H])
-            M = np.block([[I, -P @ Kbar], [Lbar, A_lc - Bbar @ Kbar]])
-            target = np.block([[I - P @ K, -P @ Kbar], [Zp, A_lc]])
-        else:
-            M = np.block(
-                [[I - P @ K, -P @ H @ F], [Lbar - Bbar @ K, A_lc - Bbar @ H @ F]]
-            )
-            target = np.block([[I - P @ K, -P @ H @ F], [Zp, A_lc]])
-        T = np.block([[I, np.zeros((p, 2 * p))], [-Cbar.T, np.eye(2 * p)]])
-        Tinv = np.block([[I, np.zeros((p, 2 * p))], [Cbar.T, np.eye(2 * p)]])
+        Kbar = np.hstack([K, H])
+        M = np.block([[I, -P @ Kbar], [Lbar, A_lc - Bbar @ Kbar]])
+        target = np.block([[I - P @ K, -P @ Kbar], [Zp, A_lc]])
+    elif identity_id == "eq30":
+        H = _require(gains.H, "H", identity_id)
+        M = np.block(
+            [[I - P @ K, -P @ H @ F], [Lbar - Bbar @ K, A_lc - Bbar @ H @ F]]
+        )
+        target = loop_matrix("eq41", TransferPlant(nominal=P), gains)
     elif identity_id == "eq61":
-        P0 = plant.nominal
         Hbar = _require(gains.Hbar, "Hbar", identity_id)
-        B0 = np.vstack([P0, np.zeros_like(P0)])
         M = np.block(
             [
                 [I - P0 @ K, -P0 @ K @ Hbar @ F],
-                [Lbar - B0 @ K, A_lc - B0 @ K @ Hbar @ F],
+                [Lbar - Bbar @ K, A_lc - Bbar @ K @ Hbar @ F],
             ]
         )
         target = np.block([[I - P0 @ K, -P0 @ K @ Hbar @ F], [Zp, A_lc]])
-        T = np.block([[I, np.zeros((p, 2 * p))], [-Cbar.T, np.eye(2 * p)]])
-        Tinv = np.block([[I, np.zeros((p, 2 * p))], [Cbar.T, np.eye(2 * p)]])
     else:  # eq76
-        P = plant.full()
-        P0 = plant.nominal
-        Pd = plant.delta
         Hbar = _require(gains.Hbar, "Hbar", identity_id)
-        B0K = np.vstack([P0, np.zeros_like(P0)]) @ K
+        shear = Bbar @ K
         M = np.block(
             [
                 [I - P @ K, Hbar @ F],
-                [(B0K - Lbar) @ P @ K, A_lc - B0K @ Hbar @ F],
+                [(shear - Lbar) @ P @ K, A_lc - shear @ Hbar @ F],
             ]
         )
-        target = np.block([[I - P @ K, Hbar @ F], [-Lbar @ Pd @ K, A_lc]])
-        T = np.block([[I, np.zeros((p, 2 * p))], [B0K, np.eye(2 * p)]])
-        Tinv = np.block([[I, np.zeros((p, 2 * p))], [-B0K, np.eye(2 * p)]])
+        target = loop_matrix("eq62", plant, gains)
 
+    upper = np.zeros((p, 2 * p))
+    T = np.block([[I, upper], [shear, np.eye(2 * p)]])
+    Tinv = np.block([[I, upper], [-shear, np.eye(2 * p)]])
     transformed = T @ M @ Tinv
     max_residual = float(np.abs(transformed - target).max())
     lower_left = transformed[p:, :p]
@@ -279,22 +283,28 @@ def _mirror_blocks(blocks: list[list], dims: list[int]) -> np.ndarray:
     return np.block(grid)
 
 
+def _nominal_map(nominal) -> np.ndarray:
+    """The nominal map of a plant, or the map itself."""
+    if isinstance(nominal, TransferPlant):
+        return nominal.nominal
+    return as_matrix(nominal, "nominal")
+
+
 def _lmi_ingredients(lmi_id: str, nominal, structure, gains):
     if lmi_id not in LMI_IDS:
         raise ValueError(f"unknown inequality id {lmi_id!r}")
-    if isinstance(nominal, TransferPlant):
-        P0 = nominal.nominal
-    else:
-        P0 = as_matrix(nominal, "nominal")
+    P0 = _nominal_map(nominal)
     K = gains.K
-    p, A_lc, Lbar, F, Cbar = _observer_blocks(gains, lmi_id)
-    if P0.shape[0] != p:
+    og = _require(gains.observer, "observer gains", lmi_id)
+    if P0.shape[0] != og.p:
         raise ValueError("nominal map and observer gains disagree on dimension")
+    A_lc, Lbar, es = _observer_blocks(gains, lmi_id, P0)
+    p = es.p
     phi1 = structure.phi1
     phi2 = structure.phi2
     if phi1.shape[0] != p or phi2.shape[1] != K.shape[0]:
         raise ValueError("structure dimensions do not match the plant")
-    return P0, K, p, A_lc, Lbar, F, Cbar, phi1, phi2
+    return P0, K, p, A_lc, Lbar, es.F, es.Cbar, phi1, phi2
 
 
 def _assemble_lmi(lmi_id, cert: LmiCertificate, nominal, structure, gains) -> np.ndarray:
@@ -320,10 +330,7 @@ def _assemble_lmi(lmi_id, cert: LmiCertificate, nominal, structure, gains) -> np
     rows[2][0] = Q11 @ loop
     rows[3][0] = Q21 @ loop
     if lmi_id == "eq44":
-        H = gains.H
-        if H is None:
-            raise ValueError("eq44 requires the compensation gain H")
-        HF = H @ F
+        HF = _require(gains.H, "the compensation gain H", lmi_id) @ F
         rows[2][1] = Q21.T @ A_lc - Q11 @ P0 @ HF
         rows[3][1] = Q22 @ A_lc - Q21 @ P0 @ HF
         rows[4][0] = tau * phi2 @ K
@@ -331,10 +338,7 @@ def _assemble_lmi(lmi_id, cert: LmiCertificate, nominal, structure, gains) -> np
         rows[5][2] = phi1.T @ (Cbar @ Q21 - Q11)
         rows[5][3] = phi1.T @ (Cbar @ Q22 - Q21.T)
     else:  # eq65 and eq101 share one display around their respective maps
-        Hbar = gains.Hbar
-        if Hbar is None:
-            raise ValueError(f"{lmi_id} requires the compensation gain Hbar")
-        HbF = Hbar @ F
+        HbF = _require(gains.Hbar, "the compensation gain Hbar", lmi_id) @ F
         rows[2][1] = Q11 @ HbF + Q21.T @ A_lc
         rows[3][1] = Q21 @ HbF + Q22 @ A_lc
         rows[4][0] = tau * phi2 @ K
@@ -361,23 +365,7 @@ def lmi_verify(
     return is_negative_definite(G, tol=tol)
 
 
-def _nominal_closed_matrix(lmi_id, nominal, gains) -> np.ndarray:
-    if isinstance(nominal, TransferPlant):
-        P0 = nominal.nominal
-    else:
-        P0 = as_matrix(nominal, "nominal")
-    K = gains.K
-    p, A_lc, _, F, _ = _observer_blocks(gains, lmi_id)
-    loop = np.eye(p) - P0 @ K
-    if lmi_id == "eq44":
-        if gains.H is None:
-            raise ValueError("eq44 requires the compensation gain H")
-        upper = -P0 @ gains.H @ F
-    else:
-        if gains.Hbar is None:
-            raise ValueError(f"{lmi_id} requires the compensation gain Hbar")
-        upper = gains.Hbar @ F
-    return np.block([[loop, upper], [np.zeros((2 * p, p)), A_lc]])
+_IMPLIED_CONDITION = {"eq44": "eq41", "eq65": "eq62", "eq101": "eq102"}
 
 
 def lmi_search(
@@ -397,7 +385,11 @@ def lmi_search(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    M0 = _nominal_closed_matrix(lmi_id, nominal, gains)
+    if lmi_id not in LMI_IDS:
+        raise ValueError(f"unknown inequality id {lmi_id!r}")
+    # the implied condition at zero model error
+    P0 = _nominal_map(nominal)
+    M0 = loop_matrix(_IMPLIED_CONDITION[lmi_id], TransferPlant(nominal=P0), gains, P0)
     if spectral_radius(M0) >= 1.0:
         return None
     from scipy.linalg import solve_discrete_lyapunov  # deferred: simulate needs no scipy
@@ -426,9 +418,6 @@ def lmi_search(
     return None
 
 
-_IMPLIED_CONDITION = {"eq44": "eq41", "eq65": "eq62", "eq101": "eq102"}
-
-
 def theorem_implication_check(
     lmi_id: str,
     structure: StructuredUncertainty,
@@ -443,24 +432,12 @@ def theorem_implication_check(
     if not lmi_verify(lmi_id, cert, nominal, structure, gains):
         raise ValueError("certificate does not verify; implication check requires one")
     target = _IMPLIED_CONDITION[lmi_id]
-    if isinstance(nominal, TransferPlant):
-        P0 = nominal.nominal
-    else:
-        P0 = as_matrix(nominal, "nominal")
+    P0 = _nominal_map(nominal)
     child_seeds = np.random.SeedSequence(seed).spawn(samples)
     for child in child_seeds:
         delta = sample_structured_delta(structure, child)
-        if target == "eq102":
-            # model-free: the sampled error is the gap between the true
-            # map and the surrogate, so the true map is their sum
-            plant_s = TransferPlant(
-                nominal=np.zeros_like(P0), delta=P0 + delta
-            )
-            report = check_condition(target, plant_s, gains, surrogate=P0)
-        else:
-            plant_s = TransferPlant(nominal=P0, delta=delta)
-            report = check_condition(target, plant_s, gains)
-        if not report.holds:
+        plant_s = TransferPlant(nominal=P0, delta=delta)
+        if not check_condition(target, plant_s, gains, surrogate=P0).holds:
             return False
     return True
 

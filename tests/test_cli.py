@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterlearn.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from iterlearn.learner import read_trace_csv
@@ -385,3 +389,42 @@ def test_simulate_observer_only_divergence(tmp_path):
     runs = json.loads((out / "summary.json").read_text())["runs"]
     assert [r["diverged"] for r in runs] == [True, False]
     assert runs[1]["rows"] == 2000
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    plant_seed=st.integers(0, 10_000),
+    k_scale=st.floats(0.2, 4.0),
+    h_scale=st.floats(0.0, 3.0),
+    l1=st.floats(0.2, 3.5),
+)
+def test_simulate_divergence_is_never_a_config_error(plant_seed, k_scale, h_scale, l1):
+    # large learning or observer gains blow up some runs or all of them;
+    # that is divergence (exit 3 when every run diverged, 0 otherwise),
+    # never a config error
+    rng = np.random.default_rng(plant_seed)
+    P = np.diag(rng.uniform(0.5, 2.0, 2)) + 0.3 * rng.standard_normal((2, 2))
+    P_inv = np.linalg.inv(P)
+    doc = {
+        "format_version": 1,
+        "plant": {"kind": "direct", "nominal": P.tolist()},
+        "target": rng.standard_normal(2).tolist(),
+        "uncertainty": {"kind": "seeded_bounded", "bound": 0.5},
+        "gains": {
+            "K": (k_scale * P_inv).tolist(),
+            "H": (h_scale * P_inv).tolist(),
+            "L1": {"scaled_identity": l1},
+            "L2": {"scaled_identity": 0.1},
+        },
+        "laws": ["p_type", "eso_mixed", "eso_full_state"],
+        "iterations": 60,
+        "seeds": [0, 1],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        write_json(config, doc)
+        out = Path(tmp) / "out"
+        code = main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+        assert code != EXIT_CONFIG
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+    assert code == (EXIT_DIVERGED if all(r["diverged"] for r in runs) else EXIT_OK)

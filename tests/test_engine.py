@@ -23,7 +23,7 @@ from iterlearn.learner import (
     trace_to_csv,
 )
 from iterlearn.observer import ObserverGain, ObserverState, build_extended, eso_step
-from iterlearn.plant import TransferPlant, UncertaintyModel, generate_N
+from iterlearn.plant import TransferPlant, UncertaintyModel, generate_N, uncertainty_sequence
 
 
 def reference_run(config: SimulationConfig) -> dict:
@@ -128,6 +128,14 @@ def test_engine_matches_reference_loop(seed, mode, gain_scale, l1):
     assert np.abs(trace.err_inf - ref["err_inf"]).max() <= 1e-9 * sup_err
     u_scale = max(sup_err, ref["u_norm"].max())
     assert np.abs(trace.u_norm - ref["u_norm"]).max() <= 1e-9 * u_scale
+    # the trace identities hold exactly on every recorded row
+    n = len(trace)
+    N = uncertainty_sequence(config.uncertainty.with_seed(config.seed), n)
+    P = config.plant.full()
+    for k in range(n):
+        assert np.array_equal(trace.y[k], P @ trace.u[k] + N[k])
+    assert np.array_equal(trace.e, config.target - trace.y)
+    assert np.array_equal(trace.u[1:], trace.u[:-1] - trace.ubar[:-1])
 
 
 @pytest.mark.parametrize("mode", LAW_MODES)

@@ -19,6 +19,7 @@ from iterlearn.stability import (
     lmi_search,
     lmi_verify,
     load_certificate,
+    loop_matrix,
     save_certificate,
     theorem_implication_check,
     verify_separation,
@@ -76,14 +77,42 @@ def test_eq17_benchmark_gains():
 
 
 def test_eq41_zero_delta_reduces_to_block_triangular():
+    # without model error the H-design (eq41), aggregated-disturbance (eq62)
+    # and model-free (eq102) loops are the learning loop over the observer
+    # loop; these zero-error matrices are the certificate search's seeds
     rng = np.random.default_rng(10)
     for _ in range(10):
         plant = random_plant(rng, with_delta=False)
-        gains = random_gainset(rng, plant, with_Hbar=False)
-        rep = check_condition("eq41", plant, gains)
-        sub1 = check_condition("eq04", plant, gains).rho
-        sub2 = check_condition("eq17", gains=gains).rho
-        assert rep.rho == pytest.approx(max(sub1, sub2), abs=1e-8)
+        gains_H = random_gainset(rng, plant, with_Hbar=False)
+        gains_Hbar = random_gainset(rng, plant, with_H=False)
+        surrogate = plant.nominal
+        exact_surrogate = TransferPlant(nominal=np.zeros_like(surrogate), delta=surrogate)
+        for condition_id, a_plant, gains, learning_id in (
+            ("eq41", plant, gains_H, "eq04"),
+            ("eq62", plant, gains_Hbar, "eq48"),
+            ("eq102", exact_surrogate, gains_Hbar, "eq95"),
+        ):
+            M = loop_matrix(condition_id, a_plant, gains, surrogate)
+            p = a_plant.shape[0]
+            assert np.all(M[p:, :p] == 0.0)
+            rep = check_condition(condition_id, a_plant, gains, surrogate)
+            sub1 = check_condition(learning_id, a_plant, gains, surrogate).rho
+            sub2 = check_condition("eq17", gains=gains).rho
+            assert rep.rho == pytest.approx(max(sub1, sub2), abs=1e-8)
+
+
+def test_eq102_depends_only_on_true_map_and_surrogate():
+    # the model-free loop sees the true map, however it is split into a
+    # nominal part and a model error
+    rng = np.random.default_rng(102)
+    for _ in range(20):
+        plant = random_plant(rng, with_delta=True)
+        gains = random_gainset(rng, plant, with_H=False)
+        surrogate = plant.nominal
+        model_free = TransferPlant(nominal=np.zeros_like(surrogate), delta=plant.full())
+        split = check_condition("eq102", plant, gains, surrogate)
+        whole = check_condition("eq102", model_free, gains, surrogate)
+        assert split.rho == whole.rho
 
 
 def test_eq48_uses_nominal_only():
