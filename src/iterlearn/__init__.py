@@ -9,6 +9,7 @@ conditions and block matrix inequalities.
 from .matanalysis import (
     ContractionNormError,
     WeightedNorm,
+    block_spectral_radius,
     contraction_norm,
     eigenvalues,
     induced_norm,
@@ -63,6 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ContractionNormError",
     "WeightedNorm",
+    "block_spectral_radius",
     "contraction_norm",
     "eigenvalues",
     "induced_norm",

@@ -388,20 +388,17 @@ def estimate_stability_profile(
 # the divergence cap.
 # ---------------------------------------------------------------------------
 
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
+
+
 def trace_to_csv(trace: IterationTrace) -> str:
-    lines = [TRACE_CSV_HEADER]
     n = len(trace)
-    for k in range(n):
-        flag = 1 if (trace.diverged and k == n - 1) else 0
-        vals = (
-            trace.err_inf[k],
-            trace.err_2[k],
-            trace.u_norm[k],
-            trace.ubar_norm[k],
-            trace.obs_err_norm[k],
-        )
-        lines.append(f"{k}," + ",".join(f"{v:.17g}" for v in vals) + f",{flag}")
-    return "\n".join(lines) + "\n"
+    flags = [0] * n
+    if trace.diverged and n:
+        flags[-1] = 1
+    columns = (trace.err_inf, trace.err_2, trace.u_norm, trace.ubar_norm, trace.obs_err_norm)
+    rows = zip(range(n), *(c.tolist() for c in columns), flags)
+    return "\n".join([TRACE_CSV_HEADER, *(_TRACE_ROW % row for row in rows)]) + "\n"
 
 
 def write_trace_csv(path, trace: IterationTrace) -> None:

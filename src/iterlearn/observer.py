@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matanalysis import as_matrix, spectral_radius
+from .matanalysis import as_matrix, block_spectral_radius
 
 __all__ = [
     "ObserverGain",
@@ -119,10 +119,11 @@ def error_dynamics_matrix(gains: ObserverGain) -> np.ndarray:
 
 
 def check_observer_condition(es: ExtendedSystem, gains: ObserverGain) -> tuple[bool, float]:
-    """Spectral radius of the closed observer matrix and whether it is < 1."""
+    """Spectral radius of the closed observer matrix (``block_spectral_radius``
+    with ``p x p`` blocks) and whether it is < 1."""
     if gains.p != es.p:
         raise ValueError("observer gain size does not match the extended system")
-    rho = spectral_radius(error_dynamics_matrix(gains))
+    rho, _ = block_spectral_radius(error_dynamics_matrix(gains), gains.p)
     return rho < 1.0, rho
 
 

@@ -372,14 +372,18 @@ def lift_ilc(sys: LiftedIlcSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         powers.append(sys.A @ powers[-1])
     CA = [sys.C @ Ak for Ak in powers]
 
-    P = np.zeros((T * no, T * ni))
-    Q = np.zeros((T * no, T * ns))
-    S = np.zeros((T * no, ns))
-    for i in range(1, T + 1):
-        S[(i - 1) * no : i * no] = CA[i]
-        for j in range(1, i + 1):
-            P[(i - 1) * no : i * no, (j - 1) * ni : j * ni] = CA[i - j] @ sys.B
-            Q[(i - 1) * no : i * no, (j - 1) * ns : j * ns] = CA[i - j]
+    # one block per lag, plus a zero block at index T for the upper part
+    lag = np.subtract.outer(np.arange(T), np.arange(T))
+    lag[lag < 0] = T
+
+    def toeplitz(blocks: list[np.ndarray]) -> np.ndarray:
+        stack = np.concatenate([np.stack(blocks), np.zeros((1,) + blocks[0].shape)])
+        rows, cols = blocks[0].shape
+        return stack[lag].transpose(0, 2, 1, 3).reshape(T * rows, T * cols)
+
+    P = toeplitz([CAk @ sys.B for CAk in CA[:T]])
+    Q = toeplitz(CA[:T])
+    S = np.concatenate(CA[1:])
     return P, Q, S
 
 

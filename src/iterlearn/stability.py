@@ -20,7 +20,7 @@ import numpy as np
 
 from .learner import GainSet
 from .observer import build_extended, error_dynamics_matrix
-from .matanalysis import as_matrix, is_negative_definite, induced_norm, spectral_radius
+from .matanalysis import as_matrix, block_spectral_radius, induced_norm, is_negative_definite
 from .plant import StructuredUncertainty, TransferPlant, sample_structured_delta
 
 __all__ = [
@@ -59,10 +59,23 @@ CONDITION_DESCRIPTIONS = {
 
 @dataclass
 class ConditionReport:
+    """A condition's spectral radius, verdict and how the radius was found.
+
+    ``method`` is ``"block_triangular"`` when the radius was read from the
+    diagonal blocks of a loop that is block triangular in time, else
+    ``"dense"`` (see ``matanalysis.block_spectral_radius``); ``margin`` is
+    ``1 - rho``, the distance of the verdict from flipping.
+    """
+
     condition_id: str
     rho: float
     holds: bool
     matrix_dim: int
+    method: str
+
+    @property
+    def margin(self) -> float:
+        return 1.0 - self.rho
 
     def to_dict(self) -> dict:
         return {
@@ -70,6 +83,8 @@ class ConditionReport:
             "rho": self.rho,
             "holds": self.holds,
             "matrix_dim": self.matrix_dim,
+            "method": self.method,
+            "margin": self.margin,
         }
 
 
@@ -147,11 +162,19 @@ def check_condition(
     gains: GainSet | None = None,
     surrogate=None,
 ) -> ConditionReport:
-    """Spectral radius of a catalog condition's block matrix; holds if < 1."""
+    """Spectral radius of a catalog condition's block matrix; holds if < 1.
+
+    Every block of the matrix is ``p x p``, with ``p`` the error dimension
+    of the gains, so a lifted loop is solved block by block in time.
+    """
     M = loop_matrix(condition_id, plant, gains, surrogate)
-    rho = spectral_radius(M)
+    rho, method = block_spectral_radius(M, gains.K.shape[1])
     return ConditionReport(
-        condition_id=condition_id, rho=rho, holds=rho < 1.0, matrix_dim=M.shape[0]
+        condition_id=condition_id,
+        rho=rho,
+        holds=rho < 1.0,
+        matrix_dim=M.shape[0],
+        method=method,
     )
 
 
@@ -390,10 +413,10 @@ def lmi_search(
     # the implied condition at zero model error
     P0 = _nominal_map(nominal)
     M0 = loop_matrix(_IMPLIED_CONDITION[lmi_id], TransferPlant(nominal=P0), gains, P0)
-    if spectral_radius(M0) >= 1.0:
+    p = gains.observer.p
+    if block_spectral_radius(M0, p)[0] >= 1.0:
         return None
     from scipy.linalg import solve_discrete_lyapunov  # deferred: simulate needs no scipy
-    p = gains.observer.p
     Qfull = solve_discrete_lyapunov(M0.T, np.eye(3 * p))
     Qfull = 0.5 * (Qfull + Qfull.T)
     if np.linalg.eigvalsh(Qfull).min() <= 0:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -464,3 +466,61 @@ def test_trace_csv_header_and_round_trip(tmp_path):
     assert np.array_equal(data["k"], np.arange(12))
     assert np.all(np.isnan(data["obs_err_norm"]))  # no observer in this law
     assert np.all(data["diverged"] == 0)
+
+
+def reference_trace_csv(trace):
+    """One f-string per value, kept as the oracle of ``trace_to_csv``."""
+    lines = [TRACE_CSV_HEADER]
+    n = len(trace)
+    for k in range(n):
+        flag = 1 if (trace.diverged and k == n - 1) else 0
+        vals = (
+            trace.err_inf[k],
+            trace.err_2[k],
+            trace.u_norm[k],
+            trace.ubar_norm[k],
+            trace.obs_err_norm[k],
+        )
+        lines.append(f"{k}," + ",".join(f"{v:.17g}" for v in vals) + f",{flag}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_csv_matches_per_value_formatter():
+    config = SimulationConfig(
+        plant=scalar_plant(),
+        target=np.array([1.0]),
+        uncertainty=UncertaintyModel.ramp([0.25]),
+        gains=GainSet(K=np.array([[0.5]])),
+        law=LearningLaw(mode="p_type"),
+        iterations=12,
+    )
+    trace = run(config)
+    assert trace_to_csv(trace) == reference_trace_csv(trace)
+    # nan, infinities, signed zeros, subnormals and values at the edges of
+    # 17-digit formatting
+    special = np.array(
+        [
+            np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, -2.5e-320,
+            1e308, 1.0 / 3.0, -123456789.125, 1e16,
+        ]
+    )
+    odd = dataclasses.replace(
+        trace,
+        err_inf=special,
+        err_2=special[::-1].copy(),
+        u_norm=np.roll(special, 3),
+        ubar_norm=np.roll(special, 5),
+        obs_err_norm=np.roll(special, 7),
+        diverged=True,
+        diverged_at=11,
+    )
+    text = trace_to_csv(odd)
+    assert text == reference_trace_csv(odd)
+    assert text.splitlines()[-1].endswith(",1")
+    assert ",nan," in text and ",-inf," in text and ",-0," in text
+    columns = ("err_inf", "err_2", "u_norm", "ubar_norm", "obs_err_norm")
+    first = dataclasses.replace(odd, **{c: special[:1] for c in columns})
+    assert trace_to_csv(first) == reference_trace_csv(first)
+    assert trace_to_csv(first).endswith(",1\n")
+    empty = dataclasses.replace(odd, **{c: special[:0] for c in columns})
+    assert trace_to_csv(empty) == reference_trace_csv(empty) == TRACE_CSV_HEADER + "\n"

@@ -3,6 +3,7 @@ import pytest
 
 from iterlearn.matanalysis import (
     ContractionNormError,
+    block_spectral_radius,
     contraction_norm,
     eigenvalues,
     format_matrix_text,
@@ -130,6 +131,68 @@ def test_spectral_radius_similarity_invariance():
             continue
         sim = T @ M @ np.linalg.inv(T)
         assert spectral_radius(sim) == pytest.approx(spectral_radius(M), abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# block spectral radius of lifted loops
+# ---------------------------------------------------------------------------
+
+def lower_triangular_grid(rng, b, T):
+    """A ``b x b`` grid of lower-triangular ``T x T`` blocks that vary in t."""
+    return [[np.tril(rng.standard_normal((T, T))) for _ in range(b)] for _ in range(b)]
+
+
+def test_block_radius_time_varying_matches_per_t_closed_form():
+    # a 2 x 2 grid: at each t the small matrix [[a, b], [c, d]] has the
+    # eigenvalues (tr +- sqrt(tr^2 - 4 det)) / 2; the diagonals are not
+    # constant, so every t must be solved
+    rng = np.random.default_rng(23)
+    for T in (1, 2, 5, 17):
+        blocks = lower_triangular_grid(rng, 2, T)
+        a, b, c, d = (np.diagonal(blocks[i][j]) for i in (0, 1) for j in (0, 1))
+        tr, det = a + d, a * d - b * c
+        root = np.sqrt((tr * tr - 4.0 * det).astype(complex))
+        closed = max(np.abs((tr + root) / 2).max(), np.abs((tr - root) / 2).max())
+        rho, method = block_spectral_radius(np.block(blocks), T)
+        if T == 1:
+            assert method == "dense"
+        else:
+            assert method == "block_triangular"
+        assert rho == pytest.approx(closed, rel=1e-12)
+        # the diagonals are distinct, so the dense solve is accurate here
+        assert rho == pytest.approx(spectral_radius(np.block(blocks)), rel=1e-9)
+
+
+def test_block_radius_lower_triangular_is_largest_diagonal_entry():
+    M = np.tril(np.random.default_rng(3).standard_normal((6, 6)))
+    rho, method = block_spectral_radius(M, 6)
+    assert method == "block_triangular"
+    assert rho == np.abs(np.diag(M)).max()
+
+
+def test_block_radius_non_triangular_takes_dense_solve():
+    M = np.random.default_rng(5).standard_normal((6, 6))
+    assert block_spectral_radius(M, 3) == (spectral_radius(M), "dense")
+
+
+def test_block_radius_one_tiny_upper_entry_takes_dense_solve():
+    # the structure test is exact: no tolerance lets a nonzero entry pass
+    rng = np.random.default_rng(9)
+    blocks = lower_triangular_grid(rng, 3, 4)
+    blocks[2][1][0, 3] = 1e-300
+    M = np.block(blocks)
+    assert block_spectral_radius(M, 4) == (spectral_radius(M), "dense")
+
+
+@pytest.mark.parametrize("block", [0, 1, 4, 7])
+def test_block_radius_without_a_block_grid_takes_dense_solve(block):
+    M = np.tril(np.random.default_rng(1).standard_normal((6, 6)))
+    assert block_spectral_radius(M, block) == (spectral_radius(M), "dense")
+
+
+def test_block_radius_rejects_non_square():
+    with pytest.raises(ValueError):
+        block_spectral_radius(np.zeros((2, 4)), 2)
 
 
 # ---------------------------------------------------------------------------

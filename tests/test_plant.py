@@ -72,6 +72,42 @@ def test_lift_benchmark_markov_parameters():
     assert np.allclose(np.diag(P, -3), P[3, 0])
 
 
+def reference_lift(sys):
+    """The per-block lifting loop, kept as the oracle of ``lift_ilc``."""
+    T = sys.horizon
+    no, ni, ns = sys.n_outputs, sys.n_inputs, sys.n_states
+    powers = [np.eye(ns)]
+    for _ in range(T):
+        powers.append(sys.A @ powers[-1])
+    CA = [sys.C @ Ak for Ak in powers]
+    P = np.zeros((T * no, T * ni))
+    Q = np.zeros((T * no, T * ns))
+    S = np.zeros((T * no, ns))
+    for i in range(1, T + 1):
+        S[(i - 1) * no : i * no] = CA[i]
+        for j in range(1, i + 1):
+            P[(i - 1) * no : i * no, (j - 1) * ni : j * ni] = CA[i - j] @ sys.B
+            Q[(i - 1) * no : i * no, (j - 1) * ns : j * ns] = CA[i - j]
+    return P, Q, S
+
+
+@pytest.mark.parametrize("horizon", [1, 20, 100, 200])
+def test_lift_matches_reference_loop_bitwise(horizon):
+    rng = np.random.default_rng(horizon)
+    siso = LiftedIlcSystem(A=A_BENCH, B=B_BENCH, C=C_BENCH, horizon=horizon)
+    # C B must have full row rank, so the MIMO case has more inputs than outputs
+    mimo = LiftedIlcSystem(
+        A=0.6 * rng.standard_normal((4, 4)),
+        B=rng.standard_normal((4, 3)),
+        C=rng.standard_normal((2, 4)),
+        horizon=horizon,
+    )
+    for sys in (siso, mimo):
+        for got, want in zip(lift_ilc(sys), reference_lift(sys)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 def test_cb_row_rank_enforced():
     with pytest.raises(ValueError):
         LiftedIlcSystem(A=np.eye(2), B=[[0.0], [1.0]], C=[[1.0, 0.0]], horizon=3)

@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
+from iterlearn import cli, presets
 from iterlearn.learner import (
     GainSet,
     LearningLaw,
@@ -113,6 +115,64 @@ def test_eq102_depends_only_on_true_map_and_surrogate():
         split = check_condition("eq102", plant, gains, surrogate)
         whole = check_condition("eq102", model_free, gains, surrogate)
         assert split.rho == whole.rho
+
+
+@pytest.mark.parametrize("horizon,seed", [(4, 0), (4, 1), (6, 1)])
+def test_lifted_loop_radius_matches_high_precision_solve(horizon, seed):
+    # eq62 and eq102 of a benchmark draw carry a horizon-fold defective
+    # eigenvalue; a 50-digit solve of the whole matrix scatters it by about
+    # 1e-50^(1/horizon), below 1e-8 here, while a double-precision dense
+    # solve scatters it by 1e-6 or more
+    surrogate = presets.banded_surrogate(horizon)
+    gains = presets.reference_gains(surrogate)
+    plant = presets.reference_plant(seed, horizon=horizon)
+    for condition_id in ("eq62", "eq102"):
+        M = loop_matrix(condition_id, plant, gains, surrogate)
+        with mpmath.workdps(50):
+            eigs = mpmath.eig(mpmath.matrix(M.tolist()), left=False, right=False)
+            exact = float(max(abs(w) for w in eigs))
+        rep = check_condition(condition_id, plant, gains, surrogate)
+        assert rep.method == "block_triangular"
+        assert abs(rep.rho - exact) < 1e-8
+
+
+def test_wide_benchmark_draw_verdict_is_exact():
+    # at T = 100 a dense solve read eq62 as 1.167 (fails) for this draw
+    surrogate = presets.banded_surrogate(100)
+    gains = presets.reference_gains(surrogate)
+    plant = presets.reference_plant(0, horizon=100)
+    rep = check_condition("eq62", plant, gains, surrogate)
+    assert rep.method == "block_triangular" and rep.holds
+    assert rep.rho == pytest.approx(0.903108417992, abs=1e-9)
+    assert rep.margin == 1.0 - rep.rho
+    rep = check_condition("eq102", plant, gains, surrogate)
+    assert rep.method == "block_triangular" and rep.holds
+    assert rep.rho == pytest.approx(0.884565458413, abs=1e-9)
+
+
+def test_reference_experiment_reports_are_all_block_triangular(tmp_path):
+    # every report of the lifted benchmark must take the structured path; a
+    # silent fall back to the dense solve would bring the wrong verdicts back
+    config = presets.write_reference_experiment(tmp_path, seeds=[0, 11], horizon=100)
+    exp = cli.load_experiment(config)
+    for seed in exp.seeds:
+        reports = [r.to_dict() for r in exp.condition_reports(seed)]
+        assert [r["condition_id"] for r in reports] == ["eq04", "eq17", "eq62", "eq95", "eq102"]
+        for r in reports:
+            assert r["method"] == "block_triangular"
+            assert r["margin"] == 1.0 - r["rho"]
+            assert r["holds"] == (r["rho"] < 1.0)
+
+
+def test_dense_plants_report_dense_method():
+    rng = np.random.default_rng(48)
+    plant = random_plant(rng, p_max=3)
+    while plant.shape[0] < 2:
+        plant = random_plant(rng, p_max=3)
+    gains = random_gainset(rng, plant, with_H=False)
+    rep = check_condition("eq62", plant, gains)
+    assert rep.method == "dense"
+    assert rep.to_dict()["method"] == "dense"
 
 
 def test_eq48_uses_nominal_only():
