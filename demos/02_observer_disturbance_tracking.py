@@ -14,8 +14,8 @@ from iterlearn import (
     UncertaintyModel,
     build_extended,
     check_observer_condition,
-    generate_N,
     simulate_observation_error,
+    uncertainty_sequence,
 )
 
 p = 2
@@ -28,10 +28,8 @@ print(f"observer loop spectral radius: {rho:.4f} (contraction: {holds})")
 # a ramp disturbance: unbounded drift, but zero second difference
 model = UncertaintyModel.ramp([0.5, -0.25])
 K = 200
-driving = np.zeros((K, 2 * p))
-for k in range(K):
-    d2 = generate_N(model, k + 2) - 2 * generate_N(model, k + 1) + generate_N(model, k)
-    driving[k] = -es.F.T @ d2
+d2 = np.diff(uncertainty_sequence(model, K + 2), n=2, axis=0)
+driving = -d2 @ es.F
 print(f"max |driving| from the ramp: {np.abs(driving).max():.1e} (exactly zero)")
 
 x0 = np.array([2.0, -1.0, 0.5, 1.5])

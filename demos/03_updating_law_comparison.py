@@ -18,9 +18,9 @@ from iterlearn import (
     SimulationConfig,
     TransferPlant,
     UncertaintyModel,
-    contraction_norm,
     diff_stats,
     estimate_stability_profile,
+    induced_norm,
     run,
     synth_H_pseudo,
 )
@@ -58,8 +58,7 @@ stats1 = diff_stats(model, 1, horizon=1500, tail_window=100)
 stats2 = diff_stats(model, 2, horizon=1500, tail_window=100)
 print(f"disturbance variation sup: {stats1.sup_bound:.3f}, rate sup: {stats2.sup_bound:.1e}")
 
-wn = contraction_norm(np.eye(p) - P @ K, 1e-9)
-bound = stats1.sup_bound / (1.0 - wn.attained_norm)
+bound = stats1.sup_bound / (1.0 - induced_norm(np.eye(p) - P @ K, "infinity"))
 print(f"predicted stall level for the plain law: {bound:.3f}")
 
 for mode, trace in traces.items():

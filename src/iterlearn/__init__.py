@@ -7,10 +7,7 @@ conditions and block matrix inequalities.
 """
 
 from .matanalysis import (
-    ContractionNormError,
-    WeightedNorm,
     block_spectral_radius,
-    contraction_norm,
     eigenvalues,
     induced_norm,
     is_negative_definite,
@@ -19,10 +16,8 @@ from .matanalysis import (
 from .observer import (
     ExtendedSystem,
     ObserverGain,
-    ObserverState,
     build_extended,
     check_observer_condition,
-    eso_step,
     simulate_observation_error,
 )
 from .plant import (
@@ -32,10 +27,10 @@ from .plant import (
     TransferPlant,
     UncertaintyModel,
     diff_stats,
-    generate_N,
     lift_ilc,
     sample_structured_delta,
     simulate_time_domain,
+    uncertainty_sequence,
 )
 from .learner import (
     GainSet,
@@ -62,20 +57,15 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractionNormError",
-    "WeightedNorm",
     "block_spectral_radius",
-    "contraction_norm",
     "eigenvalues",
     "induced_norm",
     "is_negative_definite",
     "spectral_radius",
     "ExtendedSystem",
     "ObserverGain",
-    "ObserverState",
     "build_extended",
     "check_observer_condition",
-    "eso_step",
     "simulate_observation_error",
     "DiffStats",
     "LiftedIlcSystem",
@@ -83,10 +73,10 @@ __all__ = [
     "TransferPlant",
     "UncertaintyModel",
     "diff_stats",
-    "generate_N",
     "lift_ilc",
     "sample_structured_delta",
     "simulate_time_domain",
+    "uncertainty_sequence",
     "GainSet",
     "IterationTrace",
     "LearningLaw",

@@ -34,6 +34,26 @@ class ConfigError(ValueError):
     """Invalid or unresolvable experiment configuration."""
 
 
+# Config values are type-checked, not coerced: int("2"), list("12") and int(2.5)
+# would misread a value, and true/false would pass as a number.
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _array(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
 def _matrix_field(obj, name: str, base: Path) -> np.ndarray:
     """A matrix given inline as nested arrays or as a matrix-text file ref."""
     if isinstance(obj, dict) and "file" in obj:
@@ -62,11 +82,12 @@ def _parse_uncertainty(obj, dimension: int) -> plant.UncertaintyModel:
         if kind == "table":
             return plant.UncertaintyModel.from_table(np.asarray(obj["rows"], dtype=float))
         if kind == "seeded_bounded":
+            seed = obj.get("seed")
             return plant.UncertaintyModel(
                 kind="seeded_bounded",
                 dimension=dimension,
-                bound=float(obj["bound"]),
-                seed=obj.get("seed"),
+                bound=_number(obj["bound"], "uncertainty.bound"),
+                seed=None if seed is None else _integer(seed, "uncertainty.seed"),
             )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid uncertainty descriptor: {exc}") from exc
@@ -89,8 +110,8 @@ class Experiment:
             )
         self.base = base
         try:
-            self.laws: list[str] = list(doc["laws"])
-            self.iterations = int(doc["iterations"])
+            self.laws: list[str] = _array(doc["laws"], "laws")
+            self.iterations = _integer(doc["iterations"], "iterations")
         except KeyError as exc:
             raise ConfigError(f"config missing field {exc}") from exc
         if not self.laws:
@@ -100,7 +121,8 @@ class Experiment:
                 raise ConfigError(f"unknown law {mode!r}")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
-        self.seeds = [int(s) for s in doc.get("seeds", [0])]
+        seeds = _array(doc.get("seeds", [0]), "seeds")
+        self.seeds = [_integer(s, "seeds entry") for s in seeds]
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         self.output_dir = doc.get("output_dir")
@@ -132,8 +154,10 @@ class Experiment:
                 band = surr["banded"]
                 from .presets import banded_surrogate
 
+                diagonals = _array(band["diagonals"], "surrogate.banded.diagonals")
                 self.surrogate = banded_surrogate(
-                    int(band["size"]), tuple(float(d) for d in band["diagonals"])
+                    _integer(band["size"], "surrogate.banded.size"),
+                    tuple(_number(d, "surrogate.banded.diagonals entry") for d in diagonals),
                 )
             else:
                 self.surrogate = _matrix_field(surr, "surrogate", base)
@@ -171,7 +195,7 @@ class Experiment:
                 raise ConfigError(str(exc)) from exc
         if kind == "ilc_lift":
             sys0 = self._ilc_base
-            level = float(doc.get("element_uncertainty", 0.0))
+            level = _number(doc.get("element_uncertainty", 0.0), "plant.element_uncertainty")
             sys_true = plant.perturb_system(sys0, level, seed) if level > 0 else sys0
             P_true, _, _ = plant.lift_ilc(sys_true)
             role = doc.get("role", "model_free")
@@ -213,7 +237,7 @@ class Experiment:
         if directive(K_doc) == "scaled_surrogate_inverse":
             if self.surrogate is None:
                 raise ConfigError("K directive needs a surrogate")
-            scale = float(K_doc.get("scale", 0.5))
+            scale = _number(K_doc.get("scale", 0.5), "gains.K.scale")
             try:
                 K = scale * np.linalg.inv(self.surrogate)
             except np.linalg.LinAlgError as exc:
@@ -261,7 +285,8 @@ class Experiment:
 
             def obs_gain(obj, name):
                 if isinstance(obj, dict) and "scaled_identity" in obj:
-                    return float(obj["scaled_identity"]) * np.eye(p)
+                    scale = _number(obj["scaled_identity"], f"{name}.scaled_identity")
+                    return scale * np.eye(p)
                 return _matrix_field(obj, name, self.base)
 
             observer = ObserverGain(
@@ -367,12 +392,12 @@ def cmd_lift(args) -> int:
 
 def cmd_simulate(args) -> int:
     exp = load_experiment(args.config)
-    if args.seeds:
+    if args.seeds is not None:
         exp.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         if not exp.seeds:
             raise ConfigError("--seeds must list at least one seed")
-    if args.iterations:
-        exp.iterations = int(args.iterations)
+    if args.iterations is not None:
+        exp.iterations = args.iterations
     out = Path(args.out or exp.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,28 +1,23 @@
 """Dense real-matrix analysis primitives.
 
-Eigenvalues, spectral radii, induced norms, definiteness tests, and the
-construction of weighted infinity norms that certify contraction of a
-matrix whose spectral radius is below one.  Everything operates on plain
-2-D ``numpy`` arrays of finite floats; all functions are pure.
+Eigenvalues, spectral radii (dense, and block by block in time for
+lifted loops), induced norms, a negative-definiteness test, and a plain
+text format for matrices.  Everything operates on plain 2-D ``numpy``
+arrays of finite floats; all functions are pure.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NORM_KINDS",
-    "ContractionNormError",
-    "WeightedNorm",
     "as_matrix",
     "as_square",
     "eigenvalues",
     "spectral_radius",
     "block_spectral_radius",
     "induced_norm",
-    "contraction_norm",
     "is_negative_definite",
     "format_matrix_text",
     "parse_matrix_text",
@@ -31,22 +26,6 @@ __all__ = [
 ]
 
 NORM_KINDS = ("one", "infinity", "two")
-
-#: Condition-number cap for contraction weights; beyond this the
-#: construction fails explicitly instead of returning a useless weight.
-DEFAULT_COND_CAP = 1e12
-
-
-class ContractionNormError(RuntimeError):
-    """Raised when no acceptable contraction weight exists.
-
-    A real square weight combined with the infinity norm cannot push the
-    weighted norm of a matrix below ``|re| + |im|`` of its peripheral
-    complex eigenvalue pair, and badly defective matrices require weights
-    whose condition number exceeds the documented cap.  Both cases raise
-    this error rather than silently returning a bound that violates the
-    contract.
-    """
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -133,115 +112,6 @@ def induced_norm(M, kind: str = "infinity") -> float:
     if kind == "two":
         return float(np.linalg.svd(M, compute_uv=False)[0])
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
-
-
-@dataclass
-class WeightedNorm:
-    """A nonsingular weight ``W`` defining the vector norm ``|W x|_inf``.
-
-    ``attained_norm`` is the infinity norm of ``W M W^-1`` for the matrix
-    the weight was constructed for, i.e. the operator norm of that matrix
-    in the weighted norm.
-    """
-
-    weight: np.ndarray
-    attained_norm: float
-
-    def apply(self, M) -> float:
-        """Operator norm of ``M`` in this weighted norm."""
-        M = as_square(M, "M")
-        Winv = np.linalg.inv(self.weight)
-        return induced_norm(self.weight @ M @ Winv, "infinity")
-
-
-def _schur_blocks(T: np.ndarray) -> list[tuple[int, int]]:
-    """(start, size) of the 1x1 / 2x2 diagonal blocks of a real Schur form."""
-    blocks = []
-    n = T.shape[0]
-    i = 0
-    while i < n:
-        if i + 1 < n and T[i + 1, i] != 0.0:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
-    return blocks
-
-
-def contraction_norm(M, epsilon: float, cond_cap: float = DEFAULT_COND_CAP) -> WeightedNorm:
-    """Construct a weighted infinity norm witnessing near-optimal contraction.
-
-    Finds a real nonsingular weight ``W`` with
-    ``|W M W^-1|_inf <= spectral_radius(M) + epsilon``; in particular the
-    weighted norm is a contraction certificate whenever
-    ``spectral_radius(M) + epsilon < 1``.
-
-    The construction takes the real Schur form, balances each 2x2 rotation
-    block, and applies geometric per-block diagonal scaling until the off
-    block-diagonal part is small enough.  The attained norm is always
-    re-measured on the actual product, never inferred.
-
-    Raises
-    ------
-    ContractionNormError
-        If the bound is unreachable with a real square weight (peripheral
-        complex pair with ``|re| + |im|`` above the target) or the weight
-        condition number would exceed ``cond_cap``.
-    """
-    M = as_square(M)
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    n = M.shape[0]
-    rho = spectral_radius(M)
-    target = rho + epsilon
-
-    from scipy.linalg import schur  # deferred: simulate needs no scipy
-    T, Z = schur(M, output="real")
-    blocks = _schur_blocks(T)
-
-    # Balance 2x2 blocks so their off-diagonal magnitudes match; the
-    # infinity norm of a balanced block is |diag| + |offdiag|, the best a
-    # real 2x2 similarity can do for a complex pair.
-    g = np.ones(n)
-    for start, size in blocks:
-        if size == 2:
-            b, c = T[start, start + 1], T[start + 1, start]
-            if b != 0.0 and c != 0.0:
-                g[start + 1] = np.sqrt(abs(b) / abs(c))
-    T_bal = (g[:, None] * T) / g[None, :]
-
-    floor = 0.0
-    for start, size in blocks:
-        blk = T_bal[start : start + size, start : start + size]
-        floor = max(floor, float(np.abs(blk).sum(axis=1).max()))
-    if floor > target:
-        raise ContractionNormError(
-            f"no real weight can reach {target:.6g}: the balanced diagonal "
-            f"blocks already have infinity norm {floor:.6g}"
-        )
-
-    block_index = np.empty(n)
-    for bi, (start, size) in enumerate(blocks):
-        block_index[start : start + size] = bi
-
-    t = 1.0
-    attained = np.inf
-    for _ in range(64):
-        d = t**block_index
-        w_diag = d * g
-        W = w_diag[:, None] * Z.T
-        Winv = Z / w_diag[None, :]
-        attained = float(np.abs(W @ M @ Winv).sum(axis=1).max())
-        if attained <= target:
-            return WeightedNorm(weight=W, attained_norm=attained)
-        if w_diag.max() / w_diag.min() > cond_cap:
-            break
-        t *= 2.0
-    raise ContractionNormError(
-        f"weight condition number exceeded {cond_cap:.3g} before reaching "
-        f"target {target:.6g} (best attained {attained:.6g})"
-    )
 
 
 def is_negative_definite(S, tol: float | None = None) -> bool:

@@ -3,10 +3,10 @@
 The tracking error and the aggregated disturbance are stacked into one
 extended state whose dynamics are fixed and block-structured; an observer
 with gains ``(L1, L2)`` estimates both from the measured error alone.
-Four observer variants used by the updating laws share this single
-recursion and differ only in the input matrix injected (the true map, a
-nominal model, or a surrogate), so one parametrized implementation covers
-all of them.
+The four observer variants of the updating laws differ only in the input
+map they inject (the true map, a nominal model, or a surrogate): this
+module builds the blocks, the closed observer matrix and its condition,
+and ``learner.run_batch`` steps the recursion.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from .matanalysis import as_matrix, block_spectral_radius
 
 __all__ = [
     "ObserverGain",
-    "ObserverState",
     "ExtendedSystem",
     "build_extended",
     "error_dynamics_matrix",
     "check_observer_condition",
-    "eso_step",
     "simulate_observation_error",
 ]
 
@@ -54,30 +52,6 @@ class ObserverGain:
     @property
     def stacked(self) -> np.ndarray:
         return np.vstack([self.L1, self.L2])
-
-
-@dataclass
-class ObserverState:
-    """Estimates of the tracking error and the aggregated disturbance."""
-
-    e_hat: np.ndarray
-    d_hat: np.ndarray
-
-    def __post_init__(self):
-        self.e_hat = np.asarray(self.e_hat, dtype=float).reshape(-1)
-        self.d_hat = np.asarray(self.d_hat, dtype=float).reshape(-1)
-        if self.e_hat.shape != self.d_hat.shape:
-            raise ValueError("e_hat and d_hat must have the same length")
-        if not (np.all(np.isfinite(self.e_hat)) and np.all(np.isfinite(self.d_hat))):
-            raise ValueError("observer state must be finite")
-
-    @classmethod
-    def zero(cls, p: int) -> "ObserverState":
-        return cls(e_hat=np.zeros(p), d_hat=np.zeros(p))
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.e_hat, self.d_hat])
 
 
 @dataclass
@@ -125,38 +99,6 @@ def check_observer_condition(es: ExtendedSystem, gains: ObserverGain) -> tuple[b
         raise ValueError("observer gain size does not match the extended system")
     rho, _ = block_spectral_radius(error_dynamics_matrix(gains), gains.p)
     return rho < 1.0, rho
-
-
-def eso_step(
-    es: ExtendedSystem,
-    gains: ObserverGain,
-    state: ObserverState,
-    ubar_k,
-    e_k,
-) -> ObserverState:
-    """One observer update driven by the input change and measured error.
-
-    Implements ``X^ <- (Abar - L Cbar) X^ + Bbar_used @ ubar + L @ e``
-    unrolled into the two estimate blocks.
-    """
-    p = es.p
-    ubar_k = np.asarray(ubar_k, dtype=float).reshape(-1)
-    e_k = np.asarray(e_k, dtype=float).reshape(-1)
-    if e_k.shape != (p,):
-        raise ValueError(f"error vector must have length {p}")
-    if ubar_k.shape != (es.P_used.shape[1],):
-        raise ValueError(f"input-change vector must have length {es.P_used.shape[1]}")
-    if state.e_hat.shape != (p,):
-        raise ValueError("observer state size does not match the extended system")
-    e_hat = (
-        state.e_hat
-        - gains.L1 @ state.e_hat
-        + state.d_hat
-        + es.P_used @ ubar_k
-        + gains.L1 @ e_k
-    )
-    d_hat = state.d_hat - gains.L2 @ state.e_hat + gains.L2 @ e_k
-    return ObserverState(e_hat=e_hat, d_hat=d_hat)
 
 
 def simulate_observation_error(

@@ -26,7 +26,6 @@ __all__ = [
     "lift_ilc",
     "simulate_time_domain",
     "sample_structured_delta",
-    "generate_N",
     "uncertainty_sequence",
     "diff_stats",
     "perturb_elementwise",
@@ -214,36 +213,29 @@ class UncertaintyModel:
 def uncertainty_sequence(model: UncertaintyModel, n: int) -> np.ndarray:
     """Rows ``N_0 .. N_{n-1}`` as one ``(n, p)`` array, in O(n).
 
-    Row ``k`` equals ``generate_N(model, k)`` bit for bit.
+    Row ``k`` does not depend on ``n``: a shorter sequence is a prefix of a longer one.
     """
+    if n < 0:
+        raise ValueError("sequence length must be nonnegative")
+    p = model.dimension
+    k = np.arange(n)
+    if model.kind == "zero":
+        return np.zeros((n, p))
+    if model.kind == "constant":
+        return np.tile(model.value, (n, 1))
+    if model.kind == "ramp":
+        return k[:, None] * model.slope
     if model.kind == "cumulative_sine":
         # a cumsum adds in order, so entry k does not depend on later entries
-        i = np.arange(n)
-        entries = np.cumsum(np.sin(i / 200.0) / np.sqrt(i + 1.0))
-        return np.repeat(entries[:, None], model.dimension, axis=1)
-    return np.array([generate_N(model, k) for k in range(n)]).reshape(n, model.dimension)
-
-
-def generate_N(model: UncertaintyModel, k: int) -> np.ndarray:
-    """Uncertainty vector at iteration ``k`` (deterministic per model)."""
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
-    p = model.dimension
-    if model.kind == "zero":
-        return np.zeros(p)
-    if model.kind == "constant":
-        return model.value.copy()
-    if model.kind == "ramp":
-        return k * model.slope
-    if model.kind == "cumulative_sine":
-        return uncertainty_sequence(model, k + 1)[k].copy()
+        entries = np.cumsum(np.sin(k / 200.0) / np.sqrt(k + 1.0))
+        return np.repeat(entries[:, None], p, axis=1)
     if model.kind == "table":
-        row = min(k, model.table.shape[0] - 1)
-        return model.table[row].copy()
+        return model.table[np.minimum(k, model.table.shape[0] - 1)]
     if model.kind == "seeded_bounded":
         seed = 0 if model.seed is None else model.seed
-        rng = np.random.default_rng([seed, k])
-        return rng.uniform(-model.bound, model.bound, size=p)
+        b = model.bound
+        rows = [np.random.default_rng([seed, j]).uniform(-b, b, size=p) for j in range(n)]
+        return np.array(rows).reshape(n, p)
     raise AssertionError(model.kind)
 
 

@@ -17,8 +17,6 @@ from iterlearn.learner import (
     synth_Hbar,
 )
 from iterlearn.matanalysis import (
-    ContractionNormError,
-    contraction_norm,
     induced_norm,
     is_negative_definite,
     spectral_radius,
@@ -95,8 +93,8 @@ def test_criterion_1_reference_benchmark_reproduction():
 
 def test_criterion_2_superstability_separation():
     # ramp uncertainty: the mixed observer law converges to zero while the
-    # plain law stalls at the variation level predicted by the weighted
-    # contraction bound
+    # plain law stalls at the variation level predicted by the contraction
+    # bound of I - P K, which is (1 - c) I up to rounding
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
     ratios = []
@@ -131,7 +129,7 @@ def test_criterion_2_superstability_separation():
             iterations=2000,
         )
         tail = run(plain).err_inf[-50:].max()
-        attained = contraction_norm(np.eye(p) - P @ K, 1e-9).attained_norm
+        attained = induced_norm(np.eye(p) - P @ K, "infinity")
         bound = np.abs(slope).max() / (1.0 - attained)
         ratio = tail / bound
         ratios.append(ratio)
@@ -383,27 +381,6 @@ def test_criterion_9_matrix_analysis_suite():
         worst_eig = max(worst_eig, gap / tol)
         assert gap <= tol
 
-    # contraction weights: every success meets the bound; failures are
-    # the documented explicit error, never a silent bad bound
-    successes = failures = 0
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        M = rng.standard_normal((n, n))
-        M *= rng.uniform(0.3, 0.95) / spectral_radius(M)
-        rho = spectral_radius(M)
-        try:
-            wn = contraction_norm(M, 0.05)
-        except ContractionNormError:
-            failures += 1
-            continue
-        successes += 1
-        assert wn.attained_norm <= rho + 0.05 + 1e-10
-        recomputed = induced_norm(
-            wn.weight @ M @ np.linalg.inv(wn.weight), "infinity"
-        )
-        assert abs(recomputed - wn.attained_norm) <= 1e-9 * max(1.0, recomputed)
-    assert successes >= 40
-
     # trivial norm and definiteness cases, exact
     M = np.array([[1.0, -2.0], [3.0, 4.0]])
     assert induced_norm(M, "infinity") == 7.0
@@ -415,6 +392,5 @@ def test_criterion_9_matrix_analysis_suite():
     report(
         9,
         True,
-        f"eigen oracle worst {worst_eig:.2f}x tolerance; contraction weights: "
-        f"{successes} verified, {failures} explicit refusals of 100",
+        f"eigen oracle worst {worst_eig:.2f}x tolerance",
     )

@@ -148,6 +148,62 @@ def test_simulate_seed_and_iteration_overrides(tmp_path):
         assert len(lines) == 8
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--iterations", "0"), ("--iterations", "-3"), ("--seeds", "")]
+)
+def test_simulate_empty_overrides_are_config_errors(tmp_path, capsys, flag, value):
+    # an override of 0 or "" is given, not absent: it must not fall back
+    # to the config's 30 iterations or seed 0
+    config = scalar_config(tmp_path, iterations=30)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(config), "--out", str(out), flag, value, "--quiet"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(out.glob("*.csv"))
+
+
+MALFORMED_FIELDS = [
+    (("seeds",), [None]),
+    (("seeds",), "12"),
+    (("seeds",), [1.5]),
+    (("iterations",), None),
+    (("iterations",), "30"),
+    (("iterations",), 2.5),
+    (("laws",), 5),
+    (("laws",), "p_type"),
+    (("gains", "K"), {"directive": "scaled_surrogate_inverse", "scale": None}),
+    (("gains", "L1"), {"scaled_identity": "0.9"}),
+    (("plant", "element_uncertainty"), None),
+    (("surrogate", "banded", "size"), None),
+    (("surrogate", "banded", "diagonals"), 1.0),
+    (("uncertainty",), {"kind": "seeded_bounded", "bound": None}),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    MALFORMED_FIELDS,
+    ids=[
+        ".".join(p) + "=" + json.dumps(v, separators=(",", ":")).replace('"', "")
+        for p, v in MALFORMED_FIELDS
+    ],
+)
+def test_simulate_malformed_field_is_config_error(tmp_path, capsys, path, value):
+    config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
+    doc = json.loads(config.read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    write_json(config, doc)
+    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path[-1] in err
+
+
 def test_simulate_all_diverged_exit_code(tmp_path):
     config = scalar_config(tmp_path, k_val=3.0, iterations=400)
     out = tmp_path / "out"

@@ -1,8 +1,8 @@
 """The batched engine against the per-step reference loop.
 
 ``reference_run`` is the engine as it was written before batching: one
-run, one iteration at a time, the observer advanced by ``eso_step``.  It
-stays here as the oracle for ``run_batch``.
+run, one iteration at a time, the observer advanced by its two update
+lines.  It stays here as the oracle for ``run_batch``.
 """
 
 import numpy as np
@@ -22,8 +22,8 @@ from iterlearn.learner import (
     synth_Hbar,
     trace_to_csv,
 )
-from iterlearn.observer import ObserverGain, ObserverState, build_extended, eso_step
-from iterlearn.plant import TransferPlant, UncertaintyModel, generate_N, uncertainty_sequence
+from iterlearn.observer import ObserverGain
+from iterlearn.plant import TransferPlant, UncertaintyModel, uncertainty_sequence
 
 
 def reference_run(config: SimulationConfig) -> dict:
@@ -33,7 +33,7 @@ def reference_run(config: SimulationConfig) -> dict:
     p, m = P.shape
     mode = config.law.mode
     gains = config.gains
-    model = config.uncertainty.with_seed(config.seed)
+    N = uncertainty_sequence(config.uncertainty.with_seed(config.seed), config.iterations)
     uses_observer = mode != "p_type"
     if uses_observer:
         if mode in ("eso_full_state", "eso_mixed"):
@@ -42,28 +42,31 @@ def reference_run(config: SimulationConfig) -> dict:
             P_used = plant.nominal
         else:
             P_used = config.law.surrogate
-        es = build_extended(p, P_used)
-        state = ObserverState.zero(p)
+        L1, L2 = gains.observer.L1, gains.observer.L2
+        e_hat, d_hat = np.zeros(p), np.zeros(p)
     U = np.zeros(m) if config.u0 is None else config.u0.copy()
     err_inf, u_norm = [], []
     diverged_at = None
     for k in range(config.iterations):
-        E = config.target - (P @ U + generate_N(model, k))
+        E = config.target - (P @ U + N[k])
         if mode == "p_type":
             ubar = -gains.K @ E
         elif mode == "eso_full_state":
-            ubar = -gains.K @ state.e_hat - gains.H @ state.d_hat
+            ubar = -gains.K @ e_hat - gains.H @ d_hat
         elif mode == "eso_mixed":
-            ubar = -gains.K @ E - gains.H @ state.d_hat
+            ubar = -gains.K @ E - gains.H @ d_hat
         else:
-            ubar = -gains.K @ (E + gains.Hbar @ state.d_hat)
+            ubar = -gains.K @ (E + gains.Hbar @ d_hat)
         err_inf.append(np.abs(E).max())
         u_norm.append(np.abs(U).max())
         U = U - ubar
         size = np.abs(U).max()
         if uses_observer:
-            state = eso_step(es, gains.observer, state, ubar, E)
-            size = max(size, np.abs(state.e_hat).max(), np.abs(state.d_hat).max())
+            e_hat, d_hat = (
+                e_hat - L1 @ e_hat + d_hat + P_used @ ubar + L1 @ E,
+                d_hat - L2 @ e_hat + L2 @ E,
+            )
+            size = max(size, np.abs(e_hat).max(), np.abs(d_hat).max())
         if not size <= DIVERGENCE_CAP:
             diverged_at = k
             break

@@ -16,9 +16,9 @@ from iterlearn.learner import (
     write_trace_csv,
     TRACE_CSV_HEADER,
 )
-from iterlearn.matanalysis import contraction_norm
+from iterlearn.matanalysis import induced_norm
 from iterlearn.observer import ObserverGain
-from iterlearn.plant import TransferPlant, UncertaintyModel, diff_stats
+from iterlearn.plant import TransferPlant, UncertaintyModel, diff_stats, uncertainty_sequence
 
 
 def scalar_plant(p_val=1.0):
@@ -174,10 +174,9 @@ def test_trace_plant_equation_exact():
     )
     trace = run(config)
     P = plant.full()
-    from iterlearn.plant import generate_N
-
+    N = uncertainty_sequence(model, len(trace))
     for k in range(len(trace)):
-        y_expected = P @ trace.u[k] + generate_N(model, k)
+        y_expected = P @ trace.u[k] + N[k]
         assert np.array_equal(trace.y[k], y_expected)
         assert np.array_equal(trace.e[k], config.target - trace.y[k])
 
@@ -255,9 +254,9 @@ def test_superstability_separation_on_ramp():
         trace = run(plain)
         tail = trace.err_inf[-50:].max()
         # the plain law stalls at the level of the uncertainty variation:
-        # tail within [0.5, 2] of |slope|_inf / (1 - weighted norm of I - P K)
-        wn = contraction_norm(np.eye(p) - P @ K, 1e-6)
-        bound = np.abs(slope).max() / (1.0 - wn.attained_norm)
+        # tail within [0.5, 2] of |slope|_inf / (1 - |I - P K|_inf), where
+        # I - P K is (1 - c) I up to rounding
+        bound = np.abs(slope).max() / (1.0 - induced_norm(np.eye(p) - P @ K, "infinity"))
         assert 0.5 * bound <= tail <= 2.0 * bound
 
 

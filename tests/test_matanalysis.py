@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from iterlearn.matanalysis import (
-    ContractionNormError,
     block_spectral_radius,
-    contraction_norm,
     eigenvalues,
     format_matrix_text,
     induced_norm,
@@ -209,70 +207,6 @@ def test_induced_norm_examples():
 def test_induced_norm_unknown_kind():
     with pytest.raises(ValueError):
         induced_norm(np.eye(2), "frobenius")
-
-
-# ---------------------------------------------------------------------------
-# contraction norm
-# ---------------------------------------------------------------------------
-
-def test_contraction_norm_scaled_identity():
-    wn = contraction_norm(0.5 * np.eye(3), 0.1)
-    assert wn.attained_norm == pytest.approx(0.5, abs=1e-12)
-
-
-def test_contraction_norm_nilpotent():
-    wn = contraction_norm(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
-    assert wn.attained_norm <= 0.1 + 1e-12
-    # verify the weight genuinely attains the reported norm
-    assert wn.apply(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(
-        wn.attained_norm, rel=1e-10
-    )
-
-
-def test_contraction_norm_seeded_4x4():
-    rng = np.random.default_rng(1)
-    M = rng.standard_normal((4, 4))
-    M *= 0.9 / spectral_radius(M)
-    wn = contraction_norm(M, 0.05)
-    assert wn.attained_norm <= 0.95 + 1e-12
-    Winv = np.linalg.inv(wn.weight)
-    recomputed = induced_norm(wn.weight @ M @ Winv, "infinity")
-    assert recomputed == pytest.approx(wn.attained_norm, rel=1e-12)
-
-
-def test_contraction_norm_real_spectrum_always_succeeds():
-    rng = np.random.default_rng(23)
-    for _ in range(60):
-        n = int(rng.integers(2, 7))
-        lam = rng.uniform(-0.9, 0.9, n)
-        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        S = Q + 0.1 * rng.standard_normal((n, n))
-        M = S @ np.diag(lam) @ np.linalg.inv(S)
-        wn = contraction_norm(M, 0.05)
-        assert wn.attained_norm <= spectral_radius(M) + 0.05 + 1e-10
-
-
-def test_contraction_norm_generic_success_or_documented_failure():
-    rng = np.random.default_rng(29)
-    successes = 0
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        M = rng.standard_normal((n, n))
-        M *= rng.uniform(0.3, 0.95) / spectral_radius(M)
-        rho = spectral_radius(M)
-        try:
-            wn = contraction_norm(M, 0.05)
-        except ContractionNormError:
-            continue
-        successes += 1
-        assert wn.attained_norm <= rho + 0.05 + 1e-10
-        assert wn.attained_norm < 1.0
-    assert successes >= 40
-
-
-def test_contraction_norm_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        contraction_norm(np.eye(2), 0.0)
 
 
 # ---------------------------------------------------------------------------

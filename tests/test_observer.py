@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from iterlearn.learner import GainSet, LearningLaw, SimulationConfig, run
 from iterlearn.observer import (
     ObserverGain,
-    ObserverState,
     build_extended,
     check_observer_condition,
     error_dynamics_matrix,
-    eso_step,
     simulate_observation_error,
 )
-from iterlearn.plant import UncertaintyModel, generate_N
+from iterlearn.plant import TransferPlant, UncertaintyModel, uncertainty_sequence
 
 # spectral radius of the benchmark observer loop at p=1 with gains 0.9/0.1:
 # largest root of lambda^2 - 1.1 lambda + 0.2, frozen from (1.1+sqrt(0.41))/2
@@ -79,38 +78,26 @@ def test_controllability_rank_deficient(p, m, rank):
 # observer stepping
 # ---------------------------------------------------------------------------
 
-def test_eso_step_zero_everything():
-    es = build_extended(2, np.eye(2))
-    gains = ObserverGain.diagonal(2, 0.9, 0.1)
-    out = eso_step(es, gains, ObserverState.zero(2), np.zeros(2), np.zeros(2))
-    assert np.array_equal(out.stacked, np.zeros(4))
-
-
-def test_eso_step_scalar_hand_values():
-    es = build_extended(1, np.array([[1.0]]))
-    gains = ObserverGain.diagonal(1, 0.9, 0.1)
-    u, e = 0.7, -0.4
-    out = eso_step(es, gains, ObserverState.zero(1), [u], [e])
-    assert out.e_hat[0] == pytest.approx(u + 0.9 * e, abs=1e-15)
-    assert out.d_hat[0] == pytest.approx(0.1 * e, abs=1e-15)
-
-
-def test_eso_step_matches_matrix_form():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        p = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        es = build_extended(p, rng.standard_normal((p, m)))
-        gains = ObserverGain(
-            L1=rng.standard_normal((p, p)) * 0.5, L2=rng.standard_normal((p, p)) * 0.5
-        )
-        state = ObserverState(e_hat=rng.standard_normal(p), d_hat=rng.standard_normal(p))
-        ubar = rng.standard_normal(m)
-        e = rng.standard_normal(p)
-        stepped = eso_step(es, gains, state, ubar, e)
-        A_cl = es.Abar - gains.stacked @ es.Cbar
-        expected = A_cl @ state.stacked + es.Bbar_used @ ubar + gains.stacked @ e
-        assert np.abs(stepped.stacked - expected).max() < 1e-13
+def test_observer_scalar_hand_values():
+    # one eso_mixed step from a zero estimate on a 1x1 plant: the first
+    # update is e^_1 = P ubar_0 + L1 e_0 and d^_1 = L2 e_0
+    P = 1.3
+    config = SimulationConfig(
+        plant=TransferPlant(nominal=np.array([[P]])),
+        target=np.array([0.6]),
+        uncertainty=UncertaintyModel.constant([1.0]),
+        gains=GainSet(
+            K=np.array([[0.5]]), H=np.array([[0.7]]), observer=ObserverGain.diagonal(1, 0.9, 0.1)
+        ),
+        law=LearningLaw(mode="eso_mixed"),
+        iterations=2,
+    )
+    trace = run(config)
+    assert np.array_equal(trace.e_hat[0], [0.0]) and np.array_equal(trace.d_hat[0], [0.0])
+    ubar, e = trace.ubar[0, 0], trace.e[0, 0]
+    assert e == -0.4 and ubar != 0.0
+    assert trace.e_hat[1, 0] == P * ubar + 0.9 * e
+    assert trace.d_hat[1, 0] == 0.1 * e
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +159,8 @@ def test_observation_error_ramp_driving_vanishes():
     model = UncertaintyModel.ramp([0.5, -1.25])
     K = 260
     F = es.F
-    driving = np.zeros((K, 2 * p))
-    for k in range(K):
-        d2 = generate_N(model, k + 2) - 2 * generate_N(model, k + 1) + generate_N(model, k)
-        driving[k] = -F.T @ d2
+    d2 = np.diff(uncertainty_sequence(model, K + 2), n=2, axis=0)
+    driving = -d2 @ F
     assert np.abs(driving).max() == 0.0
     out = simulate_observation_error(es, gains, np.array([3.0, -2.0, 1.0, 0.5]), driving, K)
     assert np.abs(out[-1]).max() < 1e-10

@@ -10,7 +10,6 @@ from iterlearn.plant import (
     TransferPlant,
     UncertaintyModel,
     diff_stats,
-    generate_N,
     lift_ilc,
     load_ilc_system,
     perturb_elementwise,
@@ -194,51 +193,68 @@ def test_sample_deterministic_per_seed():
 # ---------------------------------------------------------------------------
 
 def test_cumulative_sine_first_values():
-    model = UncertaintyModel.cumulative_sine(3)
-    assert np.array_equal(generate_N(model, 0), np.zeros(3))  # sin(0)/1
+    rows = uncertainty_sequence(UncertaintyModel.cumulative_sine(3), 2)
+    assert np.array_equal(rows[0], np.zeros(3))  # sin(0)/1
     expected = math.sin(0.005) / math.sqrt(2.0)
-    n1 = generate_N(model, 1)
-    assert np.allclose(n1, expected, atol=1e-15)
-    assert n1[0] == pytest.approx(0.003535519174559877, abs=1e-15)
+    assert np.allclose(rows[1], expected, atol=1e-15)
+    assert rows[1, 0] == pytest.approx(0.003535519174559877, abs=1e-15)
 
 
 def test_ramp_values():
     v = np.array([1.0, -2.0])
-    model = UncertaintyModel.ramp(v)
-    assert np.array_equal(generate_N(model, 0), 0 * v)
-    assert np.array_equal(generate_N(model, 7), 7 * v)
+    rows = uncertainty_sequence(UncertaintyModel.ramp(v), 8)
+    assert np.array_equal(rows[0], 0 * v)
+    assert np.array_equal(rows[7], 7 * v)
 
 
 def test_table_clamps_after_end():
-    model = UncertaintyModel.from_table([[1.0], [2.0]])
-    assert generate_N(model, 0)[0] == 1.0
-    assert generate_N(model, 5)[0] == 2.0
+    rows = uncertainty_sequence(UncertaintyModel.from_table([[1.0], [2.0]]), 6)
+    assert rows[0, 0] == 1.0
+    assert rows[5, 0] == 2.0
 
 
 def test_seeded_bounded_deterministic_and_bounded():
     model = UncertaintyModel.seeded_bounded(4, bound=0.3, seed=9)
-    a = generate_N(model, 11)
-    assert np.array_equal(a, generate_N(model, 11))
-    assert not np.array_equal(a, generate_N(model, 12))
-    assert np.abs(a).max() <= 0.3
+    rows = uncertainty_sequence(model, 13)
+    assert np.array_equal(rows, uncertainty_sequence(model, 13))
+    assert not np.array_equal(rows[11], rows[12])
+    assert np.abs(rows).max() <= 0.3
 
 
-def test_uncertainty_sequence_rows_equal_generate_N():
-    models = [
-        UncertaintyModel.zero(2),
-        UncertaintyModel.constant([0.3, -1.0]),
-        UncertaintyModel.ramp([0.1, -0.7]),
-        UncertaintyModel.cumulative_sine(2),
-        UncertaintyModel.from_table([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-        UncertaintyModel.seeded_bounded(2, bound=0.4, seed=5),
-    ]
-    assert {m.kind for m in models} == set(UNCERTAINTY_KINDS)
-    for model in models:
+ALL_KIND_MODELS = [
+    UncertaintyModel.zero(2),
+    UncertaintyModel.constant([0.3, -1.0]),
+    UncertaintyModel.ramp([0.1, -0.7]),
+    UncertaintyModel.cumulative_sine(2),
+    UncertaintyModel.from_table([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    UncertaintyModel.seeded_bounded(2, bound=0.4, seed=5),
+]
+
+
+def test_uncertainty_sequence_rows_follow_kind_formulas():
+    n = 300
+    rows = {m.kind: uncertainty_sequence(m, n) for m in ALL_KIND_MODELS}
+    assert set(rows) == set(UNCERTAINTY_KINDS)
+    assert all(r.shape == (n, 2) for r in rows.values())
+    assert np.array_equal(rows["zero"], np.zeros((n, 2)))
+    assert all(np.array_equal(r, [0.3, -1.0]) for r in rows["constant"])
+    slope = np.array([0.1, -0.7])
+    for k in range(n):
+        assert np.array_equal(rows["ramp"][k], k * slope), k
+        expected = np.random.default_rng([5, k]).uniform(-0.4, 0.4, 2)
+        assert np.array_equal(rows["seeded_bounded"][k], expected), k
+    assert np.array_equal(rows["table"][:3], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    assert np.array_equal(rows["table"][3:], np.tile([5.0, 6.0], (n - 3, 1)))
+
+
+def test_uncertainty_sequence_is_prefix_stable():
+    # row k never depends on how many rows were asked for
+    for model in ALL_KIND_MODELS:
         rows = uncertainty_sequence(model, 300)
-        assert rows.shape == (300, 2)
-        for k in range(300):
-            assert np.array_equal(rows[k], generate_N(model, k)), (model.kind, k)
-        assert uncertainty_sequence(model, 0).shape == (0, 2)
+        for j in (0, 1, 2, 3, 17, 299, 300):
+            short = uncertainty_sequence(model, j)
+            assert short.shape == (j, 2)
+            assert short.tobytes() == rows[:j].tobytes(), (model.kind, j)
 
 
 def test_cumulative_sine_sequence_matches_direct_sum():
@@ -246,12 +262,12 @@ def test_cumulative_sine_sequence_matches_direct_sum():
     i = np.arange(4001)
     direct = np.sum(np.sin(i / 200.0) / np.sqrt(i + 1.0))
     assert np.abs(uncertainty_sequence(model, 4001)[4000] - direct).max() < 1e-12
-    assert np.abs(generate_N(model, 4000) - direct).max() < 1e-12
 
 
 def test_negative_iteration_rejected():
-    with pytest.raises(ValueError):
-        generate_N(UncertaintyModel.zero(1), -1)
+    for model in ALL_KIND_MODELS:
+        with pytest.raises(ValueError):
+            uncertainty_sequence(model, -1)
 
 
 # ---------------------------------------------------------------------------
