@@ -54,6 +54,12 @@ def _array(value, name: str) -> list:
     return value
 
 
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _matrix_field(obj, name: str, base: Path) -> np.ndarray:
     """A matrix given inline as nested arrays or as a matrix-text file ref."""
     if isinstance(obj, dict) and "file" in obj:
@@ -69,7 +75,7 @@ def _matrix_field(obj, name: str, base: Path) -> np.ndarray:
 def _parse_uncertainty(obj, dimension: int) -> plant.UncertaintyModel:
     if obj is None:
         return plant.UncertaintyModel.zero(dimension)
-    kind = obj.get("kind")
+    kind = _object(obj, "uncertainty").get("kind")
     try:
         if kind == "zero":
             return plant.UncertaintyModel.zero(dimension)
@@ -80,7 +86,10 @@ def _parse_uncertainty(obj, dimension: int) -> plant.UncertaintyModel:
         if kind == "cumulative_sine":
             return plant.UncertaintyModel.cumulative_sine(dimension)
         if kind == "table":
-            return plant.UncertaintyModel.from_table(np.asarray(obj["rows"], dtype=float))
+            rows = np.asarray(obj["rows"], dtype=float)
+            if rows.ndim != 2:
+                raise ValueError(f"table rows must be a 2-D array, got shape {rows.shape}")
+            return plant.UncertaintyModel.from_table(rows)
         if kind == "seeded_bounded":
             seed = obj.get("seed")
             return plant.UncertaintyModel(
@@ -127,12 +136,8 @@ class Experiment:
             raise ConfigError("seeds must be non-empty")
         self.output_dir = doc.get("output_dir")
 
-        self._plant_doc = doc.get("plant")
-        if not isinstance(self._plant_doc, dict):
-            raise ConfigError("config field 'plant' must be an object")
-        self._gains_doc = doc.get("gains") or {}
-        if not isinstance(self._gains_doc, dict):
-            raise ConfigError("config field 'gains' must be an object")
+        self._plant_doc = _object(doc.get("plant"), "plant")
+        self._gains_doc = _object(doc.get("gains") or {}, "gains")
         self._target_doc = doc.get("target")
         self._uncertainty_doc = doc.get("uncertainty")
         self._u0_doc = doc.get("u0")
@@ -151,7 +156,7 @@ class Experiment:
         surr = doc.get("surrogate")
         if surr is not None:
             if isinstance(surr, dict) and "banded" in surr:
-                band = surr["banded"]
+                band = _object(surr["banded"], "surrogate.banded")
                 from .presets import banded_surrogate
 
                 diagonals = _array(band["diagonals"], "surrogate.banded.diagonals")
@@ -165,6 +170,7 @@ class Experiment:
         self.structure = None
         struct = doc.get("structure")
         if struct is not None:
+            _object(struct, "structure")
             try:
                 self.structure = plant.StructuredUncertainty(
                     phi1=_matrix_field(struct["phi1"], "phi1", base),
@@ -211,6 +217,7 @@ class Experiment:
         sys_doc = doc.get("system")
         if sys_doc is None:
             raise ConfigError("ilc_lift plant requires a 'system' field")
+        _object(sys_doc, "plant.system")
         try:
             if isinstance(sys_doc, dict) and "file" in sys_doc:
                 return plant.load_ilc_system(self.base / sys_doc["file"])

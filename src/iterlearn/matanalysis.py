@@ -1,9 +1,11 @@
 """Dense real-matrix analysis primitives.
 
 Eigenvalues, spectral radii (dense, and block by block in time for
-lifted loops), induced norms, a negative-definiteness test, and a plain
-text format for matrices.  Everything operates on plain 2-D ``numpy``
-arrays of finite floats; all functions are pure.
+lifted loops), induced norms, a negative-definiteness test by Cholesky
+factorisation, and a plain text format for matrices.  Everything
+operates on plain 2-D ``numpy`` arrays of finite floats; all functions
+are pure, apart from the work buffer a caller lends to
+``check_symmetric`` and ``cholesky_negative_definite``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ __all__ = [
     "spectral_radius",
     "block_spectral_radius",
     "induced_norm",
+    "check_symmetric",
+    "cholesky_negative_definite",
     "is_negative_definite",
     "format_matrix_text",
     "parse_matrix_text",
@@ -114,6 +118,45 @@ def induced_norm(M, kind: str = "infinity") -> float:
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
+def check_symmetric(S: np.ndarray, work: np.ndarray) -> None:
+    """Reject a matrix whose asymmetry is more than rounding noise.
+
+    The bound is ``|S - S^T|_max <= 1e-10 * max(1, |S|_inf)``.  The
+    intermediates go to ``work``, a float array of the shape of ``S``, so
+    the check allocates no matrix-sized temporaries.
+    """
+    np.abs(S, out=work)
+    scale = max(1.0, float(work.sum(axis=1).max()))
+    np.subtract(S, S.T, out=work)
+    np.abs(work, out=work)
+    asym = float(work.max())
+    if asym > 1e-10 * scale:
+        raise ValueError(
+            f"matrix is not symmetric: |S - S^T|_max = {asym:.3g} "
+            f"exceeds 1e-10 * max(1, |S|_inf)"
+        )
+
+
+def cholesky_negative_definite(S: np.ndarray, tol: float, work: np.ndarray) -> bool:
+    """Whether every eigenvalue of the symmetric ``S`` lies below ``-tol``.
+
+    That holds exactly when ``-S - tol I`` is positive definite, that is
+    when its Cholesky factorisation exists.  LAPACK ``dpotrf`` factors it
+    in place in ``work``, a C-contiguous float array of the shape of ``S``
+    (``S`` itself may serve, and is then overwritten); one triangle is
+    read, so ``S`` must be exactly symmetric.  This costs about a third of
+    a symmetric eigenvalue solve and allocates nothing.
+    """
+    from scipy.linalg.lapack import dpotrf  # deferred: simulate needs no scipy
+
+    np.negative(S, out=work)
+    work.flat[:: work.shape[0] + 1] -= tol
+    # the transpose of a C-contiguous array is Fortran-contiguous, so the
+    # factorisation runs in place instead of on a copy
+    _, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0
+
+
 def is_negative_definite(S, tol: float | None = None) -> bool:
     """Whether a (numerically) symmetric matrix is negative definite.
 
@@ -121,22 +164,21 @@ def is_negative_definite(S, tol: float | None = None) -> bool:
     floating-point asymmetry is noise; asymmetry beyond
     ``1e-10 * max(1, |S|_inf)`` is rejected as an error.  The default
     ``tol`` is ``1e-10 * |S|_inf``; all eigenvalues must lie strictly
-    below ``-tol``.
+    below ``-tol``, which ``cholesky_negative_definite`` decides.  With
+    ``tol = 0`` an exactly singular matrix sits on the rounding boundary:
+    the verdict then depends on rounding, for this test and for an
+    eigenvalue solve alike.
     """
     S = as_square(S, "S")
-    scale = max(1.0, induced_norm(S, "infinity"))
-    asym = float(np.abs(S - S.T).max())
-    if asym > 1e-10 * scale:
-        raise ValueError(
-            f"matrix is not symmetric: |S - S^T|_max = {asym:.3g} "
-            f"exceeds 1e-10 * max(1, |S|_inf)"
-        )
+    work = np.empty(S.shape)
+    check_symmetric(S, work)
     if tol is None:
         tol = 1e-10 * induced_norm(S, "infinity")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    w = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return bool(w.max() < -tol)
+    np.add(S, S.T, out=work)
+    work *= 0.5
+    return cholesky_negative_definite(work, tol, work)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .learner import GainSet
 from .observer import build_extended, error_dynamics_matrix
-from .matanalysis import as_matrix, block_spectral_radius, induced_norm, is_negative_definite
+from .matanalysis import (
+    as_matrix,
+    block_spectral_radius,
+    check_symmetric,
+    cholesky_negative_definite,
+    induced_norm,
+    is_negative_definite,
+)
 from .plant import StructuredUncertainty, TransferPlant, sample_structured_delta
 
 __all__ = [
@@ -291,21 +299,6 @@ class LmiCertificate:
         return np.block([[self.Q11, self.Q21.T], [self.Q21, self.Q22]])
 
 
-def _mirror_blocks(blocks: list[list], dims: list[int]) -> np.ndarray:
-    """Assemble a symmetric block matrix from its lower-triangular blocks."""
-    n = len(dims)
-    grid = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            blk = blocks[i][j]
-            if blk is None:
-                blk = np.zeros((dims[i], dims[j]))
-            grid[i][j] = blk
-            if i != j:
-                grid[j][i] = blk.T
-    return np.block(grid)
-
-
 def _nominal_map(nominal) -> np.ndarray:
     """The nominal map of a plant, or the map itself."""
     if isinstance(nominal, TransferPlant):
@@ -330,44 +323,59 @@ def _lmi_ingredients(lmi_id: str, nominal, structure, gains):
     return P0, K, p, A_lc, Lbar, es.F, es.Cbar, phi1, phi2
 
 
-def _assemble_lmi(lmi_id, cert: LmiCertificate, nominal, structure, gains) -> np.ndarray:
+def _assemble_lmi(lmi_id, Q, tau: float, nominal, structure, gains, out=None) -> np.ndarray:
+    """The block inequality of ``lmi_id`` at ``Q = (Q11, Q21, Q22)`` and ``tau``.
+
+    The rows and columns are laid out in blocks of sizes
+    ``[p, 2p, p, 2p, r, q]``, with ``r`` rows of ``phi2`` and ``q`` columns
+    of ``phi1``; ``tau`` enters only block row 4 (linearly, mirrored into
+    block column 4) and the diagonal ``-tau`` of block 5.
+    """
     P0, K, p, A_lc, Lbar, F, Cbar, phi1, phi2 = _lmi_ingredients(
         lmi_id, nominal, structure, gains
     )
-    if cert.p != p:
+    Q11, Q21, Q22 = Q
+    if Q11.shape[0] != p:
         raise ValueError("certificate dimension does not match the problem")
-    Q11, Q21, Q22, tau = cert.Q11, cert.Q21, cert.Q22, cert.tau
     q = phi1.shape[1]
     r = phi2.shape[0]
+    edges = np.cumsum([0, p, 2 * p, p, 2 * p, r, q])
+    G = np.empty((edges[-1], edges[-1])) if out is None else out
+    G.fill(0.0)
+
+    def put(i, j, blk):
+        """Block (i, j) of the lower triangle, mirrored by transposition."""
+        rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
+        G[rows, cols] = blk
+        if i != j:
+            G[cols, rows] = G[rows, cols].T
+
     loop = np.eye(p) - P0 @ K
-    dims = [p, 2 * p, p, 2 * p, r, q]
-    rows: list[list] = [[None] * 6 for _ in range(6)]
-    rows[0][0] = -Q11
-    rows[1][0] = -Q21
-    rows[1][1] = -Q22
-    rows[2][2] = -Q11
-    rows[3][2] = -Q21
-    rows[3][3] = -Q22
-    rows[4][4] = -tau * np.eye(r)
-    rows[5][5] = -tau * np.eye(q)
-    rows[2][0] = Q11 @ loop
-    rows[3][0] = Q21 @ loop
+    put(0, 0, -Q11)
+    put(1, 0, -Q21)
+    put(1, 1, -Q22)
+    put(2, 2, -Q11)
+    put(3, 2, -Q21)
+    put(3, 3, -Q22)
+    put(4, 4, -tau * np.eye(r))
+    put(5, 5, -tau * np.eye(q))
+    put(2, 0, Q11 @ loop)
+    put(3, 0, Q21 @ loop)
+    put(4, 0, tau * phi2 @ K)
     if lmi_id == "eq44":
         HF = _require(gains.H, "the compensation gain H", lmi_id) @ F
-        rows[2][1] = Q21.T @ A_lc - Q11 @ P0 @ HF
-        rows[3][1] = Q22 @ A_lc - Q21 @ P0 @ HF
-        rows[4][0] = tau * phi2 @ K
-        rows[4][1] = tau * phi2 @ HF
-        rows[5][2] = phi1.T @ (Cbar @ Q21 - Q11)
-        rows[5][3] = phi1.T @ (Cbar @ Q22 - Q21.T)
+        put(2, 1, Q21.T @ A_lc - Q11 @ P0 @ HF)
+        put(3, 1, Q22 @ A_lc - Q21 @ P0 @ HF)
+        put(4, 1, tau * phi2 @ HF)
+        put(5, 2, phi1.T @ (Cbar @ Q21 - Q11))
+        put(5, 3, phi1.T @ (Cbar @ Q22 - Q21.T))
     else:  # eq65 and eq101 share one display around their respective maps
         HbF = _require(gains.Hbar, "the compensation gain Hbar", lmi_id) @ F
-        rows[2][1] = Q11 @ HbF + Q21.T @ A_lc
-        rows[3][1] = Q21 @ HbF + Q22 @ A_lc
-        rows[4][0] = tau * phi2 @ K
-        rows[5][2] = phi1.T @ (-Q11 - Lbar.T @ Q21)
-        rows[5][3] = phi1.T @ (-Q21.T - Lbar.T @ Q22)
-    return _mirror_blocks(rows, dims)
+        put(2, 1, Q11 @ HbF + Q21.T @ A_lc)
+        put(3, 1, Q21 @ HbF + Q22 @ A_lc)
+        put(5, 2, phi1.T @ (-Q11 - Lbar.T @ Q21))
+        put(5, 3, phi1.T @ (-Q21.T - Lbar.T @ Q22))
+    return G
 
 
 def lmi_verify(
@@ -383,12 +391,62 @@ def lmi_verify(
     filled by transposition) and tested for negative definiteness with a
     tolerance of ``1e-9`` times its infinity norm.
     """
-    G = _assemble_lmi(lmi_id, cert, nominal, structure, gains)
+    G = _assemble_lmi(lmi_id, (cert.Q11, cert.Q21, cert.Q22), cert.tau, nominal, structure, gains)
     tol = 1e-9 * induced_norm(G, "infinity")
     return is_negative_definite(G, tol=tol)
 
 
 _IMPLIED_CONDITION = {"eq44": "eq41", "eq65": "eq62", "eq101": "eq102"}
+
+
+def _lyapunov_seed(lmi_id: str, nominal, gains: GainSet) -> np.ndarray | None:
+    """The search's seed: the discrete Lyapunov solution of the implied
+    condition's loop at zero model error, scaled to unit 2-norm, or None
+    when that loop is not stable."""
+    P0 = _nominal_map(nominal)
+    M0 = loop_matrix(_IMPLIED_CONDITION[lmi_id], TransferPlant(nominal=P0), gains, P0)
+    p = gains.observer.p
+    if block_spectral_radius(M0, p)[0] >= 1.0:
+        return None
+    from scipy.linalg import solve_discrete_lyapunov  # deferred: simulate needs no scipy
+    Qfull = solve_discrete_lyapunov(M0.T, np.eye(3 * p))
+    Qfull = 0.5 * (Qfull + Qfull.T)
+    if np.linalg.eigvalsh(Qfull).min() <= 0:
+        return None
+    Qfull /= induced_norm(Qfull, "two")
+    return Qfull
+
+
+def _lmi_grid(lmi_id: str, Qfull: np.ndarray, nominal, structure, gains, work: np.ndarray):
+    """The search's candidates in grid order, as ``(Q blocks, tau, G(tau))``.
+
+    For each block rescaling ``D Qfull D`` of the seed, the inequality is
+    assembled once, at ``tau = 1``, and checked for symmetry once.  Each
+    ``tau`` then overwrites only what depends on it, in place: block row 4
+    becomes ``tau`` times its value at ``tau = 1`` and is mirrored into
+    block column 4 by transposition, and the diagonal of block 5 becomes
+    ``-tau``.  So ``G`` stays exactly symmetric, and it equals a fresh
+    assembly exactly when ``phi2`` is the identity (otherwise to rounding,
+    since ``(tau phi2) K`` and ``tau (phi2 K)`` round differently).  One
+    ``G`` is reused by every candidate; ``work`` is scratch of its shape.
+    """
+    p = Qfull.shape[0] // 3
+    row4 = slice(6 * p, 6 * p + structure.phi2.shape[0])
+    left = slice(0, row4.stop)
+    diag5 = np.arange(row4.stop, work.shape[0])
+    G = np.empty_like(work)
+    for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
+        d = np.concatenate([np.full(p, scale), np.ones(2 * p)])
+        Qs = d[:, None] * Qfull * d  # D Qfull D, entry by entry in the same order
+        blocks = (Qs[:p, :p], Qs[p:, :p], Qs[p:, p:])
+        _assemble_lmi(lmi_id, blocks, 1.0, nominal, structure, gains, out=G)
+        check_symmetric(G, work)
+        at_one = G[row4, left].copy()
+        for tau in np.logspace(-4, 4, 17):
+            np.multiply(at_one, tau, out=G[row4, left])
+            G[left, row4] = G[row4, left].T
+            G[diag5, diag5] = -tau
+            yield blocks, float(tau), G
 
 
 def lmi_search(
@@ -402,42 +460,28 @@ def lmi_search(
 
     Seeds ``Q`` from the discrete Lyapunov solution of the nominal closed
     matrix, tries a few block rescalings of that seed, and sweeps ``tau``
-    over a log grid, returning the first certificate that verifies.
-    Absence of a certificate is a legitimate outcome (None), not an
-    error.
+    over a log grid, returning the first certificate that verifies.  Each
+    candidate costs one in-place Cholesky factorisation of the inequality
+    at the tolerance ``lmi_verify`` uses (see ``_lmi_grid``); the
+    rescalings are positive definite by congruence with the checked seed,
+    so only the returned certificate is built and validated.  Absence of
+    a certificate is a legitimate outcome (None), not an error.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if lmi_id not in LMI_IDS:
         raise ValueError(f"unknown inequality id {lmi_id!r}")
-    # the implied condition at zero model error
-    P0 = _nominal_map(nominal)
-    M0 = loop_matrix(_IMPLIED_CONDITION[lmi_id], TransferPlant(nominal=P0), gains, P0)
-    p = gains.observer.p
-    if block_spectral_radius(M0, p)[0] >= 1.0:
+    Qfull = _lyapunov_seed(lmi_id, nominal, gains)
+    if Qfull is None:
         return None
-    from scipy.linalg import solve_discrete_lyapunov  # deferred: simulate needs no scipy
-    Qfull = solve_discrete_lyapunov(M0.T, np.eye(3 * p))
-    Qfull = 0.5 * (Qfull + Qfull.T)
-    if np.linalg.eigvalsh(Qfull).min() <= 0:
-        return None
-    Qfull /= induced_norm(Qfull, "two")
-
-    taus = np.logspace(-4, 4, 17)
-    calls = 0
-    for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
-        D = np.diag(np.concatenate([np.full(p, scale), np.ones(2 * p)]))
-        Qs = D @ Qfull @ D
-        cert_blocks = (Qs[:p, :p], Qs[p:, :p], Qs[p:, p:])
-        for tau in taus:
-            if calls >= budget:
-                return None
-            calls += 1
-            cert = LmiCertificate(
-                Q11=cert_blocks[0], Q21=cert_blocks[1], Q22=cert_blocks[2], tau=float(tau)
-            )
-            if lmi_verify(lmi_id, cert, nominal, structure, gains):
-                return cert
+    n = 2 * Qfull.shape[0] + structure.phi2.shape[0] + structure.phi1.shape[1]  # 6p + r + q
+    work = np.empty((n, n))
+    grid = _lmi_grid(lmi_id, Qfull, nominal, structure, gains, work)
+    for (Q11, Q21, Q22), tau, G in islice(grid, budget):
+        np.abs(G, out=work)
+        tol = 1e-9 * float(work.sum(axis=1).max())  # induced_norm(G, "infinity")
+        if cholesky_negative_definite(G, tol, work):
+            return LmiCertificate(Q11=Q11, Q21=Q21, Q22=Q22, tau=tau)
     return None
 
 

@@ -178,6 +178,11 @@ MALFORMED_FIELDS = [
     (("surrogate", "banded", "size"), None),
     (("surrogate", "banded", "diagonals"), 1.0),
     (("uncertainty",), {"kind": "seeded_bounded", "bound": None}),
+    (("uncertainty",), 5),
+    (("uncertainty",), {"kind": "table", "rows": 5}),
+    (("surrogate", "banded"), 5),
+    (("plant", "system"), 5),
+    (("structure",), 5),
 ]
 
 

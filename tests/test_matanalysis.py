@@ -3,6 +3,8 @@ import pytest
 
 from iterlearn.matanalysis import (
     block_spectral_radius,
+    check_symmetric,
+    cholesky_negative_definite,
     eigenvalues,
     format_matrix_text,
     induced_norm,
@@ -236,6 +238,68 @@ def test_negative_definite_symmetrizes_noise():
 def test_negative_definite_rejects_asymmetric():
     with pytest.raises(ValueError):
         is_negative_definite(np.array([[-1.0, 0.5], [0.0, -1.0]]))
+
+
+def test_negative_definite_rejects_negative_tol():
+    with pytest.raises(ValueError):
+        is_negative_definite(-np.eye(2), tol=-1e-12)
+
+
+def test_negative_definite_zero_scalar_is_not_definite():
+    assert is_negative_definite(np.zeros((1, 1))) is False
+
+
+def test_negative_definite_rank_deficient_reads_false_like_eigvalsh():
+    # an exactly singular semidefinite matrix: the default tol puts it
+    # clearly outside, so the Cholesky test and an eigenvalue solve agree
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        n = int(rng.integers(2, 9))
+        B = rng.standard_normal((n, int(rng.integers(1, n))))
+        S = -(B @ B.T)
+        S = 0.5 * (S + S.T)
+        tol = 1e-10 * induced_norm(S, "infinity")
+        assert np.linalg.eigvalsh(S).max() >= -tol
+        assert is_negative_definite(S) is False
+        # at tol = 0 the zero eigenvalue sits on the rounding boundary for
+        # both methods, so no verdict is asserted there
+        assert is_negative_definite(S, tol=0.0) in (True, False)
+
+
+def test_negative_definite_agrees_with_eigvalsh():
+    rng = np.random.default_rng(8)
+    verdicts = []
+    for _ in range(1000):
+        n = int(rng.integers(1, 9))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # spectra from well inside to just outside the negative half-line
+        w = -np.abs(rng.standard_normal(n)) * 10 ** rng.uniform(-3, 3)
+        w[0] = w[0] * rng.uniform(-0.5, 1.0)
+        S = (Q * w) @ Q.T
+        S = 0.5 * (S + S.T)
+        tol = 1e-10 * induced_norm(S, "infinity")
+        verdicts.append(is_negative_definite(S))
+        assert verdicts[-1] == bool(np.linalg.eigvalsh(S).max() < -tol)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_cholesky_kernel_factors_in_place():
+    S = -np.diag([1.0, 2.0, 3.0])
+    work = np.empty((3, 3))
+    assert cholesky_negative_definite(S, 0.5, work) is True
+    # the factor of -S - 0.5 I is left in the work buffer's lower triangle
+    assert np.allclose(np.diag(work), np.sqrt([0.5, 1.5, 2.5]), rtol=0, atol=1e-15)
+    assert np.array_equal(S, -np.diag([1.0, 2.0, 3.0]))
+    assert cholesky_negative_definite(S, 1.0, work) is False
+
+
+def test_check_symmetric_bound():
+    S = -np.eye(2)
+    S[0, 1] = 1e-11
+    check_symmetric(S, np.empty((2, 2)))
+    S[0, 1] = 1e-9
+    with pytest.raises(ValueError):
+        check_symmetric(S, np.empty((2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 from iterlearn import cli, presets
 from iterlearn.learner import (
@@ -11,10 +14,17 @@ from iterlearn.learner import (
     synth_H_pseudo,
     synth_Hbar,
 )
+from iterlearn.matanalysis import block_spectral_radius, cholesky_negative_definite, induced_norm
 from iterlearn.observer import ObserverGain
 from iterlearn.plant import StructuredUncertainty, TransferPlant, UncertaintyModel
 from iterlearn.stability import (
+    _IMPLIED_CONDITION,
+    LMI_IDS,
     LmiCertificate,
+    _assemble_lmi,
+    _lmi_grid,
+    _lyapunov_seed,
+    _nominal_map,
     certificate_from_dict,
     certificate_to_dict,
     check_condition,
@@ -431,3 +441,172 @@ def test_certificate_json_round_trip(tmp_path):
     assert lmi_verify("eq44", back, P0, structure, gains44)
     doc = certificate_to_dict(cert)
     assert certificate_from_dict(doc).tau == cert.tau
+
+
+# ---------------------------------------------------------------------------
+# the search against its first form
+# ---------------------------------------------------------------------------
+
+def reference_lmi_search(lmi_id, nominal, structure, gains, budget=200):
+    """The search as first written, kept as the oracle: a fresh validated
+    certificate, a fresh assembly and a full symmetric eigenvalue solve for
+    every candidate, in the same grid order."""
+    P0 = _nominal_map(nominal)
+    M0 = loop_matrix(_IMPLIED_CONDITION[lmi_id], TransferPlant(nominal=P0), gains, P0)
+    p = gains.observer.p
+    if block_spectral_radius(M0, p)[0] >= 1.0:
+        return None
+    Qfull = solve_discrete_lyapunov(M0.T, np.eye(3 * p))
+    Qfull = 0.5 * (Qfull + Qfull.T)
+    if np.linalg.eigvalsh(Qfull).min() <= 0:
+        return None
+    Qfull /= induced_norm(Qfull, "two")
+
+    taus = np.logspace(-4, 4, 17)
+    calls = 0
+    for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
+        D = np.diag(np.concatenate([np.full(p, scale), np.ones(2 * p)]))
+        Qs = D @ Qfull @ D
+        cert_blocks = (Qs[:p, :p], Qs[p:, :p], Qs[p:, p:])
+        for tau in taus:
+            if calls >= budget:
+                return None
+            calls += 1
+            cert = LmiCertificate(
+                Q11=cert_blocks[0], Q21=cert_blocks[1], Q22=cert_blocks[2], tau=float(tau)
+            )
+            G = _assemble_lmi(
+                lmi_id, (cert.Q11, cert.Q21, cert.Q22), cert.tau, nominal, structure, gains
+            )
+            if eigvalsh_verdict(G):
+                return cert
+    return None
+
+
+def eigvalsh_verdict(G):
+    """``lmi_verify``'s test by a full eigenvalue solve."""
+    tol = 1e-9 * induced_norm(G, "infinity")
+    return bool(np.linalg.eigvalsh(0.5 * (G + G.T)).max() < -tol)
+
+
+def cholesky_verdict(G):
+    tol = 1e-9 * induced_norm(G, "infinity")
+    return cholesky_negative_definite(G, tol, np.empty(G.shape))
+
+
+def random_lmi_problem(rng, lmi_id, p, identity_phi2):
+    """A random well-posed instance of ``lmi_id`` with ``p`` outputs."""
+    m = p + int(rng.integers(0, 3))
+    while True:
+        P0 = rng.standard_normal((p, m))
+        sv = np.linalg.svd(P0, compute_uv=False)
+        if sv[p - 1] > 1e-3 * sv[0]:
+            break
+    K = rng.uniform(0.3, 0.7) * synth_H_pseudo(P0)
+    observer = ObserverGain.diagonal(p, rng.uniform(0.6, 1.1), rng.uniform(0.05, 0.3))
+    if lmi_id == "eq44":
+        gains = GainSet(K=K, H=synth_H_pseudo(P0), observer=observer)
+    else:
+        gains = GainSet(K=K, Hbar=synth_Hbar(P0, K), observer=observer)
+    phi1 = 10 ** rng.uniform(-3, 0) * rng.standard_normal((p, int(rng.integers(1, 4))))
+    if identity_phi2:
+        phi2 = np.eye(m)
+    else:
+        phi2 = rng.standard_normal((int(rng.integers(1, 4)), m))
+    return P0, StructuredUncertainty(phi1=phi1, phi2=phi2), gains
+
+
+def grid_of(lmi_id, nominal, structure, gains):
+    """Every candidate of the search, with ``G(tau)`` copied out."""
+    Qfull = _lyapunov_seed(lmi_id, nominal, gains)
+    assert Qfull is not None
+    n = 2 * Qfull.shape[0] + structure.phi2.shape[0] + structure.phi1.shape[1]
+    grid = _lmi_grid(lmi_id, Qfull, nominal, structure, gains, np.empty((n, n)))
+    return [(blocks, tau, G.copy()) for blocks, tau, G in grid]
+
+
+def test_lmi_search_matches_reference_on_random_problems():
+    rng = np.random.default_rng(20)
+    found = {200: 0, 20: 0, 5: 0}
+    for i in range(10):
+        for lmi_id in LMI_IDS:
+            problem = random_lmi_problem(rng, lmi_id, i % 5 + 1, identity_phi2=i % 2 == 0)
+            for budget in found:
+                ref = reference_lmi_search(lmi_id, *problem, budget=budget)
+                cert = lmi_search(lmi_id, *problem, budget=budget)
+                if ref is None:
+                    assert cert is None
+                    continue
+                assert cert is not None and cert.tau == ref.tau
+                assert cert.assembled().tobytes() == ref.assembled().tobytes()
+                found[budget] += 1
+    # both outcomes occur at every budget, and some certificates are found
+    # only past the first scale's 17 candidates
+    assert 0 < found[5] < found[20] < found[200] < 30
+
+
+def test_lmi_grid_rewrites_tau_like_a_fresh_assembly():
+    # phi2 = I makes tau (phi2 K) and (tau phi2) K the same numbers, so the
+    # in-place rewrite is exact; any other phi2 rounds the two products
+    # differently by a few ulps
+    rng = np.random.default_rng(65)
+    eps = np.finfo(float).eps
+    for lmi_id in LMI_IDS:
+        for identity_phi2 in (True, False):
+            problem = random_lmi_problem(rng, lmi_id, 3, identity_phi2)
+            grid = grid_of(lmi_id, *problem)
+            assert [tau for _, tau, _ in grid[:17]] == list(np.logspace(-4, 4, 17))
+            assert len(grid) == 85
+            for blocks, tau, G in grid:
+                fresh = _assemble_lmi(lmi_id, blocks, tau, *problem)
+                assert np.array_equal(G, G.T)
+                if identity_phi2:
+                    assert np.array_equal(G, fresh)
+                else:
+                    assert np.abs(G - fresh).max() <= 4 * eps * np.abs(fresh).max()
+
+
+def wide_reference_problem(horizon):
+    # the eq101 search of `iterlearn check` on the reference experiment: the
+    # surrogate and the gains do not depend on the draw, so every draw
+    # (draw 5 included) poses this problem
+    surrogate = presets.banded_surrogate(horizon)
+    gains = presets.reference_gains(surrogate)
+    I = np.eye(horizon)
+    return surrogate, StructuredUncertainty(phi1=0.05 * I, phi2=I), gains
+
+
+def test_cholesky_and_eigvalsh_agree_on_every_reference_grid_point():
+    problem = wide_reference_problem(20)
+    verdicts = []
+    for _, _, G in grid_of("eq101", *problem):
+        verdicts.append(cholesky_verdict(G))
+        assert verdicts[-1] == eigvalsh_verdict(G)
+    assert len(verdicts) == 85 and 0 < sum(verdicts) < 85
+
+
+def traced_peak(f, *args, **kwargs):
+    """``f``'s result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return f(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_search_budget_pins_grid_order_and_memory():
+    problem = wide_reference_problem(100)
+    # the first scale's 17 candidates all fail; the 18th, the first of
+    # scale 0.5, verifies
+    assert lmi_search("eq101", *problem, budget=17) is None
+
+    ref, ref_peak = traced_peak(reference_lmi_search, "eq101", *problem, budget=18)
+    cert, peak = traced_peak(lmi_search, "eq101", *problem, budget=18)
+
+    assert cert is not None and ref is not None
+    assert cert.tau == ref.tau == 1e-4
+    for name in ("Q11", "Q21", "Q22"):
+        assert getattr(cert, name).tobytes() == getattr(ref, name).tobytes()
+    # one inequality and one work buffer: a dense copy per candidate, or a
+    # separate tau coefficient matrix, would need one or two more
+    assert peak <= 1.05 * ref_peak
