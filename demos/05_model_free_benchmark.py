@@ -12,7 +12,7 @@ from pathlib import Path
 
 from iterlearn import run
 from iterlearn.learner import write_trace_csv
-from iterlearn.presets import reference_config, reference_seeds
+from iterlearn.presets import reference_config, reference_seeds, write_reference_experiment
 from iterlearn.svgplot import write_convergence_svg
 
 OUT = Path(__file__).parent / "output"
@@ -42,5 +42,6 @@ for seed in seeds:
 
 write_convergence_svg(OUT / "benchmark.svg", curves, title="model-free learning benchmark")
 print(f"traces and plot written to {OUT}/")
+config = write_reference_experiment(OUT)
 print("the same experiment is available through the command line:")
-print("  iterlearn simulate --config demos/configs/reference_config.json --out out/")
+print(f"  iterlearn simulate --config {config} --out out/")

@@ -60,12 +60,26 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _floats(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid numbers for {name!r}: {exc}") from exc
+
+
+def _file(obj: dict, name: str, base: Path) -> Path:
+    """The path of a ``{"file": ...}`` reference, relative to the config."""
+    if not isinstance(obj["file"], str):
+        raise ConfigError(f"{name}.file must be a string, got {json.dumps(obj['file'])}")
+    return base / obj["file"]
+
+
 def _matrix_field(obj, name: str, base: Path) -> np.ndarray:
     """A matrix given inline as nested arrays or as a matrix-text file ref."""
     if isinstance(obj, dict) and "file" in obj:
         from .matanalysis import load_matrix
 
-        return load_matrix(base / obj["file"])
+        return load_matrix(_file(obj, name, base))
     try:
         return as_matrix(np.asarray(obj, dtype=float), name)
     except (TypeError, ValueError) as exc:
@@ -98,7 +112,7 @@ def _parse_uncertainty(obj, dimension: int) -> plant.UncertaintyModel:
                 bound=_number(obj["bound"], "uncertainty.bound"),
                 seed=None if seed is None else _integer(seed, "uncertainty.seed"),
             )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid uncertainty descriptor: {exc}") from exc
     raise ConfigError(f"unknown uncertainty kind {kind!r}")
 
@@ -146,6 +160,12 @@ class Experiment:
         self._gains: dict[int, GainSet] = {}
         if self._plant_doc.get("kind") == "ilc_lift":
             self._ilc_base = self._ilc_system(self._plant_doc)
+            # the lifted runs start every iteration from x = 0 (no S x0_k term)
+            if self._ilc_base.x0_policy is not None:
+                raise ConfigError(
+                    "ilc_lift does not simulate the system's x0_policy; give it kind "
+                    "'zero' and put initial-state variation in 'uncertainty'"
+                )
             if self._plant_doc.get("role") == "uncertain_nominal":
                 self._nominal_lift, _, _ = plant.lift_ilc(self._ilc_base)
             # a descriptor carried in the system file is the fallback
@@ -219,8 +239,8 @@ class Experiment:
             raise ConfigError("ilc_lift plant requires a 'system' field")
         _object(sys_doc, "plant.system")
         try:
-            if isinstance(sys_doc, dict) and "file" in sys_doc:
-                return plant.load_ilc_system(self.base / sys_doc["file"])
+            if "file" in sys_doc:
+                return plant.load_ilc_system(_file(sys_doc, "plant.system", self.base))
             return plant.parse_ilc_system(sys_doc)
         except ValueError as exc:
             raise ConfigError(f"invalid ILC system: {exc}") from exc
@@ -312,14 +332,14 @@ class Experiment:
         gains = self.gains_for(seed)
         if self._target_doc is None:
             raise ConfigError("config missing field 'target'")
-        target = np.asarray(self._target_doc, dtype=float).reshape(-1)
+        target = _floats(self._target_doc, "target").reshape(-1)
         uncertainty = _parse_uncertainty(self._uncertainty_doc, p)
         law = (
             LearningLaw(mode=law_mode, surrogate=self.surrogate)
             if law_mode == "eso_model_free"
             else LearningLaw(mode=law_mode)
         )
-        u0 = None if self._u0_doc is None else np.asarray(self._u0_doc, dtype=float)
+        u0 = None if self._u0_doc is None else _floats(self._u0_doc, "u0")
         try:
             return SimulationConfig(
                 plant=a_plant,

@@ -52,15 +52,11 @@ def default_tail_window(horizon: int) -> int:
 
 @dataclass
 class TransferPlant:
-    """True data map ``P = nominal + delta`` with a bound on the model error.
-
-    ``beta_delta`` bounds the two-norm of ``delta`` and defaults to that
-    norm itself; supplying a smaller bound is rejected at construction.
-    """
+    """True data map ``P = nominal + delta``: a nominal part and a model
+    error of the same shape (zero when not given)."""
 
     nominal: np.ndarray
     delta: np.ndarray | None = None
-    beta_delta: float | None = None
 
     def __post_init__(self):
         self.nominal = as_matrix(self.nominal, "nominal")
@@ -70,16 +66,6 @@ class TransferPlant:
         if self.delta.shape != self.nominal.shape:
             raise ValueError(
                 f"delta shape {self.delta.shape} != nominal shape {self.nominal.shape}"
-            )
-        delta_norm = induced_norm(self.delta, "two")
-        if self.beta_delta is None:
-            self.beta_delta = delta_norm
-        if self.beta_delta < 0:
-            raise ValueError("beta_delta must be nonnegative")
-        if delta_norm > self.beta_delta * (1 + 1e-12) + 1e-15:
-            raise ValueError(
-                f"two-norm of delta ({delta_norm:.6g}) exceeds beta_delta "
-                f"({self.beta_delta:.6g})"
             )
 
     @property

@@ -299,47 +299,59 @@ class LmiCertificate:
         return np.block([[self.Q11, self.Q21.T], [self.Q21, self.Q22]])
 
 
-def _nominal_map(nominal) -> np.ndarray:
-    """The nominal map of a plant, or the map itself."""
-    if isinstance(nominal, TransferPlant):
-        return nominal.nominal
-    return as_matrix(nominal, "nominal")
+_IMPLIED_CONDITION = {"eq44": "eq41", "eq65": "eq62", "eq101": "eq102"}
 
 
-def _lmi_ingredients(lmi_id: str, nominal, structure, gains):
+def _robust_loop(lmi_id: str, nominal, structure, gains):
+    """The implied condition's loop at zero model error, ``M0``, and the
+    channel ``(D, E)`` through which a model error ``delta`` enters it: the
+    loop at ``delta`` is ``M0 + D delta E``, with ``D = [-I; Cbar^T]`` and
+    ``E = [K, H F]`` for ``eq44``, ``D = [-I; -Lbar]`` and ``E = [K, 0]``
+    for ``eq65`` and ``eq101``."""
     if lmi_id not in LMI_IDS:
         raise ValueError(f"unknown inequality id {lmi_id!r}")
-    P0 = _nominal_map(nominal)
+    P0 = as_matrix(nominal, "nominal")
     K = gains.K
     og = _require(gains.observer, "observer gains", lmi_id)
-    if P0.shape[0] != og.p:
+    p = og.p
+    if P0.shape[0] != p:
         raise ValueError("nominal map and observer gains disagree on dimension")
-    A_lc, Lbar, es = _observer_blocks(gains, lmi_id, P0)
-    p = es.p
-    phi1 = structure.phi1
-    phi2 = structure.phi2
-    if phi1.shape[0] != p or phi2.shape[1] != K.shape[0]:
+    if structure.phi1.shape[0] != p or structure.phi2.shape[1] != K.shape[0]:
         raise ValueError("structure dimensions do not match the plant")
-    return P0, K, p, A_lc, Lbar, es.F, es.Cbar, phi1, phi2
+    es = build_extended(p, P0)
+    if lmi_id == "eq44":
+        H = _require(gains.H, "the compensation gain H", lmi_id)
+        D, E = np.vstack([-np.eye(p), es.Cbar.T]), np.hstack([K, H @ es.F])
+    else:  # eq65 and eq101 share one channel around their respective maps
+        _require(gains.Hbar, "the compensation gain Hbar", lmi_id)
+        D, E = np.vstack([-np.eye(p), -og.stacked]), np.hstack([K, np.zeros((K.shape[0], 2 * p))])
+    M0 = loop_matrix(_IMPLIED_CONDITION[lmi_id], TransferPlant(nominal=P0), gains, P0)
+    return M0, D, E
 
 
-def _assemble_lmi(lmi_id, Q, tau: float, nominal, structure, gains, out=None) -> np.ndarray:
-    """The block inequality of ``lmi_id`` at ``Q = (Q11, Q21, Q22)`` and ``tau``.
+def _lmi_edges(n: int, structure) -> np.ndarray:
+    """Block edges of the inequality around a loop of dimension ``n``: blocks
+    of sizes ``[n, n, r, q]``, ``r`` rows of ``phi2``, ``q`` columns of ``phi1``."""
+    return np.cumsum([0, n, n, structure.phi2.shape[0], structure.phi1.shape[1]])
 
-    The rows and columns are laid out in blocks of sizes
-    ``[p, 2p, p, 2p, r, q]``, with ``r`` rows of ``phi2`` and ``q`` columns
-    of ``phi1``; ``tau`` enters only block row 4 (linearly, mirrored into
-    block column 4) and the diagonal ``-tau`` of block 5.
+
+def _assemble_lmi(Q: np.ndarray, tau: float, loop, structure, out=None) -> np.ndarray:
+    """The S-procedure inequality of the loop ``(M0, D, E)`` at ``Q`` and ``tau``:
+
+        [[-Q,              *,                 *,        *     ],
+         [Q M0,            -Q,                *,        *     ],
+         [tau phi2 E,      0,                 -tau I,   *     ],
+         [0,               phi1^T D^T Q,      0,        -tau I]]
+
+    with the stars filled by transposition (see ``_lmi_edges`` for the
+    block sizes).  ``tau`` enters only block ``(2, 0)`` (linearly, mirrored
+    into block ``(0, 2)``) and the diagonal ``-tau`` of blocks 2 and 3.
     """
-    P0, K, p, A_lc, Lbar, F, Cbar, phi1, phi2 = _lmi_ingredients(
-        lmi_id, nominal, structure, gains
-    )
-    Q11, Q21, Q22 = Q
-    if Q11.shape[0] != p:
+    M0, D, E = loop
+    if Q.shape != M0.shape:
         raise ValueError("certificate dimension does not match the problem")
-    q = phi1.shape[1]
-    r = phi2.shape[0]
-    edges = np.cumsum([0, p, 2 * p, p, 2 * p, r, q])
+    phi1, phi2 = structure.phi1, structure.phi2
+    edges = _lmi_edges(len(M0), structure)
     G = np.empty((edges[-1], edges[-1])) if out is None else out
     G.fill(0.0)
 
@@ -350,31 +362,13 @@ def _assemble_lmi(lmi_id, Q, tau: float, nominal, structure, gains, out=None) ->
         if i != j:
             G[cols, rows] = G[rows, cols].T
 
-    loop = np.eye(p) - P0 @ K
-    put(0, 0, -Q11)
-    put(1, 0, -Q21)
-    put(1, 1, -Q22)
-    put(2, 2, -Q11)
-    put(3, 2, -Q21)
-    put(3, 3, -Q22)
-    put(4, 4, -tau * np.eye(r))
-    put(5, 5, -tau * np.eye(q))
-    put(2, 0, Q11 @ loop)
-    put(3, 0, Q21 @ loop)
-    put(4, 0, tau * phi2 @ K)
-    if lmi_id == "eq44":
-        HF = _require(gains.H, "the compensation gain H", lmi_id) @ F
-        put(2, 1, Q21.T @ A_lc - Q11 @ P0 @ HF)
-        put(3, 1, Q22 @ A_lc - Q21 @ P0 @ HF)
-        put(4, 1, tau * phi2 @ HF)
-        put(5, 2, phi1.T @ (Cbar @ Q21 - Q11))
-        put(5, 3, phi1.T @ (Cbar @ Q22 - Q21.T))
-    else:  # eq65 and eq101 share one display around their respective maps
-        HbF = _require(gains.Hbar, "the compensation gain Hbar", lmi_id) @ F
-        put(2, 1, Q11 @ HbF + Q21.T @ A_lc)
-        put(3, 1, Q21 @ HbF + Q22 @ A_lc)
-        put(5, 2, phi1.T @ (-Q11 - Lbar.T @ Q21))
-        put(5, 3, phi1.T @ (-Q21.T - Lbar.T @ Q22))
+    put(0, 0, -Q)
+    put(1, 0, Q @ M0)
+    put(1, 1, -Q)
+    put(2, 0, tau * phi2 @ E)
+    put(2, 2, -tau * np.eye(phi2.shape[0]))
+    put(3, 1, phi1.T @ D.T @ Q)
+    put(3, 3, -tau * np.eye(phi1.shape[1]))
     return G
 
 
@@ -391,25 +385,20 @@ def lmi_verify(
     filled by transposition) and tested for negative definiteness with a
     tolerance of ``1e-9`` times its infinity norm.
     """
-    G = _assemble_lmi(lmi_id, (cert.Q11, cert.Q21, cert.Q22), cert.tau, nominal, structure, gains)
+    loop = _robust_loop(lmi_id, nominal, structure, gains)
+    G = _assemble_lmi(cert.assembled(), cert.tau, loop, structure)
     tol = 1e-9 * induced_norm(G, "infinity")
     return is_negative_definite(G, tol=tol)
 
 
-_IMPLIED_CONDITION = {"eq44": "eq41", "eq65": "eq62", "eq101": "eq102"}
-
-
-def _lyapunov_seed(lmi_id: str, nominal, gains: GainSet) -> np.ndarray | None:
-    """The search's seed: the discrete Lyapunov solution of the implied
-    condition's loop at zero model error, scaled to unit 2-norm, or None
-    when that loop is not stable."""
-    P0 = _nominal_map(nominal)
-    M0 = loop_matrix(_IMPLIED_CONDITION[lmi_id], TransferPlant(nominal=P0), gains, P0)
-    p = gains.observer.p
+def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
+    """The search's seed: the discrete Lyapunov solution of the loop ``M0``
+    (``p x p`` blocks), scaled to unit 2-norm, or None when that loop is
+    not stable."""
     if block_spectral_radius(M0, p)[0] >= 1.0:
         return None
     from scipy.linalg import solve_discrete_lyapunov  # deferred: simulate needs no scipy
-    Qfull = solve_discrete_lyapunov(M0.T, np.eye(3 * p))
+    Qfull = solve_discrete_lyapunov(M0.T, np.eye(M0.shape[0]))
     Qfull = 0.5 * (Qfull + Qfull.T)
     if np.linalg.eigvalsh(Qfull).min() <= 0:
         return None
@@ -417,36 +406,36 @@ def _lyapunov_seed(lmi_id: str, nominal, gains: GainSet) -> np.ndarray | None:
     return Qfull
 
 
-def _lmi_grid(lmi_id: str, Qfull: np.ndarray, nominal, structure, gains, work: np.ndarray):
-    """The search's candidates in grid order, as ``(Q blocks, tau, G(tau))``.
+def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
+    """The search's candidates in grid order, as ``(Q, tau, G(tau))``.
 
-    For each block rescaling ``D Qfull D`` of the seed, the inequality is
-    assembled once, at ``tau = 1``, and checked for symmetry once.  Each
-    ``tau`` then overwrites only what depends on it, in place: block row 4
-    becomes ``tau`` times its value at ``tau = 1`` and is mirrored into
-    block column 4 by transposition, and the diagonal of block 5 becomes
+    For each block rescaling ``Q = D Qfull D`` of the seed, the inequality
+    is assembled once, at ``tau = 1``, and checked for symmetry once.  Each
+    ``tau`` then overwrites only what depends on it, in place: block
+    ``(2, 0)`` becomes ``tau`` times its value at ``tau = 1`` and is
+    mirrored by transposition, and the diagonal of blocks 2 and 3 becomes
     ``-tau``.  So ``G`` stays exactly symmetric, and it equals a fresh
     assembly exactly when ``phi2`` is the identity (otherwise to rounding,
-    since ``(tau phi2) K`` and ``tau (phi2 K)`` round differently).  One
+    since ``(tau phi2) E`` and ``tau (phi2 E)`` round differently).  One
     ``G`` is reused by every candidate; ``work`` is scratch of its shape.
     """
     p = Qfull.shape[0] // 3
-    row4 = slice(6 * p, 6 * p + structure.phi2.shape[0])
-    left = slice(0, row4.stop)
-    diag5 = np.arange(row4.stop, work.shape[0])
+    edges = _lmi_edges(len(Qfull), structure)
+    n, row2 = edges[1], slice(edges[2], edges[3])
+    diag = np.arange(edges[2], edges[4])
     G = np.empty_like(work)
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
         d = np.concatenate([np.full(p, scale), np.ones(2 * p)])
-        Qs = d[:, None] * Qfull * d  # D Qfull D, entry by entry in the same order
-        blocks = (Qs[:p, :p], Qs[p:, :p], Qs[p:, p:])
-        _assemble_lmi(lmi_id, blocks, 1.0, nominal, structure, gains, out=G)
+        Q = d[:, None] * Qfull
+        Q *= d  # D Qfull D, entry by entry in the same order
+        _assemble_lmi(Q, 1.0, loop, structure, out=G)
         check_symmetric(G, work)
-        at_one = G[row4, left].copy()
+        at_one = G[row2, :n].copy()
         for tau in np.logspace(-4, 4, 17):
-            np.multiply(at_one, tau, out=G[row4, left])
-            G[left, row4] = G[row4, left].T
-            G[diag5, diag5] = -tau
-            yield blocks, float(tau), G
+            np.multiply(at_one, tau, out=G[row2, :n])
+            G[:n, row2] = G[row2, :n].T
+            G[diag, diag] = -tau
+            yield Q, float(tau), G
 
 
 def lmi_search(
@@ -469,19 +458,18 @@ def lmi_search(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if lmi_id not in LMI_IDS:
-        raise ValueError(f"unknown inequality id {lmi_id!r}")
-    Qfull = _lyapunov_seed(lmi_id, nominal, gains)
+    loop = _robust_loop(lmi_id, nominal, structure, gains)
+    p = gains.observer.p
+    Qfull = _lyapunov_seed(loop[0], p)
     if Qfull is None:
         return None
-    n = 2 * Qfull.shape[0] + structure.phi2.shape[0] + structure.phi1.shape[1]  # 6p + r + q
+    n = _lmi_edges(len(Qfull), structure)[-1]
     work = np.empty((n, n))
-    grid = _lmi_grid(lmi_id, Qfull, nominal, structure, gains, work)
-    for (Q11, Q21, Q22), tau, G in islice(grid, budget):
+    for Q, tau, G in islice(_lmi_grid(Qfull, loop, structure, work), budget):
         np.abs(G, out=work)
         tol = 1e-9 * float(work.sum(axis=1).max())  # induced_norm(G, "infinity")
         if cholesky_negative_definite(G, tol, work):
-            return LmiCertificate(Q11=Q11, Q21=Q21, Q22=Q22, tau=tau)
+            return LmiCertificate(Q11=Q[:p, :p], Q21=Q[p:, :p], Q22=Q[p:, p:], tau=tau)
     return None
 
 
@@ -499,7 +487,7 @@ def theorem_implication_check(
     if not lmi_verify(lmi_id, cert, nominal, structure, gains):
         raise ValueError("certificate does not verify; implication check requires one")
     target = _IMPLIED_CONDITION[lmi_id]
-    P0 = _nominal_map(nominal)
+    P0 = as_matrix(nominal, "nominal")
     child_seeds = np.random.SeedSequence(seed).spawn(samples)
     for child in child_seeds:
         delta = sample_structured_delta(structure, child)

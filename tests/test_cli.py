@@ -183,6 +183,11 @@ MALFORMED_FIELDS = [
     (("surrogate", "banded"), 5),
     (("plant", "system"), 5),
     (("structure",), 5),
+    (("gains", "K"), {"file": 5}),
+    (("plant", "system"), {"file": 5}),
+    (("target",), {"value": 1.0}),
+    (("u0",), {"value": 1.0}),
+    (("uncertainty",), {"kind": "constant", "value": {"value": 1.0}}),
 ]
 
 
@@ -207,6 +212,35 @@ def test_simulate_malformed_field_is_config_error(tmp_path, capsys, path, value)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path[-1] in err
+
+
+@pytest.mark.parametrize("path", [("gains", "K"), ("plant", "system")])
+def test_check_file_reference_of_wrong_type_is_config_error(tmp_path, capsys, path):
+    config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
+    doc = json.loads(config.read_text())
+    doc[path[0]][path[1]] = {"file": 5}
+    write_json(config, doc)
+    rc = main(["check", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ".".join(path) + ".file must be a string" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_ilc_lift_rejects_initial_state_policy(tmp_path, capsys, command):
+    # the lifted runs have no S x0_k term, so a policy would be ignored
+    config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
+    system_file = tmp_path / "reference_system.json"
+    doc = json.loads(system_file.read_text())
+    doc["x0_policy"] = {"kind": "seeded_bounded", "bound": 5, "seed": 3}
+    write_json(system_file, doc)
+    rc = main([command, "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "x0_policy" in err and "'uncertainty'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_all_diverged_exit_code(tmp_path):

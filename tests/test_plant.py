@@ -337,13 +337,7 @@ def test_diff_stats_rejects_bad_window():
 
 def test_transfer_plant_default_beta():
     plant = TransferPlant(nominal=np.eye(2), delta=0.1 * np.eye(2))
-    assert plant.beta_delta == pytest.approx(0.1)
     assert np.allclose(plant.full(), 1.1 * np.eye(2))
-
-
-def test_transfer_plant_beta_checked():
-    with pytest.raises(ValueError):
-        TransferPlant(nominal=np.eye(2), delta=np.eye(2), beta_delta=0.5)
 
 
 def test_transfer_plant_shape_mismatch():

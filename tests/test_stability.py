@@ -15,16 +15,22 @@ from iterlearn.learner import (
     synth_Hbar,
 )
 from iterlearn.matanalysis import block_spectral_radius, cholesky_negative_definite, induced_norm
-from iterlearn.observer import ObserverGain
-from iterlearn.plant import StructuredUncertainty, TransferPlant, UncertaintyModel
+from iterlearn.observer import ObserverGain, build_extended, error_dynamics_matrix
+from iterlearn.plant import (
+    StructuredUncertainty,
+    TransferPlant,
+    UncertaintyModel,
+    sample_structured_delta,
+)
 from iterlearn.stability import (
     _IMPLIED_CONDITION,
     LMI_IDS,
     LmiCertificate,
     _assemble_lmi,
+    _lmi_edges,
     _lmi_grid,
     _lyapunov_seed,
-    _nominal_map,
+    _robust_loop,
     certificate_from_dict,
     certificate_to_dict,
     check_condition,
@@ -447,11 +453,64 @@ def test_certificate_json_round_trip(tmp_path):
 # the search against its first form
 # ---------------------------------------------------------------------------
 
+def oracle_ingredients(nominal, structure, gains):
+    P0 = np.asarray(nominal, dtype=float)
+    K = gains.K
+    og = gains.observer
+    A_lc, Lbar, es = error_dynamics_matrix(og), og.stacked, build_extended(og.p, P0)
+    return P0, K, es.p, A_lc, Lbar, es.F, es.Cbar, structure.phi1, structure.phi2
+
+
+def oracle_assemble_lmi(lmi_id, Q, tau, ingredients, gains):
+    """The inequality as first written, kept as the oracle: ``Q M0``
+    expanded by hand into products of the blocks ``Q = (Q11, Q21, Q22)``,
+    one branch per display, in blocks of sizes ``[p, 2p, p, 2p, r, q]``."""
+    P0, K, p, A_lc, Lbar, F, Cbar, phi1, phi2 = ingredients
+    Q11, Q21, Q22 = Q
+    q = phi1.shape[1]
+    r = phi2.shape[0]
+    edges = np.cumsum([0, p, 2 * p, p, 2 * p, r, q])
+    G = np.zeros((edges[-1], edges[-1]))
+
+    def put(i, j, blk):
+        rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
+        G[rows, cols] = blk
+        if i != j:
+            G[cols, rows] = G[rows, cols].T
+
+    loop = np.eye(p) - P0 @ K
+    put(0, 0, -Q11)
+    put(1, 0, -Q21)
+    put(1, 1, -Q22)
+    put(2, 2, -Q11)
+    put(3, 2, -Q21)
+    put(3, 3, -Q22)
+    put(4, 4, -tau * np.eye(r))
+    put(5, 5, -tau * np.eye(q))
+    put(2, 0, Q11 @ loop)
+    put(3, 0, Q21 @ loop)
+    put(4, 0, tau * phi2 @ K)
+    if lmi_id == "eq44":
+        HF = gains.H @ F
+        put(2, 1, Q21.T @ A_lc - Q11 @ P0 @ HF)
+        put(3, 1, Q22 @ A_lc - Q21 @ P0 @ HF)
+        put(4, 1, tau * phi2 @ HF)
+        put(5, 2, phi1.T @ (Cbar @ Q21 - Q11))
+        put(5, 3, phi1.T @ (Cbar @ Q22 - Q21.T))
+    else:  # eq65 and eq101 share one display around their respective maps
+        HbF = gains.Hbar @ F
+        put(2, 1, Q11 @ HbF + Q21.T @ A_lc)
+        put(3, 1, Q21 @ HbF + Q22 @ A_lc)
+        put(5, 2, phi1.T @ (-Q11 - Lbar.T @ Q21))
+        put(5, 3, phi1.T @ (-Q21.T - Lbar.T @ Q22))
+    return G
+
+
 def reference_lmi_search(lmi_id, nominal, structure, gains, budget=200):
     """The search as first written, kept as the oracle: a fresh validated
-    certificate, a fresh assembly and a full symmetric eigenvalue solve for
-    every candidate, in the same grid order."""
-    P0 = _nominal_map(nominal)
+    certificate, a fresh hand-expanded assembly and a full symmetric
+    eigenvalue solve for every candidate, in the same grid order."""
+    P0 = np.asarray(nominal, dtype=float)
     M0 = loop_matrix(_IMPLIED_CONDITION[lmi_id], TransferPlant(nominal=P0), gains, P0)
     p = gains.observer.p
     if block_spectral_radius(M0, p)[0] >= 1.0:
@@ -462,6 +521,7 @@ def reference_lmi_search(lmi_id, nominal, structure, gains, budget=200):
         return None
     Qfull /= induced_norm(Qfull, "two")
 
+    ingredients = oracle_ingredients(nominal, structure, gains)
     taus = np.logspace(-4, 4, 17)
     calls = 0
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
@@ -475,8 +535,8 @@ def reference_lmi_search(lmi_id, nominal, structure, gains, budget=200):
             cert = LmiCertificate(
                 Q11=cert_blocks[0], Q21=cert_blocks[1], Q22=cert_blocks[2], tau=float(tau)
             )
-            G = _assemble_lmi(
-                lmi_id, (cert.Q11, cert.Q21, cert.Q22), cert.tau, nominal, structure, gains
+            G = oracle_assemble_lmi(
+                lmi_id, (cert.Q11, cert.Q21, cert.Q22), cert.tau, ingredients, gains
             )
             if eigvalsh_verdict(G):
                 return cert
@@ -518,11 +578,12 @@ def random_lmi_problem(rng, lmi_id, p, identity_phi2):
 
 def grid_of(lmi_id, nominal, structure, gains):
     """Every candidate of the search, with ``G(tau)`` copied out."""
-    Qfull = _lyapunov_seed(lmi_id, nominal, gains)
+    loop = _robust_loop(lmi_id, nominal, structure, gains)
+    Qfull = _lyapunov_seed(loop[0], gains.observer.p)
     assert Qfull is not None
-    n = 2 * Qfull.shape[0] + structure.phi2.shape[0] + structure.phi1.shape[1]
-    grid = _lmi_grid(lmi_id, Qfull, nominal, structure, gains, np.empty((n, n)))
-    return [(blocks, tau, G.copy()) for blocks, tau, G in grid]
+    n = _lmi_edges(len(Qfull), structure)[-1]
+    grid = _lmi_grid(Qfull, loop, structure, np.empty((n, n)))
+    return [(Q, tau, G.copy()) for Q, tau, G in grid]
 
 
 def test_lmi_search_matches_reference_on_random_problems():
@@ -546,7 +607,7 @@ def test_lmi_search_matches_reference_on_random_problems():
 
 
 def test_lmi_grid_rewrites_tau_like_a_fresh_assembly():
-    # phi2 = I makes tau (phi2 K) and (tau phi2) K the same numbers, so the
+    # phi2 = I makes tau (phi2 E) and (tau phi2) E the same numbers, so the
     # in-place rewrite is exact; any other phi2 rounds the two products
     # differently by a few ulps
     rng = np.random.default_rng(65)
@@ -554,11 +615,12 @@ def test_lmi_grid_rewrites_tau_like_a_fresh_assembly():
     for lmi_id in LMI_IDS:
         for identity_phi2 in (True, False):
             problem = random_lmi_problem(rng, lmi_id, 3, identity_phi2)
+            loop = _robust_loop(lmi_id, *problem)
             grid = grid_of(lmi_id, *problem)
             assert [tau for _, tau, _ in grid[:17]] == list(np.logspace(-4, 4, 17))
             assert len(grid) == 85
-            for blocks, tau, G in grid:
-                fresh = _assemble_lmi(lmi_id, blocks, tau, *problem)
+            for Q, tau, G in grid:
+                fresh = _assemble_lmi(Q, tau, loop, problem[1])
                 assert np.array_equal(G, G.T)
                 if identity_phi2:
                     assert np.array_equal(G, fresh)
@@ -583,6 +645,62 @@ def test_cholesky_and_eigvalsh_agree_on_every_reference_grid_point():
         verdicts.append(cholesky_verdict(G))
         assert verdicts[-1] == eigvalsh_verdict(G)
     assert len(verdicts) == 85 and 0 < sum(verdicts) < 85
+
+
+def test_assembly_matches_hand_expanded_oracle_on_every_grid_point():
+    # the (M0, D, E) display sums the hand expansion's products in another
+    # order, so it may differ by rounding but never in a verdict
+    rng = np.random.default_rng(44)
+    problems = [
+        (lmi_id, random_lmi_problem(rng, lmi_id, i % 5 + 1, identity_phi2=i % 2 == 0))
+        for i in range(60)
+        for lmi_id in LMI_IDS
+    ]
+    problems.append(("eq101", wide_reference_problem(20)))
+    verdicts = []
+    for lmi_id, problem in problems:
+        p = problem[2].observer.p
+        ingredients = oracle_ingredients(*problem)
+        for Q, tau, G in grid_of(lmi_id, *problem):
+            blocks = (Q[:p, :p], Q[p:, :p], Q[p:, p:])
+            oracle = oracle_assemble_lmi(lmi_id, blocks, tau, ingredients, problem[2])
+            assert np.abs(G - oracle).max() <= 1e-13 * np.abs(G).max()
+            verdicts.append(cholesky_verdict(G))
+            assert verdicts[-1] == cholesky_verdict(oracle)
+    assert len(verdicts) == 181 * 85 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_loop_at_a_model_error_is_nominal_plus_channel():
+    # the implied condition's loop at any structured model error delta is
+    # the inequality's M0 + D delta E
+    rng = np.random.default_rng(41)
+    for i in range(15):
+        for lmi_id in LMI_IDS:
+            P0, structure, gains = random_lmi_problem(rng, lmi_id, i % 5 + 1, i % 2 == 0)
+            M0, D, E = _robust_loop(lmi_id, P0, structure, gains)
+            target = _IMPLIED_CONDITION[lmi_id]
+            for child in np.random.SeedSequence(i).spawn(4):
+                delta = sample_structured_delta(structure, child)
+                M = loop_matrix(target, TransferPlant(nominal=P0, delta=delta), gains, P0)
+                assert np.abs(M - (M0 + D @ delta @ E)).max() <= 1e-13 * np.abs(M).max()
+
+
+def test_ill_posed_certificate_problems_raise():
+    P0, gains44, gains65, structure = small_instance()
+    wrong_structure = StructuredUncertainty(phi1=np.eye(2), phi2=np.eye(1))
+    for args in (
+        ("eq99", P0, structure, gains44),  # unknown id
+        ("eq44", P0, structure, GainSet(K=gains44.K, H=gains44.H)),  # no observer
+        ("eq44", np.ones((2, 1)), structure, gains44),  # nominal wider than the observer
+        ("eq44", P0, wrong_structure, gains44),
+        ("eq44", P0, structure, gains65),  # no H
+        ("eq65", P0, structure, gains44),  # no Hbar
+    ):
+        with pytest.raises(ValueError):
+            lmi_search(*args)
+    cert = LmiCertificate(Q11=np.eye(2), Q21=np.zeros((4, 2)), Q22=np.eye(4), tau=1.0)
+    with pytest.raises(ValueError, match="certificate dimension"):
+        lmi_verify("eq44", cert, P0, structure, gains44)
 
 
 def traced_peak(f, *args, **kwargs):
