@@ -22,7 +22,7 @@ p = 2
 es = build_extended(p, np.eye(p))
 gains = ObserverGain.diagonal(p, 0.9, 0.1)
 
-holds, rho = check_observer_condition(es, gains)
+holds, rho = check_observer_condition(gains)
 print(f"observer loop spectral radius: {rho:.4f} (contraction: {holds})")
 
 # a ramp disturbance: unbounded drift, but zero second difference
@@ -33,7 +33,7 @@ driving = -d2 @ es.F
 print(f"max |driving| from the ramp: {np.abs(driving).max():.1e} (exactly zero)")
 
 x0 = np.array([2.0, -1.0, 0.5, 1.5])
-traj = simulate_observation_error(es, gains, x0, driving, K)
+traj = simulate_observation_error(gains, x0, driving, K)
 norms = np.abs(traj).max(axis=1)
 for k in (0, 10, 40, 80, 160):
     print(f"  k={k:4d}  |estimation error| = {norms[k]:.3e}")

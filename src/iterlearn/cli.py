@@ -160,17 +160,8 @@ class Experiment:
         self._gains: dict[int, GainSet] = {}
         if self._plant_doc.get("kind") == "ilc_lift":
             self._ilc_base = self._ilc_system(self._plant_doc)
-            # the lifted runs start every iteration from x = 0 (no S x0_k term)
-            if self._ilc_base.x0_policy is not None:
-                raise ConfigError(
-                    "ilc_lift does not simulate the system's x0_policy; give it kind "
-                    "'zero' and put initial-state variation in 'uncertainty'"
-                )
             if self._plant_doc.get("role") == "uncertain_nominal":
                 self._nominal_lift, _, _ = plant.lift_ilc(self._ilc_base)
-            # a descriptor carried in the system file is the fallback
-            if self._uncertainty_doc is None:
-                self._uncertainty_doc = self._ilc_base.uncertainty_model
 
         self.surrogate = None
         surr = doc.get("surrogate")
@@ -401,6 +392,11 @@ def _say(quiet: bool, *args) -> None:
         print(*args)
 
 
+def _condition_map(exp: Experiment) -> dict[str, list[dict]]:
+    """Each seed's condition reports, as written to summary.json and report.json."""
+    return {str(seed): [r.to_dict() for r in exp.condition_reports(seed)] for seed in exp.seeds}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -463,10 +459,7 @@ def cmd_simulate(args) -> int:
         "iterations": exp.iterations,
         "tail_window": tail_window,
         "runs": runs,
-        "conditions": {
-            str(seed): [r.to_dict() for r in exp.condition_reports(seed)]
-            for seed in exp.seeds
-        },
+        "conditions": _condition_map(exp),
     }
     _write_json(out / "summary.json", summary)
     write_convergence_svg(out / "plot.svg", curves, title="convergence")
@@ -480,13 +473,7 @@ def cmd_check(args) -> int:
     exp = load_experiment(args.config)
     out = Path(args.out or exp.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    report = {
-        "format_version": FORMAT_VERSION,
-        "conditions": {
-            str(seed): [r.to_dict() for r in exp.condition_reports(seed)]
-            for seed in exp.seeds
-        },
-    }
+    report = {"format_version": FORMAT_VERSION, "conditions": _condition_map(exp)}
     if exp.structure is not None:
         first_plant = exp.plant_for(exp.seeds[0])
         gains = exp.gains_for(exp.seeds[0])

@@ -330,6 +330,12 @@ def run_batch(configs) -> list[IterationTrace]:
     return traces
 
 
+#: Largest tail error consistent with a vanishing variation-rate tail.
+PROFILE_ATOL = 1e-8
+#: Largest tail error, as a multiple of a nonzero variation-rate tail, that is consistent.
+PROFILE_RATIO_CAP = 1e6
+
+
 @dataclass
 class StabilityProfile:
     """Empirical boundedness/attractiveness summary of one trace.
@@ -338,8 +344,8 @@ class StabilityProfile:
     variation (order 1) and variation rate (order 2); ratios are omitted
     when the respective bound is numerically zero.  The trace is called
     superattractive-consistent when its tail error is explained by the
-    variation-rate tail: below ``atol`` if that tail vanishes, otherwise
-    within ``ratio_cap`` times it.
+    variation-rate tail: below ``PROFILE_ATOL`` if that tail vanishes,
+    otherwise within ``PROFILE_RATIO_CAP`` times it.
     """
 
     sup_err: float
@@ -355,10 +361,9 @@ def estimate_stability_profile(
     variation_stats: DiffStats,
     variation_rate_stats: DiffStats,
     tail_window: int,
-    atol: float = 1e-8,
-    ratio_cap: float = 1e6,
 ) -> StabilityProfile:
-    """Empirical stability estimates from a recorded trace."""
+    """Empirical stability estimates from a recorded trace, judged against
+    ``PROFILE_ATOL`` and ``PROFILE_RATIO_CAP`` (see ``StabilityProfile``)."""
     if variation_stats.order != 1 or variation_rate_stats.order != 2:
         raise ValueError("expected difference statistics of orders 1 and 2")
     n = len(trace)
@@ -371,7 +376,7 @@ def estimate_stability_profile(
         return None if bound < 1e-14 else tail_err / bound
 
     d2 = variation_rate_stats.tail_bound
-    consistent = tail_err < atol if d2 < 1e-14 else tail_err <= ratio_cap * d2
+    consistent = tail_err < PROFILE_ATOL if d2 < 1e-14 else tail_err <= PROFILE_RATIO_CAP * d2
     return StabilityProfile(
         sup_err=sup_err,
         tail_err=tail_err,

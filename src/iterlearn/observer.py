@@ -64,7 +64,6 @@ class ExtendedSystem:
     """
 
     p: int
-    P_used: np.ndarray
     Abar: np.ndarray
     Bbar_used: np.ndarray
     Cbar: np.ndarray
@@ -82,7 +81,7 @@ def build_extended(p: int, P_used) -> ExtendedSystem:
     Bbar = np.vstack([P_used, np.zeros((p, P_used.shape[1]))])
     Cbar = np.hstack([I, Z])
     F = np.hstack([Z, I])
-    return ExtendedSystem(p=p, P_used=P_used, Abar=Abar, Bbar_used=Bbar, Cbar=Cbar, F=F)
+    return ExtendedSystem(p=p, Abar=Abar, Bbar_used=Bbar, Cbar=Cbar, F=F)
 
 
 def error_dynamics_matrix(gains: ObserverGain) -> np.ndarray:
@@ -92,17 +91,14 @@ def error_dynamics_matrix(gains: ObserverGain) -> np.ndarray:
     return np.block([[I - gains.L1, I], [-gains.L2, I]])
 
 
-def check_observer_condition(es: ExtendedSystem, gains: ObserverGain) -> tuple[bool, float]:
+def check_observer_condition(gains: ObserverGain) -> tuple[bool, float]:
     """Spectral radius of the closed observer matrix (``block_spectral_radius``
     with ``p x p`` blocks) and whether it is < 1."""
-    if gains.p != es.p:
-        raise ValueError("observer gain size does not match the extended system")
     rho, _ = block_spectral_radius(error_dynamics_matrix(gains), gains.p)
     return rho < 1.0, rho
 
 
 def simulate_observation_error(
-    es: ExtendedSystem,
     gains: ObserverGain,
     x_tilde_0,
     driving,
@@ -115,7 +111,7 @@ def simulate_observation_error(
     Returns the ``(horizon + 1, 2p)`` trajectory including the initial
     error.
     """
-    p = es.p
+    p = gains.p
     x = np.asarray(x_tilde_0, dtype=float).reshape(-1)
     if x.shape != (2 * p,):
         raise ValueError(f"initial error must have length {2 * p}")

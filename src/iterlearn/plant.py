@@ -272,19 +272,15 @@ class LiftedIlcSystem:
 
     ``y(t) = C x(t) + v(t)`` with ``x(t+1) = A x(t) + B u(t) + w(t)`` over
     ``t = 0..horizon-1``; outputs are collected at ``t = 1..horizon``.
-    ``C @ B`` must have full row rank.  ``x0_policy`` is either ``None``
-    (zero initial state each iteration), a fixed vector, or the tuple
-    ``("seeded_bounded", bound, seed)``.  ``uncertainty_model`` is an
-    optional descriptor (same schema as experiment configs) carried with
-    the system file for consumers that simulate the lifted plant.
+    ``C @ B`` must have full row rank.  Every iteration starts from
+    ``x = 0``; what varies from one iteration to the next belongs in the
+    experiment's uncertainty ``N_k``.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     horizon: int
-    x0_policy: object = None
-    uncertainty_model: dict | None = None
 
     def __post_init__(self):
         self.A = as_matrix(self.A, "A")
@@ -303,13 +299,6 @@ class LiftedIlcSystem:
         sv = np.linalg.svd(cb, compute_uv=False)
         if sv.size < cb.shape[0] or sv[cb.shape[0] - 1] <= 1e-12 * max(1.0, sv[0]):
             raise ValueError("C @ B must have full row rank")
-        if self.x0_policy is not None and not (
-            isinstance(self.x0_policy, tuple) and self.x0_policy[0] == "seeded_bounded"
-        ):
-            x0 = np.asarray(self.x0_policy, dtype=float).reshape(-1)
-            if x0.shape != (ns,):
-                raise ValueError("fixed x0 must match the state dimension")
-            self.x0_policy = x0
 
     @property
     def n_states(self) -> int:
@@ -322,16 +311,6 @@ class LiftedIlcSystem:
     @property
     def n_outputs(self) -> int:
         return self.C.shape[0]
-
-    def initial_state(self, k: int = 0) -> np.ndarray:
-        """Initial state for iteration ``k`` under the configured policy."""
-        if self.x0_policy is None:
-            return np.zeros(self.n_states)
-        if isinstance(self.x0_policy, tuple):
-            _, bound, seed = self.x0_policy
-            rng = np.random.default_rng([int(seed), int(k)])
-            return rng.uniform(-bound, bound, size=self.n_states)
-        return np.asarray(self.x0_policy, dtype=float).copy()
 
 
 def lift_ilc(sys: LiftedIlcSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,7 +355,7 @@ def simulate_time_domain(
 
     ``u`` stacks ``u(0..T-1)``, ``w`` stacks ``w(0..T-1)``, ``v`` stacks
     ``v(1..T)``; the result stacks ``y(1..T)`` and equals
-    ``P @ u + Q_lift @ w + v + S @ x0`` exactly.
+    ``P @ u + Q_lift @ w + v + S @ x0`` exactly; ``x0`` defaults to zero.
     """
     T = sys.horizon
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -388,7 +367,7 @@ def simulate_time_domain(
     v = np.zeros(T * sys.n_outputs) if v is None else np.asarray(v, dtype=float).reshape(-1)
     if v.shape != (T * sys.n_outputs,):
         raise ValueError(f"output-noise stack must have length {T * sys.n_outputs}")
-    x = sys.initial_state() if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    x = np.zeros(sys.n_states) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (sys.n_states,):
         raise ValueError("x0 must match the state dimension")
 
@@ -418,8 +397,6 @@ def perturb_system(sys: LiftedIlcSystem, level: float, seed: int) -> LiftedIlcSy
         B=perturb_elementwise(sys.B, level, rng),
         C=perturb_elementwise(sys.C, level, rng),
         horizon=sys.horizon,
-        x0_policy=sys.x0_policy,
-        uncertainty_model=sys.uncertainty_model,
     )
 
 
@@ -427,26 +404,7 @@ def perturb_system(sys: LiftedIlcSystem, level: float, seed: int) -> LiftedIlcSy
 # ILC system file (JSON)
 # ---------------------------------------------------------------------------
 
-def _x0_policy_to_json(policy) -> dict:
-    if policy is None:
-        return {"kind": "zero"}
-    if isinstance(policy, tuple):
-        _, bound, seed = policy
-        return {"kind": "seeded_bounded", "bound": float(bound), "seed": int(seed)}
-    return {"kind": "fixed", "value": np.asarray(policy, dtype=float).tolist()}
-
-
-def _x0_policy_from_json(obj) -> object:
-    if obj is None:
-        return None
-    kind = obj.get("kind", "zero")
-    if kind == "zero":
-        return None
-    if kind == "fixed":
-        return np.asarray(obj["value"], dtype=float)
-    if kind == "seeded_bounded":
-        return ("seeded_bounded", float(obj["bound"]), int(obj["seed"]))
-    raise ValueError(f"unknown x0 policy kind {kind!r}")
+_ZERO_X0 = {"kind": "zero"}
 
 
 def save_ilc_system(path, sys: LiftedIlcSystem) -> None:
@@ -456,27 +414,43 @@ def save_ilc_system(path, sys: LiftedIlcSystem) -> None:
         "B": sys.B.tolist(),
         "C": sys.C.tolist(),
         "horizon": sys.horizon,
-        "x0_policy": _x0_policy_to_json(sys.x0_policy),
     }
-    if sys.uncertainty_model is not None:
-        doc["uncertainty"] = sys.uncertainty_model
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def parse_ilc_system(doc: dict) -> LiftedIlcSystem:
+def parse_ilc_system(doc) -> LiftedIlcSystem:
+    """The system of a parsed ILC system file; ``ValueError`` if malformed.
+
+    Every iteration starts from ``x = 0``, so the only ``x0_policy``
+    accepted is the ``{"kind": "zero"}`` that older files carry.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"ILC system file must be a JSON object, got {type(doc).__name__}")
+    if doc.get("x0_policy", _ZERO_X0) != _ZERO_X0:
+        raise ValueError(
+            f"x0_policy {json.dumps(doc['x0_policy'])} is not supported: every iteration "
+            "starts from x = 0; put initial-state variation in the experiment's 'uncertainty'"
+        )
+    if "uncertainty" in doc:
+        raise ValueError(
+            "an ILC system file carries no uncertainty; set the experiment's 'uncertainty'"
+        )
     try:
+        horizon = doc["horizon"]
+        if isinstance(horizon, bool) or not isinstance(horizon, int):
+            raise ValueError(f"horizon must be an integer, got {json.dumps(horizon)}")
         return LiftedIlcSystem(
             A=np.asarray(doc["A"], dtype=float),
             B=np.asarray(doc["B"], dtype=float),
             C=np.asarray(doc["C"], dtype=float),
-            horizon=int(doc["horizon"]),
-            x0_policy=_x0_policy_from_json(doc.get("x0_policy")),
-            uncertainty_model=doc.get("uncertainty"),
+            horizon=horizon,
         )
     except KeyError as exc:
         raise ValueError(f"ILC system file missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"A, B and C must be nested arrays of numbers: {exc}") from exc
 
 
 def load_ilc_system(path) -> LiftedIlcSystem:

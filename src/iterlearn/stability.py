@@ -7,8 +7,10 @@ matrix inequalities whose negative definiteness certifies the spectral
 conditions for every admissible structured model error (``eq44``,
 ``eq65``, ``eq101``).  Certificates are verified exactly; the search is a
 Lyapunov-seeded heuristic, not a general-purpose semidefinite solver.
-Every closed-loop matrix, including the certificate seed and the
-separation targets, is laid out by ``loop_matrix``.
+Every catalog loop, including the certificate seed and the ``eq30`` and
+``eq76`` separation targets, is laid out by ``loop_matrix``;
+``verify_separation`` assembles the unseparated loops and the other
+targets itself.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from iterlearn.matanalysis import (
     is_negative_definite,
     spectral_radius,
 )
-from iterlearn.observer import ObserverGain, build_extended, simulate_observation_error
+from iterlearn.observer import ObserverGain, simulate_observation_error
 from iterlearn.plant import (
     LiftedIlcSystem,
     StructuredUncertainty,
@@ -339,9 +339,8 @@ def test_criterion_8_observer_superattractiveness():
     # undriven error recursion (vanishing variation rate) decays below
     # 1e-10, at the rate set by the observer loop's spectral radius
     p = 1
-    es = build_extended(p, np.eye(p))
     gains = ObserverGain.diagonal(p, 0.9, 0.1)
-    out = simulate_observation_error(es, gains, np.array([1.0, 1.0]), None, 300)
+    out = simulate_observation_error(gains, np.array([1.0, 1.0]), None, 300)
     norms = np.abs(out).max(axis=1)
     below = np.nonzero(norms < 1e-10)[0]
     assert below.size > 0, "observation error never reached 1e-10"

@@ -243,6 +243,52 @@ def test_ilc_lift_rejects_initial_state_policy(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+# (id, key, value): the reference system file with `key` set to `value`; key
+# None makes the file a JSON array
+ILC_SYSTEM_FILE_FAULTS = [
+    ("x0_policy=5", "x0_policy", 5),
+    ("x0_policy=fixed", "x0_policy", {"kind": "fixed", "value": [1.0, 0.0, 0.0]}),
+    ("x0_policy=seeded_bounded", "x0_policy", {"kind": "seeded_bounded", "bound": 5, "seed": 3}),
+    ("horizon=19.5", "horizon", 19.5),
+    ("horizon=string", "horizon", "20"),
+    ("horizon=true", "horizon", True),
+    ("A=object", "A", {"rows": 3}),
+    ("array", None, None),
+    ("uncertainty", "uncertainty", {"kind": "constant", "value": [0.5] * 20}),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value", [f[1:] for f in ILC_SYSTEM_FILE_FAULTS], ids=[f[0] for f in ILC_SYSTEM_FILE_FAULTS]
+)
+@pytest.mark.parametrize("command", ["simulate", "check", "lift"])
+def test_malformed_ilc_system_file_is_config_error(tmp_path, capsys, command, key, value):
+    config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
+    system_file = tmp_path / "reference_system.json"
+    doc = json.loads(system_file.read_text())
+    if key is None:
+        doc = [doc]
+    else:
+        doc[key] = value
+    write_json(system_file, doc)
+    out = tmp_path / "out"
+    if command == "lift":
+        argv = ["lift", str(system_file)]
+    else:
+        argv = [command, "--config", str(config)]
+    rc = main(argv + ["--out", str(out), "--quiet"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if key is None:
+        assert "must be a JSON object" in err
+    else:
+        assert key in err
+    if key in ("x0_policy", "uncertainty"):
+        assert "experiment's 'uncertainty'" in err
+    assert not out.exists()
+
+
 def test_simulate_all_diverged_exit_code(tmp_path):
     config = scalar_config(tmp_path, k_val=3.0, iterations=400)
     out = tmp_path / "out"
@@ -376,38 +422,6 @@ def test_plot_rejects_empty_csv(tmp_path):
 # ---------------------------------------------------------------------------
 # misc interfaces
 # ---------------------------------------------------------------------------
-
-def test_ilc_file_uncertainty_descriptor_is_fallback(tmp_path):
-    # a descriptor carried in the system file drives the run when the
-    # config itself does not name an uncertainty
-    sys_file = tmp_path / "sys.json"
-    sys_obj = LiftedIlcSystem(
-        A=[[1.0]],
-        B=[[1.0]],
-        C=[[1.0]],
-        horizon=2,
-        uncertainty_model={"kind": "constant", "value": [0.5, 0.5]},
-    )
-    save_ilc_system(sys_file, sys_obj)
-    doc = {
-        "format_version": 1,
-        "plant": {"kind": "ilc_lift", "system": {"file": sys_file.name}},
-        "target": [1.0, 1.0],
-        "gains": {"K": [[0.5, 0.0], [0.0, 0.5]]},
-        "laws": ["p_type"],
-        "iterations": 300,
-        "seeds": [0],
-    }
-    config = tmp_path / "c.json"
-    write_json(config, doc)
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
-    data = read_trace_csv(out / "trace_p_type_seed0.csv")
-    # constant uncertainty shifts the first output by 0.5 and is then
-    # learned away completely
-    assert data["err_inf"][0] == pytest.approx(0.5)
-    assert data["err_inf"][-1] < 1e-9
-
 
 def test_simulate_seed_alone_or_batched_same_bytes(tmp_path):
     # the runs of one law are stepped together; a seed's trace must not

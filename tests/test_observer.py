@@ -106,24 +106,21 @@ def test_observer_scalar_hand_values():
 
 def test_condition_deadbeat_error_gain_fails():
     # L1 = I, L2 = 0 leaves an eigenvalue at 1
-    es = build_extended(2, np.eye(2))
     gains = ObserverGain(L1=np.eye(2), L2=np.zeros((2, 2)))
-    holds, rho = check_observer_condition(es, gains)
+    holds, rho = check_observer_condition(gains)
     assert rho == pytest.approx(1.0, abs=1e-10)
     assert not holds
 
 
 def test_condition_benchmark_gains():
-    es = build_extended(1, np.array([[1.0]]))
-    holds, rho = check_observer_condition(es, ObserverGain.diagonal(1, 0.9, 0.1))
+    holds, rho = check_observer_condition(ObserverGain.diagonal(1, 0.9, 0.1))
     assert holds
     assert rho == pytest.approx(RHO_BENCH_OBSERVER, abs=1e-12)
 
 
 def test_condition_zero_gains_fail():
-    es = build_extended(2, np.eye(2))
     gains = ObserverGain(L1=np.zeros((2, 2)), L2=np.zeros((2, 2)))
-    holds, rho = check_observer_condition(es, gains)
+    holds, rho = check_observer_condition(gains)
     assert rho == pytest.approx(1.0, abs=1e-10)
     assert not holds
 
@@ -133,16 +130,14 @@ def test_condition_zero_gains_fail():
 # ---------------------------------------------------------------------------
 
 def test_observation_error_identically_zero():
-    es = build_extended(1, np.array([[1.0]]))
     gains = ObserverGain.diagonal(1, 0.9, 0.1)
-    out = simulate_observation_error(es, gains, np.zeros(2), None, 20)
+    out = simulate_observation_error(gains, np.zeros(2), None, 20)
     assert np.array_equal(out, np.zeros((21, 2)))
 
 
 def test_observation_error_geometric_decay():
-    es = build_extended(1, np.array([[1.0]]))
     gains = ObserverGain.diagonal(1, 0.9, 0.1)
-    out = simulate_observation_error(es, gains, np.array([1.0, 1.0]), None, 250)
+    out = simulate_observation_error(gains, np.array([1.0, 1.0]), None, 250)
     norms = np.abs(out).max(axis=1)
     # contraction at roughly rho^k: below 1e-10 well within 250 steps
     assert norms[200:].max() < 1e-10
@@ -162,17 +157,16 @@ def test_observation_error_ramp_driving_vanishes():
     d2 = np.diff(uncertainty_sequence(model, K + 2), n=2, axis=0)
     driving = -d2 @ F
     assert np.abs(driving).max() == 0.0
-    out = simulate_observation_error(es, gains, np.array([3.0, -2.0, 1.0, 0.5]), driving, K)
+    out = simulate_observation_error(gains, np.array([3.0, -2.0, 1.0, 0.5]), driving, K)
     assert np.abs(out[-1]).max() < 1e-10
 
 
 def test_observation_error_dimension_checks():
-    es = build_extended(1, np.array([[1.0]]))
     gains = ObserverGain.diagonal(1, 0.9, 0.1)
     with pytest.raises(ValueError):
-        simulate_observation_error(es, gains, np.zeros(3), None, 5)
+        simulate_observation_error(gains, np.zeros(3), None, 5)
     with pytest.raises(ValueError):
-        simulate_observation_error(es, gains, np.zeros(2), np.zeros((4, 2)), 5)
+        simulate_observation_error(gains, np.zeros(2), np.zeros((4, 2)), 5)
 
 
 def test_error_dynamics_matrix_matches_blocks():

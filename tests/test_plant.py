@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from iterlearn.plant import (
     diff_stats,
     lift_ilc,
     load_ilc_system,
+    parse_ilc_system,
     perturb_elementwise,
     perturb_system,
     sample_structured_delta,
@@ -362,19 +364,19 @@ def test_perturb_system_deterministic():
 
 
 def test_ilc_system_json_round_trip(tmp_path):
-    sys = LiftedIlcSystem(
-        A=A_BENCH,
-        B=B_BENCH,
-        C=C_BENCH,
-        horizon=6,
-        x0_policy=("seeded_bounded", 0.2, 11),
-    )
+    sys = LiftedIlcSystem(A=A_BENCH, B=B_BENCH, C=C_BENCH, horizon=6)
     path = tmp_path / "sys.json"
     save_ilc_system(path, sys)
     back = load_ilc_system(path)
     assert np.array_equal(back.A, sys.A)
+    assert np.array_equal(back.B, sys.B) and np.array_equal(back.C, sys.C)
     assert back.horizon == 6
-    assert back.x0_policy == ("seeded_bounded", 0.2, 11)
-    x0a, x0b = back.initial_state(3), back.initial_state(3)
-    assert np.array_equal(x0a, x0b)
-    assert np.abs(x0a).max() <= 0.2
+    assert set(json.loads(path.read_text())) == {"format_version", "A", "B", "C", "horizon"}
+
+
+def test_ilc_system_file_with_zero_x0_policy_is_read():
+    # older files carry the zero initial-state policy explicitly
+    doc = {"A": A_BENCH.tolist(), "B": B_BENCH.tolist(), "C": C_BENCH.tolist(), "horizon": 6}
+    doc["x0_policy"] = {"kind": "zero"}
+    sys = parse_ilc_system(doc)
+    assert np.array_equal(sys.A, A_BENCH) and sys.horizon == 6
