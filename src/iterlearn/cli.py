@@ -149,6 +149,8 @@ class Experiment:
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         self.output_dir = doc.get("output_dir")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {json.dumps(self.output_dir)}")
 
         self._plant_doc = _object(doc.get("plant"), "plant")
         self._gains_doc = _object(doc.get("gains") or {}, "gains")
@@ -446,7 +448,7 @@ def cmd_simulate(args) -> int:
                     "diverged_at": trace.diverged_at,
                 }
             )
-            curves.append((f"{law} seed {seed}", list(trace.err_inf)))
+            curves.append((f"{law} seed {seed}", trace.err_inf.tolist()))
             _say(
                 args.quiet,
                 f"{law} seed {seed}: tail {runs[-1]['final_tail_err']:.3e}"
@@ -506,7 +508,7 @@ def cmd_plot(args) -> int:
     curves = []
     for path in args.traces:
         data = learner.read_trace_csv(path)
-        curves.append((Path(path).stem, list(data["err_inf"])))
+        curves.append((Path(path).stem, data["err_inf"].tolist()))
     out = Path(args.out or "plot.svg")
     if out.suffix != ".svg":
         out.mkdir(parents=True, exist_ok=True)

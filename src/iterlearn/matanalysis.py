@@ -2,10 +2,11 @@
 
 Eigenvalues, spectral radii (dense, and block by block in time for
 lifted loops), induced norms, a negative-definiteness test by Cholesky
-factorisation, and a plain text format for matrices.  Everything
-operates on plain 2-D ``numpy`` arrays of finite floats; all functions
-are pure, apart from the work buffer a caller lends to
-``check_symmetric`` and ``cholesky_negative_definite``.
+factorisation and the Schur term that splits such a test in two, and a
+plain text format for matrices.  Everything operates on plain 2-D
+``numpy`` arrays of finite floats; all functions are pure, apart from
+the work buffer a caller lends to ``check_symmetric``,
+``cholesky_negative_definite`` and ``negative_definite_schur_term``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "induced_norm",
     "check_symmetric",
     "cholesky_negative_definite",
+    "negative_definite_schur_term",
     "is_negative_definite",
     "format_matrix_text",
     "parse_matrix_text",
@@ -155,6 +157,37 @@ def cholesky_negative_definite(S: np.ndarray, tol: float, work: np.ndarray) -> b
     # factorisation runs in place instead of on a copy
     _, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
     return info == 0
+
+
+def negative_definite_schur_term(S: np.ndarray, k: int, work: np.ndarray) -> np.ndarray | None:
+    """The Schur term of the symmetric ``S`` at its leading ``k x k`` block.
+
+    With ``S = [[S11, S21^T], [S21, S22]]``, ``S`` is negative definite
+    exactly when ``S11`` is and its Schur complement ``S22 + C`` is, where
+    ``C = S21 (-S11)^-1 S21^T``.  Returns ``C``, or None when ``S11`` is not
+    negative definite (the Cholesky factorisation ``-S11 = L L^T`` fails).
+    ``L`` and ``X = S21 L^-T`` are formed in place in ``work``, a
+    C-contiguous float array of at least ``k (k + m)`` entries, ``m`` the
+    trailing size; ``C = X X^T`` is the one ``m x m`` allocation.  One
+    triangle of ``S11`` and the trailing rows ``S21`` are read, so ``S``
+    must be exactly symmetric.
+    """
+    from scipy.linalg.blas import dtrsm  # deferred: simulate needs no scipy
+    from scipy.linalg.lapack import dpotrf
+
+    m = S.shape[0] - k
+    flat = work.reshape(-1)
+    L = flat[: k * k].reshape(k, k)
+    np.negative(S[:k, :k], out=L)
+    # as in cholesky_negative_definite, the Fortran-ordered transposes let
+    # LAPACK and BLAS work in place
+    _, info = dpotrf(L.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        return None
+    X = flat[k * k : k * (k + m)].reshape(m, k)
+    X[...] = S[k:, :k]
+    Xt = dtrsm(1.0, L.T, X.T, lower=1, overwrite_b=1)  # L^-1 S21^T
+    return Xt.T @ Xt
 
 
 def is_negative_definite(S, tol: float | None = None) -> bool:

@@ -16,6 +16,7 @@ targets itself.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -30,6 +31,7 @@ from .matanalysis import (
     cholesky_negative_definite,
     induced_norm,
     is_negative_definite,
+    negative_definite_schur_term,
 )
 from .plant import StructuredUncertainty, TransferPlant, sample_structured_delta
 
@@ -264,8 +266,8 @@ class LmiCertificate:
     robustness inequalities.
 
     The assembled matrix ``[[Q11, Q21^T], [Q21, Q22]]`` must be symmetric
-    positive definite and ``tau`` strictly positive; violating either
-    makes the certificate invalid (an error), distinct from a valid
+    positive definite and ``tau`` finite and strictly positive; violating
+    either makes the certificate invalid (an error), distinct from a valid
     certificate that merely fails an inequality.
     """
 
@@ -285,8 +287,9 @@ class LmiCertificate:
             raise ValueError("Q21 must be 2p x p")
         if self.Q22.shape != (2 * p, 2 * p):
             raise ValueError("Q22 must be 2p x 2p")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        self.tau = float(self.tau)
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
         Q = self.assembled()
         if np.abs(Q - Q.T).max() > 1e-10 * max(1.0, np.abs(Q).max()):
             raise ValueError("assembled Q must be symmetric")
@@ -409,7 +412,7 @@ def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
-    """The search's candidates in grid order, as ``(Q, tau, G(tau))``.
+    """The search's candidates in grid order, as ``(Q, tau, G(tau), screened)``.
 
     For each block rescaling ``Q = D Qfull D`` of the seed, the inequality
     is assembled once, at ``tau = 1``, and checked for symmetry once.  Each
@@ -419,13 +422,28 @@ def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
     ``-tau``.  So ``G`` stays exactly symmetric, and it equals a fresh
     assembly exactly when ``phi2`` is the identity (otherwise to rounding,
     since ``(tau phi2) E`` and ``tau (phi2 E)`` round differently).  One
-    ``G`` is reused by every candidate; ``work`` is scratch of its shape.
+    ``G`` is reused by every candidate.
+
+    ``screened`` is False when ``G(tau)`` is not negative definite even
+    without a tolerance.  The leading ``2n x 2n`` block of ``G`` does not
+    depend on ``tau``, so its Schur term ``C`` (``(r + q) x (r + q)``, see
+    ``matanalysis.negative_definite_schur_term``) is formed once per
+    rescaling, at ``tau = 1``; the trailing rows at ``tau`` are
+    ``D_tau = diag(tau I_r, I_q)`` times those at ``tau = 1``, so ``G(tau)``
+    is negative definite exactly when the leading block is and
+    ``D_tau C D_tau - tau I`` is.  ``work`` is scratch of ``G``'s shape
+    (C-contiguous), holding the factors and each screen, used here only
+    before a candidate is yielded, so the caller may use it in between.
     """
     p = Qfull.shape[0] // 3
     edges = _lmi_edges(len(Qfull), structure)
-    n, row2 = edges[1], slice(edges[2], edges[3])
-    diag = np.arange(edges[2], edges[4])
+    n, k, r = edges[1], edges[2], edges[3] - edges[2]
+    row2 = slice(k, k + r)
+    diag = np.arange(k, edges[4])
+    m = len(diag)
+    d_tau = np.ones(m)
     G = np.empty_like(work)
+    S = work.reshape(-1)[: m * m].reshape(m, m)
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
         d = np.concatenate([np.full(p, scale), np.ones(2 * p)])
         Q = d[:, None] * Qfull
@@ -433,11 +451,19 @@ def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
         _assemble_lmi(Q, 1.0, loop, structure, out=G)
         check_symmetric(G, work)
         at_one = G[row2, :n].copy()
+        C = negative_definite_schur_term(G, k, work)
         for tau in np.logspace(-4, 4, 17):
             np.multiply(at_one, tau, out=G[row2, :n])
             G[:n, row2] = G[row2, :n].T
             G[diag, diag] = -tau
-            yield Q, float(tau), G
+            screened = C is not None
+            if screened:
+                d_tau[:r] = tau
+                np.multiply(C, d_tau, out=S)
+                S *= d_tau[:, None]
+                S.flat[:: m + 1] -= tau
+                screened = cholesky_negative_definite(S, 0.0, S)
+            yield Q, float(tau), G, screened
 
 
 def lmi_search(
@@ -452,11 +478,14 @@ def lmi_search(
     Seeds ``Q`` from the discrete Lyapunov solution of the nominal closed
     matrix, tries a few block rescalings of that seed, and sweeps ``tau``
     over a log grid, returning the first certificate that verifies.  Each
-    candidate costs one in-place Cholesky factorisation of the inequality
-    at the tolerance ``lmi_verify`` uses (see ``_lmi_grid``); the
-    rescalings are positive definite by congruence with the checked seed,
-    so only the returned certificate is built and validated.  Absence of
-    a certificate is a legitimate outcome (None), not an error.
+    candidate is first screened on the ``tau``-dependent Schur complement
+    of the inequality (see ``_lmi_grid``); one that passes costs one
+    in-place Cholesky factorisation of the whole inequality at the
+    tolerance ``lmi_verify`` uses, which alone accepts.  The screen tests
+    with no tolerance, so it rejects only candidates that test rejects.
+    The rescalings are positive definite by congruence with the checked
+    seed, so only the returned certificate is built and validated.
+    Absence of a certificate is a legitimate outcome (None), not an error.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -467,10 +496,14 @@ def lmi_search(
         return None
     n = _lmi_edges(len(Qfull), structure)[-1]
     work = np.empty((n, n))
-    for Q, tau, G in islice(_lmi_grid(Qfull, loop, structure, work), budget):
+    grid = _lmi_grid(Qfull, loop, structure, work)
+    for Q, tau, G, screened in islice(grid, budget):
+        if not screened:
+            continue
         np.abs(G, out=work)
         tol = 1e-9 * float(work.sum(axis=1).max())  # induced_norm(G, "infinity")
         if cholesky_negative_definite(G, tol, work):
+            grid.close()  # frees the Schur term before the certificate is validated
             return LmiCertificate(Q11=Q[:p, :p], Q21=Q[p:, :p], Q22=Q[p:, p:], tau=tau)
     return None
 
@@ -525,10 +558,25 @@ def certificate_from_dict(doc: dict) -> LmiCertificate:
         raise ValueError(f"certificate file missing field {exc}") from exc
 
 
+def _json_matrix(M: np.ndarray) -> str:
+    """``M`` as ``json.dump(M.tolist(), indent=2)`` lays it out one level
+    deep in a document; every entry is finite, so ``float.__repr__`` is
+    what ``json`` writes for it."""
+    rows = ("[\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]" for row in M.tolist())
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+
+
 def save_certificate(path, cert: LmiCertificate) -> None:
+    """Write ``certificate_to_dict(cert)`` as ``json.dump(..., indent=2,
+    sort_keys=True)`` and a newline would, byte for byte, without the
+    pure-Python encoder."""
+    text = (
+        f'{{\n  "Q11": {_json_matrix(cert.Q11)},\n  "Q21": {_json_matrix(cert.Q21)},\n'
+        f'  "Q22": {_json_matrix(cert.Q22)},\n  "format_version": 1,\n'
+        f'  "tau": {float.__repr__(cert.tau)}\n}}\n'
+    )
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(certificate_to_dict(cert), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_certificate(path) -> LmiCertificate:

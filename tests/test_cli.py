@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iterlearn
 from iterlearn.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from iterlearn.learner import read_trace_csv
 from iterlearn.matanalysis import load_matrix
@@ -188,6 +191,7 @@ MALFORMED_FIELDS = [
     (("target",), {"value": 1.0}),
     (("u0",), {"value": 1.0}),
     (("uncertainty",), {"kind": "constant", "value": {"value": 1.0}}),
+    (("output_dir",), 5),
 ]
 
 
@@ -225,6 +229,35 @@ def test_check_file_reference_of_wrong_type_is_config_error(tmp_path, capsys, pa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ".".join(path) + ".file must be a string" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_output_dir_of_wrong_type_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # without --out, the config's output_dir names the output directory
+    config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
+    doc = json.loads(config.read_text())
+    doc["output_dir"] = 5
+    write_json(config, doc)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(config), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: output_dir must be a string, got 5\n"
+
+
+def test_simulate_loads_no_scipy(tmp_path):
+    # scipy is imported only where a check needs LAPACK; a simulation never does
+    config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
+    src = str(Path(iterlearn.__file__).parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import iterlearn.cli\n"
+        f"rc = iterlearn.cli.main(['simulate', '--config', {str(config)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--quiet'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout == "0 []\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])

@@ -1,3 +1,6 @@
+import io
+import json
+import math
 import tracemalloc
 
 import mpmath
@@ -279,8 +282,9 @@ def small_instance(eta=0.1):
 
 
 def test_certificate_validation():
-    with pytest.raises(ValueError):
-        LmiCertificate(Q11=np.eye(1), Q21=np.zeros((2, 1)), Q22=np.eye(2), tau=0.0)
+    for tau in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            LmiCertificate(Q11=np.eye(1), Q21=np.zeros((2, 1)), Q22=np.eye(2), tau=tau)
     with pytest.raises(ValueError):
         LmiCertificate(Q11=-np.eye(1), Q21=np.zeros((2, 1)), Q22=np.eye(2), tau=1.0)
     cert = LmiCertificate(Q11=np.eye(1), Q21=np.zeros((2, 1)), Q22=np.eye(2), tau=1.0)
@@ -447,6 +451,43 @@ def test_certificate_json_round_trip(tmp_path):
     assert lmi_verify("eq44", back, P0, structure, gains44)
     doc = certificate_to_dict(cert)
     assert certificate_from_dict(doc).tau == cert.tau
+    doc["tau"] = math.inf
+    path.write_text(json.dumps(doc))
+    assert "Infinity" in path.read_text()
+    with pytest.raises(ValueError, match="tau must be finite"):
+        load_certificate(path)
+
+
+def json_dump_bytes(cert):
+    """The certificate file as the standard encoder lays it out."""
+    buf = io.StringIO()
+    json.dump(certificate_to_dict(cert), buf, indent=2, sort_keys=True)
+    return (buf.getvalue() + "\n").encode("ascii")
+
+
+def test_certificate_writer_matches_json_dump(tmp_path):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "cert.json"
+    certs = []
+    for p in range(1, 5):
+        A = rng.standard_normal((3 * p, 3 * p))
+        Q = A @ A.T + np.eye(3 * p)
+        tau = float(10 ** rng.uniform(-4, 4))
+        certs.append(LmiCertificate(Q11=Q[:p, :p], Q21=Q[p:, :p], Q22=Q[p:, p:], tau=tau))
+    # negative zero, the least subnormal, huge and tiny magnitudes and
+    # integral floats, in the matrices and in tau
+    Q = np.diag([2.0, 1e300, 3.0])
+    Q[0, 1] = Q[1, 0] = -0.0
+    Q[0, 2] = Q[2, 0] = 5e-324
+    Q[1, 2] = Q[2, 1] = 1e-300
+    for tau in (1.0, 5e-324, 1e300, 1e-4):
+        certs.append(LmiCertificate(Q11=Q[:1, :1], Q21=Q[1:, :1], Q22=Q[1:, 1:], tau=tau))
+    for cert in certs:
+        save_certificate(path, cert)
+        assert path.read_bytes() == json_dump_bytes(cert)
+        back = load_certificate(path)
+        assert back.assembled().tobytes() == cert.assembled().tobytes()
+        assert back.tau == cert.tau
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +624,7 @@ def grid_of(lmi_id, nominal, structure, gains):
     assert Qfull is not None
     n = _lmi_edges(len(Qfull), structure)[-1]
     grid = _lmi_grid(Qfull, loop, structure, np.empty((n, n)))
-    return [(Q, tau, G.copy()) for Q, tau, G in grid]
+    return [(Q, tau, G.copy()) for Q, tau, G, _ in grid]
 
 
 def test_lmi_search_matches_reference_on_random_problems():
@@ -636,6 +677,30 @@ def wide_reference_problem(horizon):
     gains = presets.reference_gains(surrogate)
     I = np.eye(horizon)
     return surrogate, StructuredUncertainty(phi1=0.05 * I, phi2=I), gains
+
+
+def test_screen_rejects_only_what_the_full_test_rejects():
+    # the screen decides G(tau) < 0 with no tolerance, so a candidate it
+    # rejects must fail the full test at 1e-9 ||G(tau)||_inf
+    rng = np.random.default_rng(12)
+    problems = [
+        (lmi_id, random_lmi_problem(rng, lmi_id, i % 5 + 1, identity_phi2=i % 2 == 0))
+        for i in range(30)
+        for lmi_id in LMI_IDS
+    ]
+    problems += [("eq101", wide_reference_problem(20)), ("eq101", wide_reference_problem(100))]
+    counts = {(s, v): 0 for s in (False, True) for v in (False, True)}
+    for lmi_id, problem in problems:
+        loop = _robust_loop(lmi_id, *problem)
+        Qfull = _lyapunov_seed(loop[0], problem[2].observer.p)
+        assert Qfull is not None
+        n = _lmi_edges(len(Qfull), problem[1])[-1]
+        for _, _, G, screened in _lmi_grid(Qfull, loop, problem[1], np.empty((n, n))):
+            verdict = cholesky_verdict(G)
+            assert screened or not verdict
+            counts[screened, verdict] += 1
+    assert sum(counts.values()) == len(problems) * 85
+    assert counts[False, False] > 0 and counts[True, True] > 0
 
 
 def test_cholesky_and_eigvalsh_agree_on_every_reference_grid_point():
