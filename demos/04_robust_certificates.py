@@ -35,7 +35,7 @@ phi1 *= 0.06 / np.linalg.norm(phi1, 2)
 phi2 /= np.linalg.norm(phi2, 2)
 structure = StructuredUncertainty(phi1=phi1, phi2=phi2)
 
-cert = lmi_search("eq44", P0, structure, gains, budget=200)
+cert = lmi_search("eq44", P0, structure, gains)
 if cert is None:
     print("no certificate found (structure too large for the margins)")
 else:

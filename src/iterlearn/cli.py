@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,8 +44,9 @@ def _integer(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+    # json reads NaN, Infinity and -Infinity as floats
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {json.dumps(value)}")
     return float(value)
 
 
@@ -60,11 +62,17 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def _floats(value, name: str) -> np.ndarray:
+def _vector(value, name: str, length: int) -> np.ndarray:
+    """A finite vector of ``length`` numbers, given as a flat JSON array."""
     try:
-        return np.asarray(value, dtype=float)
+        v = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid numbers for {name!r}: {exc}") from exc
+    if v.shape != (length,):
+        raise ConfigError(f"{name} must be an array of {length} numbers, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"{name} contains non-finite entries")
+    return v
 
 
 def _file(obj: dict, name: str, base: Path) -> Path:
@@ -120,8 +128,11 @@ def _parse_uncertainty(obj, dimension: int) -> plant.UncertaintyModel:
 class Experiment:
     """A parsed config able to materialize per-seed runs.
 
-    Each seed's plant and gains are built once and shared by every run,
-    condition report and certificate search of that seed.
+    Whatever does not depend on the seed (a direct plant, the target, ``u0``
+    and the uncertainty) is parsed and checked at load, so ``check`` rejects
+    every config that ``simulate`` rejects.  Each seed's plant and gains are
+    built once and shared by every run, condition report and certificate
+    search of that seed.
     """
 
     def __init__(self, doc: dict, base: Path):
@@ -152,18 +163,20 @@ class Experiment:
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {json.dumps(self.output_dir)}")
 
-        self._plant_doc = _object(doc.get("plant"), "plant")
         self._gains_doc = _object(doc.get("gains") or {}, "gains")
-        self._target_doc = doc.get("target")
-        self._uncertainty_doc = doc.get("uncertainty")
-        self._u0_doc = doc.get("u0")
         self._ilc_base: plant.LiftedIlcSystem | None = None
         self._plants: dict[int, plant.TransferPlant] = {}
         self._gains: dict[int, GainSet] = {}
-        if self._plant_doc.get("kind") == "ilc_lift":
-            self._ilc_base = self._ilc_system(self._plant_doc)
-            if self._plant_doc.get("role") == "uncertain_nominal":
-                self._nominal_lift, _, _ = plant.lift_ilc(self._ilc_base)
+        p, m = self._parse_plant(_object(doc.get("plant"), "plant"))
+        if doc.get("target") is None:
+            raise ConfigError("config missing field 'target'")
+        self.target = _vector(doc["target"], "target", p)
+        self.u0 = None if doc.get("u0") is None else _vector(doc["u0"], "u0", m)
+        self.uncertainty = _parse_uncertainty(doc.get("uncertainty"), p)
+        if self.uncertainty.dimension != p:
+            raise ConfigError(
+                f"uncertainty dimension must be {p}, got {self.uncertainty.dimension}"
+            )
 
         self.surrogate = None
         surr = doc.get("surrogate")
@@ -193,38 +206,45 @@ class Experiment:
                 raise ConfigError(f"structure missing field {exc}") from exc
 
     # -- plant ---------------------------------------------------------
-    def plant_for(self, seed: int) -> plant.TransferPlant:
-        if seed not in self._plants:
-            self._plants[seed] = self._build_plant(seed)
-        return self._plants[seed]
-
-    def _build_plant(self, seed: int) -> plant.TransferPlant:
-        doc = self._plant_doc
+    def _parse_plant(self, doc: dict) -> tuple[int, int]:
+        """Read what of the plant does not depend on the seed; return its shape."""
         kind = doc.get("kind", "direct")
         if kind == "direct":
-            nominal = _matrix_field(doc["nominal"], "plant.nominal", self.base)
-            delta = (
-                _matrix_field(doc["delta"], "plant.delta", self.base)
-                if doc.get("delta") is not None
-                else None
-            )
+            delta = doc.get("delta")
             try:
-                return plant.TransferPlant(nominal=nominal, delta=delta)
+                self._direct = plant.TransferPlant(
+                    nominal=_matrix_field(doc["nominal"], "plant.nominal", self.base),
+                    delta=delta if delta is None else _matrix_field(delta, "plant.delta", self.base),
+                )
+            except KeyError as exc:
+                raise ConfigError(f"plant missing field {exc}") from exc
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        if kind == "ilc_lift":
+            return self._direct.shape
+        if kind != "ilc_lift":
+            raise ConfigError(f"unknown plant kind {kind!r}")
+        self._ilc_base = self._ilc_system(doc)
+        self._level = _number(doc.get("element_uncertainty", 0.0), "plant.element_uncertainty")
+        if self._level < 0:
+            raise ConfigError(f"plant.element_uncertainty must be nonnegative, got {self._level}")
+        self._role = doc.get("role", "model_free")
+        if self._role == "uncertain_nominal":
+            self._nominal_lift, _, _ = plant.lift_ilc(self._ilc_base)
+        elif self._role != "model_free":
+            raise ConfigError(f"unknown plant role {self._role!r}")
+        horizon = self._ilc_base.horizon
+        return horizon * self._ilc_base.n_outputs, horizon * self._ilc_base.n_inputs
+
+    def plant_for(self, seed: int) -> plant.TransferPlant:
+        if self._ilc_base is None:
+            return self._direct
+        if seed not in self._plants:
             sys0 = self._ilc_base
-            level = _number(doc.get("element_uncertainty", 0.0), "plant.element_uncertainty")
-            sys_true = plant.perturb_system(sys0, level, seed) if level > 0 else sys0
+            sys_true = plant.perturb_system(sys0, self._level, seed) if self._level > 0 else sys0
             P_true, _, _ = plant.lift_ilc(sys_true)
-            role = doc.get("role", "model_free")
-            if role == "model_free":
-                return plant.TransferPlant(nominal=np.zeros_like(P_true), delta=P_true)
-            if role == "uncertain_nominal":
-                P_nom = self._nominal_lift
-                return plant.TransferPlant(nominal=P_nom, delta=P_true - P_nom)
-            raise ConfigError(f"unknown plant role {role!r}")
-        raise ConfigError(f"unknown plant kind {kind!r}")
+            P_nom = np.zeros_like(P_true) if self._role == "model_free" else self._nominal_lift
+            self._plants[seed] = plant.TransferPlant(nominal=P_nom, delta=P_true - P_nom)
+        return self._plants[seed]
 
     def _ilc_system(self, doc) -> plant.LiftedIlcSystem:
         sys_doc = doc.get("system")
@@ -320,28 +340,20 @@ class Experiment:
 
     # -- per-run config ---------------------------------------------------
     def simulation_config(self, law_mode: str, seed: int) -> SimulationConfig:
-        a_plant = self.plant_for(seed)
-        p, m = a_plant.shape
-        gains = self.gains_for(seed)
-        if self._target_doc is None:
-            raise ConfigError("config missing field 'target'")
-        target = _floats(self._target_doc, "target").reshape(-1)
-        uncertainty = _parse_uncertainty(self._uncertainty_doc, p)
         law = (
             LearningLaw(mode=law_mode, surrogate=self.surrogate)
             if law_mode == "eso_model_free"
             else LearningLaw(mode=law_mode)
         )
-        u0 = None if self._u0_doc is None else _floats(self._u0_doc, "u0")
         try:
             return SimulationConfig(
-                plant=a_plant,
-                target=target,
-                uncertainty=uncertainty,
-                gains=gains,
+                plant=self.plant_for(seed),
+                target=self.target,
+                uncertainty=self.uncertainty,
+                gains=self.gains_for(seed),
                 law=law,
                 iterations=self.iterations,
-                u0=u0,
+                u0=self.u0,
                 seed=seed,
             )
         except ValueError as exc:

@@ -149,6 +149,8 @@ class SimulationConfig:
         self.target = np.asarray(self.target, dtype=float).reshape(-1)
         if self.target.shape != (p,):
             raise ValueError(f"target must have length {p}")
+        if not np.all(np.isfinite(self.target)):
+            raise ValueError("target contains non-finite entries")
         if self.uncertainty.dimension != p:
             raise ValueError("uncertainty dimension must match the plant output")
         if self.iterations < 1:
@@ -159,6 +161,8 @@ class SimulationConfig:
             self.u0 = np.asarray(self.u0, dtype=float).reshape(-1)
             if self.u0.shape != (m,):
                 raise ValueError(f"u0 must have length {m}")
+            if not np.all(np.isfinite(self.u0)):
+                raise ValueError("u0 contains non-finite entries")
         mode = self.law.mode
         if mode != "p_type" and self.gains.observer is None:
             raise ValueError(f"{mode} requires observer gains")

@@ -89,10 +89,6 @@ class StructuredUncertainty:
         self.phi1 = as_matrix(self.phi1, "phi1")
         self.phi2 = as_matrix(self.phi2, "phi2")
 
-    @property
-    def delta_shape(self) -> tuple[int, int]:
-        return (self.phi1.shape[0], self.phi2.shape[1])
-
 
 def sample_structured_delta(structure: StructuredUncertainty, seed) -> np.ndarray:
     """Draw ``phi1 @ sigma @ phi2`` with a random contraction ``sigma``.
@@ -148,8 +144,8 @@ class UncertaintyModel:
                 raise ValueError("table contains non-finite entries")
             self.table = tab
         elif self.kind == "seeded_bounded":
-            if self.bound < 0:
-                raise ValueError("bound must be nonnegative")
+            if not (np.isfinite(self.bound) and self.bound >= 0):
+                raise ValueError(f"bound must be finite and nonnegative, got {self.bound!r}")
 
     def _vector(self, v, name):
         v = np.asarray(v, dtype=float).reshape(-1)

@@ -7,8 +7,8 @@ matrix inequalities whose negative definiteness certifies the spectral
 conditions for every admissible structured model error (``eq44``,
 ``eq65``, ``eq101``).  Certificates are verified exactly; the search is a
 Lyapunov-seeded heuristic, not a general-purpose semidefinite solver.
-Every catalog loop, including the certificate seed and the ``eq30`` and
-``eq76`` separation targets, is laid out by ``loop_matrix``;
+Every catalog loop, every inequality's loop and the ``eq30`` separation
+target is laid out by ``_robust_form`` as ``M0 + D delta E``;
 ``verify_separation`` assembles the unseparated loops and the other
 targets itself.
 """
@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "CONDITION_IDS",
     "SEPARATION_IDS",
     "LMI_IDS",
-    "CONDITION_DESCRIPTIONS",
     "ConditionReport",
     "LmiCertificate",
     "loop_matrix",
@@ -58,14 +56,19 @@ CONDITION_IDS = ("eq04", "eq17", "eq41", "eq48", "eq62", "eq95", "eq102")
 SEPARATION_IDS = ("eq20", "eq30", "eq61", "eq76")
 LMI_IDS = ("eq44", "eq65", "eq101")
 
-CONDITION_DESCRIPTIONS = {
-    "eq04": "plain learning loop: rho(I - P K) < 1",
-    "eq17": "observer loop: rho(Abar - L Cbar) < 1",
-    "eq41": "mixed feedback with nominal observer under model error",
-    "eq48": "nominal learning loop: rho(I - P0 K) < 1",
-    "eq62": "input-boundedness loop of the aggregated-disturbance design",
-    "eq95": "surrogate learning loop: rho(I - P~0 K) < 1",
-    "eq102": "input-boundedness loop of the model-free design",
+#: Each id's design (None for the observer loop), the map its loop is built
+#: around, the model error that enters it (None: none) and what it states.
+_CATALOG = {
+    "eq04": ("learning", "nominal", "plant.delta", "plain learning loop: rho(I - P K) < 1"),
+    "eq17": (None, None, None, "observer loop: rho(Abar - L Cbar) < 1"),
+    "eq41": ("compensated", "nominal", "plant.delta", "H design, observer on the nominal map"),
+    "eq48": ("learning", "nominal", None, "nominal learning loop: rho(I - P0 K) < 1"),
+    "eq62": ("aggregated", "nominal", "plant.delta", "aggregated-disturbance design's input loop"),
+    "eq95": ("learning", "surrogate", None, "surrogate learning loop: rho(I - P~0 K) < 1"),
+    "eq102": ("aggregated", "surrogate", "P - surrogate", "model-free design's input loop"),
+    "eq44": ("compensated", "nominal", "phi1 sigma phi2", "eq41 for every structured error"),
+    "eq65": ("aggregated", "nominal", "phi1 sigma phi2", "eq62 for every structured error"),
+    "eq101": ("aggregated", "surrogate", "phi1 sigma phi2", "eq102 for every structured error"),
 }
 
 
@@ -90,14 +93,7 @@ class ConditionReport:
         return 1.0 - self.rho
 
     def to_dict(self) -> dict:
-        return {
-            "condition_id": self.condition_id,
-            "rho": self.rho,
-            "holds": self.holds,
-            "matrix_dim": self.matrix_dim,
-            "method": self.method,
-            "margin": self.margin,
-        }
+        return {**asdict(self), "margin": self.margin}
 
 
 def _require(value, name: str, condition_id: str):
@@ -106,15 +102,46 @@ def _require(value, name: str, condition_id: str):
     return value
 
 
-def _observer_blocks(gains: GainSet, condition_id: str, P_used):
-    """The observer loop ``A_lc``, the stacked gain ``Lbar`` and the extended
-    system around ``P_used``."""
-    og = _require(gains.observer, "observer gains", condition_id)
-    return error_dynamics_matrix(og), og.stacked, build_extended(og.p, P_used)
+def _robust_form(design: str, P0: np.ndarray, gains: GainSet, cid: str):
+    """The one layout of a design's loop around the map ``P0``: the loop at
+    zero model error, ``M0``, and the channel ``(D, E)`` through which an
+    error ``delta`` enters it, so that the loop at ``delta`` is ``M0 + D delta E``.
+    ``learning`` is ``(I - P0 K, -I, K)``; with the observer loop ``A_lc``,
+    ``compensated`` (gain ``H``) is ``([[I - P0 K, -P0 H F], [0, A_lc]],
+    [-I; Cbar^T], [K, H F])`` and ``aggregated`` (gain ``Hbar``) is
+    ``([[I - P0 K, Hbar F], [0, A_lc]], [-I; -Lbar], [K, 0])``, with
+    ``Lbar = [L1; L2]``.  The selectors ``F = [0, I]`` and
+    ``Cbar^T = [I; 0]`` are placed, not multiplied.
+    """
+    K = gains.K
+    p = P0.shape[0]
+    I = np.eye(p)
+    learning = I - P0 @ K
+    if design == "learning":
+        return learning, -I, K
+    og = _require(gains.observer, "observer gains", cid)
+    if og.p != p:
+        raise ValueError("nominal map and observer gains disagree on dimension")
+    M0, D, E = np.zeros((3 * p, 3 * p)), np.zeros((3 * p, p)), np.zeros((K.shape[0], 3 * p))
+    M0[:p, :p], M0[p:, p:], D[:p], E[:, :p] = learning, error_dynamics_matrix(og), -I, K
+    if design == "compensated":
+        H = _require(gains.H, "the compensation gain H", cid)
+        M0[:p, 2 * p :], D[p : 2 * p], E[:, 2 * p :] = -P0 @ H, I, H
+    else:
+        M0[:p, 2 * p :] = _require(gains.Hbar, "the compensation gain Hbar", cid)
+        D[p:] = -og.stacked
+    return M0, D, E
 
 
-def _surrogate(surrogate, condition_id: str) -> np.ndarray:
-    return as_matrix(_require(surrogate, "a surrogate", condition_id), "surrogate")
+def _at_error(loop, delta: np.ndarray) -> np.ndarray:
+    """``M0 + D delta E``, adding ``D (delta E_j)`` only on the column blocks
+    ``E_j`` of ``E`` (each as wide as ``delta`` is tall) that are not zero."""
+    M0, D, E = loop
+    M, p = M0.copy(), D.shape[1]
+    for j in range(0, E.shape[1], p):
+        if E[:, j : j + p].any():
+            M[:, j : j + p] += D @ (delta @ E[:, j : j + p])
+    return M
 
 
 def loop_matrix(
@@ -125,47 +152,29 @@ def loop_matrix(
 ) -> np.ndarray:
     """The block matrix of a catalog condition.
 
-    This is the one place that lays out each design's closed loop.  The
-    learning loops are ``I - X K`` with ``X`` the true map (``eq04``), the
-    nominal map (``eq48``) or the surrogate (``eq95``); ``eq17`` is the
-    observer loop ``A_lc``.  The design with the compensation gain ``H``
-    (``eq41``) has its own form; the aggregated-disturbance (``eq62``) and
-    model-free (``eq102``) designs share
-    ``[[I - P K, Hbar F], [Lbar (P_used - P) K, A_lc]]``, where ``P`` is the
-    true map and ``P_used`` the map the observer knows: the nominal map
-    (``P_used - P = -delta``) or the surrogate.
+    ``eq17`` is the observer loop ``A_lc``.  Every other condition is its
+    design's loop (``_CATALOG``) from ``_robust_form``, around the plant's
+    nominal map or the surrogate, at the model error the catalog names:
+    the plant's ``delta``, or the true map minus the surrogate (``eq102``).
+    So ``eq04`` is ``I - P K`` with ``P`` the true map, and the model-free
+    loop reads the same whether a plant is ``nominal + delta`` or ``0 + P``.
     """
     if condition_id not in CONDITION_IDS:
         raise ValueError(f"unknown condition id {condition_id!r}")
     if gains is None:
         raise ValueError(f"condition {condition_id} requires gains")
-    K = gains.K
-    if condition_id == "eq17":
+    design, around, error, _ = _CATALOG[condition_id]
+    if design is None:
         return error_dynamics_matrix(_require(gains.observer, "observer gains", condition_id))
-    if condition_id == "eq95":
-        Ps = _surrogate(surrogate, condition_id)
-        return np.eye(Ps.shape[0]) - Ps @ K
-    plant = _require(plant, "a plant", condition_id)
-    if condition_id == "eq48":
-        return np.eye(plant.shape[0]) - plant.nominal @ K
-    P = plant.full()
-    I = np.eye(P.shape[0])
-    if condition_id == "eq04":
-        return I - P @ K
-    if condition_id == "eq41":
-        H = _require(gains.H, "H", condition_id)
-        A_lc, _, es = _observer_blocks(gains, condition_id, P)
-        CPd = es.Cbar.T @ plant.delta
-        return np.block(
-            [[I - P @ K, -P @ H @ es.F], [CPd @ K, A_lc + CPd @ H @ es.F]]
-        )
-    Hbar = _require(gains.Hbar, "Hbar", condition_id)
-    if condition_id == "eq62":
-        mismatch = -plant.delta
+    if around == "surrogate":
+        X = as_matrix(_require(surrogate, "a surrogate", condition_id), "surrogate")
     else:
-        mismatch = _surrogate(surrogate, condition_id) - P
-    A_lc, Lbar, es = _observer_blocks(gains, condition_id, P)
-    return np.block([[I - P @ K, Hbar @ es.F], [Lbar @ mismatch @ K, A_lc]])
+        X = _require(plant, "a plant", condition_id).nominal
+    loop = _robust_form(design, X, gains, condition_id)
+    if error is None:
+        return loop[0]
+    plant = _require(plant, "a plant", condition_id)
+    return _at_error(loop, plant.delta if error == "plant.delta" else plant.full() - X)
 
 
 def check_condition(
@@ -182,11 +191,7 @@ def check_condition(
     M = loop_matrix(condition_id, plant, gains, surrogate)
     rho, method = block_spectral_radius(M, gains.K.shape[1])
     return ConditionReport(
-        condition_id=condition_id,
-        rho=rho,
-        holds=rho < 1.0,
-        matrix_dim=M.shape[0],
-        method=method,
+        condition_id=condition_id, rho=rho, holds=rho < 1.0, matrix_dim=M.shape[0], method=method
     )
 
 
@@ -205,10 +210,10 @@ def verify_separation(
         raise ValueError(f"unknown separation identity {identity_id!r}")
     P = plant.full()
     P0 = plant.nominal
+    og = _require(gains.observer, "observer gains", identity_id)
+    A_lc, Lbar = error_dynamics_matrix(og), og.stacked
     # the observer of eq20/eq30 knows the true map, that of eq61/eq76 the nominal
-    A_lc, Lbar, es = _observer_blocks(
-        gains, identity_id, P if identity_id in ("eq20", "eq30") else P0
-    )
+    es = build_extended(og.p, P if identity_id in ("eq20", "eq30") else P0)
     p, F, Bbar = es.p, es.F, es.Bbar_used
     K = gains.K
     I = np.eye(p)
@@ -225,7 +230,7 @@ def verify_separation(
         M = np.block(
             [[I - P @ K, -P @ H @ F], [Lbar - Bbar @ K, A_lc - Bbar @ H @ F]]
         )
-        target = loop_matrix("eq41", TransferPlant(nominal=P), gains)
+        target = _robust_form("compensated", P, gains, identity_id)[0]
     elif identity_id == "eq61":
         Hbar = _require(gains.Hbar, "Hbar", identity_id)
         M = np.block(
@@ -304,34 +309,15 @@ class LmiCertificate:
         return np.block([[self.Q11, self.Q21.T], [self.Q21, self.Q22]])
 
 
-_IMPLIED_CONDITION = {"eq44": "eq41", "eq65": "eq62", "eq101": "eq102"}
-
-
 def _robust_loop(lmi_id: str, nominal, structure, gains):
-    """The implied condition's loop at zero model error, ``M0``, and the
-    channel ``(D, E)`` through which a model error ``delta`` enters it: the
-    loop at ``delta`` is ``M0 + D delta E``, with ``D = [-I; Cbar^T]`` and
-    ``E = [K, H F]`` for ``eq44``, ``D = [-I; -Lbar]`` and ``E = [K, 0]``
-    for ``eq65`` and ``eq101``."""
+    """The inequality's loop ``(M0, D, E)`` around ``nominal``, from
+    ``_robust_form`` for the design ``_CATALOG`` names."""
     if lmi_id not in LMI_IDS:
         raise ValueError(f"unknown inequality id {lmi_id!r}")
     P0 = as_matrix(nominal, "nominal")
-    K = gains.K
-    og = _require(gains.observer, "observer gains", lmi_id)
-    p = og.p
-    if P0.shape[0] != p:
-        raise ValueError("nominal map and observer gains disagree on dimension")
-    if structure.phi1.shape[0] != p or structure.phi2.shape[1] != K.shape[0]:
+    if structure.phi1.shape[0] != P0.shape[0] or structure.phi2.shape[1] != gains.K.shape[0]:
         raise ValueError("structure dimensions do not match the plant")
-    es = build_extended(p, P0)
-    if lmi_id == "eq44":
-        H = _require(gains.H, "the compensation gain H", lmi_id)
-        D, E = np.vstack([-np.eye(p), es.Cbar.T]), np.hstack([K, H @ es.F])
-    else:  # eq65 and eq101 share one channel around their respective maps
-        _require(gains.Hbar, "the compensation gain Hbar", lmi_id)
-        D, E = np.vstack([-np.eye(p), -og.stacked]), np.hstack([K, np.zeros((K.shape[0], 2 * p))])
-    M0 = loop_matrix(_IMPLIED_CONDITION[lmi_id], TransferPlant(nominal=P0), gains, P0)
-    return M0, D, E
+    return _robust_form(_CATALOG[lmi_id][0], P0, gains, lmi_id)
 
 
 def _lmi_edges(n: int, structure) -> np.ndarray:
@@ -390,10 +376,12 @@ def lmi_verify(
     filled by transposition) and tested for negative definiteness with a
     tolerance of ``1e-9`` times its infinity norm.
     """
-    loop = _robust_loop(lmi_id, nominal, structure, gains)
+    return _verifies(_robust_loop(lmi_id, nominal, structure, gains), cert, structure)
+
+
+def _verifies(loop, cert: LmiCertificate, structure) -> bool:
     G = _assemble_lmi(cert.assembled(), cert.tau, loop, structure)
-    tol = 1e-9 * induced_norm(G, "infinity")
-    return is_negative_definite(G, tol=tol)
+    return is_negative_definite(G, tol=1e-9 * induced_norm(G, "infinity"))
 
 
 def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
@@ -471,7 +459,6 @@ def lmi_search(
     nominal,
     structure: StructuredUncertainty,
     gains: GainSet,
-    budget: int = 200,
 ) -> LmiCertificate | None:
     """Heuristic certificate search: Lyapunov seed plus a tau grid.
 
@@ -487,8 +474,6 @@ def lmi_search(
     seed, so only the returned certificate is built and validated.
     Absence of a certificate is a legitimate outcome (None), not an error.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     loop = _robust_loop(lmi_id, nominal, structure, gains)
     p = gains.observer.p
     Qfull = _lyapunov_seed(loop[0], p)
@@ -497,7 +482,7 @@ def lmi_search(
     n = _lmi_edges(len(Qfull), structure)[-1]
     work = np.empty((n, n))
     grid = _lmi_grid(Qfull, loop, structure, work)
-    for Q, tau, G, screened in islice(grid, budget):
+    for Q, tau, G, screened in grid:
         if not screened:
             continue
         np.abs(G, out=work)
@@ -518,16 +503,14 @@ def theorem_implication_check(
     seed: int,
 ) -> bool:
     """Monte-Carlo check that a verified certificate implies its spectral
-    condition for every sampled admissible model error."""
-    if not lmi_verify(lmi_id, cert, nominal, structure, gains):
+    condition for every sampled admissible model error ``delta``: the loop
+    ``M0 + D delta E`` must have a spectral radius below one."""
+    loop = _robust_loop(lmi_id, nominal, structure, gains)
+    if not _verifies(loop, cert, structure):
         raise ValueError("certificate does not verify; implication check requires one")
-    target = _IMPLIED_CONDITION[lmi_id]
-    P0 = as_matrix(nominal, "nominal")
-    child_seeds = np.random.SeedSequence(seed).spawn(samples)
-    for child in child_seeds:
-        delta = sample_structured_delta(structure, child)
-        plant_s = TransferPlant(nominal=P0, delta=delta)
-        if not check_condition(target, plant_s, gains, surrogate=P0).holds:
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        M = _at_error(loop, sample_structured_delta(structure, child))
+        if block_spectral_radius(M, gains.K.shape[1])[0] >= 1.0:
             return False
     return True
 
@@ -546,16 +529,28 @@ def certificate_to_dict(cert: LmiCertificate) -> dict:
     }
 
 
-def certificate_from_dict(doc: dict) -> LmiCertificate:
-    try:
-        return LmiCertificate(
-            Q11=np.asarray(doc["Q11"], dtype=float),
-            Q21=np.asarray(doc["Q21"], dtype=float),
-            Q22=np.asarray(doc["Q22"], dtype=float),
-            tau=float(doc["tau"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"certificate file missing field {exc}") from exc
+def _numbers(rows, name: str) -> np.ndarray:
+    """A JSON array of equally long arrays of numbers (not booleans) as floats."""
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == len(rows[0])
+        and all(type(x) in (int, float) for x in row)
+        for row in rows
+    ):
+        raise ValueError(f"{name} must be a rectangular nested array of numbers")
+    return np.asarray(rows, dtype=float)
+
+
+def certificate_from_dict(doc) -> LmiCertificate:
+    """The certificate of a parsed certificate file; ``ValueError`` if malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"certificate file must be a JSON object, got {type(doc).__name__}")
+    for name in ("Q11", "Q21", "Q22", "tau"):
+        if name not in doc:
+            raise ValueError(f"certificate file missing field {name!r}")
+    if type(doc["tau"]) not in (int, float):
+        raise ValueError(f"tau must be a number, got {json.dumps(doc['tau'])}")
+    Q11, Q21, Q22 = (_numbers(doc[name], name) for name in ("Q11", "Q21", "Q22"))
+    return LmiCertificate(Q11=Q11, Q21=Q21, Q22=Q22, tau=doc["tau"])
 
 
 def _json_matrix(M: np.ndarray) -> str:

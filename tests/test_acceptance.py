@@ -303,7 +303,7 @@ def test_criterion_7_lmi_schur_chain():
         phi1 *= 0.05 / induced_norm(phi1, "two")
         phi2 /= induced_norm(phi2, "two")
         structure = StructuredUncertainty(phi1=phi1, phi2=phi2)
-        cert = lmi_search("eq44", P0, structure, gains, budget=100)
+        cert = lmi_search("eq44", P0, structure, gains)
         assert cert is not None, f"p={p}: no certificate found"
         assert theorem_implication_check(
             "eq44", structure, gains, P0, cert, samples=100, seed=70 + p

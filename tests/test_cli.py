@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -195,15 +196,29 @@ MALFORMED_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "path, value",
-    MALFORMED_FIELDS,
-    ids=[
-        ".".join(p) + "=" + json.dumps(v, separators=(",", ":")).replace('"', "")
-        for p, v in MALFORMED_FIELDS
-    ],
-)
-def test_simulate_malformed_field_is_config_error(tmp_path, capsys, path, value):
+MALFORMED_FIELD_IDS = [
+    ".".join(p) + "=" + json.dumps(v, separators=(",", ":")).replace('"', "")
+    for p, v in MALFORMED_FIELDS
+]
+
+# numbers that json reads (it writes NaN and Infinity for non-finite floats)
+# but that are out of range for their field, and a target of the right size
+# but not flat
+UNUSABLE_NUMBER_FIELDS = {
+    "element_uncertainty=NaN": (("plant", "element_uncertainty"), math.nan),
+    "element_uncertainty=-0.3": (("plant", "element_uncertainty"), -0.3),
+    "bound=NaN": (("uncertainty",), {"kind": "seeded_bounded", "bound": math.nan}),
+    "bound=Infinity": (("uncertainty",), {"kind": "seeded_bounded", "bound": math.inf}),
+    "scaled_identity=Infinity": (("gains", "L1"), {"scaled_identity": math.inf}),
+    "target=NaN": (("target",), [math.nan] + [0.0] * 19),
+    "u0=-Infinity": (("u0",), [0.0] * 19 + [-math.inf]),
+    "target=nested": (("target",), [[0.0] * 10, [0.0] * 10]),
+}
+
+
+def assert_field_is_config_error(tmp_path, capsys, command, path, value):
+    """``command`` on the reference experiment with the field at ``path`` set
+    to ``value`` exits 2 with one ``error:`` line naming the field."""
     config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
     doc = json.loads(config.read_text())
     parent = doc
@@ -211,11 +226,31 @@ def test_simulate_malformed_field_is_config_error(tmp_path, capsys, path, value)
         parent = parent[key]
     parent[path[-1]] = value
     write_json(config, doc)
-    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"])
+    rc = main([command, "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path[-1] in err
+
+
+@pytest.mark.parametrize("path, value", MALFORMED_FIELDS, ids=MALFORMED_FIELD_IDS)
+def test_simulate_malformed_field_is_config_error(tmp_path, capsys, path, value):
+    assert_field_is_config_error(tmp_path, capsys, "simulate", path, value)
+
+
+@pytest.mark.parametrize("path, value", MALFORMED_FIELDS, ids=MALFORMED_FIELD_IDS)
+def test_check_malformed_field_is_config_error(tmp_path, capsys, path, value):
+    # check parses what simulate parses, the seed-independent fields at load
+    assert_field_is_config_error(tmp_path, capsys, "check", path, value)
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize(
+    "path, value", UNUSABLE_NUMBER_FIELDS.values(), ids=UNUSABLE_NUMBER_FIELDS.keys()
+)
+def test_unusable_numbers_are_config_errors(tmp_path, capsys, command, path, value):
+    assert_field_is_config_error(tmp_path, capsys, command, path, value)
+    assert not (tmp_path / "out" / "plot.svg").exists()
 
 
 @pytest.mark.parametrize("path", [("gains", "K"), ("plant", "system")])

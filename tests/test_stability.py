@@ -26,10 +26,11 @@ from iterlearn.plant import (
     sample_structured_delta,
 )
 from iterlearn.stability import (
-    _IMPLIED_CONDITION,
+    CONDITION_IDS,
     LMI_IDS,
     LmiCertificate,
     _assemble_lmi,
+    _at_error,
     _lmi_edges,
     _lmi_grid,
     _lyapunov_seed,
@@ -74,9 +75,62 @@ def random_plant(rng, p_max=3, with_delta=False, delta_scale=0.1):
     return TransferPlant(nominal=P0, delta=delta)
 
 
+def oracle_loop_matrix(condition_id, plant=None, gains=None, surrogate=None):
+    """The catalog loops as first written, one formula per id at the plant's
+    model error, kept as the oracle of ``loop_matrix``."""
+    K = gains.K
+    if condition_id == "eq17":
+        return error_dynamics_matrix(gains.observer)
+    if condition_id == "eq95":
+        return np.eye(surrogate.shape[0]) - surrogate @ K
+    if condition_id == "eq48":
+        return np.eye(plant.shape[0]) - plant.nominal @ K
+    P = plant.full()
+    I = np.eye(P.shape[0])
+    if condition_id == "eq04":
+        return I - P @ K
+    og = gains.observer
+    A_lc, Lbar, es = error_dynamics_matrix(og), og.stacked, build_extended(og.p, P)
+    if condition_id == "eq41":
+        CPd = es.Cbar.T @ plant.delta
+        return np.block(
+            [[I - P @ K, -P @ gains.H @ es.F], [CPd @ K, A_lc + CPd @ gains.H @ es.F]]
+        )
+    mismatch = -plant.delta if condition_id == "eq62" else surrogate - P
+    return np.block([[I - P @ K, gains.Hbar @ es.F], [Lbar @ mismatch @ K, A_lc]])
+
+
+#: the condition each inequality certifies for every structured model error
+ORACLE_IMPLIED = {"eq44": "eq41", "eq65": "eq62", "eq101": "eq102"}
+
+
 # ---------------------------------------------------------------------------
 # spectral conditions
 # ---------------------------------------------------------------------------
+
+def test_every_catalog_loop_matches_the_per_id_formulas():
+    # every id on square and non-square plants with a model error, the
+    # surrogate apart from the nominal map
+    rng = np.random.default_rng(4)
+    for i in range(60):
+        p = 1 + i % 3
+        m = p + (i // 3) % 3
+        P0 = rng.standard_normal((p, m))
+        plant = TransferPlant(nominal=P0, delta=0.3 * rng.standard_normal((p, m)))
+        gains_H = random_gainset(rng, plant, with_Hbar=False)
+        gains_Hbar = random_gainset(rng, plant, with_H=False)
+        surrogate = P0 + 0.2 * rng.standard_normal((p, m))
+        for condition_id in CONDITION_IDS:
+            gains = gains_H if condition_id == "eq41" else gains_Hbar
+            M = loop_matrix(condition_id, plant, gains, surrogate)
+            oracle = oracle_loop_matrix(condition_id, plant, gains, surrogate)
+            assert M.shape == oracle.shape
+            assert np.abs(M - oracle).max() <= 1e-13 * np.abs(oracle).max()
+            rep = check_condition(condition_id, plant, gains, surrogate)
+            rho, _ = block_spectral_radius(oracle, p)
+            assert rep.holds == (rho < 1.0)
+            assert abs(rep.rho - rho) <= 1e-9 * rho
+
 
 def test_eq04_scalar_holds_and_fails():
     plant, gains = scalar_setup()
@@ -309,10 +363,10 @@ def test_lmi_verify_zero_structure_with_lyapunov_seed():
 
 def test_lmi_search_small_structure_finds_certificate():
     P0, gains44, gains65, structure = small_instance(eta=0.1)
-    cert44 = lmi_search("eq44", P0, structure, gains44, budget=100)
+    cert44 = lmi_search("eq44", P0, structure, gains44)
     assert cert44 is not None
     assert lmi_verify("eq44", cert44, P0, structure, gains44)
-    cert65 = lmi_search("eq65", P0, structure, gains65, budget=100)
+    cert65 = lmi_search("eq65", P0, structure, gains65)
     assert cert65 is not None
     assert lmi_verify("eq65", cert65, P0, structure, gains65)
 
@@ -324,7 +378,7 @@ def test_lmi_search_unstable_nominal_returns_none():
         K=K, H=synth_H_pseudo(P0), observer=ObserverGain.diagonal(1, 0.9, 0.1)
     )
     structure = StructuredUncertainty(phi1=np.array([[0.05]]), phi2=np.array([[1.0]]))
-    assert lmi_search("eq44", P0, structure, gains, budget=100) is None
+    assert lmi_search("eq44", P0, structure, gains) is None
 
 
 def test_unstable_nominal_rejects_random_certificates():
@@ -354,18 +408,18 @@ def test_implication_check_requires_valid_certificate():
 
 def test_implication_check_eq44_samples():
     P0, gains44, _, structure = small_instance(eta=0.2)
-    cert = lmi_search("eq44", P0, structure, gains44, budget=100)
+    cert = lmi_search("eq44", P0, structure, gains44)
     assert cert is not None
     assert theorem_implication_check("eq44", structure, gains44, P0, cert, 100, 5)
 
 
 def test_implication_check_eq65_and_eq101():
     P0, _, gains65, structure = small_instance(eta=0.2)
-    cert = lmi_search("eq65", P0, structure, gains65, budget=100)
+    cert = lmi_search("eq65", P0, structure, gains65)
     assert cert is not None
     assert theorem_implication_check("eq65", structure, gains65, P0, cert, 100, 6)
     # the same display certifies the surrogate-driven loop
-    cert101 = lmi_search("eq101", P0, structure, gains65, budget=100)
+    cert101 = lmi_search("eq101", P0, structure, gains65)
     assert cert101 is not None
     assert theorem_implication_check("eq101", structure, gains65, P0, cert101, 100, 7)
 
@@ -373,7 +427,7 @@ def test_implication_check_eq65_and_eq101():
 def test_zero_phi1_reduces_to_nominal_condition():
     P0, gains44, _, _ = small_instance()
     structure0 = StructuredUncertainty(phi1=np.zeros((1, 1)), phi2=np.ones((1, 1)))
-    cert = lmi_search("eq44", P0, structure0, gains44, budget=100)
+    cert = lmi_search("eq44", P0, structure0, gains44)
     assert cert is not None
     assert theorem_implication_check("eq44", structure0, gains44, P0, cert, 20, 8)
 
@@ -392,7 +446,7 @@ def test_schur_equivalence_p2():
     structure = StructuredUncertainty(
         phi1=0.08 * rng.standard_normal((p, 2)), phi2=rng.standard_normal((2, m))
     )
-    cert = lmi_search("eq44", P0, structure, gains, budget=100)
+    cert = lmi_search("eq44", P0, structure, gains)
     assert cert is not None
     assert theorem_implication_check("eq44", structure, gains, P0, cert, 100, 11)
 
@@ -428,7 +482,7 @@ def test_lmi_search_benchmark_size_outcome_logged():
     surrogate = banded_surrogate(p)
     gains = reference_gains(surrogate)
     structure = StructuredUncertainty(phi1=0.01 * np.eye(p), phi2=np.eye(p))
-    cert = lmi_search("eq101", surrogate, structure, gains, budget=30)
+    cert = lmi_search("eq101", surrogate, structure, gains)
     print(f"benchmark-size certificate search: found={cert is not None}")
     if cert is not None:
         assert lmi_verify("eq101", cert, surrogate, structure, gains)
@@ -439,7 +493,7 @@ def test_lmi_search_benchmark_size_outcome_logged():
 
 def test_certificate_json_round_trip(tmp_path):
     P0, gains44, _, structure = small_instance(eta=0.1)
-    cert = lmi_search("eq44", P0, structure, gains44, budget=100)
+    cert = lmi_search("eq44", P0, structure, gains44)
     assert cert is not None
     path = tmp_path / "cert.json"
     save_certificate(path, cert)
@@ -456,6 +510,35 @@ def test_certificate_json_round_trip(tmp_path):
     assert "Infinity" in path.read_text()
     with pytest.raises(ValueError, match="tau must be finite"):
         load_certificate(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau", "1e-3"),
+        ("tau", True),
+        ("tau", None),
+        ("tau", [1.0]),
+        ("Q11", [[True]]),
+        ("Q21", None),
+        ("Q22", [[1.0, 0.0], [0.0]]),
+        ("Q22", None),
+    ],
+)
+def test_certificate_reader_rejects_malformed_fields(field, value):
+    doc = certificate_to_dict(
+        LmiCertificate(Q11=np.eye(1), Q21=np.zeros((2, 1)), Q22=np.eye(2), tau=1.0)
+    )
+    assert certificate_from_dict(doc).tau == 1.0
+    doc[field] = value
+    with pytest.raises(ValueError, match=field):
+        certificate_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [None, [1.0], "certificate", {"Q11": [[1.0]]}])
+def test_certificate_reader_rejects_other_documents(doc):
+    with pytest.raises(ValueError, match="certificate file"):
+        certificate_from_dict(doc)
 
 
 def json_dump_bytes(cert):
@@ -552,7 +635,7 @@ def reference_lmi_search(lmi_id, nominal, structure, gains, budget=200):
     certificate, a fresh hand-expanded assembly and a full symmetric
     eigenvalue solve for every candidate, in the same grid order."""
     P0 = np.asarray(nominal, dtype=float)
-    M0 = loop_matrix(_IMPLIED_CONDITION[lmi_id], TransferPlant(nominal=P0), gains, P0)
+    M0 = oracle_loop_matrix(ORACLE_IMPLIED[lmi_id], TransferPlant(nominal=P0), gains, P0)
     p = gains.observer.p
     if block_spectral_radius(M0, p)[0] >= 1.0:
         return None
@@ -629,22 +712,21 @@ def grid_of(lmi_id, nominal, structure, gains):
 
 def test_lmi_search_matches_reference_on_random_problems():
     rng = np.random.default_rng(20)
-    found = {200: 0, 20: 0, 5: 0}
+    found = past_first_scale = 0
     for i in range(10):
         for lmi_id in LMI_IDS:
             problem = random_lmi_problem(rng, lmi_id, i % 5 + 1, identity_phi2=i % 2 == 0)
-            for budget in found:
-                ref = reference_lmi_search(lmi_id, *problem, budget=budget)
-                cert = lmi_search(lmi_id, *problem, budget=budget)
-                if ref is None:
-                    assert cert is None
-                    continue
-                assert cert is not None and cert.tau == ref.tau
-                assert cert.assembled().tobytes() == ref.assembled().tobytes()
-                found[budget] += 1
-    # both outcomes occur at every budget, and some certificates are found
-    # only past the first scale's 17 candidates
-    assert 0 < found[5] < found[20] < found[200] < 30
+            ref = reference_lmi_search(lmi_id, *problem)
+            cert = lmi_search(lmi_id, *problem)
+            if ref is None:
+                assert cert is None
+                continue
+            assert cert is not None and cert.tau == ref.tau
+            assert cert.assembled().tobytes() == ref.assembled().tobytes()
+            found += 1
+            past_first_scale += reference_lmi_search(lmi_id, *problem, budget=17) is None
+    # both outcomes occur, and some certificates lie past the first scale's 17 candidates
+    assert 0 < past_first_scale < found < 30
 
 
 def test_lmi_grid_rewrites_tau_like_a_fresh_assembly():
@@ -736,18 +818,19 @@ def test_assembly_matches_hand_expanded_oracle_on_every_grid_point():
 
 
 def test_loop_at_a_model_error_is_nominal_plus_channel():
-    # the implied condition's loop at any structured model error delta is
-    # the inequality's M0 + D delta E
+    # each inequality's M0 + D delta E, at any structured model error delta,
+    # is the loop of the condition it certifies, as first written
     rng = np.random.default_rng(41)
     for i in range(15):
         for lmi_id in LMI_IDS:
             P0, structure, gains = random_lmi_problem(rng, lmi_id, i % 5 + 1, i % 2 == 0)
-            M0, D, E = _robust_loop(lmi_id, P0, structure, gains)
-            target = _IMPLIED_CONDITION[lmi_id]
+            loop = _robust_loop(lmi_id, P0, structure, gains)
             for child in np.random.SeedSequence(i).spawn(4):
                 delta = sample_structured_delta(structure, child)
-                M = loop_matrix(target, TransferPlant(nominal=P0, delta=delta), gains, P0)
-                assert np.abs(M - (M0 + D @ delta @ E)).max() <= 1e-13 * np.abs(M).max()
+                plant = TransferPlant(nominal=P0, delta=delta)
+                oracle = oracle_loop_matrix(ORACLE_IMPLIED[lmi_id], plant, gains, P0)
+                M = _at_error(loop, delta)
+                assert np.abs(M - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 def test_ill_posed_certificate_problems_raise():
@@ -781,10 +864,10 @@ def test_wide_search_budget_pins_grid_order_and_memory():
     problem = wide_reference_problem(100)
     # the first scale's 17 candidates all fail; the 18th, the first of
     # scale 0.5, verifies
-    assert lmi_search("eq101", *problem, budget=17) is None
+    assert reference_lmi_search("eq101", *problem, budget=17) is None
 
     ref, ref_peak = traced_peak(reference_lmi_search, "eq101", *problem, budget=18)
-    cert, peak = traced_peak(lmi_search, "eq101", *problem, budget=18)
+    cert, peak = traced_peak(lmi_search, "eq101", *problem)
 
     assert cert is not None and ref is not None
     assert cert.tau == ref.tau == 1e-4
