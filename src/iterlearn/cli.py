@@ -458,6 +458,7 @@ def cmd_simulate(args) -> int:
                     "final_tail_err": float(trace.err_inf[n - w :].max()),
                     "diverged": trace.diverged,
                     "diverged_at": trace.diverged_at,
+                    "diverged_component": trace.diverged_component,
                 }
             )
             curves.append((f"{law} seed {seed}", trace.err_inf.tolist()))

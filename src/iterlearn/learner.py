@@ -182,7 +182,9 @@ class IterationTrace:
     iteration, and ``ubar_k = -(u_{k+1} - u_k)`` for consecutive rows.
     ``d_true`` is the harness-side ground truth of whatever disturbance
     aggregate the law's observer estimates (absent for ``p_type``), used
-    for diagnostics only.
+    for diagnostics only.  ``diverged_component`` names the part of the
+    state that left the divergence cap first (``"u"``, ``"e_hat"`` or
+    ``"d_hat"``; None for a run that did not diverge).
     """
 
     mode: str
@@ -200,6 +202,7 @@ class IterationTrace:
     obs_err_norm: np.ndarray
     diverged: bool
     diverged_at: int | None
+    diverged_component: str | None = None
 
     def __len__(self) -> int:
         return self.err_inf.shape[0]
@@ -210,128 +213,207 @@ def run(config: SimulationConfig) -> IterationTrace:
     return run_batch([config])[0]
 
 
-# a diverged run is stepped on until the batch ends and may overflow; its
+def _observer_maps(config: SimulationConfig):
+    """The input map the law's observer knows, and the part of the true map
+    it does not know (None when it knows the true map)."""
+    mode = config.law.mode
+    if mode == "eso_robust":
+        return config.plant.nominal, config.plant.delta
+    P = config.plant.full()
+    if mode == "eso_model_free":
+        return config.law.surrogate, P - config.law.surrogate
+    return P, None
+
+
+def _law_map(config: SimulationConfig, M: np.ndarray, W: np.ndarray) -> None:
+    """Write one run's law as an affine map of the iteration domain.
+
+    With the state ``X_k = [U_k; e_hat_k; d_hat_k]`` (``[U_k]`` for
+    ``p_type``) and the input ``w_k = target - N_k``, one iteration is
+    ``[ubar_k; e_hat_{k+1}; d_hat_{k+1}] = M X_k + W w_k`` followed by
+    ``U_{k+1} = U_k - ubar_k``.  Every law is ``ubar = -Ke E - Kh e_hat -
+    Hd d_hat`` on the measured error ``E = w - P U``, and its observer
+    knows the map ``P_used``, so ``W = [-Ke; L1 - P_used Ke; L2]`` and
+    ``M = [-W P, A]`` with ``A = [[-Kh, -Hd], [I - L1 - P_used Kh,
+    I - P_used Hd], [-L2, I]]``.  ``M`` (``n x n``, ``n = m + 2p``) and
+    ``W`` (``n x p``) are filled in place.
+    """
+    gains, mode = config.gains, config.law.mode
+    P, K = config.plant.full(), gains.K
+    p, m = P.shape
+    if mode == "p_type":
+        np.negative(K, out=W)
+    else:
+        zero = np.zeros_like(K)
+        if mode == "eso_full_state":
+            Ke, Kh, Hd = zero, K, gains.H
+        elif mode == "eso_mixed":
+            Ke, Kh, Hd = K, zero, gains.H
+        else:  # eso_robust, eso_model_free
+            Ke, Kh, Hd = K, zero, K @ gains.Hbar
+        P_used, _ = _observer_maps(config)
+        L1, L2, I = gains.observer.L1, gains.observer.L2, np.eye(p)
+        np.negative(Ke, out=W[:m])
+        np.subtract(L1, P_used @ Ke, out=W[m : m + p])
+        W[m + p :] = L2
+        np.negative(Kh, out=M[:m, m : m + p])
+        np.negative(Hd, out=M[:m, m + p :])
+        M[m : m + p, m : m + p] = I - L1 - P_used @ Kh
+        np.subtract(I, P_used @ Hd, out=M[m : m + p, m + p :])
+        np.negative(L2, out=M[m + p :, m : m + p])
+        M[m + p :, m + p :] = I
+    np.matmul(W, P, out=M[:, :m])
+    np.negative(M[:, :m], out=M[:, :m])
+
+
+#: Iterations whose input terms ``W w_k`` are formed together; the
+#: divergence scan and the test for a finished group run once per chunk.
+_CHUNK = 32
+#: Runs are stepped together in groups whose stacked maps take at most
+#: this many bytes, so that a group's maps stay in a core's cache between
+#: iterations: one group for small maps, one run at a time for large ones.
+_GROUP_BYTES = 1 << 20
+
+
+def _step(M, W, target, N, X, ubar) -> list[tuple[int | None, str | None]]:
+    """Step one group of runs over the records ``X`` and ``ubar`` in place.
+
+    Returns each run's first divergent ``k`` and the state component
+    (``"u"``, ``"e_hat"`` or ``"d_hat"``) that left the cap there, or
+    ``(None, None)``.  The group stops at the first chunk boundary at
+    which all of its runs have diverged.
+    """
+    runs, n, p = W.shape
+    iterations, m = ubar.shape[1:]
+    found: list[tuple[int | None, str | None]] = [(None, None)] * runs
+    z, Ww = np.empty((runs, n)), np.empty((runs, _CHUNK, n))
+    z_col, z_u, z_obs = z[..., None], z[:, :m], z[:, m:]
+    for k0 in range(0, iterations, _CHUNK):
+        k1 = min(k0 + _CHUNK, iterations)
+        np.matmul(target - N[:, k0:k1], W.transpose(0, 2, 1), out=Ww[:, : k1 - k0])
+        for k in range(k0, k1):
+            np.matmul(M, X[:, k, :, None], out=z_col)
+            z += Ww[:, k - k0]
+            ubar[:, k] = z_u
+            np.subtract(X[:, k, :m], z_u, out=X[:, k + 1, :m])
+            X[:, k + 1, m:] = z_obs
+        bad = ~(np.abs(X[:, k0 + 1 : k1 + 1]) <= DIVERGENCE_CAP)  # NaN compares false
+        for b in np.flatnonzero(bad.any(axis=(1, 2))):
+            if found[b][0] is None:
+                j = int(np.argmax(bad[b].any(axis=1)))
+                i = int(np.argmax(bad[b, j]))
+                found[b] = (k0 + j, ("u", "e_hat", "d_hat")[(i >= m) + (i >= m + p)])
+        if None not in [at for at, _ in found]:
+            break
+    return found
+
+
+# a diverged run is stepped on until its group stops and may overflow; its
 # rows past the divergence are dropped
 @np.errstate(over="ignore", invalid="ignore")
 def run_batch(configs) -> list[IterationTrace]:
     """Iterate the closed loops of several configs together; one trace each.
 
     The configs must share the law, the plant shape and the iteration
-    count.  Each iteration observes ``Y_k = P U_k + N_k``, forms the
-    tracking error, computes the law's input correction from the current
-    observer state, then advances the observer with that correction and
-    the measured error.  The runs are stacked, so every product is one
-    ``np.matmul`` of ``(runs, p, m)`` matrices with ``(runs, m, 1)``
-    columns, and a run takes the same arithmetic whether it is stepped
-    alone or with others.  A run is truncated and flagged once its input
-    or an observer estimate is non-finite or leaves the divergence cap;
-    the other runs continue.
+    count.  Each run's law is one affine map (``_law_map``), built once.
+    The runs are stepped in groups (``_GROUP_BYTES``), and one iteration
+    of a group is one ``np.matmul`` of its stacked ``(runs, n, n)`` maps
+    with the states, one add of the input terms ``W w_k`` (formed a chunk
+    of iterations at a time), and the writes of ``ubar_k`` and
+    ``X_{k+1}`` into their records.  The trace is derived after the loop:
+    ``u``, ``e_hat`` and ``d_hat`` are views of the state record, ``y``
+    takes the same per-row products ``P @ u[k]`` as a single step would,
+    and ``e``, ``d_true`` and the norms are computed for the whole batch.
+    A run takes the same arithmetic whether it is stepped alone or with
+    others.  A run is truncated and flagged at the first ``k`` at which
+    ``U_{k+1}`` or an observer estimate is non-finite or leaves the
+    divergence cap; its rows past that ``k`` are dropped.
     """
     configs = list(configs)
     if len({(c.law.mode, c.plant.shape, c.iterations) for c in configs}) != 1:
         raise ValueError("run_batch needs configs sharing the law, plant shape and iterations")
     mode, iterations = configs[0].law.mode, configs[0].iterations
-
-    def stack(get) -> np.ndarray:
-        return np.stack([get(c) for c in configs])
-
-    P = stack(lambda c: c.plant.full())
-    negK = -stack(lambda c: c.gains.K)
-    # vectors are stacked as (runs, length, 1) columns
-    target = stack(lambda c: c.target)[..., None]
-    N = stack(lambda c: uncertainty_sequence(c.uncertainty.with_seed(c.seed), iterations + 1))
-    N = N[..., None]
-    U = stack(lambda c: np.zeros(c.plant.shape[1]) if c.u0 is None else c.u0)[..., None]
-
+    runs, (p, m) = len(configs), configs[0].plant.shape
     uses_observer = mode != "p_type"
+    n = m + 2 * p if uses_observer else m
+
+    target = np.stack([c.target for c in configs])[:, None]
+    N = np.empty((runs, iterations + 1, p))
+    X = np.empty((runs, iterations + 1, n))  # the state record
+    X[:, 0] = 0.0
+    for b, c in enumerate(configs):
+        N[b] = uncertainty_sequence(c.uncertainty.with_seed(c.seed), iterations + 1)
+        if c.u0 is not None:
+            X[b, 0, :m] = c.u0
+    ubar = np.empty((runs, iterations, m))
+
+    size = max(1, _GROUP_BYTES // (8 * n * n))
+    M, W = np.empty((min(size, runs), n, n)), np.empty((min(size, runs), n, p))
+    found = []
+    for g0 in range(0, runs, size):
+        g = slice(g0, g0 + size)
+        group = configs[g]
+        for c, Mb, Wb in zip(group, M, W):
+            _law_map(c, Mb, Wb)
+        found += _step(M[: len(group)], W[: len(group)], target[g], N[g], X[g], ubar[g])
+    del M, W
+    diverged_at = [at for at, _ in found]
+
+    lengths = [iterations if at is None else at + 1 for at in diverged_at]
+    rows = max(lengths)
+    u, ubar = X[:, :rows, :m], ubar[:, :rows]
+    e = np.empty((runs, rows, p))  # holds products until it holds the error
+    # ground-truth disturbance aggregate seen by this law's observer
+    d_true = np.subtract(N[:, :rows], N[:, 1 : rows + 1]) if uses_observer else None
+    for b, c in enumerate(configs):
+        delta = _observer_maps(c)[1]
+        if delta is not None:
+            np.matmul(delta, ubar[b, ..., None], out=e[b, ..., None])
+            d_true[b] += e[b]
+        np.matmul(c.plant.full(), u[b, ..., None], out=e[b, ..., None])
+    y = N[:, :rows]
+    y += e
+    np.subtract(target, y, out=e)
+
+    err_inf = np.abs(e).max(axis=2)
+    err_2 = np.linalg.norm(e, axis=2)
+    u_norm = np.abs(u).max(axis=2)
+    ubar_norm = np.abs(ubar).max(axis=2)
     if uses_observer:
-        L1 = stack(lambda c: c.gains.observer.L1)
-        L2 = stack(lambda c: c.gains.observer.L2)
-        if mode in ("eso_full_state", "eso_mixed"):
-            H = stack(lambda c: c.gains.H)
-            P_used, delta_for_truth = P, None
-        else:
-            Hbar = stack(lambda c: c.gains.Hbar)
-            if mode == "eso_robust":
-                P_used = stack(lambda c: c.plant.nominal)
-                delta_for_truth = stack(lambda c: c.plant.delta)
-            else:  # eso_model_free
-                P_used = stack(lambda c: c.law.surrogate)
-                delta_for_truth = P - P_used
-        e_hat = np.zeros_like(target)
-        d_hat = np.zeros_like(target)
+        e_hat, d_hat = X[:, :rows, m : m + p], X[:, :rows, m + p :]
+        diff = np.subtract(e, e_hat)
+        obs_err = np.abs(diff, out=diff).max(axis=2)
+        np.subtract(d_true, d_hat, out=diff)
+        np.maximum(obs_err, np.abs(diff, out=diff).max(axis=2), out=obs_err)
+        del diff
+    else:
+        e_hat = d_hat = None
+        obs_err = np.full((runs, rows), np.nan)
 
-    # recorded rows: one (runs, iterations, width, 1) array per trace field
-    fields = {"u": U, "y": target, "e": target, "ubar": U}
-    if uses_observer:
-        fields.update(e_hat=target, d_hat=target)
-    rec = {name: np.zeros((len(configs), iterations) + v.shape[1:]) for name, v in fields.items()}
-    diverged_at: list[int | None] = [None] * len(configs)
+    def row(a, b, k):
+        return None if a is None else a[b, :k]
 
-    for k in range(iterations):
-        Y = P @ U + N[:, k]
-        E = target - Y
-        if mode == "p_type":
-            ubar = negK @ E
-        elif mode == "eso_full_state":
-            ubar = negK @ e_hat - H @ d_hat
-        elif mode == "eso_mixed":
-            ubar = negK @ E - H @ d_hat
-        else:  # eso_robust, eso_model_free
-            ubar = negK @ (E + Hbar @ d_hat)
-        rec["u"][:, k] = U
-        rec["y"][:, k] = Y
-        rec["e"][:, k] = E
-        rec["ubar"][:, k] = ubar
-        U = U - ubar
-        size = np.abs(U).max(axis=(1, 2))
-        if uses_observer:
-            rec["e_hat"][:, k] = e_hat
-            rec["d_hat"][:, k] = d_hat
-            e_hat, d_hat = (
-                e_hat - L1 @ e_hat + d_hat + P_used @ ubar + L1 @ E,
-                d_hat - L2 @ e_hat + L2 @ E,
-            )
-            size = np.maximum(size, np.abs(e_hat).max(axis=(1, 2)))
-            size = np.maximum(size, np.abs(d_hat).max(axis=(1, 2)))
-
-        for b in np.flatnonzero(~(size <= DIVERGENCE_CAP)):  # NaN compares false
-            if diverged_at[b] is None:
-                diverged_at[b] = k
-        if None not in diverged_at:
-            break
-
-    if uses_observer:
-        # ground-truth disturbance aggregate seen by this law's observer
-        rec["d_true"] = N[:, :-1] - N[:, 1:]
-        if delta_for_truth is not None:
-            rec["d_true"] += delta_for_truth[:, None] @ rec["ubar"]
-    traces = []
-    for b, at in enumerate(diverged_at):
-        n = iterations if at is None else at + 1
-        t = {name: a[b, :n, :, 0] for name, a in rec.items()}
-        if uses_observer:
-            obs_err = np.maximum(
-                np.abs(t["e"] - t["e_hat"]).max(axis=1),
-                np.abs(t["d_true"] - t["d_hat"]).max(axis=1),
-            )
-        else:
-            t.update(e_hat=None, d_hat=None, d_true=None)
-            obs_err = np.full(n, np.nan)
-        traces.append(
-            IterationTrace(
-                mode=mode,
-                **t,
-                err_inf=np.abs(t["e"]).max(axis=1),
-                err_2=np.linalg.norm(t["e"], axis=1),
-                u_norm=np.abs(t["u"]).max(axis=1),
-                ubar_norm=np.abs(t["ubar"]).max(axis=1),
-                obs_err_norm=obs_err,
-                diverged=at is not None,
-                diverged_at=at,
-            )
+    return [
+        IterationTrace(
+            mode=mode,
+            u=u[b, :k],
+            y=y[b, :k],
+            e=e[b, :k],
+            ubar=ubar[b, :k],
+            e_hat=row(e_hat, b, k),
+            d_hat=row(d_hat, b, k),
+            d_true=row(d_true, b, k),
+            err_inf=err_inf[b, :k],
+            err_2=err_2[b, :k],
+            u_norm=u_norm[b, :k],
+            ubar_norm=ubar_norm[b, :k],
+            obs_err_norm=obs_err[b, :k],
+            diverged=at is not None,
+            diverged_at=at,
+            diverged_component=found[b][1],
         )
-    return traces
+        for b, (k, at) in enumerate(zip(lengths, diverged_at))
+    ]
 
 
 #: Largest tail error consistent with a vanishing variation-rate tail.

@@ -116,7 +116,7 @@ def _robust_form(design: str, P0: np.ndarray, gains: GainSet, cid: str):
     K = gains.K
     p = P0.shape[0]
     I = np.eye(p)
-    learning = I - P0 @ K
+    learning = I - P0 @ K if P0.any() else I
     if design == "learning":
         return learning, -I, K
     og = _require(gains.observer, "observer gains", cid)
@@ -135,12 +135,16 @@ def _robust_form(design: str, P0: np.ndarray, gains: GainSet, cid: str):
 
 def _at_error(loop, delta: np.ndarray) -> np.ndarray:
     """``M0 + D delta E``, adding ``D (delta E_j)`` only on the column blocks
-    ``E_j`` of ``E`` (each as wide as ``delta`` is tall) that are not zero."""
+    ``E_j`` of ``E`` (each as wide as ``delta`` is tall) that are not zero.
+    The top block of ``D`` is ``-I`` in every design, so ``delta E_j`` is
+    subtracted there and only the rows below it are multiplied."""
     M0, D, E = loop
     M, p = M0.copy(), D.shape[1]
     for j in range(0, E.shape[1], p):
         if E[:, j : j + p].any():
-            M[:, j : j + p] += D @ (delta @ E[:, j : j + p])
+            dE = delta @ E[:, j : j + p]
+            M[:p, j : j + p] -= dE
+            M[p:, j : j + p] += D[p:] @ dE
     return M
 
 

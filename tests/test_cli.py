@@ -556,6 +556,7 @@ def test_simulate_observer_only_divergence(tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_DIVERGED
     (run,) = json.loads((out / "summary.json").read_text())["runs"]
     assert run["diverged"] is True and run["rows"] == run["diverged_at"] + 1 < 2000
+    assert run["diverged_component"] == "e_hat"
     data = read_trace_csv(out / "trace_eso_mixed_seed0.csv")
     assert all(np.all(np.isfinite(col)) for col in data.values())
     assert data["diverged"][-1] == 1 and not np.any(data["diverged"][:-1])
@@ -565,6 +566,7 @@ def test_simulate_observer_only_divergence(tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
     runs = json.loads((out / "summary.json").read_text())["runs"]
     assert [r["diverged"] for r in runs] == [True, False]
+    assert [r["diverged_component"] for r in runs] == ["e_hat", None]
     assert runs[1]["rows"] == 2000
 
 

@@ -80,14 +80,17 @@ def test_controllability_rank_deficient(p, m, rank):
 
 def test_observer_scalar_hand_values():
     # one eso_mixed step from a zero estimate on a 1x1 plant: the first
-    # update is e^_1 = P ubar_0 + L1 e_0 and d^_1 = L2 e_0
-    P = 1.3
+    # update is e^_1 = P ubar_0 + L1 e_0 and d^_1 = L2 e_0; the values are
+    # dyadic, so every step is exact in any summation order
+    P = 1.25
     config = SimulationConfig(
         plant=TransferPlant(nominal=np.array([[P]])),
-        target=np.array([0.6]),
+        target=np.array([0.625]),
         uncertainty=UncertaintyModel.constant([1.0]),
         gains=GainSet(
-            K=np.array([[0.5]]), H=np.array([[0.7]]), observer=ObserverGain.diagonal(1, 0.9, 0.1)
+            K=np.array([[0.5]]),
+            H=np.array([[0.25]]),
+            observer=ObserverGain.diagonal(1, 0.75, 0.125),
         ),
         law=LearningLaw(mode="eso_mixed"),
         iterations=2,
@@ -95,9 +98,9 @@ def test_observer_scalar_hand_values():
     trace = run(config)
     assert np.array_equal(trace.e_hat[0], [0.0]) and np.array_equal(trace.d_hat[0], [0.0])
     ubar, e = trace.ubar[0, 0], trace.e[0, 0]
-    assert e == -0.4 and ubar != 0.0
-    assert trace.e_hat[1, 0] == P * ubar + 0.9 * e
-    assert trace.d_hat[1, 0] == 0.1 * e
+    assert e == -0.375 and ubar == 0.1875
+    assert trace.e_hat[1, 0] == P * ubar + 0.75 * e == -0.046875
+    assert trace.d_hat[1, 0] == 0.125 * e
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,14 @@ from iterlearn.plant import (
 from iterlearn.stability import (
     CONDITION_IDS,
     LMI_IDS,
+    _CATALOG,
     LmiCertificate,
     _assemble_lmi,
     _at_error,
     _lmi_edges,
     _lmi_grid,
     _lyapunov_seed,
+    _robust_form,
     _robust_loop,
     certificate_from_dict,
     certificate_to_dict,
@@ -831,6 +833,42 @@ def test_loop_at_a_model_error_is_nominal_plus_channel():
                 oracle = oracle_loop_matrix(ORACLE_IMPLIED[lmi_id], plant, gains, P0)
                 M = _at_error(loop, delta)
                 assert np.abs(M - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def parent_at_error(loop, delta):
+    """``M0 + D delta E`` with the whole channel ``D`` multiplied, as it was
+    before its ``-I`` top block was subtracted instead."""
+    M0, D, E = loop
+    M, p = M0.copy(), D.shape[1]
+    for j in range(0, E.shape[1], p):
+        if E[:, j : j + p].any():
+            M[:, j : j + p] += D @ (delta @ E[:, j : j + p])
+    return M
+
+
+def test_loop_at_a_model_error_keeps_the_dense_channel_bits():
+    # subtracting delta E_j under the -I block, and skipping P0 K for an
+    # all-zero P0, leave every finite loop bit for bit as it was
+    rng = np.random.default_rng(43)
+    for i in range(20):
+        for lmi_id in LMI_IDS:
+            P0, structure, gains = random_lmi_problem(rng, lmi_id, i % 5 + 1, i % 2 == 0)
+            loop = _robust_loop(lmi_id, P0, structure, gains)
+            delta = sample_structured_delta(structure, np.random.SeedSequence(i))
+            assert _at_error(loop, delta).tobytes() == parent_at_error(loop, delta).tobytes()
+        plant = random_plant(rng, with_delta=True)
+        with_H = random_gainset(rng, plant, with_Hbar=False)
+        with_Hbar = random_gainset(rng, plant, with_H=False)
+        model_free = TransferPlant(nominal=np.zeros(plant.shape), delta=plant.full())
+        for P in (plant, model_free):
+            I = np.eye(P.shape[0])
+            learning = (I - P.nominal @ with_H.K, -I, with_H.K)
+            expected = parent_at_error(learning, P.delta)
+            assert loop_matrix("eq04", P, with_H).tobytes() == expected.tobytes()
+            for cid, gains in (("eq41", with_H), ("eq62", with_Hbar)):
+                loop = _robust_form(_CATALOG[cid][0], P.nominal, gains, cid)
+                expected = parent_at_error(loop, P.delta)
+                assert loop_matrix(cid, P, gains).tobytes() == expected.tobytes()
 
 
 def test_ill_posed_certificate_problems_raise():
