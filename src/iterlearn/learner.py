@@ -225,109 +225,31 @@ def _observer_maps(config: SimulationConfig):
     return P, None
 
 
-def _law_map(config: SimulationConfig, M: np.ndarray, W: np.ndarray) -> None:
-    """Write one run's law as an affine map of the iteration domain.
-
-    With the state ``X_k = [U_k; e_hat_k; d_hat_k]`` (``[U_k]`` for
-    ``p_type``) and the input ``w_k = target - N_k``, one iteration is
-    ``[ubar_k; e_hat_{k+1}; d_hat_{k+1}] = M X_k + W w_k`` followed by
-    ``U_{k+1} = U_k - ubar_k``.  Every law is ``ubar = -Ke E - Kh e_hat -
-    Hd d_hat`` on the measured error ``E = w - P U``, and its observer
-    knows the map ``P_used``, so ``W = [-Ke; L1 - P_used Ke; L2]`` and
-    ``M = [-W P, A]`` with ``A = [[-Kh, -Hd], [I - L1 - P_used Kh,
-    I - P_used Hd], [-L2, I]]``.  ``M`` (``n x n``, ``n = m + 2p``) and
-    ``W`` (``n x p``) are filled in place.
-    """
-    gains, mode = config.gains, config.law.mode
-    P, K = config.plant.full(), gains.K
-    p, m = P.shape
-    if mode == "p_type":
-        np.negative(K, out=W)
-    else:
-        zero = np.zeros_like(K)
-        if mode == "eso_full_state":
-            Ke, Kh, Hd = zero, K, gains.H
-        elif mode == "eso_mixed":
-            Ke, Kh, Hd = K, zero, gains.H
-        else:  # eso_robust, eso_model_free
-            Ke, Kh, Hd = K, zero, K @ gains.Hbar
-        P_used, _ = _observer_maps(config)
-        L1, L2, I = gains.observer.L1, gains.observer.L2, np.eye(p)
-        np.negative(Ke, out=W[:m])
-        np.subtract(L1, P_used @ Ke, out=W[m : m + p])
-        W[m + p :] = L2
-        np.negative(Kh, out=M[:m, m : m + p])
-        np.negative(Hd, out=M[:m, m + p :])
-        M[m : m + p, m : m + p] = I - L1 - P_used @ Kh
-        np.subtract(I, P_used @ Hd, out=M[m : m + p, m + p :])
-        np.negative(L2, out=M[m + p :, m : m + p])
-        M[m + p :, m + p :] = I
-    np.matmul(W, P, out=M[:, :m])
-    np.negative(M[:, :m], out=M[:, :m])
-
-
-#: Iterations whose input terms ``W w_k`` are formed together; the
-#: divergence scan and the test for a finished group run once per chunk.
+#: Iterations stepped between two scans of the state records for divergence.
 _CHUNK = 32
-#: Runs are stepped together in groups whose stacked maps take at most
-#: this many bytes, so that a group's maps stay in a core's cache between
-#: iterations: one group for small maps, one run at a time for large ones.
-_GROUP_BYTES = 1 << 20
 
 
-def _step(M, W, target, N, X, ubar) -> list[tuple[int | None, str | None]]:
-    """Step one group of runs over the records ``X`` and ``ubar`` in place.
-
-    Returns each run's first divergent ``k`` and the state component
-    (``"u"``, ``"e_hat"`` or ``"d_hat"``) that left the cap there, or
-    ``(None, None)``.  The group stops at the first chunk boundary at
-    which all of its runs have diverged.
-    """
-    runs, n, p = W.shape
-    iterations, m = ubar.shape[1:]
-    found: list[tuple[int | None, str | None]] = [(None, None)] * runs
-    z, Ww = np.empty((runs, n)), np.empty((runs, _CHUNK, n))
-    z_col, z_u, z_obs = z[..., None], z[:, :m], z[:, m:]
-    for k0 in range(0, iterations, _CHUNK):
-        k1 = min(k0 + _CHUNK, iterations)
-        np.matmul(target - N[:, k0:k1], W.transpose(0, 2, 1), out=Ww[:, : k1 - k0])
-        for k in range(k0, k1):
-            np.matmul(M, X[:, k, :, None], out=z_col)
-            z += Ww[:, k - k0]
-            ubar[:, k] = z_u
-            np.subtract(X[:, k, :m], z_u, out=X[:, k + 1, :m])
-            X[:, k + 1, m:] = z_obs
-        bad = ~(np.abs(X[:, k0 + 1 : k1 + 1]) <= DIVERGENCE_CAP)  # NaN compares false
-        for b in np.flatnonzero(bad.any(axis=(1, 2))):
-            if found[b][0] is None:
-                j = int(np.argmax(bad[b].any(axis=1)))
-                i = int(np.argmax(bad[b, j]))
-                found[b] = (k0 + j, ("u", "e_hat", "d_hat")[(i >= m) + (i >= m + p)])
-        if None not in [at for at, _ in found]:
-            break
-    return found
-
-
-# a diverged run is stepped on until its group stops and may overflow; its
+# a diverged run is stepped on until the batch ends and may overflow; its
 # rows past the divergence are dropped
 @np.errstate(over="ignore", invalid="ignore")
 def run_batch(configs) -> list[IterationTrace]:
     """Iterate the closed loops of several configs together; one trace each.
 
     The configs must share the law, the plant shape and the iteration
-    count.  Each run's law is one affine map (``_law_map``), built once.
-    The runs are stepped in groups (``_GROUP_BYTES``), and one iteration
-    of a group is one ``np.matmul`` of its stacked ``(runs, n, n)`` maps
-    with the states, one add of the input terms ``W w_k`` (formed a chunk
-    of iterations at a time), and the writes of ``ubar_k`` and
-    ``X_{k+1}`` into their records.  The trace is derived after the loop:
-    ``u``, ``e_hat`` and ``d_hat`` are views of the state record, ``y``
-    takes the same per-row products ``P @ u[k]`` as a single step would,
-    and ``e``, ``d_true`` and the norms are computed for the whole batch.
-    A run takes the same arithmetic whether it is stepped alone or with
-    others.  A run is truncated and flagged at the first ``k`` at which
-    ``U_{k+1}`` or an observer estimate is non-finite or leaves the
-    divergence cap; its rows past that ``k`` are dropped.
+    count.  One iteration does, for the stacked runs, a single run's step
+    in the order it is written: ``E = target - (P U + N_k)``, the law's
+    ``ubar``, ``U - ubar``, then the observer's ``e_hat - L1 e_hat +
+    d_hat + P_used ubar + L1 E`` and ``d_hat - L2 e_hat + L2 E``.  Each
+    product is one matvec per run, written into iteration-major records,
+    so that every operand is one contiguous block.  The order is kept on
+    purpose: a loop whose unstable mode is left unexcited only by an
+    exact cancellation (``L1 = P_used K`` with ``|1 - l1| > 1``)
+    amplifies every rounding geometrically, and a re-associated step
+    drifts from the single-run loop far beyond rounding.  A run takes the
+    same arithmetic whether it is stepped alone or with others.  A run is
+    truncated and flagged at the first ``k`` at which ``U_{k+1}`` or an
+    observer estimate is non-finite or leaves the divergence cap (scanned
+    every ``_CHUNK`` iterations); its rows past that ``k`` are dropped.
     """
     configs = list(configs)
     if len({(c.law.mode, c.plant.shape, c.iterations) for c in configs}) != 1:
@@ -335,79 +257,127 @@ def run_batch(configs) -> list[IterationTrace]:
     mode, iterations = configs[0].law.mode, configs[0].iterations
     runs, (p, m) = len(configs), configs[0].plant.shape
     uses_observer = mode != "p_type"
-    n = m + 2 * p if uses_observer else m
 
-    target = np.stack([c.target for c in configs])[:, None]
-    N = np.empty((runs, iterations + 1, p))
-    X = np.empty((runs, iterations + 1, n))  # the state record
-    X[:, 0] = 0.0
+    def stack(get) -> np.ndarray:
+        return np.stack([get(c) for c in configs])
+
+    # records are (iteration, run, length, 1): vectors are columns, so
+    # every product is a matvec
+    P = stack(lambda c: c.plant.full())
+    negK = -stack(lambda c: c.gains.K)
+    target = stack(lambda c: c.target)[..., None]
+    N = np.empty((iterations + 1, runs, p, 1))  # becomes y = P u + N row by row
+    u = np.zeros((iterations + 1, runs, m, 1))
     for b, c in enumerate(configs):
-        N[b] = uncertainty_sequence(c.uncertainty.with_seed(c.seed), iterations + 1)
+        N[:, b, :, 0] = uncertainty_sequence(c.uncertainty.with_seed(c.seed), iterations + 1)
         if c.u0 is not None:
-            X[b, 0, :m] = c.u0
-    ubar = np.empty((runs, iterations, m))
+            u[0, b, :, 0] = c.u0
+    e = np.empty((iterations, runs, p, 1))
+    ubar = np.empty((iterations, runs, m, 1))
+    states = [u]
+    tmp_p = np.empty((runs, p, 1))
+    if uses_observer:
+        # ground-truth disturbance aggregate seen by this law's observer
+        d_true = np.subtract(N[:-1], N[1:])
+        L1 = stack(lambda c: c.gains.observer.L1)
+        L2 = stack(lambda c: c.gains.observer.L2)
+        P_used = stack(lambda c: _observer_maps(c)[0])
+        if mode in ("eso_full_state", "eso_mixed"):
+            H, tmp_m = stack(lambda c: c.gains.H), np.empty((runs, m, 1))
+        else:
+            Hbar = stack(lambda c: c.gains.Hbar)
+        e_hat, d_hat = np.zeros((2, iterations + 1, runs, p, 1))
+        states += [e_hat, d_hat]
 
-    size = max(1, _GROUP_BYTES // (8 * n * n))
-    M, W = np.empty((min(size, runs), n, n)), np.empty((min(size, runs), n, p))
-    found = []
-    for g0 in range(0, runs, size):
-        g = slice(g0, g0 + size)
-        group = configs[g]
-        for c, Mb, Wb in zip(group, M, W):
-            _law_map(c, Mb, Wb)
-        found += _step(M[: len(group)], W[: len(group)], target[g], N[g], X[g], ubar[g])
-    del M, W
+    found: list[tuple[int | None, str | None]] = [(None, None)] * runs
+    for k0 in range(0, iterations, _CHUNK):
+        k1 = min(k0 + _CHUNK, iterations)
+        for k in range(k0, k1):
+            U, Y, E, Ub = u[k], N[k], e[k], ubar[k]
+            np.matmul(P, U, out=tmp_p)
+            Y += tmp_p
+            np.subtract(target, Y, out=E)
+            if mode == "p_type":
+                np.matmul(negK, E, out=Ub)
+            elif mode in ("eso_full_state", "eso_mixed"):
+                np.matmul(negK, e_hat[k] if mode == "eso_full_state" else E, out=Ub)
+                np.matmul(H, d_hat[k], out=tmp_m)
+                Ub -= tmp_m
+            else:  # eso_robust, eso_model_free
+                np.matmul(Hbar, d_hat[k], out=tmp_p)
+                tmp_p += E
+                np.matmul(negK, tmp_p, out=Ub)
+            np.subtract(U, Ub, out=u[k + 1])
+            if uses_observer:
+                eh, dh, eh1, dh1 = e_hat[k], d_hat[k], e_hat[k + 1], d_hat[k + 1]
+                np.matmul(L1, eh, out=tmp_p)
+                np.subtract(eh, tmp_p, out=eh1)
+                eh1 += dh
+                np.matmul(P_used, Ub, out=tmp_p)
+                eh1 += tmp_p
+                np.matmul(L1, E, out=tmp_p)
+                eh1 += tmp_p
+                np.matmul(L2, eh, out=tmp_p)
+                np.subtract(dh, tmp_p, out=dh1)
+                np.matmul(L2, E, out=tmp_p)
+                dh1 += tmp_p
+        # bad[j, b, i]: state part i (u, e_hat, d_hat) of run b left the
+        # cap at k0 + j (NaN compares false)
+        bad = np.stack(
+            [~(np.abs(s[k0 + 1 : k1 + 1]) <= DIVERGENCE_CAP).all(axis=(2, 3)) for s in states],
+            axis=2,
+        )
+        for b in np.flatnonzero(bad.any(axis=(0, 2))):
+            if found[b][0] is None:
+                j = int(np.argmax(bad[:, b].any(axis=1)))
+                found[b] = (k0 + j, ("u", "e_hat", "d_hat")[int(np.argmax(bad[j, b]))])
+        if None not in [at for at, _ in found]:
+            break
     diverged_at = [at for at, _ in found]
 
     lengths = [iterations if at is None else at + 1 for at in diverged_at]
     rows = max(lengths)
-    u, ubar = X[:, :rows, :m], ubar[:, :rows]
-    e = np.empty((runs, rows, p))  # holds products until it holds the error
-    # ground-truth disturbance aggregate seen by this law's observer
-    d_true = np.subtract(N[:, :rows], N[:, 1 : rows + 1]) if uses_observer else None
-    for b, c in enumerate(configs):
-        delta = _observer_maps(c)[1]
-        if delta is not None:
-            np.matmul(delta, ubar[b, ..., None], out=e[b, ..., None])
-            d_true[b] += e[b]
-        np.matmul(c.plant.full(), u[b, ..., None], out=e[b, ..., None])
-    y = N[:, :rows]
-    y += e
-    np.subtract(target, y, out=e)
+    if uses_observer:
+        for b, c in enumerate(configs):
+            delta = _observer_maps(c)[1]
+            if delta is not None:
+                d_true[:rows, b] += delta @ ubar[:rows, b]
+        d_true = d_true[:rows, ..., 0]
+        e_hat, d_hat = e_hat[:rows, ..., 0], d_hat[:rows, ..., 0]
+    u, y, e, ubar = u[:rows, ..., 0], N[:rows, ..., 0], e[:rows, ..., 0], ubar[:rows, ..., 0]
 
     err_inf = np.abs(e).max(axis=2)
     err_2 = np.linalg.norm(e, axis=2)
     u_norm = np.abs(u).max(axis=2)
     ubar_norm = np.abs(ubar).max(axis=2)
     if uses_observer:
-        e_hat, d_hat = X[:, :rows, m : m + p], X[:, :rows, m + p :]
         diff = np.subtract(e, e_hat)
         obs_err = np.abs(diff, out=diff).max(axis=2)
         np.subtract(d_true, d_hat, out=diff)
         np.maximum(obs_err, np.abs(diff, out=diff).max(axis=2), out=obs_err)
         del diff
     else:
-        e_hat = d_hat = None
-        obs_err = np.full((runs, rows), np.nan)
+        e_hat = d_hat = d_true = None
+        obs_err = np.full((rows, runs), np.nan)
 
     def row(a, b, k):
-        return None if a is None else a[b, :k]
+        return None if a is None else a[:k, b]
 
     return [
         IterationTrace(
             mode=mode,
-            u=u[b, :k],
-            y=y[b, :k],
-            e=e[b, :k],
-            ubar=ubar[b, :k],
+            u=u[:k, b],
+            y=y[:k, b],
+            e=e[:k, b],
+            ubar=ubar[:k, b],
             e_hat=row(e_hat, b, k),
             d_hat=row(d_hat, b, k),
             d_true=row(d_true, b, k),
-            err_inf=err_inf[b, :k],
-            err_2=err_2[b, :k],
-            u_norm=u_norm[b, :k],
-            ubar_norm=ubar_norm[b, :k],
-            obs_err_norm=obs_err[b, :k],
+            err_inf=err_inf[:k, b],
+            err_2=err_2[:k, b],
+            u_norm=u_norm[:k, b],
+            ubar_norm=ubar_norm[:k, b],
+            obs_err_norm=obs_err[:k, b],
             diverged=at is not None,
             diverged_at=at,
             diverged_component=found[b][1],

@@ -3,22 +3,19 @@
 ``reference_run`` is the engine as it was written before batching: one
 run, one iteration at a time, the observer advanced by its two update
 lines.  It stays here as the oracle for ``run_batch``.  ``parent_run_batch``
-is the batched engine as it was before each law became one affine map: it
-stepped every law from its parts, and it is kept as the memory baseline.
-``mpmath_run`` is the reference loop in 50-digit arithmetic, the judge
-where the two float loops disagree.
+is an earlier batched engine that copied every row into its records; it is
+kept as the memory baseline.
 """
 
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from iterlearn import learner, presets
+from iterlearn import presets
 from iterlearn.learner import (
     DIVERGENCE_CAP,
     LAW_MODES,
@@ -26,7 +23,6 @@ from iterlearn.learner import (
     IterationTrace,
     LearningLaw,
     SimulationConfig,
-    _law_map,
     run,
     run_batch,
     synth_H_pseudo,
@@ -217,34 +213,6 @@ def test_observer_only_divergence_is_flagged():
     assert max(np.abs(trace.e_hat).max(), np.abs(trace.d_hat).max()) <= DIVERGENCE_CAP
 
 
-def test_grouping_does_not_change_a_run():
-    # runs stepped one at a time give the same bits as runs stepped together
-    base = random_config(5, "eso_model_free", 120, 1.2, 1.1)
-    configs = [
-        SimulationConfig(
-            plant=base.plant,
-            target=base.target + i,
-            uncertainty=base.uncertainty,
-            gains=base.gains,
-            law=base.law,
-            iterations=120,
-            seed=i,
-        )
-        for i in range(3)
-    ]
-    together = run_batch(configs)
-    original = learner._GROUP_BYTES
-    learner._GROUP_BYTES = 0
-    try:
-        one_by_one = run_batch(configs)
-    finally:
-        learner._GROUP_BYTES = original
-    for a, b in zip(together, one_by_one):
-        assert trace_to_csv(a) == trace_to_csv(b)
-        for name in ("u", "y", "e", "ubar", "e_hat", "d_hat", "d_true"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-
-
 def test_diverged_component_names_the_input():
     config = random_config(3, "p_type", 150, 2.4, 0.9)
     trace = run(config)
@@ -253,58 +221,28 @@ def test_diverged_component_names_the_input():
     assert run(random_config(3, "p_type", 150, 0.5, 0.9)).diverged_component is None
 
 
-def mpmath_run(config: SimulationConfig) -> np.ndarray:
-    """``err_inf`` of ``reference_run``'s loop in 50-digit arithmetic."""
-    with mpmath.workdps(50):
-
-        def mp(a):
-            return mpmath.matrix(np.asarray(a, dtype=float).reshape(len(a), -1).tolist())
-
-        plant, gains, mode = config.plant, config.gains, config.law.mode
-        P = mp(plant.nominal) + mp(plant.delta)  # the true map, summed exactly
-        P_used = {"eso_robust": mp(plant.nominal)}.get(mode, P)
-        if mode == "eso_model_free":
-            P_used = mp(config.law.surrogate)
-        K = mp(gains.K)
-        N = uncertainty_sequence(config.uncertainty.with_seed(config.seed), config.iterations)
-        p, m = plant.shape
-        U = mpmath.zeros(m, 1) if config.u0 is None else mp(config.u0)
-        e_hat, d_hat = mpmath.zeros(p, 1), mpmath.zeros(p, 1)
-        if mode != "p_type":
-            L1, L2 = mp(gains.observer.L1), mp(gains.observer.L2)
-        err_inf = []
-        for k in range(config.iterations):
-            E = mp(config.target) - (P * U + mp(N[k]))
-            if mode == "p_type":
-                ubar = -K * E
-            elif mode == "eso_full_state":
-                ubar = -K * e_hat - mp(gains.H) * d_hat
-            elif mode == "eso_mixed":
-                ubar = -K * E - mp(gains.H) * d_hat
-            else:
-                ubar = -K * (E + mp(gains.Hbar) * d_hat)
-            err_inf.append(float(max(abs(x) for x in E)))
-            U = U - ubar
-            if mode != "p_type":
-                e_hat, d_hat = (
-                    e_hat - L1 * e_hat + d_hat + P_used * ubar + L1 * E,
-                    d_hat - L2 * e_hat + L2 * E,
-                )
-        return np.array(err_inf)
-
-
-def test_ill_conditioned_case_is_closer_to_exact_arithmetic():
-    # here the two float loops round apart by 6.8e-7 relative, past the
-    # 1e-9 bound of test_engine_matches_reference_loop; the affine map is
-    # the one nearer the 50-digit loop (9.8e-8 against 7.8e-7).  A further
-    # case hypothesis draws outside the bound belongs in this list.
-    for seed, mode, gain_scale, l1 in [(2854, "eso_robust", 2.4, 2.4)]:
-        config = random_config(seed, mode, 80, gain_scale, l1)
-        ref, trace, exact = reference_run(config), run(config), mpmath_run(config)
-        assert trace.diverged_at is None and ref["diverged_at"] is None
-        engine_off = np.abs(trace.err_inf - exact).max()
-        reference_off = np.abs(ref["err_inf"] - exact).max()
-        assert engine_off <= reference_off
+@pytest.mark.parametrize(
+    "seed, mode, gain_scale, l1",
+    [
+        (2854, "eso_robust", 2.4, 2.4),
+        (2936, "eso_robust", 2.5, 2.5),
+        (30, "eso_robust", 2.5, 2.5),
+        (191, "eso_model_free", 2.5, 2.5),
+        (54, "eso_model_free", 3.5, 3.5),
+        (297, "eso_robust", 3.5, 3.5),
+    ],
+)
+def test_unexcited_unstable_mode_follows_the_reference_loop(seed, mode, gain_scale, l1):
+    # with gain_scale == l1 the observer's e_hat row cancels exactly
+    # (L1 = P_used K), leaving its mode -(l1 - 1), unstable here, excited
+    # only by rounding; an engine that rounds otherwise than the reference
+    # loop drifts from it by up to 6e-3 of the largest error within 80
+    # iterations, and may flag divergence at another k
+    config = random_config(seed, mode, 80, gain_scale, l1)
+    ref, trace = reference_run(config), run(config)
+    assert trace.diverged_at == ref["diverged_at"]
+    assert np.array_equal(trace.err_inf, ref["err_inf"])
+    assert np.array_equal(trace.u_norm, ref["u_norm"])
 
 
 def square_problem(seed: int, mode: str) -> SimulationConfig:
@@ -334,16 +272,34 @@ def square_problem(seed: int, mode: str) -> SimulationConfig:
     )
 
 
-def engine_state_map(config: SimulationConfig) -> np.ndarray:
-    """The homogeneous step ``X_k -> X_{k+1}`` of the engine's affine map."""
-    p, m = config.plant.shape
-    n = m if config.law.mode == "p_type" else m + 2 * p
-    M, W = np.empty((n, n)), np.empty((n, p))
-    _law_map(config, M, W)
-    step = -M  # U_{k+1} = U_k - ubar_k; the estimates are the map's rows
-    step[m:] = M[m:]
-    step[:m, :m] += np.eye(m)
-    return step
+def law_state_map(config: SimulationConfig) -> np.ndarray:
+    """The homogeneous step ``X_k -> X_{k+1}`` of ``reference_run``'s loop.
+
+    With ``X_k = [U_k; e_hat_k; d_hat_k]`` (``[U_k]`` for ``p_type``),
+    every law is ``ubar = -Ke E - Kh e_hat - Hd d_hat`` on ``E = -P U``,
+    ``U_{k+1} = U_k - ubar``, and the observer knows the map ``P_used``.
+    """
+    gains, mode = config.gains, config.law.mode
+    P, K = config.plant.full(), gains.K
+    p, m = P.shape
+    if mode == "p_type":
+        return np.eye(m) - K @ P
+    zero = np.zeros_like(K)
+    Ke, Kh, Hd = {
+        "eso_full_state": (zero, K, gains.H),
+        "eso_mixed": (K, zero, gains.H),
+    }.get(mode, (K, zero, K @ gains.Hbar))
+    P_used = {"eso_robust": config.plant.nominal, "eso_model_free": config.law.surrogate}
+    P_used = P_used.get(mode, P)
+    L1, L2, I, Z = gains.observer.L1, gains.observer.L2, np.eye(p), np.zeros((m, p))
+    A = np.hstack([Ke @ P, -Kh, -Hd])  # ubar_k = A X_k
+    return np.vstack(
+        [
+            np.hstack([np.eye(m), Z, Z]) - A,
+            np.hstack([-L1 @ P, I - L1, I]) + P_used @ A,
+            np.hstack([-L2 @ P, -L2, I]),
+        ]
+    )
 
 
 @pytest.mark.parametrize(
@@ -356,7 +312,7 @@ def test_engine_map_has_the_catalog_spectrum(mode, condition_id):
     # map, so on a plant with model error the two spectra differ
     for seed in range(40):
         config = square_problem(seed, mode)
-        ours = np.linalg.eigvals(engine_state_map(config))
+        ours = np.linalg.eigvals(law_state_map(config))
         catalog = np.linalg.eigvals(
             loop_matrix(condition_id, config.plant, config.gains, config.law.surrogate)
         )
