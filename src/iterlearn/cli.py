@@ -132,7 +132,8 @@ class Experiment:
     and the uncertainty) is parsed and checked at load, so ``check`` rejects
     every config that ``simulate`` rejects.  Each seed's plant and gains are
     built once and shared by every run, condition report and certificate
-    search of that seed.
+    search of that seed; the gains that do not read the seed's plant, and
+    each law, are built once for the whole experiment, on first use.
     """
 
     def __init__(self, doc: dict, base: Path):
@@ -167,6 +168,8 @@ class Experiment:
         self._ilc_base: plant.LiftedIlcSystem | None = None
         self._plants: dict[int, plant.TransferPlant] = {}
         self._gains: dict[int, GainSet] = {}
+        self._shared_gains: dict[str, object] = {}
+        self._laws: dict[str, LearningLaw] = {}
         p, m = self._parse_plant(_object(doc.get("plant"), "plant"))
         if doc.get("target") is None:
             raise ConfigError("config missing field 'target'")
@@ -265,27 +268,39 @@ class Experiment:
         return self._gains[seed]
 
     def _build_gains(self, a_plant: plant.TransferPlant) -> GainSet:
+        """One seed's gains.  Only ``pseudo_inverse_H`` and
+        ``hbar_from_nominal`` read the seed's plant; every other gain is
+        built for the first seed and shared by the others.  The gains are
+        built in the same order either way, so an invalid config fails on
+        the same error."""
         doc = self._gains_doc
-        p, m = a_plant.shape
+        p = a_plant.shape[0]
 
         def directive(obj):
             return obj.get("directive") if isinstance(obj, dict) else None
 
-        K_doc = doc.get("K")
-        if K_doc is None:
-            raise ConfigError("gains.K is required")
-        if directive(K_doc) == "scaled_surrogate_inverse":
-            if self.surrogate is None:
-                raise ConfigError("K directive needs a surrogate")
-            scale = _number(K_doc.get("scale", 0.5), "gains.K.scale")
-            try:
-                K = scale * np.linalg.inv(self.surrogate)
-            except np.linalg.LinAlgError as exc:
-                raise ConfigError(f"surrogate is singular: {exc}") from exc
-        elif directive(K_doc):
-            raise ConfigError(f"unknown K directive {directive(K_doc)!r}")
-        else:
-            K = _matrix_field(K_doc, "gains.K", self.base)
+        def shared(name, build):
+            if name not in self._shared_gains:
+                self._shared_gains[name] = build()
+            return self._shared_gains[name]
+
+        def learning_gain():
+            K_doc = doc.get("K")
+            if K_doc is None:
+                raise ConfigError("gains.K is required")
+            if directive(K_doc) == "scaled_surrogate_inverse":
+                if self.surrogate is None:
+                    raise ConfigError("K directive needs a surrogate")
+                scale = _number(K_doc.get("scale", 0.5), "gains.K.scale")
+                try:
+                    return scale * np.linalg.inv(self.surrogate)
+                except np.linalg.LinAlgError as exc:
+                    raise ConfigError(f"surrogate is singular: {exc}") from exc
+            if directive(K_doc):
+                raise ConfigError(f"unknown K directive {directive(K_doc)!r}")
+            return _matrix_field(K_doc, "gains.K", self.base)
+
+        K = shared("K", learning_gain)
 
         H = None
         H_doc = doc.get("H")
@@ -298,7 +313,7 @@ class Experiment:
             elif directive(H_doc):
                 raise ConfigError(f"unknown H directive {directive(H_doc)!r}")
             else:
-                H = _matrix_field(H_doc, "gains.H", self.base)
+                H = shared("H", lambda: _matrix_field(H_doc, "gains.H", self.base))
 
         Hbar = None
         Hbar_doc = doc.get("Hbar")
@@ -308,18 +323,19 @@ class Experiment:
                 if d == "hbar_from_surrogate":
                     if self.surrogate is None:
                         raise ConfigError("Hbar directive needs a surrogate")
-                    Hbar = learner.synth_Hbar(self.surrogate, K)
+                    Hbar = shared("Hbar", lambda: learner.synth_Hbar(self.surrogate, K))
                 elif d == "hbar_from_nominal":
                     Hbar = learner.synth_Hbar(a_plant.nominal, K)
                 elif d:
                     raise ConfigError(f"unknown Hbar directive {d!r}")
                 else:
-                    Hbar = _matrix_field(Hbar_doc, "gains.Hbar", self.base)
+                    Hbar = shared("Hbar", lambda: _matrix_field(Hbar_doc, "gains.Hbar", self.base))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
-        observer = None
-        if doc.get("L1") is not None or doc.get("L2") is not None:
+        def observer_gain():
+            if doc.get("L1") is None and doc.get("L2") is None:
+                return None
             if doc.get("L1") is None or doc.get("L2") is None:
                 raise ConfigError("observer gains need both L1 and L2")
 
@@ -329,10 +345,11 @@ class Experiment:
                     return scale * np.eye(p)
                 return _matrix_field(obj, name, self.base)
 
-            observer = ObserverGain(
+            return ObserverGain(
                 L1=obs_gain(doc["L1"], "gains.L1"), L2=obs_gain(doc["L2"], "gains.L2")
             )
 
+        observer = shared("observer", observer_gain)
         try:
             return GainSet(K=K, H=H, Hbar=Hbar, observer=observer)
         except ValueError as exc:
@@ -340,18 +357,16 @@ class Experiment:
 
     # -- per-run config ---------------------------------------------------
     def simulation_config(self, law_mode: str, seed: int) -> SimulationConfig:
-        law = (
-            LearningLaw(mode=law_mode, surrogate=self.surrogate)
-            if law_mode == "eso_model_free"
-            else LearningLaw(mode=law_mode)
-        )
+        if law_mode not in self._laws:
+            surrogate = self.surrogate if law_mode == "eso_model_free" else None
+            self._laws[law_mode] = LearningLaw(mode=law_mode, surrogate=surrogate)
         try:
             return SimulationConfig(
                 plant=self.plant_for(seed),
                 target=self.target,
                 uncertainty=self.uncertainty,
                 gains=self.gains_for(seed),
-                law=law,
+                law=self._laws[law_mode],
                 iterations=self.iterations,
                 u0=self.u0,
                 seed=seed,

@@ -18,6 +18,7 @@ diagnostics; the controllers see nothing beyond what their law allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -229,6 +230,25 @@ def _observer_maps(config: SimulationConfig):
 _CHUNK = 32
 
 
+def _product(A: np.ndarray):
+    """``f(x, out=...)`` writing ``A @ x`` for a stack ``A`` of ``(runs, r,
+    c)`` matrices and ``(runs, c, 1)`` columns ``x``.
+
+    A stack of square matrices that are all zero off the diagonal is
+    applied as ``d * x`` with its ``(runs, r, 1)`` diagonals ``d``; any
+    other stack goes to ``np.matmul``.  A row of a matvec with one nonzero
+    entry is that one rounded product plus exact zeros, so both give the
+    same bits, except that a zero may come out as ``-0.0`` where ``matmul``
+    gives ``+0.0``, and ``0 * inf`` gives 0 where ``matmul`` gives NaN.
+    """
+    _, r, c = A.shape
+    if r == c:
+        d = np.diagonal(A, axis1=1, axis2=2)
+        if np.count_nonzero(A) == np.count_nonzero(d):
+            return partial(np.multiply, d[..., None].copy())
+    return partial(np.matmul, A)
+
+
 # a diverged run is stepped on until the batch ends and may overflow; its
 # rows past the divergence are dropped
 @np.errstate(over="ignore", invalid="ignore")
@@ -241,7 +261,12 @@ def run_batch(configs) -> list[IterationTrace]:
     ``ubar``, ``U - ubar``, then the observer's ``e_hat - L1 e_hat +
     d_hat + P_used ubar + L1 E`` and ``d_hat - L2 e_hat + L2 E``.  Each
     product is one matvec per run, written into iteration-major records,
-    so that every operand is one contiguous block.  The order is kept on
+    so that every operand is one contiguous block.  A matrix (``P``,
+    ``-K``, ``H``, ``Hbar``, ``L1``, ``L2`` or ``P_used``) that is square
+    and zero off the diagonal in every run is applied as a scaling by its
+    diagonal (``_product``), which gives the matvec's bits: only the sign
+    of a zero and ``0 * inf`` can differ, and an ``inf`` exists only past
+    the divergence cap, in rows that are dropped.  The order is kept on
     purpose: a loop whose unstable mode is left unexcited only by an
     exact cancellation (``L1 = P_used K`` with ``|1 - l1| > 1``)
     amplifies every rounding geometrically, and a re-associated step
@@ -263,8 +288,8 @@ def run_batch(configs) -> list[IterationTrace]:
 
     # records are (iteration, run, length, 1): vectors are columns, so
     # every product is a matvec
-    P = stack(lambda c: c.plant.full())
-    negK = -stack(lambda c: c.gains.K)
+    P = _product(stack(lambda c: c.plant.full()))
+    negK = _product(-stack(lambda c: c.gains.K))
     target = stack(lambda c: c.target)[..., None]
     N = np.empty((iterations + 1, runs, p, 1))  # becomes y = P u + N row by row
     u = np.zeros((iterations + 1, runs, m, 1))
@@ -279,13 +304,14 @@ def run_batch(configs) -> list[IterationTrace]:
     if uses_observer:
         # ground-truth disturbance aggregate seen by this law's observer
         d_true = np.subtract(N[:-1], N[1:])
-        L1 = stack(lambda c: c.gains.observer.L1)
-        L2 = stack(lambda c: c.gains.observer.L2)
-        P_used = stack(lambda c: _observer_maps(c)[0])
+        maps = [_observer_maps(c) for c in configs]
+        L1 = _product(stack(lambda c: c.gains.observer.L1))
+        L2 = _product(stack(lambda c: c.gains.observer.L2))
+        P_used = _product(np.stack([used for used, _ in maps]))
         if mode in ("eso_full_state", "eso_mixed"):
-            H, tmp_m = stack(lambda c: c.gains.H), np.empty((runs, m, 1))
+            H, tmp_m = _product(stack(lambda c: c.gains.H)), np.empty((runs, m, 1))
         else:
-            Hbar = stack(lambda c: c.gains.Hbar)
+            Hbar = _product(stack(lambda c: c.gains.Hbar))
         e_hat, d_hat = np.zeros((2, iterations + 1, runs, p, 1))
         states += [e_hat, d_hat]
 
@@ -294,32 +320,32 @@ def run_batch(configs) -> list[IterationTrace]:
         k1 = min(k0 + _CHUNK, iterations)
         for k in range(k0, k1):
             U, Y, E, Ub = u[k], N[k], e[k], ubar[k]
-            np.matmul(P, U, out=tmp_p)
+            P(U, out=tmp_p)
             Y += tmp_p
             np.subtract(target, Y, out=E)
             if mode == "p_type":
-                np.matmul(negK, E, out=Ub)
+                negK(E, out=Ub)
             elif mode in ("eso_full_state", "eso_mixed"):
-                np.matmul(negK, e_hat[k] if mode == "eso_full_state" else E, out=Ub)
-                np.matmul(H, d_hat[k], out=tmp_m)
+                negK(e_hat[k] if mode == "eso_full_state" else E, out=Ub)
+                H(d_hat[k], out=tmp_m)
                 Ub -= tmp_m
             else:  # eso_robust, eso_model_free
-                np.matmul(Hbar, d_hat[k], out=tmp_p)
+                Hbar(d_hat[k], out=tmp_p)
                 tmp_p += E
-                np.matmul(negK, tmp_p, out=Ub)
+                negK(tmp_p, out=Ub)
             np.subtract(U, Ub, out=u[k + 1])
             if uses_observer:
                 eh, dh, eh1, dh1 = e_hat[k], d_hat[k], e_hat[k + 1], d_hat[k + 1]
-                np.matmul(L1, eh, out=tmp_p)
+                L1(eh, out=tmp_p)
                 np.subtract(eh, tmp_p, out=eh1)
                 eh1 += dh
-                np.matmul(P_used, Ub, out=tmp_p)
+                P_used(Ub, out=tmp_p)
                 eh1 += tmp_p
-                np.matmul(L1, E, out=tmp_p)
+                L1(E, out=tmp_p)
                 eh1 += tmp_p
-                np.matmul(L2, eh, out=tmp_p)
+                L2(eh, out=tmp_p)
                 np.subtract(dh, tmp_p, out=dh1)
-                np.matmul(L2, E, out=tmp_p)
+                L2(E, out=tmp_p)
                 dh1 += tmp_p
         # bad[j, b, i]: state part i (u, e_hat, d_hat) of run b left the
         # cap at k0 + j (NaN compares false)
@@ -338,8 +364,7 @@ def run_batch(configs) -> list[IterationTrace]:
     lengths = [iterations if at is None else at + 1 for at in diverged_at]
     rows = max(lengths)
     if uses_observer:
-        for b, c in enumerate(configs):
-            delta = _observer_maps(c)[1]
+        for b, (_, delta) in enumerate(maps):
             if delta is not None:
                 d_true[:rows, b] += delta @ ubar[:rows, b]
         d_true = d_true[:rows, ..., 0]

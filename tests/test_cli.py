@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iterlearn
-from iterlearn.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
+from iterlearn.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, load_experiment, main
 from iterlearn.learner import read_trace_csv
 from iterlearn.matanalysis import load_matrix
 from iterlearn.plant import LiftedIlcSystem, save_ilc_system
@@ -392,6 +392,27 @@ def test_simulate_unresolvable_directive(tmp_path):
     path = tmp_path / "c.json"
     write_json(path, doc)
     assert main(["simulate", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+
+
+def test_gains_that_do_not_read_the_plant_are_built_once(tmp_path):
+    config = write_reference_experiment(tmp_path, seeds=[1, 2], iterations=5)
+    exp = load_experiment(config)
+    a, b = (exp.simulation_config("eso_model_free", seed) for seed in (1, 2))
+    assert a.plant is not b.plant
+    assert a.law is b.law
+    for name in ("K", "Hbar", "observer"):
+        assert getattr(a.gains, name) is getattr(b.gains, name)
+    # the pseudo-inverse gain reads each seed's plant
+    doc = json.loads(config.read_text())
+    doc["gains"] = {"K": doc["gains"]["K"], "H": {"directive": "pseudo_inverse_H"}}
+    write_json(config, doc)
+    exp = load_experiment(config)
+    a, b = exp.gains_for(1), exp.gains_for(2)
+    assert a.K is b.K
+    for seed, gains in ((1, a), (2, b)):
+        P = exp.plant_for(seed).full()
+        assert np.array_equal(gains.H, np.linalg.solve(P @ P.T, P).T)
+    assert not np.array_equal(a.H, b.H)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ kept as the memory baseline.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from iterlearn.learner import (
     synth_H_pseudo,
     synth_Hbar,
     trace_to_csv,
+    _product,
 )
 from iterlearn.observer import ObserverGain
 from iterlearn.plant import TransferPlant, UncertaintyModel, uncertainty_sequence
@@ -81,8 +83,15 @@ def reference_run(config: SimulationConfig) -> dict:
     return {"err_inf": np.array(err_inf), "u_norm": np.array(u_norm), "diverged_at": diverged_at}
 
 
-def random_config(seed: int, mode: str, iterations: int, gain_scale: float, l1: float):
-    """A small full-row-rank problem; large gains make some runs diverge."""
+def random_config(
+    seed: int, mode: str, iterations: int, gain_scale: float, l1: float, observer_kind="diagonal"
+):
+    """A small full-row-rank problem; large gains make some runs diverge.
+
+    The observer gains are ``l1 I`` and ``0.1 I``, plus, for
+    ``observer_kind`` ``"lower"`` or ``"full"``, a small random strictly
+    lower or full matrix each, drawn from a stream of their own.
+    """
     rng = np.random.default_rng(seed)
     p = int(rng.integers(1, 4))
     m = p + int(rng.integers(0, 3))
@@ -102,7 +111,15 @@ def random_config(seed: int, mode: str, iterations: int, gain_scale: float, l1: 
         H = synth_H_pseudo(P_used)
     elif mode in ("eso_robust", "eso_model_free"):
         Hbar = synth_Hbar(P_used, K)
-    observer = None if mode == "p_type" else ObserverGain.diagonal(p, l1, 0.1)
+    if mode == "p_type":
+        observer = None
+    else:
+        observer = ObserverGain.diagonal(p, l1, 0.1)
+        if observer_kind != "diagonal":
+            extra = 0.2 * np.random.default_rng([seed, 1]).standard_normal((2, p, p))
+            if observer_kind == "lower":
+                extra = np.tril(extra, -1)
+            observer = ObserverGain(L1=observer.L1 + extra[0], L2=observer.L2 + 0.5 * extra[1])
     kind = ["ramp", "cumulative_sine", "seeded_bounded"][seed % 3]
     uncertainty = {
         "ramp": lambda: UncertaintyModel.ramp(rng.standard_normal(p)),
@@ -127,9 +144,12 @@ def random_config(seed: int, mode: str, iterations: int, gain_scale: float, l1: 
     mode=st.sampled_from(LAW_MODES),
     gain_scale=st.floats(0.1, 2.5),
     l1=st.floats(0.2, 3.5),
+    observer_kind=st.sampled_from(("diagonal", "lower", "full")),
 )
-def test_engine_matches_reference_loop(seed, mode, gain_scale, l1):
-    config = random_config(seed, mode, 80, gain_scale, l1)
+def test_engine_matches_reference_loop(seed, mode, gain_scale, l1, observer_kind):
+    # diagonal gains take run_batch's scaling path, lower and full ones
+    # its matmul path; each must follow the reference loop
+    config = random_config(seed, mode, 80, gain_scale, l1, observer_kind)
     ref = reference_run(config)
     trace = run(config)
     assert trace.diverged_at == ref["diverged_at"]
@@ -171,14 +191,25 @@ def test_batch_matches_single_runs_bitwise(mode):
                 seed=i,
             )
         )
-    batched = run_batch(configs)
-    assert batched[1].diverged and not batched[0].diverged and not batched[2].diverged
-    for config, trace in zip(configs, batched):
-        alone = run(config)
-        assert trace_to_csv(trace) == trace_to_csv(alone)
-        for name in ("u", "y", "e", "ubar", "e_hat", "d_hat", "d_true"):
-            a, b = getattr(trace, name), getattr(alone, name)
-            assert (a is None and b is None) or np.array_equal(a, b)
+    batches = [configs]
+    if mode != "p_type":
+        # one run's L1 off the diagonal sends the batch's whole L1 stack
+        # down the matmul path, while the other runs alone take the scaling
+        L1 = base.gains.observer.L1.copy()
+        L1[-1, 0] = 0.01
+        gains = configs[2].gains
+        observer = ObserverGain(L1=L1, L2=gains.observer.L2)
+        dense = GainSet(K=gains.K, H=gains.H, Hbar=gains.Hbar, observer=observer)
+        batches.append(configs[:2] + [replace(configs[2], gains=dense)])
+    for batch in batches:
+        batched = run_batch(batch)
+        assert batched[1].diverged and not batched[0].diverged and not batched[2].diverged
+        for config, trace in zip(batch, batched):
+            alone = run(config)
+            assert trace_to_csv(trace) == trace_to_csv(alone)
+            for name in ("u", "y", "e", "ubar", "e_hat", "d_hat", "d_true"):
+                a, b = getattr(trace, name), getattr(alone, name)
+                assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_batch_rejects_mixed_laws():
@@ -188,6 +219,49 @@ def test_batch_rejects_mixed_laws():
         run_batch([a, b])
     with pytest.raises(ValueError):
         run_batch([])
+
+
+def product_stack(rng, runs: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal ``(runs, n, n)`` matrices and ``(runs, n, 1)`` columns whose
+    entries include zeros, negatives and subnormals."""
+
+    def entries(shape):
+        normal = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        subnormal = rng.standard_normal(shape) * 1e-310
+        pick = rng.random(shape)
+        return np.where(pick < 0.2, 0.0, np.where(pick < 0.4, subnormal, normal))
+
+    A = np.zeros((runs, n, n))
+    A[:, np.arange(n), np.arange(n)] = entries((runs, n))
+    return A, entries((runs, n, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 4), n=st.integers(1, 9))
+def test_diagonal_product_is_the_matmul(seed, runs, n):
+    # A row with one nonzero entry is one rounded product plus exact zeros,
+    # so the scaling equals the matvec under ==.  Two exceptions fall outside
+    # these finite stacks: a zero may carry the other sign (-0.0 == 0.0),
+    # and 0 * inf gives 0 where the matvec gives NaN; an inf arises only
+    # past the divergence cap, in rows that run_batch drops.
+    rng = np.random.default_rng(seed)
+    A, x = product_stack(rng, runs, n)
+    product, out = _product(A), np.empty((runs, n, 1))
+    assert product.func is np.multiply
+    assert product(x, out=out) is out
+    assert np.array_equal(out, np.matmul(A, x))
+    # one nonzero entry off the diagonal of one run sends the stack to matmul
+    if n > 1:
+        A[rng.integers(runs), 0, n - 1] = 1e20
+        x[:, n - 1] = 1.0
+        product = _product(A)
+        assert product.func is np.matmul
+        assert np.array_equal(product(x, out=out), np.matmul(A, x))
+    # a stack that is not square is a matmul too
+    H = rng.standard_normal((runs, n + 1, n))
+    product, out = _product(H), np.empty((runs, n + 1, 1))
+    assert product.func is np.matmul
+    assert np.array_equal(product(x, out=out), np.matmul(H, x))
 
 
 def test_observer_only_divergence_is_flagged():
