@@ -62,6 +62,19 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _distinct(values: list, name: str) -> list:
+    """``values`` with no entry given twice."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{name} lists {json.dumps(v)} more than once")
+    return values
+
+
+def _directive(obj):
+    """The ``directive`` of a gain given as an object, else None."""
+    return obj.get("directive") if isinstance(obj, dict) else None
+
+
 def _vector(value, name: str, length: int) -> np.ndarray:
     """A finite vector of ``length`` numbers, given as a flat JSON array."""
     try:
@@ -132,8 +145,12 @@ class Experiment:
     and the uncertainty) is parsed and checked at load, so ``check`` rejects
     every config that ``simulate`` rejects.  Each seed's plant and gains are
     built once and shared by every run, condition report and certificate
-    search of that seed; the gains that do not read the seed's plant, and
-    each law, are built once for the whole experiment, on first use.
+    search of that seed.  Every seed shares one nominal map (a lifted plant's
+    is one zero or one lifted nominal per experiment), and the gains that do
+    not read the seed's plant, each law, each condition's form and each
+    report that no model error enters are built once for the whole
+    experiment, on first use; only ``pseudo_inverse_H`` and
+    ``hbar_from_nominal`` make the gains, and so the forms, per seed.
     """
 
     def __init__(self, doc: dict, base: Path):
@@ -154,10 +171,11 @@ class Experiment:
         for mode in self.laws:
             if mode not in learner.LAW_MODES:
                 raise ConfigError(f"unknown law {mode!r}")
+        _distinct(self.laws, "laws")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
         seeds = _array(doc.get("seeds", [0]), "seeds")
-        self.seeds = [_integer(s, "seeds entry") for s in seeds]
+        self.seeds = _distinct([_integer(s, "seeds entry") for s in seeds], "seeds")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         self.output_dir = doc.get("output_dir")
@@ -165,11 +183,17 @@ class Experiment:
             raise ConfigError(f"output_dir must be a string, got {json.dumps(self.output_dir)}")
 
         self._gains_doc = _object(doc.get("gains") or {}, "gains")
+        self._gains_read_plant = (
+            _directive(self._gains_doc.get("H")) == "pseudo_inverse_H"
+            or _directive(self._gains_doc.get("Hbar")) == "hbar_from_nominal"
+        )
         self._ilc_base: plant.LiftedIlcSystem | None = None
         self._plants: dict[int, plant.TransferPlant] = {}
         self._gains: dict[int, GainSet] = {}
         self._shared_gains: dict[str, object] = {}
         self._laws: dict[str, LearningLaw] = {}
+        # condition id -> (gains, nominal map, form, report if no model error)
+        self._conditions: dict[str, tuple] = {}
         p, m = self._parse_plant(_object(doc.get("plant"), "plant"))
         if doc.get("target") is None:
             raise ConfigError("config missing field 'target'")
@@ -230,13 +254,16 @@ class Experiment:
         self._level = _number(doc.get("element_uncertainty", 0.0), "plant.element_uncertainty")
         if self._level < 0:
             raise ConfigError(f"plant.element_uncertainty must be nonnegative, got {self._level}")
-        self._role = doc.get("role", "model_free")
-        if self._role == "uncertain_nominal":
-            self._nominal_lift, _, _ = plant.lift_ilc(self._ilc_base)
-        elif self._role != "model_free":
-            raise ConfigError(f"unknown plant role {self._role!r}")
+        role = doc.get("role", "model_free")
         horizon = self._ilc_base.horizon
-        return horizon * self._ilc_base.n_outputs, horizon * self._ilc_base.n_inputs
+        shape = horizon * self._ilc_base.n_outputs, horizon * self._ilc_base.n_inputs
+        if role == "uncertain_nominal":
+            self._nominal, _, _ = plant.lift_ilc(self._ilc_base)
+        elif role == "model_free":
+            self._nominal = np.zeros(shape)
+        else:
+            raise ConfigError(f"unknown plant role {role!r}")
+        return shape
 
     def plant_for(self, seed: int) -> plant.TransferPlant:
         if self._ilc_base is None:
@@ -245,8 +272,9 @@ class Experiment:
             sys0 = self._ilc_base
             sys_true = plant.perturb_system(sys0, self._level, seed) if self._level > 0 else sys0
             P_true, _, _ = plant.lift_ilc(sys_true)
-            P_nom = np.zeros_like(P_true) if self._role == "model_free" else self._nominal_lift
-            self._plants[seed] = plant.TransferPlant(nominal=P_nom, delta=P_true - P_nom)
+            self._plants[seed] = plant.TransferPlant(
+                nominal=self._nominal, delta=P_true - self._nominal
+            )
         return self._plants[seed]
 
     def _ilc_system(self, doc) -> plant.LiftedIlcSystem:
@@ -263,8 +291,13 @@ class Experiment:
 
     # -- gains ----------------------------------------------------------
     def gains_for(self, seed: int) -> GainSet:
+        """The seed's gains: one gain set for every seed unless a gain reads
+        the seed's plant."""
         if seed not in self._gains:
-            self._gains[seed] = self._build_gains(self.plant_for(seed))
+            if self._gains and not self._gains_read_plant:
+                self._gains[seed] = next(iter(self._gains.values()))
+            else:
+                self._gains[seed] = self._build_gains(self.plant_for(seed))
         return self._gains[seed]
 
     def _build_gains(self, a_plant: plant.TransferPlant) -> GainSet:
@@ -276,9 +309,6 @@ class Experiment:
         doc = self._gains_doc
         p = a_plant.shape[0]
 
-        def directive(obj):
-            return obj.get("directive") if isinstance(obj, dict) else None
-
         def shared(name, build):
             if name not in self._shared_gains:
                 self._shared_gains[name] = build()
@@ -288,7 +318,7 @@ class Experiment:
             K_doc = doc.get("K")
             if K_doc is None:
                 raise ConfigError("gains.K is required")
-            if directive(K_doc) == "scaled_surrogate_inverse":
+            if _directive(K_doc) == "scaled_surrogate_inverse":
                 if self.surrogate is None:
                     raise ConfigError("K directive needs a surrogate")
                 scale = _number(K_doc.get("scale", 0.5), "gains.K.scale")
@@ -296,8 +326,8 @@ class Experiment:
                     return scale * np.linalg.inv(self.surrogate)
                 except np.linalg.LinAlgError as exc:
                     raise ConfigError(f"surrogate is singular: {exc}") from exc
-            if directive(K_doc):
-                raise ConfigError(f"unknown K directive {directive(K_doc)!r}")
+            if _directive(K_doc):
+                raise ConfigError(f"unknown K directive {_directive(K_doc)!r}")
             return _matrix_field(K_doc, "gains.K", self.base)
 
         K = shared("K", learning_gain)
@@ -305,20 +335,20 @@ class Experiment:
         H = None
         H_doc = doc.get("H")
         if H_doc is not None:
-            if directive(H_doc) == "pseudo_inverse_H":
+            if _directive(H_doc) == "pseudo_inverse_H":
                 try:
                     H = learner.synth_H_pseudo(a_plant.full())
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from exc
-            elif directive(H_doc):
-                raise ConfigError(f"unknown H directive {directive(H_doc)!r}")
+            elif _directive(H_doc):
+                raise ConfigError(f"unknown H directive {_directive(H_doc)!r}")
             else:
                 H = shared("H", lambda: _matrix_field(H_doc, "gains.H", self.base))
 
         Hbar = None
         Hbar_doc = doc.get("Hbar")
         if Hbar_doc is not None:
-            d = directive(Hbar_doc)
+            d = _directive(Hbar_doc)
             try:
                 if d == "hbar_from_surrogate":
                     if self.surrogate is None:
@@ -378,26 +408,46 @@ class Experiment:
     def condition_reports(self, seed: int) -> list[stability.ConditionReport]:
         a_plant = self.plant_for(seed)
         gains = self.gains_for(seed)
-        reports = [stability.check_condition("eq04", a_plant, gains)]
+        ids = ["eq04"]
         if np.any(a_plant.nominal != 0.0):
-            reports.append(stability.check_condition("eq48", a_plant, gains))
+            ids.append("eq48")
         if gains.observer is not None:
-            reports.append(stability.check_condition("eq17", plant=None, gains=gains))
+            ids.append("eq17")
             if gains.H is not None:
-                reports.append(stability.check_condition("eq41", a_plant, gains))
+                ids.append("eq41")
             if gains.Hbar is not None:
-                reports.append(stability.check_condition("eq62", a_plant, gains))
+                ids.append("eq62")
         if self.surrogate is not None:
-            reports.append(
-                stability.check_condition("eq95", a_plant, gains, surrogate=self.surrogate)
-            )
+            ids.append("eq95")
             if gains.Hbar is not None and gains.observer is not None:
-                reports.append(
-                    stability.check_condition(
-                        "eq102", a_plant, gains, surrogate=self.surrogate
-                    )
-                )
-        return reports
+                ids.append("eq102")
+        return [self._condition(cid, a_plant, gains) for cid in ids]
+
+    def condition_map(self) -> dict[str, list[dict]]:
+        """Each seed's condition reports, as written to summary.json and
+        report.json.  The forms serve this one pass over the seeds and are
+        released after it, before ``check`` searches for a certificate."""
+        conditions = {
+            str(seed): [r.to_dict() for r in self.condition_reports(seed)] for seed in self.seeds
+        }
+        self._conditions.clear()
+        return conditions
+
+    def _condition(self, cid: str, a_plant, gains: GainSet) -> stability.ConditionReport:
+        """One condition's report for one seed.  Its form is built once for
+        each gain set and nominal map, and a condition that no model error
+        enters is evaluated with it; per seed, only the model error and the
+        radius of the other conditions remain."""
+        hit = self._conditions.get(cid)
+        if hit is None or hit[0] is not gains or hit[1] is not a_plant.nominal:
+            form = stability.condition_form(cid, a_plant, gains, self.surrogate)
+            report = None
+            if cid in stability.ERROR_FREE_IDS:
+                report = stability.check_condition(cid, a_plant, gains, self.surrogate, form)
+            hit = self._conditions[cid] = (gains, a_plant.nominal, form, report)
+        if hit[3] is not None:
+            return hit[3]
+        return stability.check_condition(cid, a_plant, gains, self.surrogate, hit[2])
 
 
 def load_experiment(path) -> Experiment:
@@ -421,11 +471,6 @@ def _say(quiet: bool, *args) -> None:
         print(*args)
 
 
-def _condition_map(exp: Experiment) -> dict[str, list[dict]]:
-    """Each seed's condition reports, as written to summary.json and report.json."""
-    return {str(seed): [r.to_dict() for r in exp.condition_reports(seed)] for seed in exp.seeds}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -445,7 +490,7 @@ def cmd_lift(args) -> int:
 def cmd_simulate(args) -> int:
     exp = load_experiment(args.config)
     if args.seeds is not None:
-        exp.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        exp.seeds = _distinct([int(s) for s in args.seeds.split(",") if s.strip()], "--seeds")
         if not exp.seeds:
             raise ConfigError("--seeds must list at least one seed")
     if args.iterations is not None:
@@ -489,7 +534,7 @@ def cmd_simulate(args) -> int:
         "iterations": exp.iterations,
         "tail_window": tail_window,
         "runs": runs,
-        "conditions": _condition_map(exp),
+        "conditions": exp.condition_map(),
     }
     _write_json(out / "summary.json", summary)
     write_convergence_svg(out / "plot.svg", curves, title="convergence")
@@ -503,7 +548,7 @@ def cmd_check(args) -> int:
     exp = load_experiment(args.config)
     out = Path(args.out or exp.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    report = {"format_version": FORMAT_VERSION, "conditions": _condition_map(exp)}
+    report = {"format_version": FORMAT_VERSION, "conditions": exp.condition_map()}
     if exp.structure is not None:
         first_plant = exp.plant_for(exp.seeds[0])
         gains = exp.gains_for(exp.seeds[0])

@@ -230,23 +230,32 @@ def _observer_maps(config: SimulationConfig):
 _CHUNK = 32
 
 
-def _product(A: np.ndarray):
-    """``f(x, out=...)`` writing ``A @ x`` for a stack ``A`` of ``(runs, r,
-    c)`` matrices and ``(runs, c, 1)`` columns ``x``.
+def _product(mats, negate: bool = False):
+    """``f(x, out=...)`` writing ``A_b @ x_b`` (``-A_b @ x_b`` if ``negate``)
+    for each run ``b``, given the runs' ``r x c`` matrices ``A_b`` and their
+    ``(runs, c, 1)`` columns ``x``.
 
-    A stack of square matrices that are all zero off the diagonal is
-    applied as ``d * x`` with its ``(runs, r, 1)`` diagonals ``d``; any
-    other stack goes to ``np.matmul``.  A row of a matvec with one nonzero
-    entry is that one rounded product plus exact zeros, so both give the
-    same bits, except that a zero may come out as ``-0.0`` where ``matmul``
-    gives ``+0.0``, and ``0 * inf`` gives 0 where ``matmul`` gives NaN.
+    Square matrices that are all zero off the diagonal are applied as
+    ``d * x`` with their ``(runs, r, 1)`` diagonals ``d``.  A row of a
+    matvec with one nonzero entry is that one rounded product plus exact
+    zeros, so both give the same bits, except that a zero may come out as
+    ``-0.0`` where ``matmul`` gives ``+0.0``, and ``0 * inf`` gives 0 where
+    ``matmul`` gives NaN.  Matrices that are all bitwise equal (signed
+    zeros and NaN payloads count) are applied as one ``(r, c)`` matrix,
+    which ``np.matmul`` broadcasts to the same per-run matvec as a stack of
+    copies, so the bits are the stack's and the one matrix stays in cache.
+    Any other matrices go to ``np.matmul`` as a ``(runs, r, c)`` stack.
     """
-    _, r, c = A.shape
-    if r == c:
-        d = np.diagonal(A, axis1=1, axis2=2)
-        if np.count_nonzero(A) == np.count_nonzero(d):
-            return partial(np.multiply, d[..., None].copy())
-    return partial(np.matmul, A)
+    mats = list(mats)
+    first = mats[0]
+    r, c = first.shape
+    if r == c and all(np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)) for A in mats):
+        operand, func = np.stack([np.diagonal(A) for A in mats])[..., None], np.multiply
+    else:
+        bits = first.view(np.int64)
+        shared = all(A is first or np.array_equal(A.view(np.int64), bits) for A in mats)
+        operand, func = (first if shared else np.stack(mats)), np.matmul
+    return partial(func, -operand if negate else operand)
 
 
 # a diverged run is stepped on until the batch ends and may overflow; its
@@ -283,14 +292,11 @@ def run_batch(configs) -> list[IterationTrace]:
     runs, (p, m) = len(configs), configs[0].plant.shape
     uses_observer = mode != "p_type"
 
-    def stack(get) -> np.ndarray:
-        return np.stack([get(c) for c in configs])
-
     # records are (iteration, run, length, 1): vectors are columns, so
     # every product is a matvec
-    P = _product(stack(lambda c: c.plant.full()))
-    negK = _product(-stack(lambda c: c.gains.K))
-    target = stack(lambda c: c.target)[..., None]
+    P = _product(c.plant.full() for c in configs)
+    negK = _product((c.gains.K for c in configs), negate=True)
+    target = np.stack([c.target for c in configs])[..., None]
     N = np.empty((iterations + 1, runs, p, 1))  # becomes y = P u + N row by row
     u = np.zeros((iterations + 1, runs, m, 1))
     for b, c in enumerate(configs):
@@ -305,13 +311,13 @@ def run_batch(configs) -> list[IterationTrace]:
         # ground-truth disturbance aggregate seen by this law's observer
         d_true = np.subtract(N[:-1], N[1:])
         maps = [_observer_maps(c) for c in configs]
-        L1 = _product(stack(lambda c: c.gains.observer.L1))
-        L2 = _product(stack(lambda c: c.gains.observer.L2))
-        P_used = _product(np.stack([used for used, _ in maps]))
+        L1 = _product(c.gains.observer.L1 for c in configs)
+        L2 = _product(c.gains.observer.L2 for c in configs)
+        P_used = _product(used for used, _ in maps)
         if mode in ("eso_full_state", "eso_mixed"):
-            H, tmp_m = _product(stack(lambda c: c.gains.H)), np.empty((runs, m, 1))
+            H, tmp_m = _product(c.gains.H for c in configs), np.empty((runs, m, 1))
         else:
-            Hbar = _product(stack(lambda c: c.gains.Hbar))
+            Hbar = _product(c.gains.Hbar for c in configs)
         e_hat, d_hat = np.zeros((2, iterations + 1, runs, p, 1))
         states += [e_hat, d_hat]
 
@@ -347,8 +353,12 @@ def run_batch(configs) -> list[IterationTrace]:
                 np.subtract(dh, tmp_p, out=dh1)
                 L2(E, out=tmp_p)
                 dh1 += tmp_p
+        # max propagates NaN, which compares false: only a chunk with a
+        # state outside the cap is searched row by row
+        if all(np.abs(s[k0 + 1 : k1 + 1]).max() <= DIVERGENCE_CAP for s in states):
+            continue
         # bad[j, b, i]: state part i (u, e_hat, d_hat) of run b left the
-        # cap at k0 + j (NaN compares false)
+        # cap at k0 + j
         bad = np.stack(
             [~(np.abs(s[k0 + 1 : k1 + 1]) <= DIVERGENCE_CAP).all(axis=(2, 3)) for s in states],
             axis=2,

@@ -38,8 +38,10 @@ __all__ = [
     "CONDITION_IDS",
     "SEPARATION_IDS",
     "LMI_IDS",
+    "ERROR_FREE_IDS",
     "ConditionReport",
     "LmiCertificate",
+    "condition_form",
     "loop_matrix",
     "check_condition",
     "verify_separation",
@@ -70,6 +72,9 @@ _CATALOG = {
     "eq65": ("aggregated", "nominal", "phi1 sigma phi2", "eq62 for every structured error"),
     "eq101": ("aggregated", "surrogate", "phi1 sigma phi2", "eq102 for every structured error"),
 }
+
+#: Conditions no model error enters: their matrix is the loop at zero error.
+ERROR_FREE_IDS = tuple(cid for cid in CONDITION_IDS if _CATALOG[cid][2] is None)
 
 
 @dataclass
@@ -148,11 +153,39 @@ def _at_error(loop, delta: np.ndarray) -> np.ndarray:
     return M
 
 
+def condition_form(
+    condition_id: str,
+    plant: TransferPlant | None = None,
+    gains: GainSet | None = None,
+    surrogate=None,
+):
+    """A catalog condition's loop before any model error enters it: the map
+    it is built around and its layout ``(M0, D, E)`` there, from
+    ``_robust_form`` for the design ``_CATALOG`` names (``eq17``: None and
+    ``(A_lc, None, None)``).  It reads the gains, the surrogate and the
+    plant's nominal map only, so one form serves every plant that shares
+    them."""
+    if condition_id not in CONDITION_IDS:
+        raise ValueError(f"unknown condition id {condition_id!r}")
+    if gains is None:
+        raise ValueError(f"condition {condition_id} requires gains")
+    design, around, _, _ = _CATALOG[condition_id]
+    if design is None:
+        A_lc = error_dynamics_matrix(_require(gains.observer, "observer gains", condition_id))
+        return None, (A_lc, None, None)
+    if around == "surrogate":
+        X = as_matrix(_require(surrogate, "a surrogate", condition_id), "surrogate")
+    else:
+        X = _require(plant, "a plant", condition_id).nominal
+    return X, _robust_form(design, X, gains, condition_id)
+
+
 def loop_matrix(
     condition_id: str,
     plant: TransferPlant | None = None,
     gains: GainSet | None = None,
     surrogate=None,
+    form=None,
 ) -> np.ndarray:
     """The block matrix of a catalog condition.
 
@@ -162,19 +195,11 @@ def loop_matrix(
     the plant's ``delta``, or the true map minus the surrogate (``eq102``).
     So ``eq04`` is ``I - P K`` with ``P`` the true map, and the model-free
     loop reads the same whether a plant is ``nominal + delta`` or ``0 + P``.
+    ``form``, when given, is the condition's ``condition_form`` for the
+    same gains, surrogate and nominal map, and is not built again.
     """
-    if condition_id not in CONDITION_IDS:
-        raise ValueError(f"unknown condition id {condition_id!r}")
-    if gains is None:
-        raise ValueError(f"condition {condition_id} requires gains")
-    design, around, error, _ = _CATALOG[condition_id]
-    if design is None:
-        return error_dynamics_matrix(_require(gains.observer, "observer gains", condition_id))
-    if around == "surrogate":
-        X = as_matrix(_require(surrogate, "a surrogate", condition_id), "surrogate")
-    else:
-        X = _require(plant, "a plant", condition_id).nominal
-    loop = _robust_form(design, X, gains, condition_id)
+    X, loop = condition_form(condition_id, plant, gains, surrogate) if form is None else form
+    error = _CATALOG[condition_id][2]
     if error is None:
         return loop[0]
     plant = _require(plant, "a plant", condition_id)
@@ -186,13 +211,15 @@ def check_condition(
     plant: TransferPlant | None = None,
     gains: GainSet | None = None,
     surrogate=None,
+    form=None,
 ) -> ConditionReport:
     """Spectral radius of a catalog condition's block matrix; holds if < 1.
 
     Every block of the matrix is ``p x p``, with ``p`` the error dimension
     of the gains, so a lifted loop is solved block by block in time.
+    ``form`` is as in ``loop_matrix``.
     """
-    M = loop_matrix(condition_id, plant, gains, surrogate)
+    M = loop_matrix(condition_id, plant, gains, surrogate, form)
     rho, method = block_spectral_radius(M, gains.K.shape[1])
     return ConditionReport(
         condition_id=condition_id, rho=rho, holds=rho < 1.0, matrix_dim=M.shape[0], method=method

@@ -167,6 +167,29 @@ def test_simulate_empty_overrides_are_config_errors(tmp_path, capsys, flag, valu
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize(
+    "path, value",
+    [(("seeds",), [1, 2, 1]), (("laws",), ["p_type", "eso_model_free", "p_type"])],
+    ids=["seeds", "laws"],
+)
+def test_duplicate_seeds_or_laws_are_config_errors(tmp_path, capsys, command, path, value):
+    # a repeated seed or law would write its traces twice and list its runs
+    # twice against one conditions entry
+    assert_field_is_config_error(tmp_path, capsys, command, path, value)
+
+
+def test_simulate_duplicate_seed_override_is_config_error(tmp_path, capsys):
+    config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(config), "--out", str(out), "--seeds", "1,2, 1"]
+    assert main(argv + ["--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--seeds" in err
+    assert not out.exists()
+
+
 MALFORMED_FIELDS = [
     (("seeds",), [None]),
     (("seeds",), "12"),
@@ -546,6 +569,85 @@ def test_simulate_lifts_each_seed_once(tmp_path, monkeypatch):
     write_json(config, doc)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "n"), "--quiet"]) == 0
     assert len(calls) == 4
+
+
+def _pseudo_inverse_H(doc):
+    # H = K Hbar would not hold with a per-seed H, so Hbar goes
+    del doc["gains"]["Hbar"]
+    doc["gains"]["H"] = {"directive": "pseudo_inverse_H"}
+    doc["laws"] = ["eso_mixed"]
+
+
+def _hbar_from_nominal(doc):
+    doc["plant"]["role"] = "uncertain_nominal"
+    doc["gains"]["Hbar"] = {"directive": "hbar_from_nominal"}
+
+
+def _uncertain_nominal(doc):
+    doc["plant"]["role"] = "uncertain_nominal"
+
+
+def _direct_plant(doc):
+    from iterlearn.plant import lift_ilc
+
+    nominal, _, _ = lift_ilc(reference_system(20))
+    delta = 0.01 * np.random.default_rng(0).standard_normal(nominal.shape)
+    doc["plant"] = {"kind": "direct", "nominal": nominal.tolist(), "delta": delta.tolist()}
+
+
+# each variant of the reference experiment, and whether a gain reads the plant
+CONDITION_VARIANTS = {
+    "reference": (lambda doc: None, False),
+    "pseudo_inverse_H": (_pseudo_inverse_H, True),
+    "hbar_from_nominal": (_hbar_from_nominal, True),
+    "uncertain_nominal": (_uncertain_nominal, False),
+    "direct_plant": (_direct_plant, False),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(CONDITION_VARIANTS))
+def test_condition_reports_reuse_the_seed_independent_work(tmp_path, monkeypatch, variant):
+    from collections import Counter
+
+    from iterlearn import stability
+
+    edit, gains_read_plant = CONDITION_VARIANTS[variant]
+    seeds = [1, 2, 3]
+    config = write_reference_experiment(tmp_path, seeds=seeds, iterations=5)
+    doc = json.loads(config.read_text())
+    edit(doc)
+    write_json(config, doc)
+
+    def counted(real, counter):
+        def call(cid, *args):
+            counter[cid] += 1
+            return real(cid, *args)
+
+        return call
+
+    forms, checks = Counter(), Counter()
+    monkeypatch.setattr(stability, "condition_form", counted(stability.condition_form, forms))
+    monkeypatch.setattr(stability, "check_condition", counted(stability.check_condition, checks))
+    conditions = load_experiment(config).condition_map()
+    monkeypatch.undo()
+
+    # one form per gain set; a report no model error enters, once with it
+    ids = [r["condition_id"] for r in conditions["1"]]
+    assert {"eq17", "eq95"} <= set(ids)
+    per_set = len(seeds) if gains_read_plant else 1
+    assert forms == {cid: per_set for cid in ids}
+    assert checks == {
+        cid: per_set if cid in stability.ERROR_FREE_IDS else len(seeds) for cid in ids
+    }
+    # each seed's reports are those of a fresh experiment's check_condition
+    for seed in seeds:
+        fresh = load_experiment(config)
+        a_plant, gains = fresh.plant_for(seed), fresh.gains_for(seed)
+        expected = [
+            stability.check_condition(cid, a_plant, gains, fresh.surrogate).to_dict()
+            for cid in ids
+        ]
+        assert conditions[str(seed)] == expected
 
 
 def observer_divergence_config(tmp_path, laws):

@@ -204,12 +204,35 @@ def test_batch_matches_single_runs_bitwise(mode):
     for batch in batches:
         batched = run_batch(batch)
         assert batched[1].diverged and not batched[0].diverged and not batched[2].diverged
-        for config, trace in zip(batch, batched):
-            alone = run(config)
-            assert trace_to_csv(trace) == trace_to_csv(alone)
-            for name in ("u", "y", "e", "ubar", "e_hat", "d_hat", "d_true"):
-                a, b = getattr(trace, name), getattr(alone, name)
-                assert (a is None and b is None) or np.array_equal(a, b)
+        assert_batch_is_its_runs(batch, batched)
+
+    # every run's K: one shared object, equal copies, copies one of which
+    # differs in a single entry or only by the sign of a zero; the first
+    # two are applied as one matrix, the others as a stack
+    K = base.gains.K.copy()
+    K[0, -1] = 0.0
+    one_entry, signed_zero = K.copy(), K.copy()
+    one_entry[-1, 0] += 1e-3
+    signed_zero[0, -1] = -0.0
+    for Ks, shared in (
+        ([K, K, K], True),
+        ([K, K.copy(), K.copy()], True),
+        ([K, K.copy(), one_entry], False),
+        ([K, K.copy(), signed_zero], False),
+    ):
+        assert _product(Ks, negate=True).args[0].ndim == (2 if shared else 3)
+        batch = [replace(c, gains=replace(configs[0].gains, K=Kb)) for c, Kb in zip(configs, Ks)]
+        assert_batch_is_its_runs(batch, run_batch(batch))
+
+
+def assert_batch_is_its_runs(batch, batched):
+    """Each trace of a batch has the bits of its run stepped alone."""
+    for config, trace in zip(batch, batched):
+        alone = run(config)
+        assert trace_to_csv(trace) == trace_to_csv(alone)
+        for name in ("u", "y", "e", "ubar", "e_hat", "d_hat", "d_true"):
+            a, b = getattr(trace, name), getattr(alone, name)
+            assert (a is None and b is None) or (a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
 def test_batch_rejects_mixed_laws():
@@ -262,6 +285,38 @@ def test_diagonal_product_is_the_matmul(seed, runs, n):
     product, out = _product(H), np.empty((runs, n + 1, 1))
     assert product.func is np.matmul
     assert np.array_equal(product(x, out=out), np.matmul(H, x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    runs=st.integers(1, 4),
+    r=st.integers(1, 40),
+    c=st.integers(2, 40),
+)
+def test_shared_product_is_the_stacked_matmul(seed, runs, r, c):
+    # runs whose matrices have equal bits are applied as one matrix, which
+    # matmul broadcasts to the same per-run matvec as a stack of copies
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((r, c))
+    x = rng.standard_normal((runs, c, 1))
+    out = np.empty((runs, r, 1))
+    for mats in ([A] * runs, [A.copy() for _ in range(runs)]):
+        for negate in (False, True):
+            product = _product(mats, negate=negate)
+            assert product.func is np.matmul and product.args[0].shape == (r, c)
+            stack = -np.stack(mats) if negate else np.stack(mats)
+            assert product(x, out=out).tobytes() == np.matmul(stack, x).tobytes()
+    # a zero of the other sign, or a NaN of another payload, in one run's
+    # matrix makes the runs a stack
+    nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    for mine, other in ((0.0, -0.0), (np.nan, nan)):
+        A[0, -1] = mine
+        mats = [A] * (runs - 1) + [A.copy()]
+        mats[-1][0, -1] = other
+        product = _product(mats)
+        assert product.args[0].shape == ((runs, r, c) if runs > 1 else (r, c))
+        assert product(x, out=out).tobytes() == np.matmul(np.stack(mats), x).tobytes()
 
 
 def test_observer_only_divergence_is_flagged():
