@@ -490,7 +490,11 @@ def cmd_lift(args) -> int:
 def cmd_simulate(args) -> int:
     exp = load_experiment(args.config)
     if args.seeds is not None:
-        exp.seeds = _distinct([int(s) for s in args.seeds.split(",") if s.strip()], "--seeds")
+        try:  # each entry a JSON integer, as in the config's seeds
+            seeds = json.loads(f"[{args.seeds}]")
+        except ValueError:
+            raise ConfigError(f"--seeds must list integers, got {args.seeds!r}") from None
+        exp.seeds = _distinct([_integer(s, "--seeds entry") for s in seeds], "--seeds")
         if not exp.seeds:
             raise ConfigError("--seeds must list at least one seed")
     if args.iterations is not None:

@@ -1,16 +1,11 @@
 """Updating laws and the closed-loop iteration engine.
 
-Five laws share the pattern "observe, correct the input, repeat":
-
-* ``p_type``            - plain error feedback ``U + K E``
-* ``eso_full_state``    - observer estimates only, ``U + K E^ + H D^``
-* ``eso_mixed``         - measured error plus disturbance estimate,
-                          ``U + K E + H D^``
-* ``eso_robust``        - nominal-model observer of the aggregated
-                          disturbance, ``U + K (E + Hbar D^)``
-* ``eso_model_free``    - the same loop driven by a constructed
-                          full-row-rank surrogate instead of any model
-
+Five laws share the pattern "observe, correct the input, repeat".  Each
+is one step, ``law_map``, runs the loop of one catalog condition and has
+its observer on one map (``_observer_maps``): ``p_type`` (``eq04``, no
+observer), ``eso_full_state`` (``eq04`` and ``eq17``, the true map),
+``eso_mixed`` (``eq41``) and ``eso_robust`` (``eq62``) on the nominal
+map, and ``eso_model_free`` (``eq102``) on a full-row-rank surrogate.
 The engine owns the true plant only to generate data and ground-truth
 diagnostics; the controllers see nothing beyond what their law allows.
 """
@@ -23,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .matanalysis import as_matrix
-from .observer import ObserverGain
+from .observer import ObserverGain, error_dynamics_matrix
 from .plant import DiffStats, TransferPlant, UncertaintyModel, uncertainty_sequence
 
 __all__ = [
@@ -37,6 +32,7 @@ __all__ = [
     "synth_Hbar",
     "run",
     "run_batch",
+    "law_map",
     "estimate_stability_profile",
     "trace_to_csv",
     "write_trace_csv",
@@ -132,6 +128,18 @@ class LearningLaw:
             raise ValueError("surrogate is only meaningful for eso_model_free")
 
 
+def _check_gains(mode: str, gains: GainSet) -> None:
+    """Raise unless ``mode`` is a law and ``gains`` hold every gain it applies."""
+    if mode not in LAW_MODES:
+        raise ValueError(f"unknown law mode {mode!r}; expected one of {LAW_MODES}")
+    if mode != "p_type" and gains.observer is None:
+        raise ValueError(f"{mode} requires observer gains")
+    if mode in ("eso_full_state", "eso_mixed") and gains.H is None:
+        raise ValueError(f"{mode} requires the compensation gain H")
+    if mode in ("eso_robust", "eso_model_free") and gains.Hbar is None:
+        raise ValueError(f"{mode} requires the compensation gain Hbar")
+
+
 @dataclass
 class SimulationConfig:
     """Everything one closed-loop run needs, fixed up front."""
@@ -164,14 +172,8 @@ class SimulationConfig:
                 raise ValueError(f"u0 must have length {m}")
             if not np.all(np.isfinite(self.u0)):
                 raise ValueError("u0 contains non-finite entries")
-        mode = self.law.mode
-        if mode != "p_type" and self.gains.observer is None:
-            raise ValueError(f"{mode} requires observer gains")
-        if mode in ("eso_full_state", "eso_mixed") and self.gains.H is None:
-            raise ValueError(f"{mode} requires the compensation gain H")
-        if mode in ("eso_robust", "eso_model_free") and self.gains.Hbar is None:
-            raise ValueError(f"{mode} requires the compensation gain Hbar")
-        if mode == "eso_model_free" and self.law.surrogate.shape != (p, m):
+        _check_gains(self.law.mode, self.gains)
+        if self.law.mode == "eso_model_free" and self.law.surrogate.shape != (p, m):
             raise ValueError("surrogate shape must match the plant")
 
 
@@ -217,13 +219,34 @@ def run(config: SimulationConfig) -> IterationTrace:
 def _observer_maps(config: SimulationConfig):
     """The input map the law's observer knows, and the part of the true map
     it does not know (None when it knows the true map)."""
-    mode = config.law.mode
-    if mode == "eso_robust":
-        return config.plant.nominal, config.plant.delta
-    P = config.plant.full()
+    mode, plant = config.law.mode, config.plant
+    if mode == "eso_full_state":
+        return plant.full(), None
     if mode == "eso_model_free":
-        return config.law.surrogate, P - config.law.surrogate
-    return P, None
+        return config.law.surrogate, plant.full() - config.law.surrogate
+    return plant.nominal, plant.delta
+
+
+def law_map(mode: str, P, gains: GainSet, P_used=None) -> np.ndarray:
+    """The homogeneous step ``X_{k+1} = A X_k`` of a law's loop on the map
+    ``P`` with its observer on ``P_used`` (default ``P``), in the error
+    coordinates ``X = [E; e_hat; d_hat]`` (``[E]`` for ``p_type``): ``Du =
+    Ke E + Kh e_hat + Hd d_hat`` with ``(Ke, Kh, Hd)`` ``(K, 0, 0)``, ``(0,
+    K, H)`` (``eso_full_state``), ``(K, 0, H)`` (``eso_mixed``) or ``(K, 0,
+    K Hbar)`` (aggregated laws), then ``E' = E - P Du``, ``e_hat' = L1 E +
+    (I - L1) e_hat + d_hat - P_used Du`` and ``d_hat' = L2 E - L2 e_hat +
+    d_hat``."""
+    _check_gains(mode, gains)
+    P, K = as_matrix(P, "P"), gains.K
+    if mode == "p_type":
+        return np.eye(len(P)) - P @ K
+    p, zero, og = len(P), np.zeros_like(K), gains.observer
+    Hd = gains.H if mode in ("eso_full_state", "eso_mixed") else K @ gains.Hbar
+    G = np.hstack([zero, K, Hd] if mode == "eso_full_state" else [K, zero, Hd])  # Du = G X
+    A = np.block([[np.eye(p), np.zeros((p, 2 * p))], [og.stacked, error_dynamics_matrix(og)]])
+    A[:p] -= P @ G
+    A[p : 2 * p] -= (P if P_used is None else as_matrix(P_used, "P_used")) @ G
+    return A
 
 
 #: Iterations stepped between two scans of the state records for divergence.
@@ -266,24 +289,20 @@ def run_batch(configs) -> list[IterationTrace]:
 
     The configs must share the law, the plant shape and the iteration
     count.  One iteration does, for the stacked runs, a single run's step
-    in the order it is written: ``E = target - (P U + N_k)``, the law's
-    ``ubar``, ``U - ubar``, then the observer's ``e_hat - L1 e_hat +
-    d_hat + P_used ubar + L1 E`` and ``d_hat - L2 e_hat + L2 E``.  Each
-    product is one matvec per run, written into iteration-major records,
-    so that every operand is one contiguous block.  A matrix (``P``,
-    ``-K``, ``H``, ``Hbar``, ``L1``, ``L2`` or ``P_used``) that is square
-    and zero off the diagonal in every run is applied as a scaling by its
-    diagonal (``_product``), which gives the matvec's bits: only the sign
-    of a zero and ``0 * inf`` can differ, and an ``inf`` exists only past
-    the divergence cap, in rows that are dropped.  The order is kept on
-    purpose: a loop whose unstable mode is left unexcited only by an
-    exact cancellation (``L1 = P_used K`` with ``|1 - l1| > 1``)
-    amplifies every rounding geometrically, and a re-associated step
-    drifts from the single-run loop far beyond rounding.  A run takes the
-    same arithmetic whether it is stepped alone or with others.  A run is
-    truncated and flagged at the first ``k`` at which ``U_{k+1}`` or an
-    observer estimate is non-finite or leaves the divergence cap (scanned
-    every ``_CHUNK`` iterations); its rows past that ``k`` are dropped.
+    (``law_map``) in the order it is written: ``E = target - (P U + N_k)``,
+    the law's ``ubar``, ``U - ubar``, then the observer's ``e_hat - L1
+    e_hat + d_hat + P_used ubar + L1 E`` and ``d_hat - L2 e_hat + L2 E``.
+    Each product is one matvec per run, with the bits ``_product`` keeps,
+    written into iteration-major records, so that every operand is one
+    contiguous block.  The order is kept on purpose: a loop whose unstable
+    mode is left unexcited only by an exact cancellation (``L1 = P_used
+    K`` with ``|1 - l1| > 1``) amplifies every rounding geometrically, and
+    a re-associated step drifts from the single-run loop far beyond
+    rounding.  A run takes the same arithmetic whether it is stepped alone
+    or with others.  A run is truncated and flagged at the first ``k`` at
+    which ``U_{k+1}`` or an observer estimate is non-finite or leaves the
+    divergence cap (scanned every ``_CHUNK`` iterations); its rows past
+    that ``k`` are dropped.
     """
     configs = list(configs)
     if len({(c.law.mode, c.plant.shape, c.iterations) for c in configs}) != 1:

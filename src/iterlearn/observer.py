@@ -3,10 +3,11 @@
 The tracking error and the aggregated disturbance are stacked into one
 extended state whose dynamics are fixed and block-structured; an observer
 with gains ``(L1, L2)`` estimates both from the measured error alone.
-The four observer variants of the updating laws differ only in the input
-map they inject (the true map, a nominal model, or a surrogate): this
-module builds the blocks, the closed observer matrix and its condition,
-and ``learner.run_batch`` steps the recursion.
+The observers of the updating laws differ only in the input map they
+inject: the true map (``eso_full_state``, loops ``eq04`` and ``eq17``),
+the nominal model (``eso_mixed``, ``eq41``; ``eso_robust``, ``eq62``) or
+a surrogate (``eso_model_free``, ``eq102``).  This module builds the
+blocks and the closed observer matrix; ``learner.law_map`` a law's step.
 """
 
 from __future__ import annotations

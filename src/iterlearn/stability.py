@@ -7,22 +7,24 @@ matrix inequalities whose negative definiteness certifies the spectral
 conditions for every admissible structured model error (``eq44``,
 ``eq65``, ``eq101``).  Certificates are verified exactly; the search is a
 Lyapunov-seeded heuristic, not a general-purpose semidefinite solver.
-Every catalog loop, every inequality's loop and the ``eq30`` separation
-target is laid out by ``_robust_form`` as ``M0 + D delta E``;
-``verify_separation`` assembles the unseparated loops and the other
-targets itself.
+Every catalog loop, every inequality's loop and every separation target
+is laid out by ``_robust_form`` as ``M0 + D delta E``, and every
+unseparated loop is a law's step, ``learner.law_map``.  The laws run
+``eq04`` (``p_type``), ``eq04`` with ``eq17`` (``eso_full_state``, its
+observer on the true map), ``eq41`` and ``eq62`` (``eso_mixed`` and
+``eso_robust``, on the nominal map) and ``eq102`` (``eso_model_free``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .learner import GainSet
-from .observer import build_extended, error_dynamics_matrix
+from .learner import GainSet, law_map
+from .observer import error_dynamics_matrix
 from .matanalysis import (
     as_matrix,
     block_spectral_radius,
@@ -229,67 +231,38 @@ def check_condition(
 def verify_separation(
     identity_id: str, plant: TransferPlant, gains: GainSet
 ) -> tuple[float, bool]:
-    """Check one similarity identity numerically.
-
-    Assembles the closed-loop matrix of the cited design, applies the
-    unit-triangular transformation, and compares against the displayed
-    block-triangular target.  Returns the maximum residual (infinity norm
-    of the difference) and whether the transformed lower-left block is
-    numerically zero (infinity norm below 1e-10).
+    """Check one similarity identity numerically: ``T M T^-1`` against its
+    block-triangular ``_robust_form`` target.  ``M`` is a law's
+    ``learner.law_map``: ``eq20`` ``eso_full_state`` and ``eq30``
+    ``eso_mixed`` on the true map, ``eq61`` ``eso_robust`` at ``P = P0``,
+    and ``eq76`` ``eso_robust`` with its observer on ``P0``, in the
+    coordinates ``[(P K)^-1 E; -e_hat; -d_hat]``.  Returns the maximum
+    residual (infinity norm) and whether the transformed lower-left block
+    is numerically zero (infinity norm below 1e-10).
     """
     if identity_id not in SEPARATION_IDS:
         raise ValueError(f"unknown separation identity {identity_id!r}")
-    P = plant.full()
-    P0 = plant.nominal
-    og = _require(gains.observer, "observer gains", identity_id)
-    A_lc, Lbar = error_dynamics_matrix(og), og.stacked
-    # the observer of eq20/eq30 knows the true map, that of eq61/eq76 the nominal
-    es = build_extended(og.p, P if identity_id in ("eq20", "eq30") else P0)
-    p, F, Bbar = es.p, es.F, es.Bbar_used
-    K = gains.K
-    I = np.eye(p)
-    Zp = np.zeros((2 * p, p))
-    shear = -es.Cbar.T
-
-    if identity_id == "eq20":
-        H = _require(gains.H, "H", identity_id)
-        Kbar = np.hstack([K, H])
-        M = np.block([[I, -P @ Kbar], [Lbar, A_lc - Bbar @ Kbar]])
-        target = np.block([[I - P @ K, -P @ Kbar], [Zp, A_lc]])
-    elif identity_id == "eq30":
-        H = _require(gains.H, "H", identity_id)
-        M = np.block(
-            [[I - P @ K, -P @ H @ F], [Lbar - Bbar @ K, A_lc - Bbar @ H @ F]]
-        )
-        target = _robust_form("compensated", P, gains, identity_id)[0]
+    P, P0, K = plant.full(), plant.nominal, gains.K
+    p = P.shape[0]
+    T = np.eye(3 * p)
+    T[p : 2 * p, :p] = -np.eye(p)  # [[I, 0], [-Cbar^T, I]]
+    if identity_id == "eq76":
+        M, target = law_map("eso_robust", P, gains, P0), loop_matrix("eq62", plant, gains)
+        # [[I, 0], [Bbar K, I]] after the coordinates diag((P K)^-1, -I)
+        T[:p, :p] = np.linalg.inv(P @ K)
+        T[p : 2 * p, :p] = P0 @ K @ T[:p, :p]
+        T[p:, p:] = -np.eye(2 * p)
     elif identity_id == "eq61":
-        Hbar = _require(gains.Hbar, "Hbar", identity_id)
-        M = np.block(
-            [
-                [I - P0 @ K, -P0 @ K @ Hbar @ F],
-                [Lbar - Bbar @ K, A_lc - Bbar @ K @ Hbar @ F],
-            ]
-        )
-        target = np.block([[I - P0 @ K, -P0 @ K @ Hbar @ F], [Zp, A_lc]])
-    else:  # eq76
-        Hbar = _require(gains.Hbar, "Hbar", identity_id)
-        shear = Bbar @ K
-        M = np.block(
-            [
-                [I - P @ K, Hbar @ F],
-                [(shear - Lbar) @ P @ K, A_lc - shear @ Hbar @ F],
-            ]
-        )
-        target = loop_matrix("eq62", plant, gains)
-
-    upper = np.zeros((p, 2 * p))
-    T = np.block([[I, upper], [shear, np.eye(2 * p)]])
-    Tinv = np.block([[I, upper], [-shear, np.eye(2 * p)]])
-    transformed = T @ M @ Tinv
+        M = law_map("eso_robust", P0, gains)
+        target = _robust_form("compensated", P0, replace(gains, H=K @ gains.Hbar), identity_id)[0]
+    else:
+        M = law_map("eso_full_state" if identity_id == "eq20" else "eso_mixed", P, gains)
+        target = _robust_form("compensated", P, gains, identity_id)[0]
+        if identity_id == "eq20":  # the law feeds e_hat where eq30's feeds E
+            target[:p, p : 2 * p] = -P @ K
+    transformed = T @ M @ np.linalg.inv(T)
     max_residual = float(np.abs(transformed - target).max())
-    lower_left = transformed[p:, :p]
-    block_upper_triangular = bool(np.abs(lower_left).max() < 1e-10)
-    return max_residual, block_upper_triangular
+    return max_residual, bool(np.abs(transformed[p:, :p]).max() < 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,20 @@ def test_simulate_duplicate_seed_override_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1_0", "+2", "01", "1.0", "true", "1,2,"])
+def test_simulate_seed_override_takes_json_integers(tmp_path, capsys, value):
+    # each --seeds entry is read as the config's seeds are, a JSON integer:
+    # int() would run 1_0 as seed 10 and +2 as seed 2
+    config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(config), "--out", str(out), "--seeds", value]
+    assert main(argv + ["--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--seeds" in err
+    assert not out.exists()
+
+
 MALFORMED_FIELDS = [
     (("seeds",), [None]),
     (("seeds",), "12"),

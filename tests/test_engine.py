@@ -2,9 +2,11 @@
 
 ``reference_run`` is the engine as it was written before batching: one
 run, one iteration at a time, the observer advanced by its two update
-lines.  It stays here as the oracle for ``run_batch``.  ``parent_run_batch``
-is an earlier batched engine that copied every row into its records; it is
-kept as the memory baseline.
+lines, except that ``eso_mixed``'s observer now runs on the nominal map,
+the loop ``eq41`` states.  It stays here as the oracle for ``run_batch``.
+``parent_run_batch`` is an earlier batched engine that copied every row
+into its records; it is kept as the memory baseline.  ``law_map`` is
+checked against the engine's recorded rows and the catalog's spectra.
 """
 
 import tracemalloc
@@ -24,16 +26,18 @@ from iterlearn.learner import (
     IterationTrace,
     LearningLaw,
     SimulationConfig,
+    law_map,
     run,
     run_batch,
     synth_H_pseudo,
     synth_Hbar,
     trace_to_csv,
+    _observer_maps,
     _product,
 )
 from iterlearn.observer import ObserverGain
 from iterlearn.plant import TransferPlant, UncertaintyModel, uncertainty_sequence
-from iterlearn.stability import loop_matrix
+from iterlearn.stability import check_condition, loop_matrix
 
 
 def reference_run(config: SimulationConfig) -> dict:
@@ -46,9 +50,11 @@ def reference_run(config: SimulationConfig) -> dict:
     N = uncertainty_sequence(config.uncertainty.with_seed(config.seed), config.iterations)
     uses_observer = mode != "p_type"
     if uses_observer:
-        if mode in ("eso_full_state", "eso_mixed"):
+        # eso_full_state's observer knows the true map, eso_mixed's and
+        # eso_robust's the nominal one (the loops of eq20, eq41 and eq62)
+        if mode == "eso_full_state":
             P_used = P
-        elif mode == "eso_robust":
+        elif mode in ("eso_mixed", "eso_robust"):
             P_used = plant.nominal
         else:
             P_used = config.law.surrogate
@@ -374,82 +380,130 @@ def test_unexcited_unstable_mode_follows_the_reference_loop(seed, mode, gain_sca
     assert np.array_equal(trace.u_norm, ref["u_norm"])
 
 
-def square_problem(seed: int, mode: str) -> SimulationConfig:
-    """A random square plant with model error and full observer gains."""
+def wide_problem(seed: int, mode: str) -> SimulationConfig:
+    """A random plant, wide or square, with model error and full observer
+    gains; zero target and uncertainty, so its run is the homogeneous loop."""
     rng = np.random.default_rng(seed)
-    p = int(rng.integers(1, 5))
-    nominal = rng.standard_normal((p, p)) + 2 * np.eye(p)
-    plant = TransferPlant(nominal=nominal, delta=0.2 * rng.standard_normal((p, p)))
-    surrogate = nominal + 0.1 * rng.standard_normal((p, p))
+    p = int(rng.integers(1, 4))
+    m = p + int(rng.integers(0, 3))
+    nominal = rng.standard_normal((p, m))
+    nominal[:, :p] += 2 * np.eye(p)
+    plant = TransferPlant(nominal=nominal, delta=0.3 * rng.standard_normal((p, m)))
+    surrogate = nominal + 0.1 * rng.standard_normal((p, m))
     P_used = surrogate if mode == "eso_model_free" else nominal
-    K = rng.uniform(0.2, 1.2) * np.linalg.inv(P_used)
+    K = rng.uniform(0.2, 1.2) * synth_H_pseudo(P_used)
     observer = ObserverGain(
         L1=rng.uniform(0.3, 1.5) * np.eye(p) + 0.1 * rng.standard_normal((p, p)),
         L2=rng.uniform(0.05, 0.3) * np.eye(p) + 0.05 * rng.standard_normal((p, p)),
     )
+    compensated = mode in ("eso_full_state", "eso_mixed")
+    aggregated = mode in ("eso_robust", "eso_model_free")
     return SimulationConfig(
         plant=plant,
         target=np.zeros(p),
         uncertainty=UncertaintyModel.zero(p),
         gains=GainSet(
             K=K,
-            Hbar=None if mode == "p_type" else synth_Hbar(P_used, K),
+            H=synth_H_pseudo(nominal) if compensated else None,
+            Hbar=synth_Hbar(P_used, K) if aggregated else None,
             observer=None if mode == "p_type" else observer,
         ),
         law=LearningLaw(mode, surrogate=surrogate if mode == "eso_model_free" else None),
-        iterations=1,
+        iterations=25,
+        u0=rng.standard_normal(m),
     )
 
 
-def law_state_map(config: SimulationConfig) -> np.ndarray:
-    """The homogeneous step ``X_k -> X_{k+1}`` of ``reference_run``'s loop.
+def engine_map(config: SimulationConfig) -> np.ndarray:
+    """``law_map`` of a config's law, its observer on the map the engine
+    gives it."""
+    P_used, _ = _observer_maps(config)
+    return law_map(config.law.mode, config.plant.full(), config.gains, P_used)
 
-    With ``X_k = [U_k; e_hat_k; d_hat_k]`` (``[U_k]`` for ``p_type``),
-    every law is ``ubar = -Ke E - Kh e_hat - Hd d_hat`` on ``E = -P U``,
-    ``U_{k+1} = U_k - ubar``, and the observer knows the map ``P_used``.
-    """
-    gains, mode = config.gains, config.law.mode
-    P, K = config.plant.full(), gains.K
-    p, m = P.shape
-    if mode == "p_type":
-        return np.eye(m) - K @ P
-    zero = np.zeros_like(K)
-    Ke, Kh, Hd = {
-        "eso_full_state": (zero, K, gains.H),
-        "eso_mixed": (K, zero, gains.H),
-    }.get(mode, (K, zero, K @ gains.Hbar))
-    P_used = {"eso_robust": config.plant.nominal, "eso_model_free": config.law.surrogate}
-    P_used = P_used.get(mode, P)
-    L1, L2, I, Z = gains.observer.L1, gains.observer.L2, np.eye(p), np.zeros((m, p))
-    A = np.hstack([Ke @ P, -Kh, -Hd])  # ubar_k = A X_k
-    return np.vstack(
-        [
-            np.hstack([np.eye(m), Z, Z]) - A,
-            np.hstack([-L1 @ P, I - L1, I]) + P_used @ A,
-            np.hstack([-L2 @ P, -L2, I]),
-        ]
-    )
+
+#: the catalog loop (or loops) whose spectrum each law's step has
+LAW_CONDITIONS = {
+    "p_type": ("eq04",),
+    "eso_full_state": ("eq04", "eq17"),
+    "eso_mixed": ("eq41",),
+    "eso_robust": ("eq62",),
+    "eso_model_free": ("eq102",),
+}
 
 
 @pytest.mark.parametrize(
-    "mode, condition_id",
-    [("p_type", "eq04"), ("eso_robust", "eq62"), ("eso_model_free", "eq102")],
+    "mode, condition_ids",
+    LAW_CONDITIONS.items(),
+    ids=[f"{mode}-{'-'.join(ids)}" for mode, ids in LAW_CONDITIONS.items()],
 )
-def test_engine_map_has_the_catalog_spectrum(mode, condition_id):
-    # eso_mixed and eso_full_state are left out: eq41 is the loop of an
-    # observer on the nominal map, while the engine gives theirs the true
-    # map, so on a plant with model error the two spectra differ
-    for seed in range(40):
-        config = square_problem(seed, mode)
-        ours = np.linalg.eigvals(law_state_map(config))
-        catalog = np.linalg.eigvals(
-            loop_matrix(condition_id, config.plant, config.gains, config.law.surrogate)
+def test_engine_map_has_the_catalog_spectrum(mode, condition_ids):
+    for seed in range(60):
+        config = wide_problem(seed, mode)
+        ours = np.linalg.eigvals(engine_map(config))
+        catalog = np.concatenate(
+            [
+                np.linalg.eigvals(
+                    loop_matrix(cid, config.plant, config.gains, config.law.surrogate)
+                )
+                for cid in condition_ids
+            ]
         )
         assert ours.shape == catalog.shape
         cost = np.abs(ours[:, None] - catalog[None, :])
         rows, cols = linear_sum_assignment(cost)
         scale = max(1.0, np.abs(catalog).max())
         assert cost[rows, cols].max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("mode", LAW_MODES)
+def test_law_map_is_the_engine_step(mode):
+    # with zero target and uncertainty, the recorded rows X_k = [e; e_hat;
+    # d_hat] of a run follow X_{k+1} = A X_k to rounding; e = -P u is
+    # rounded at the scale of u, which need not decay with e on a wide
+    # plant, so the residual is taken relative to the run's largest state
+    worst = 0.0
+    for seed in range(40):
+        config = wide_problem(seed, mode)
+        A, trace = engine_map(config), run(config)
+        X = trace.e if mode == "p_type" else np.hstack([trace.e, trace.e_hat, trace.d_hat])
+        assert len(X) == config.iterations
+        residual = np.abs(X[1:] - X[:-1] @ A.T).max()
+        worst = max(worst, residual / max(np.abs(X).max(), np.abs(trace.u).max()))
+    assert worst <= 1e-12
+
+
+def test_eso_mixed_runs_the_eq41_loop():
+    # eq41 at a plant's model error is the loop of an observer on the
+    # nominal map; on wide plants with model error every run that clearly
+    # converged has eq41 holding and every run that diverged has it failing
+    rng = np.random.default_rng(0)
+    configs = []
+    for _ in range(60):
+        nominal = rng.standard_normal((2, 3))
+        delta = rng.uniform(0, 1) * rng.standard_normal((2, 3))
+        plant = TransferPlant(nominal=nominal, delta=delta)
+        K = rng.uniform(0.2, 1.5) * synth_H_pseudo(nominal)
+        observer = ObserverGain.diagonal(2, rng.uniform(0.3, 1.5), rng.uniform(0.05, 0.5))
+        configs.append(
+            SimulationConfig(
+                plant=plant,
+                target=rng.standard_normal(2),
+                uncertainty=UncertaintyModel.zero(2),
+                gains=GainSet(K=K, H=synth_H_pseudo(nominal), observer=observer),
+                law=LearningLaw("eso_mixed"),
+                iterations=1500,
+            )
+        )
+    converged = diverged = 0
+    for config, trace in zip(configs, run_batch(configs)):
+        holds = check_condition("eq41", config.plant, config.gains).holds
+        if trace.diverged:
+            diverged += 1
+            assert not holds
+        elif trace.err_inf[-1] < 1e-8:
+            converged += 1
+            assert holds
+    assert converged >= 30 and diverged >= 10
 
 
 def traced_peak(f, *args):
