@@ -13,6 +13,8 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -142,15 +144,13 @@ class Experiment:
     """A parsed config able to materialize per-seed runs.
 
     Whatever does not depend on the seed (a direct plant, the target, ``u0``
-    and the uncertainty) is parsed and checked at load, so ``check`` rejects
-    every config that ``simulate`` rejects.  Each seed's plant and gains are
+    and the uncertainty) is parsed and checked at load.  Each seed's plant is
     built once and shared by every run, condition report and certificate
-    search of that seed.  Every seed shares one nominal map (a lifted plant's
-    is one zero or one lifted nominal per experiment), and the gains that do
-    not read the seed's plant, each law, each condition's form and each
-    report that no model error enters are built once for the whole
-    experiment, on first use; only ``pseudo_inverse_H`` and
-    ``hbar_from_nominal`` make the gains, and so the forms, per seed.
+    search of that seed.  Every seed shares one nominal map, ``nominal`` (a
+    zero or a lifted nominal for a lifted plant), each law and one gain set,
+    ``gains``, built on first use; ``hbar_from_nominal`` reads ``nominal``.
+    Only a ``pseudo_inverse_H`` reads the seed's plant, so ``gains_for``
+    gives each seed the shared set with its own ``H``.
     """
 
     def __init__(self, doc: dict, base: Path):
@@ -183,17 +183,9 @@ class Experiment:
             raise ConfigError(f"output_dir must be a string, got {json.dumps(self.output_dir)}")
 
         self._gains_doc = _object(doc.get("gains") or {}, "gains")
-        self._gains_read_plant = (
-            _directive(self._gains_doc.get("H")) == "pseudo_inverse_H"
-            or _directive(self._gains_doc.get("Hbar")) == "hbar_from_nominal"
-        )
         self._ilc_base: plant.LiftedIlcSystem | None = None
         self._plants: dict[int, plant.TransferPlant] = {}
-        self._gains: dict[int, GainSet] = {}
-        self._shared_gains: dict[str, object] = {}
         self._laws: dict[str, LearningLaw] = {}
-        # condition id -> (gains, nominal map, form, report if no model error)
-        self._conditions: dict[str, tuple] = {}
         p, m = self._parse_plant(_object(doc.get("plant"), "plant"))
         if doc.get("target") is None:
             raise ConfigError("config missing field 'target'")
@@ -247,6 +239,7 @@ class Experiment:
                 raise ConfigError(f"plant missing field {exc}") from exc
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            self.nominal = self._direct.nominal
             return self._direct.shape
         if kind != "ilc_lift":
             raise ConfigError(f"unknown plant kind {kind!r}")
@@ -258,9 +251,9 @@ class Experiment:
         horizon = self._ilc_base.horizon
         shape = horizon * self._ilc_base.n_outputs, horizon * self._ilc_base.n_inputs
         if role == "uncertain_nominal":
-            self._nominal, _, _ = plant.lift_ilc(self._ilc_base)
+            self.nominal, _, _ = plant.lift_ilc(self._ilc_base)
         elif role == "model_free":
-            self._nominal = np.zeros(shape)
+            self.nominal = np.zeros(shape)
         else:
             raise ConfigError(f"unknown plant role {role!r}")
         return shape
@@ -273,7 +266,7 @@ class Experiment:
             sys_true = plant.perturb_system(sys0, self._level, seed) if self._level > 0 else sys0
             P_true, _, _ = plant.lift_ilc(sys_true)
             self._plants[seed] = plant.TransferPlant(
-                nominal=self._nominal, delta=P_true - self._nominal
+                nominal=self.nominal, delta=P_true - self.nominal
             )
         return self._plants[seed]
 
@@ -291,99 +284,69 @@ class Experiment:
 
     # -- gains ----------------------------------------------------------
     def gains_for(self, seed: int) -> GainSet:
-        """The seed's gains: one gain set for every seed unless a gain reads
-        the seed's plant."""
-        if seed not in self._gains:
-            if self._gains and not self._gains_read_plant:
-                self._gains[seed] = next(iter(self._gains.values()))
-            else:
-                self._gains[seed] = self._build_gains(self.plant_for(seed))
-        return self._gains[seed]
+        """The seed's gains: ``gains``, with the seed's own ``pseudo_inverse_H``."""
+        try:
+            if _directive(self._gains_doc.get("H")) != "pseudo_inverse_H":
+                return self.gains
+            return replace(self.gains, H=learner.synth_H_pseudo(self.plant_for(seed).full()))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
-    def _build_gains(self, a_plant: plant.TransferPlant) -> GainSet:
-        """One seed's gains.  Only ``pseudo_inverse_H`` and
-        ``hbar_from_nominal`` read the seed's plant; every other gain is
-        built for the first seed and shared by the others.  The gains are
-        built in the same order either way, so an invalid config fails on
-        the same error."""
+    @cached_property
+    def gains(self) -> GainSet:
+        """The gain set every seed shares, without a ``pseudo_inverse_H``.  An
+        invalid gain raises ``ValueError``, which ``gains_for`` makes a ``ConfigError``."""
         doc = self._gains_doc
-        p = a_plant.shape[0]
+        K_doc = doc.get("K")
+        if K_doc is None:
+            raise ConfigError("gains.K is required")
+        if _directive(K_doc) == "scaled_surrogate_inverse":
+            if self.surrogate is None:
+                raise ConfigError("K directive needs a surrogate")
+            scale = _number(K_doc.get("scale", 0.5), "gains.K.scale")
+            try:
+                K = scale * np.linalg.inv(self.surrogate)
+            except np.linalg.LinAlgError as exc:
+                raise ConfigError(f"surrogate is singular: {exc}") from exc
+        elif _directive(K_doc):
+            raise ConfigError(f"unknown K directive {_directive(K_doc)!r}")
+        else:
+            K = _matrix_field(K_doc, "gains.K", self.base)
 
-        def shared(name, build):
-            if name not in self._shared_gains:
-                self._shared_gains[name] = build()
-            return self._shared_gains[name]
-
-        def learning_gain():
-            K_doc = doc.get("K")
-            if K_doc is None:
-                raise ConfigError("gains.K is required")
-            if _directive(K_doc) == "scaled_surrogate_inverse":
-                if self.surrogate is None:
-                    raise ConfigError("K directive needs a surrogate")
-                scale = _number(K_doc.get("scale", 0.5), "gains.K.scale")
-                try:
-                    return scale * np.linalg.inv(self.surrogate)
-                except np.linalg.LinAlgError as exc:
-                    raise ConfigError(f"surrogate is singular: {exc}") from exc
-            if _directive(K_doc):
-                raise ConfigError(f"unknown K directive {_directive(K_doc)!r}")
-            return _matrix_field(K_doc, "gains.K", self.base)
-
-        K = shared("K", learning_gain)
-
-        H = None
-        H_doc = doc.get("H")
-        if H_doc is not None:
-            if _directive(H_doc) == "pseudo_inverse_H":
-                try:
-                    H = learner.synth_H_pseudo(a_plant.full())
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
-            elif _directive(H_doc):
-                raise ConfigError(f"unknown H directive {_directive(H_doc)!r}")
-            else:
-                H = shared("H", lambda: _matrix_field(H_doc, "gains.H", self.base))
+        H, H_doc, d = None, doc.get("H"), _directive(doc.get("H"))
+        if d and d != "pseudo_inverse_H":  # that one is each seed's, from gains_for
+            raise ConfigError(f"unknown H directive {d!r}")
+        if H_doc is not None and not d:
+            H = _matrix_field(H_doc, "gains.H", self.base)
 
         Hbar = None
         Hbar_doc = doc.get("Hbar")
         if Hbar_doc is not None:
             d = _directive(Hbar_doc)
-            try:
-                if d == "hbar_from_surrogate":
-                    if self.surrogate is None:
-                        raise ConfigError("Hbar directive needs a surrogate")
-                    Hbar = shared("Hbar", lambda: learner.synth_Hbar(self.surrogate, K))
-                elif d == "hbar_from_nominal":
-                    Hbar = learner.synth_Hbar(a_plant.nominal, K)
-                elif d:
-                    raise ConfigError(f"unknown Hbar directive {d!r}")
-                else:
-                    Hbar = shared("Hbar", lambda: _matrix_field(Hbar_doc, "gains.Hbar", self.base))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            if d == "hbar_from_surrogate":
+                if self.surrogate is None:
+                    raise ConfigError("Hbar directive needs a surrogate")
+                Hbar = learner.synth_Hbar(self.surrogate, K)
+            elif d == "hbar_from_nominal":
+                Hbar = learner.synth_Hbar(self.nominal, K)
+            elif d:
+                raise ConfigError(f"unknown Hbar directive {d!r}")
+            else:
+                Hbar = _matrix_field(Hbar_doc, "gains.Hbar", self.base)
 
-        def observer_gain():
-            if doc.get("L1") is None and doc.get("L2") is None:
-                return None
+        observer = None
+        if doc.get("L1") is not None or doc.get("L2") is not None:
             if doc.get("L1") is None or doc.get("L2") is None:
                 raise ConfigError("observer gains need both L1 and L2")
 
             def obs_gain(obj, name):
                 if isinstance(obj, dict) and "scaled_identity" in obj:
                     scale = _number(obj["scaled_identity"], f"{name}.scaled_identity")
-                    return scale * np.eye(p)
+                    return scale * np.eye(len(self.target))
                 return _matrix_field(obj, name, self.base)
 
-            return ObserverGain(
-                L1=obs_gain(doc["L1"], "gains.L1"), L2=obs_gain(doc["L2"], "gains.L2")
-            )
-
-        observer = shared("observer", observer_gain)
-        try:
-            return GainSet(K=K, H=H, Hbar=Hbar, observer=observer)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            observer = ObserverGain(*(obs_gain(doc[n], f"gains.{n}") for n in ("L1", "L2")))
+        return GainSet(K=K, H=H, Hbar=Hbar, observer=observer)
 
     # -- per-run config ---------------------------------------------------
     def simulation_config(self, law_mode: str, seed: int) -> SimulationConfig:
@@ -405,49 +368,37 @@ class Experiment:
             raise ConfigError(str(exc)) from exc
 
     # -- condition reports -------------------------------------------------
-    def condition_reports(self, seed: int) -> list[stability.ConditionReport]:
-        a_plant = self.plant_for(seed)
-        gains = self.gains_for(seed)
-        ids = ["eq04"]
-        if np.any(a_plant.nominal != 0.0):
-            ids.append("eq48")
-        if gains.observer is not None:
-            ids.append("eq17")
-            if gains.H is not None:
-                ids.append("eq41")
-            if gains.Hbar is not None:
-                ids.append("eq62")
-        if self.surrogate is not None:
-            ids.append("eq95")
-            if gains.Hbar is not None and gains.observer is not None:
-                ids.append("eq102")
-        return [self._condition(cid, a_plant, gains) for cid in ids]
-
     def condition_map(self) -> dict[str, list[dict]]:
         """Each seed's condition reports, as written to summary.json and
-        report.json.  The forms serve this one pass over the seeds and are
-        released after it, before ``check`` searches for a certificate."""
-        conditions = {
-            str(seed): [r.to_dict() for r in self.condition_reports(seed)] for seed in self.seeds
+        report.json.  The seeds share one dict of forms, released after this
+        pass, before ``check`` searches for a certificate."""
+        forms: dict = {}
+        return {
+            str(seed): [r.to_dict() for r in self.condition_reports(seed, forms)]
+            for seed in self.seeds
         }
-        self._conditions.clear()
-        return conditions
 
-    def _condition(self, cid: str, a_plant, gains: GainSet) -> stability.ConditionReport:
-        """One condition's report for one seed.  Its form is built once for
-        each gain set and nominal map, and a condition that no model error
-        enters is evaluated with it; per seed, only the model error and the
-        radius of the other conditions remain."""
-        hit = self._conditions.get(cid)
-        if hit is None or hit[0] is not gains or hit[1] is not a_plant.nominal:
-            form = stability.condition_form(cid, a_plant, gains, self.surrogate)
-            report = None
-            if cid in stability.ERROR_FREE_IDS:
-                report = stability.check_condition(cid, a_plant, gains, self.surrogate, form)
-            hit = self._conditions[cid] = (gains, a_plant.nominal, form, report)
-        if hit[3] is not None:
-            return hit[3]
-        return stability.check_condition(cid, a_plant, gains, self.surrogate, hit[2])
+    def condition_reports(self, seed: int, forms=None) -> list[stability.ConditionReport]:
+        """The seed's reports of its conditions (``stability.applicable_conditions``).
+        ``forms`` maps ``(id, gain set)`` to the gain set, the condition's
+        form and its report if no model error enters it, so seeds sharing
+        the dict and a gain set add only their model error and radius."""
+        a_plant, gains = self.plant_for(seed), self.gains_for(seed)
+        forms = {} if forms is None else forms
+
+        def report(cid, form):
+            return stability.check_condition(cid, a_plant, gains, self.surrogate, form)
+
+        reports = []
+        for cid in stability.applicable_conditions(gains, self.nominal, self.surrogate):
+            key = (cid, id(gains))  # the value keeps the gain set, and so its id, alive
+            if key not in forms:
+                form = stability.condition_form(cid, a_plant, gains, self.surrogate)
+                error_free = cid in stability.ERROR_FREE_IDS
+                forms[key] = gains, form, report(cid, form) if error_free else None
+            _, form, shared = forms[key]
+            reports.append(shared or report(cid, form))
+        return reports
 
 
 def load_experiment(path) -> Experiment:
@@ -550,31 +501,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     exp = load_experiment(args.config)
+    for law in exp.laws:  # rejects what simulate rejects
+        exp.simulation_config(law, exp.seeds[0])
     out = Path(args.out or exp.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     report = {"format_version": FORMAT_VERSION, "conditions": exp.condition_map()}
     if exp.structure is not None:
-        first_plant = exp.plant_for(exp.seeds[0])
-        gains = exp.gains_for(exp.seeds[0])
-        if exp.surrogate is not None and gains.Hbar is not None:
-            lmi_id, nominal = "eq101", exp.surrogate
-        elif gains.Hbar is not None:
-            lmi_id, nominal = "eq65", first_plant.nominal
-        elif gains.H is not None:
-            lmi_id, nominal = "eq44", first_plant.nominal
-        else:
-            lmi_id = None
-        if lmi_id is None:
-            report["lmi"] = {"id": None, "found": False}
-        else:
-            cert = stability.lmi_search(lmi_id, nominal, exp.structure, gains)
-            entry = {"id": lmi_id, "found": cert is not None}
-            if cert is not None:
-                cert_file = out / "certificate.json"
-                stability.save_certificate(cert_file, cert)
-                entry["certificate_file"] = cert_file.name
-                entry["tau"] = cert.tau
-            report["lmi"] = entry
+        seed = exp.seeds[0]
+        ids = [r["condition_id"] for r in report["conditions"][str(seed)]]
+        lmi_id, nominal = stability.certified_inequality(ids, exp.nominal, exp.surrogate)
+        cert = lmi_id and stability.lmi_search(lmi_id, nominal, exp.structure, exp.gains_for(seed))
+        report["lmi"] = {"id": lmi_id, "found": cert is not None}
+        if cert is not None:
+            cert_file = out / "certificate.json"
+            stability.save_certificate(cert_file, cert)
+            report["lmi"].update(certificate_file=cert_file.name, tau=cert.tau)
     _write_json(out / "report.json", report)
     if not args.quiet:
         print(json.dumps(report, indent=2, sort_keys=True))

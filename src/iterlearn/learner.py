@@ -40,7 +40,25 @@ __all__ = [
     "TRACE_CSV_HEADER",
 ]
 
-LAW_MODES = ("p_type", "eso_full_state", "eso_mixed", "eso_robust", "eso_model_free")
+#: The gains each design applies besides ``K``, as ``(GainSet attribute, what
+#: it is called)``; the observer design is the observer loop on its own.
+DESIGN_GAINS = {
+    "learning": (),
+    "observer": (("observer", "observer gains"),),
+    "compensated": (("observer", "observer gains"), ("H", "the compensation gain H")),
+    "aggregated": (("observer", "observer gains"), ("Hbar", "the compensation gain Hbar")),
+}
+
+#: Each law's design.
+LAW_DESIGNS = {
+    "p_type": "learning",
+    "eso_full_state": "compensated",
+    "eso_mixed": "compensated",
+    "eso_robust": "aggregated",
+    "eso_model_free": "aggregated",
+}
+
+LAW_MODES = tuple(LAW_DESIGNS)
 
 #: Input or observer-estimate magnitude beyond which a run is declared divergent.
 DIVERGENCE_CAP = 1e12
@@ -90,13 +108,13 @@ class GainSet:
 
     def __post_init__(self):
         self.K = as_matrix(self.K, "K")
+        p = self.K.shape[1]
         if self.H is not None:
             self.H = as_matrix(self.H, "H")
             if self.H.shape != (self.K.shape[0], self.K.shape[1]):
                 raise ValueError("H must have the same shape as K")
         if self.Hbar is not None:
             self.Hbar = as_matrix(self.Hbar, "Hbar")
-            p = self.K.shape[1]
             if self.Hbar.shape != (p, p):
                 raise ValueError("Hbar must be square with the error dimension")
         if self.H is not None and self.Hbar is not None:
@@ -104,6 +122,15 @@ class GainSet:
             scale = max(1.0, np.abs(self.H).max())
             if resid > 1e-10 * scale:
                 raise ValueError("inconsistent gains: H must equal K @ Hbar")
+        if self.observer is not None and self.observer.p != p:
+            raise ValueError(f"observer gains must be {p}x{p}, the error dimension of K")
+
+
+def require_gains(design: str, gains: GainSet, who: str) -> None:
+    """Raise ``ValueError`` naming the first gain of ``design`` that ``gains`` lack."""
+    for attr, name in DESIGN_GAINS[design]:
+        if getattr(gains, attr) is None:
+            raise ValueError(f"{who} requires {name}")
 
 
 @dataclass
@@ -132,12 +159,7 @@ def _check_gains(mode: str, gains: GainSet) -> None:
     """Raise unless ``mode`` is a law and ``gains`` hold every gain it applies."""
     if mode not in LAW_MODES:
         raise ValueError(f"unknown law mode {mode!r}; expected one of {LAW_MODES}")
-    if mode != "p_type" and gains.observer is None:
-        raise ValueError(f"{mode} requires observer gains")
-    if mode in ("eso_full_state", "eso_mixed") and gains.H is None:
-        raise ValueError(f"{mode} requires the compensation gain H")
-    if mode in ("eso_robust", "eso_model_free") and gains.Hbar is None:
-        raise ValueError(f"{mode} requires the compensation gain Hbar")
+    require_gains(LAW_DESIGNS[mode], gains, mode)
 
 
 @dataclass
@@ -241,7 +263,7 @@ def law_map(mode: str, P, gains: GainSet, P_used=None) -> np.ndarray:
     if mode == "p_type":
         return np.eye(len(P)) - P @ K
     p, zero, og = len(P), np.zeros_like(K), gains.observer
-    Hd = gains.H if mode in ("eso_full_state", "eso_mixed") else K @ gains.Hbar
+    Hd = gains.H if LAW_DESIGNS[mode] == "compensated" else K @ gains.Hbar
     G = np.hstack([zero, K, Hd] if mode == "eso_full_state" else [K, zero, Hd])  # Du = G X
     A = np.block([[np.eye(p), np.zeros((p, 2 * p))], [og.stacked, error_dynamics_matrix(og)]])
     A[:p] -= P @ G

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .learner import GainSet, law_map
+from .learner import DESIGN_GAINS, GainSet, law_map, require_gains
 from .observer import error_dynamics_matrix
 from .matanalysis import (
     as_matrix,
@@ -43,6 +43,8 @@ __all__ = [
     "ERROR_FREE_IDS",
     "ConditionReport",
     "LmiCertificate",
+    "applicable_conditions",
+    "certified_inequality",
     "condition_form",
     "loop_matrix",
     "check_condition",
@@ -56,15 +58,15 @@ __all__ = [
     "load_certificate",
 ]
 
-CONDITION_IDS = ("eq04", "eq17", "eq41", "eq48", "eq62", "eq95", "eq102")
+CONDITION_IDS = ("eq04", "eq48", "eq17", "eq41", "eq62", "eq95", "eq102")
 SEPARATION_IDS = ("eq20", "eq30", "eq61", "eq76")
 LMI_IDS = ("eq44", "eq65", "eq101")
 
-#: Each id's design (None for the observer loop), the map its loop is built
+#: Each id's design (``DESIGN_GAINS``), the map its loop is built
 #: around, the model error that enters it (None: none) and what it states.
 _CATALOG = {
     "eq04": ("learning", "nominal", "plant.delta", "plain learning loop: rho(I - P K) < 1"),
-    "eq17": (None, None, None, "observer loop: rho(Abar - L Cbar) < 1"),
+    "eq17": ("observer", None, None, "observer loop: rho(Abar - L Cbar) < 1"),
     "eq41": ("compensated", "nominal", "plant.delta", "H design, observer on the nominal map"),
     "eq48": ("learning", "nominal", None, "nominal learning loop: rho(I - P0 K) < 1"),
     "eq62": ("aggregated", "nominal", "plant.delta", "aggregated-disturbance design's input loop"),
@@ -77,6 +79,35 @@ _CATALOG = {
 
 #: Conditions no model error enters: their matrix is the loop at zero error.
 ERROR_FREE_IDS = tuple(cid for cid in CONDITION_IDS if _CATALOG[cid][2] is None)
+
+
+def applicable_conditions(gains: GainSet, nominal, surrogate=None) -> list[str]:
+    """The catalog conditions of a config, in ``CONDITION_IDS`` order: each
+    whose design's gains ``gains`` hold all, whose map exists (a surrogate
+    for ``eq95`` and ``eq102``) and that is not an error-free loop around an
+    all-zero ``nominal`` (``eq48`` of a model-free plant)."""
+
+    def applies(design, around, error, _):
+        return (
+            all(getattr(gains, attr) is not None for attr, _ in DESIGN_GAINS[design])
+            and (around != "surrogate" or surrogate is not None)
+            and (around != "nominal" or error is not None or np.any(nominal))
+        )
+
+    return [cid for cid in CONDITION_IDS if applies(*_CATALOG[cid])]
+
+
+def certified_inequality(condition_ids, nominal, surrogate=None):
+    """The inequality ``check`` searches for a config with the conditions
+    ``condition_ids`` (in ``CONDITION_IDS`` order), and the map it is built
+    around: the inequality at the design and map of the last condition
+    that has one (``eq102`` before ``eq62`` before ``eq41``), else
+    ``(None, None)``."""
+    for cid in reversed(condition_ids):
+        for lmi_id in LMI_IDS:
+            if _CATALOG[lmi_id][:2] == _CATALOG[cid][:2]:
+                return lmi_id, surrogate if _CATALOG[lmi_id][1] == "surrogate" else nominal
+    return None, None
 
 
 @dataclass
@@ -118,24 +149,27 @@ def _robust_form(design: str, P0: np.ndarray, gains: GainSet, cid: str):
     [-I; Cbar^T], [K, H F])`` and ``aggregated`` (gain ``Hbar``) is
     ``([[I - P0 K, Hbar F], [0, A_lc]], [-I; -Lbar], [K, 0])``, with
     ``Lbar = [L1; L2]``.  The selectors ``F = [0, I]`` and
-    ``Cbar^T = [I; 0]`` are placed, not multiplied.
+    ``Cbar^T = [I; 0]`` are placed, not multiplied.  ``observer`` is
+    ``(A_lc, None, None)``.  A design's gain that ``gains`` lack
+    (``learner.DESIGN_GAINS``) raises ``ValueError``.
     """
-    K = gains.K
+    require_gains(design, gains, f"condition {cid}")
+    K, og = gains.K, gains.observer
+    if design == "observer":
+        return error_dynamics_matrix(og), None, None
     p = P0.shape[0]
     I = np.eye(p)
     learning = I - P0 @ K if P0.any() else I
     if design == "learning":
         return learning, -I, K
-    og = _require(gains.observer, "observer gains", cid)
     if og.p != p:
         raise ValueError("nominal map and observer gains disagree on dimension")
     M0, D, E = np.zeros((3 * p, 3 * p)), np.zeros((3 * p, p)), np.zeros((K.shape[0], 3 * p))
     M0[:p, :p], M0[p:, p:], D[:p], E[:, :p] = learning, error_dynamics_matrix(og), -I, K
     if design == "compensated":
-        H = _require(gains.H, "the compensation gain H", cid)
-        M0[:p, 2 * p :], D[p : 2 * p], E[:, 2 * p :] = -P0 @ H, I, H
+        M0[:p, 2 * p :], D[p : 2 * p], E[:, 2 * p :] = -P0 @ gains.H, I, gains.H
     else:
-        M0[:p, 2 * p :] = _require(gains.Hbar, "the compensation gain Hbar", cid)
+        M0[:p, 2 * p :] = gains.Hbar
         D[p:] = -og.stacked
     return M0, D, E
 
@@ -172,12 +206,10 @@ def condition_form(
     if gains is None:
         raise ValueError(f"condition {condition_id} requires gains")
     design, around, _, _ = _CATALOG[condition_id]
-    if design is None:
-        A_lc = error_dynamics_matrix(_require(gains.observer, "observer gains", condition_id))
-        return None, (A_lc, None, None)
+    X = None
     if around == "surrogate":
         X = as_matrix(_require(surrogate, "a surrogate", condition_id), "surrogate")
-    else:
+    elif around == "nominal":
         X = _require(plant, "a plant", condition_id).nominal
     return X, _robust_form(design, X, gains, condition_id)
 

@@ -498,6 +498,131 @@ def test_check_with_structure_emits_certificate(tmp_path):
     assert reports["eq04"]["holds"] and reports["eq04"]["rho"] == pytest.approx(0.5)
 
 
+def small_config(tmp_path, gains, laws, surrogate=None, nominal=True, structure=True):
+    # a 2 x 2 direct plant; without a nominal map, its model error is the whole map
+    P = [[1.0, 0.0], [0.3, 0.8]]
+    doc = {
+        "format_version": 1,
+        "plant": {"kind": "direct", "nominal": P, "delta": [[0.02, 0.0], [0.0, -0.01]]},
+        "target": [1.0, -0.5],
+        "gains": gains,
+        "laws": laws,
+        "iterations": 5,
+        "seeds": [0],
+    }
+    if not nominal:
+        doc["plant"] = {"kind": "direct", "nominal": [[0.0, 0.0], [0.0, 0.0]], "delta": P}
+    if surrogate is not None:
+        doc["surrogate"] = surrogate
+    if structure:
+        doc["structure"] = {"phi1": [[0.05, 0.0], [0.0, 0.05]], "phi2": [[1.0, 0.0], [0.0, 1.0]]}
+    path = tmp_path / "c.json"
+    write_json(path, doc)
+    return path
+
+
+K2 = [[0.5, 0.0], [0.0, 0.5]]
+OBSERVER = {"L1": {"scaled_identity": 0.9}, "L2": {"scaled_identity": 0.1}}
+HBAR2 = [[2.0, 0.0], [1.0, 2.0]]
+H2 = (np.array(K2) @ np.array(HBAR2)).tolist()  # H = K Hbar, exactly
+
+# configs that simulate rejects, and the one error line each prints
+REJECTED = {
+    "model_free_without_surrogate": (
+        {"K": K2, "Hbar": HBAR2, **OBSERVER}, ["eso_model_free"],
+        "eso_model_free requires a surrogate map",
+    ),
+    "mixed_without_H": (
+        {"K": K2, **OBSERVER}, ["p_type", "eso_mixed"],
+        "eso_mixed requires the compensation gain H",
+    ),
+    "K_of_the_wrong_shape": ({"K": np.eye(3).tolist()}, ["p_type"], "K must be 2x2 for this plant"),
+    "observer_of_the_wrong_size": (
+        {"K": K2, "L1": [[0.9]], "L2": [[0.1]]}, ["p_type"],
+        "observer gains must be 2x2, the error dimension of K",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_check_rejects_what_simulate_rejects(tmp_path, capsys, case):
+    gains, laws, message = REJECTED[case]
+    config = small_config(tmp_path, gains, laws)
+    errors = []
+    for command in ("simulate", "check"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == f"error: {message}\n"
+
+
+def hand_rule_condition_ids(observer, H, Hbar, surrogate, nominal):
+    """The hand list the catalog's selection replaced."""
+    ids = ["eq04"]
+    if nominal:
+        ids.append("eq48")
+    if observer:
+        ids.append("eq17")
+        if H:
+            ids.append("eq41")
+        if Hbar:
+            ids.append("eq62")
+    if surrogate:
+        ids.append("eq95")
+        if Hbar and observer:
+            ids.append("eq102")
+    return ids
+
+
+def hand_rule_inequality(H, Hbar, surrogate):
+    """The hand branch of check that the catalog's selection replaced."""
+    if surrogate and Hbar:
+        return "eq101"
+    if Hbar:
+        return "eq65"
+    if H:
+        return "eq44"
+    return None
+
+
+@pytest.mark.parametrize("observer", [False, True])
+def test_catalog_selects_the_hand_rules_conditions_and_inequality(tmp_path, observer):
+    import itertools
+
+    for H, Hbar, surrogate, nominal in itertools.product([False, True], repeat=4):
+        gains = {"K": K2, **(OBSERVER if observer else {})}
+        if H:
+            gains["H"] = H2
+        if Hbar:
+            gains["Hbar"] = HBAR2
+        row = tmp_path / f"{int(H)}{int(Hbar)}{int(surrogate)}{int(nominal)}"
+        row.mkdir()
+        config = small_config(
+            row, gains, ["p_type"], surrogate=[[1.0, 0.0], [0.2, 0.9]] if surrogate else None,
+            nominal=nominal,
+        )
+        assert main(["check", "--config", str(config), "--out", str(row), "--quiet"]) == EXIT_OK
+        report = json.loads((row / "report.json").read_text())
+        ids = [r["condition_id"] for r in report["conditions"]["0"]]
+        assert ids == hand_rule_condition_ids(observer, H, Hbar, surrogate, nominal), row.name
+        # the hand branch sent a design without an observer to a search that
+        # failed on it; no condition of such a design is reported
+        expected = hand_rule_inequality(H, Hbar, surrogate) if observer else None
+        assert report["lmi"]["id"] == expected, row.name
+
+
+def test_structure_without_observer_reports_no_inequality(tmp_path):
+    config = small_config(tmp_path, {"K": K2, "H": H2}, ["p_type"])
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["lmi"] == {"id": None, "found": False}
+    assert [r["condition_id"] for r in report["conditions"]["0"]] == ["eq04", "eq48"]
+    assert not (out / "certificate.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # plot
 # ---------------------------------------------------------------------------
@@ -609,11 +734,12 @@ def _direct_plant(doc):
     doc["plant"] = {"kind": "direct", "nominal": nominal.tolist(), "delta": delta.tolist()}
 
 
-# each variant of the reference experiment, and whether a gain reads the plant
+# each variant of the reference experiment, and whether a gain reads the
+# seed's plant (hbar_from_nominal reads only the one nominal map)
 CONDITION_VARIANTS = {
     "reference": (lambda doc: None, False),
     "pseudo_inverse_H": (_pseudo_inverse_H, True),
-    "hbar_from_nominal": (_hbar_from_nominal, True),
+    "hbar_from_nominal": (_hbar_from_nominal, False),
     "uncertain_nominal": (_uncertain_nominal, False),
     "direct_plant": (_direct_plant, False),
 }

@@ -88,6 +88,15 @@ def test_gainset_requires_consistent_H_Hbar():
         GainSet(K=K, H=np.array([[1.5]]), Hbar=np.array([[2.0]]))
 
 
+def test_gainset_requires_observer_of_the_error_dimension():
+    K = 0.5 * np.eye(2)
+    GainSet(K=K, observer=ObserverGain.diagonal(2, 0.9, 0.1))
+    with pytest.raises(ValueError, match="observer gains must be 2x2"):
+        GainSet(K=K, observer=ObserverGain.diagonal(1, 0.9, 0.1))
+    with pytest.raises(ValueError, match="observer gains must be 1x1"):
+        GainSet(K=np.ones((3, 1)), observer=ObserverGain.diagonal(3, 0.9, 0.1))
+
+
 def test_learning_law_validation():
     with pytest.raises(ValueError):
         LearningLaw(mode="q_type")

@@ -29,6 +29,7 @@ from iterlearn.plant import (
 from iterlearn.stability import (
     CONDITION_IDS,
     LMI_IDS,
+    SEPARATION_IDS,
     _CATALOG,
     LmiCertificate,
     _assemble_lmi,
@@ -345,7 +346,7 @@ def assert_separation_matches_the_oracle(identity_id, plant, gains):
 
 @pytest.mark.parametrize("identity_id", ["eq20", "eq30", "eq61", "eq76"])
 def test_separation_identities_random(identity_id):
-    rng = np.random.default_rng(hash(identity_id) % (2**32))
+    rng = np.random.default_rng(SEPARATION_IDS.index(identity_id))
     for _ in range(50):
         # eq76's target is block upper-triangular only without model error
         plant = random_plant(rng, with_delta=False)
