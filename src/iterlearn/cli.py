@@ -150,7 +150,7 @@ class Experiment:
     zero or a lifted nominal for a lifted plant), each law and one gain set,
     ``gains``, built on first use; ``hbar_from_nominal`` reads ``nominal``.
     Only a ``pseudo_inverse_H`` reads the seed's plant, so ``gains_for``
-    gives each seed the shared set with its own ``H``.
+    gives each seed the shared set with its own ``H``, built once per seed.
     """
 
     def __init__(self, doc: dict, base: Path):
@@ -185,6 +185,7 @@ class Experiment:
         self._gains_doc = _object(doc.get("gains") or {}, "gains")
         self._ilc_base: plant.LiftedIlcSystem | None = None
         self._plants: dict[int, plant.TransferPlant] = {}
+        self._seed_gains: dict[int, GainSet] = {}
         self._laws: dict[str, LearningLaw] = {}
         p, m = self._parse_plant(_object(doc.get("plant"), "plant"))
         if doc.get("target") is None:
@@ -284,11 +285,15 @@ class Experiment:
 
     # -- gains ----------------------------------------------------------
     def gains_for(self, seed: int) -> GainSet:
-        """The seed's gains: ``gains``, with the seed's own ``pseudo_inverse_H``."""
+        """The seed's gains: ``gains``, with the seed's own ``pseudo_inverse_H``,
+        built once per seed like its plant."""
         try:
             if _directive(self._gains_doc.get("H")) != "pseudo_inverse_H":
                 return self.gains
-            return replace(self.gains, H=learner.synth_H_pseudo(self.plant_for(seed).full()))
+            if seed not in self._seed_gains:
+                H = learner.synth_H_pseudo(self.plant_for(seed).full())
+                self._seed_gains[seed] = replace(self.gains, H=H)
+            return self._seed_gains[seed]
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -476,7 +481,7 @@ def cmd_simulate(args) -> int:
                     "diverged_component": trace.diverged_component,
                 }
             )
-            curves.append((f"{law} seed {seed}", trace.err_inf.tolist()))
+            curves.append((f"{law} seed {seed}", trace.err_inf.copy()))
             _say(
                 args.quiet,
                 f"{law} seed {seed}: tail {runs[-1]['final_tail_err']:.3e}"
@@ -526,7 +531,7 @@ def cmd_plot(args) -> int:
     curves = []
     for path in args.traces:
         data = learner.read_trace_csv(path)
-        curves.append((Path(path).stem, data["err_inf"].tolist()))
+        curves.append((Path(path).stem, data["err_inf"]))
     out = Path(args.out or "plot.svg")
     if out.suffix != ".svg":
         out.mkdir(parents=True, exist_ok=True)

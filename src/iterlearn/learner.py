@@ -20,6 +20,7 @@ import numpy as np
 from .matanalysis import as_matrix
 from .observer import ObserverGain, error_dynamics_matrix
 from .plant import DiffStats, TransferPlant, UncertaintyModel, uncertainty_sequence
+from .textfmt import format_g17
 
 __all__ = [
     "LAW_MODES",
@@ -525,22 +526,28 @@ def estimate_stability_profile(
 # the divergence cap.
 # ---------------------------------------------------------------------------
 
-_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
+def _trace_csv_rows(trace: IterationTrace) -> bytearray:
+    """The CSV rows: each float as ``'%.17g'``, and ``k`` and the flag as
+    integers, which ``'%.17g'`` of a float writes alike."""
+    n = len(trace)
+    columns = (trace.err_inf, trace.err_2, trace.u_norm, trace.ubar_norm, trace.obs_err_norm)
+    table = np.zeros((n, len(columns) + 2))
+    table[:, 0] = np.arange(n)
+    table[:, 1:-1] = np.column_stack(columns)
+    if trace.diverged and n:
+        table[-1, -1] = 1
+    return format_g17(table, b",,,,,,\n")
 
 
 def trace_to_csv(trace: IterationTrace) -> str:
-    n = len(trace)
-    flags = [0] * n
-    if trace.diverged and n:
-        flags[-1] = 1
-    columns = (trace.err_inf, trace.err_2, trace.u_norm, trace.ubar_norm, trace.obs_err_norm)
-    rows = zip(range(n), *(c.tolist() for c in columns), flags)
-    return "\n".join([TRACE_CSV_HEADER, *(_TRACE_ROW % row for row in rows)]) + "\n"
+    return TRACE_CSV_HEADER + "\n" + _trace_csv_rows(trace).decode("ascii")
 
 
 def write_trace_csv(path, trace: IterationTrace) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(trace_to_csv(trace))
+    rows = _trace_csv_rows(trace)
+    with open(path, "wb") as fh:
+        fh.write(TRACE_CSV_HEADER.encode("ascii") + b"\n")
+        fh.write(rows)
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
@@ -552,11 +559,8 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     if len(lines) == 1:
         raise ValueError(f"trace CSV {path} has no data rows")
     cols = TRACE_CSV_HEADER.split(",")
-    data = {c: [] for c in cols}
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(cols):
+        if ln.count(",") != len(cols) - 1:
             raise ValueError(f"malformed trace CSV row: {ln!r}")
-        for c, val in zip(cols, parts):
-            data[c].append(float(val))
-    return {c: np.array(v) for c, v in data.items()}
+    table = np.array(",".join(lines[1:]).split(","), dtype=float).reshape(-1, len(cols))
+    return dict(zip(cols, table.T.copy()))

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .textfmt import format_g17
+
 __all__ = [
     "NORM_KINDS",
     "as_matrix",
@@ -223,10 +225,7 @@ def is_negative_definite(S, tol: float | None = None) -> bool:
 def format_matrix_text(M) -> str:
     M = as_matrix(M)
     rows, cols = M.shape
-    lines = [f"{rows} {cols}"]
-    for row in M:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return f"{rows} {cols}\n" + format_g17(M, b" " * (cols - 1) + b"\n").decode("ascii")
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

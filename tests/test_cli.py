@@ -717,6 +717,33 @@ def _pseudo_inverse_H(doc):
     doc["laws"] = ["eso_mixed"]
 
 
+def test_pseudo_inverse_H_is_built_once_per_seed(tmp_path, monkeypatch):
+    from iterlearn import learner
+
+    seeds = list(range(1, 9))
+    config = write_reference_experiment(tmp_path, seeds=seeds, iterations=5)
+    doc = json.loads(config.read_text())
+    _pseudo_inverse_H(doc)
+    doc["laws"] = ["eso_mixed", "p_type"]
+    doc["structure"] = {"phi1": (0.05 * np.eye(20)).tolist(), "phi2": np.eye(20).tolist()}
+    write_json(config, doc)
+    calls = []
+
+    def counted(P):
+        calls.append(P)
+        return synth_H_pseudo(P)
+
+    synth_H_pseudo = learner.synth_H_pseudo
+    monkeypatch.setattr(learner, "synth_H_pseudo", counted)
+    # simulate: 2 laws and the condition reports of 8 seeds; check: the
+    # laws' configs, the reports and the certificate search
+    for command in ("simulate", "check"):
+        calls.clear()
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command),
+                     "--quiet"]) == EXIT_OK
+        assert len(calls) == len(seeds)
+
+
 def _hbar_from_nominal(doc):
     doc["plant"]["role"] = "uncertain_nominal"
     doc["gains"]["Hbar"] = {"directive": "hbar_from_nominal"}

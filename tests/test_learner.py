@@ -493,7 +493,7 @@ def reference_trace_csv(trace):
     return "\n".join(lines) + "\n"
 
 
-def test_trace_csv_matches_per_value_formatter():
+def test_trace_csv_matches_per_value_formatter(tmp_path):
     config = SimulationConfig(
         plant=scalar_plant(),
         target=np.array([1.0]),
@@ -527,8 +527,37 @@ def test_trace_csv_matches_per_value_formatter():
     assert text.splitlines()[-1].endswith(",1")
     assert ",nan," in text and ",-inf," in text and ",-0," in text
     columns = ("err_inf", "err_2", "u_norm", "ubar_norm", "obs_err_norm")
+    # every value comes back bit for bit
+    write_trace_csv(tmp_path / "odd.csv", odd)
+    back = read_trace_csv(tmp_path / "odd.csv")
+    for c in columns:
+        assert back[c].tobytes() == getattr(odd, c).tobytes()
+    assert np.array_equal(back["k"], np.arange(len(special)))
+    assert np.array_equal(back["diverged"], [0] * (len(special) - 1) + [1])
     first = dataclasses.replace(odd, **{c: special[:1] for c in columns})
     assert trace_to_csv(first) == reference_trace_csv(first)
     assert trace_to_csv(first).endswith(",1\n")
     empty = dataclasses.replace(odd, **{c: special[:0] for c in columns})
     assert trace_to_csv(empty) == reference_trace_csv(empty) == TRACE_CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected trace CSV header in"),
+        ("k,err_inf\n0,1\n", "unexpected trace CSV header in"),
+        (TRACE_CSV_HEADER + "\n\n", "has no data rows"),
+        (TRACE_CSV_HEADER + "\n0,1,2,3,4,nan,0\n1,2,3\n", "malformed trace CSV row: '1,2,3'"),
+        (TRACE_CSV_HEADER + "\n0,1,2,3,4,5,6,7\n", "malformed trace CSV row: '0,1,2,3,4,5,6,7'"),
+        (TRACE_CSV_HEADER + "\n0,1,x,3,4,nan,0\n", "could not convert string to float: 'x'"),
+        (TRACE_CSV_HEADER + "\n0,1,,3,4,nan,0\n", "could not convert string to float: ''"),
+    ],
+)
+def test_read_trace_csv_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ValueError) as err:
+        read_trace_csv(path)
+    assert message in str(err.value)
+    if "header" in message or "no data" in message:
+        assert str(path) in str(err.value)

@@ -12,6 +12,7 @@ from iterlearn.matanalysis import (
     parse_matrix_text,
     spectral_radius,
 )
+from iterlearn.textfmt import format_g17
 
 # Third-order benchmark state matrix; characteristic polynomial roots were
 # computed independently with arbitrary-precision polynomial root finding
@@ -317,6 +318,29 @@ def test_matrix_text_round_trip_exact():
 
 def test_matrix_text_header():
     assert format_matrix_text(np.eye(2)).splitlines()[0] == "2 2"
+
+
+def reference_matrix_text(M):
+    """One f-string per value, kept as the oracle of ``format_matrix_text``."""
+    rows, cols = M.shape
+    lines = [f"{rows} {cols}"] + [" ".join(f"{v:.17g}" for v in row) for row in M]
+    return "\n".join(lines) + "\n"
+
+
+def test_matrix_text_matches_per_value_formatter():
+    rng = np.random.default_rng(32)
+    M = rng.standard_normal((6, 5)) * np.exp(rng.uniform(-600, 600, (6, 5)))
+    M[0] = [-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308]
+    M[1, :3] = [1.0 / 3.0, -1e16, 1.7976931348623157e308]
+    assert format_matrix_text(M) == reference_matrix_text(M)
+    assert format_matrix_text(np.array([[2.5]])) == "1 1\n2.5\n"
+    # the format refuses non-finite entries; the kernel writes them as the
+    # f-string does
+    M[2, :3] = [np.nan, np.inf, -np.inf]
+    with pytest.raises(ValueError, match="non-finite"):
+        format_matrix_text(M)
+    body = format_g17(M, b" " * 4 + b"\n").decode("ascii")
+    assert "6 5\n" + body == reference_matrix_text(M)
 
 
 @pytest.mark.parametrize(
