@@ -463,7 +463,7 @@ def cmd_simulate(args) -> int:
     curves = []
     for law in exp.laws:
         configs = [exp.simulation_config(law, seed) for seed in exp.seeds]
-        for seed, trace in zip(exp.seeds, learner.run_batch(configs)):
+        for seed, trace in zip(exp.seeds, learner.run_batch(configs, states=False)):
             trace_file = out / f"trace_{law}_seed{seed}.csv"
             learner.write_trace_csv(trace_file, trace)
             n = len(trace)
@@ -481,13 +481,12 @@ def cmd_simulate(args) -> int:
                     "diverged_component": trace.diverged_component,
                 }
             )
-            curves.append((f"{law} seed {seed}", trace.err_inf.copy()))
+            curves.append((f"{law} seed {seed}", trace.err_inf))
             _say(
                 args.quiet,
                 f"{law} seed {seed}: tail {runs[-1]['final_tail_err']:.3e}"
                 + (" DIVERGED" if trace.diverged else ""),
             )
-        del trace  # its views hold this law's whole batch
 
     summary = {
         "format_version": FORMAT_VERSION,

@@ -20,7 +20,7 @@ import numpy as np
 from .matanalysis import as_matrix
 from .observer import ObserverGain, error_dynamics_matrix
 from .plant import DiffStats, TransferPlant, UncertaintyModel, uncertainty_sequence
-from .textfmt import format_g17
+from .textfmt import g17_fields, int_fields, join_fields
 
 __all__ = [
     "LAW_MODES",
@@ -204,20 +204,24 @@ class SimulationConfig:
 class IterationTrace:
     """Per-iteration record of a closed-loop run.
 
-    ``y = P u + N`` and ``e = target - y`` hold exactly at every recorded
-    iteration, and ``ubar_k = -(u_{k+1} - u_k)`` for consecutive rows.
-    ``d_true`` is the harness-side ground truth of whatever disturbance
-    aggregate the law's observer estimates (absent for ``p_type``), used
-    for diagnostics only.  ``diverged_component`` names the part of the
-    state that left the divergence cap first (``"u"``, ``"e_hat"`` or
-    ``"d_hat"``; None for a run that did not diverge).
+    The five statistics (``err_inf`` .. ``obs_err_norm``, one entry per
+    iteration) are always there.  The states are recorded only when
+    ``run_batch`` is asked for them (``run`` always is); otherwise ``u``
+    .. ``d_true`` are None.  ``y = P u + N`` and ``e = target - y`` hold
+    exactly at every recorded iteration, and ``ubar_k = -(u_{k+1} -
+    u_k)`` for consecutive rows.  ``d_true`` is the harness-side ground
+    truth of whatever disturbance aggregate the law's observer estimates
+    (absent for ``p_type``), used for diagnostics only.
+    ``diverged_component`` names the part of the state that left the
+    divergence cap first (``"u"``, ``"e_hat"`` or ``"d_hat"``; None for a
+    run that did not diverge).
     """
 
     mode: str
-    u: np.ndarray
-    y: np.ndarray
-    e: np.ndarray
-    ubar: np.ndarray
+    u: np.ndarray | None
+    y: np.ndarray | None
+    e: np.ndarray | None
+    ubar: np.ndarray | None
     e_hat: np.ndarray | None
     d_hat: np.ndarray | None
     d_true: np.ndarray | None
@@ -272,7 +276,8 @@ def law_map(mode: str, P, gains: GainSet, P_used=None) -> np.ndarray:
     return A
 
 
-#: Iterations stepped between two scans of the state records for divergence.
+#: Iterations stepped between two scans of the states for divergence, and
+#: the rows of the window ``run_batch`` steps them in.
 _CHUNK = 32
 
 
@@ -307,7 +312,7 @@ def _product(mats, negate: bool = False):
 # a diverged run is stepped on until the batch ends and may overflow; its
 # rows past the divergence are dropped
 @np.errstate(over="ignore", invalid="ignore")
-def run_batch(configs) -> list[IterationTrace]:
+def run_batch(configs, states: bool = True) -> list[IterationTrace]:
     """Iterate the closed loops of several configs together; one trace each.
 
     The configs must share the law, the plant shape and the iteration
@@ -322,10 +327,18 @@ def run_batch(configs) -> list[IterationTrace]:
     K`` with ``|1 - l1| > 1``) amplifies every rounding geometrically, and
     a re-associated step drifts from the single-run loop far beyond
     rounding.  A run takes the same arithmetic whether it is stepped alone
-    or with others.  A run is truncated and flagged at the first ``k`` at
-    which ``U_{k+1}`` or an observer estimate is non-finite or leaves the
-    divergence cap (scanned every ``_CHUNK`` iterations); its rows past
-    that ``k`` are dropped.
+    or with others.
+
+    The iterations are stepped in chunks of ``_CHUNK``, each in a window
+    of rows indexed by ``k - offset``, and each chunk's statistics are
+    taken while its rows are in cache.  With ``states`` the window is the
+    whole record (offset 0) and the traces keep every state; without, it
+    is one reused window of ``_CHUNK + 1`` rows (offset the chunk's first
+    ``k``) whose last state row starts the next chunk, and the traces'
+    state fields are None.  Either way the statistics have the same bits.
+    A run is truncated and flagged at the first ``k`` at which ``U_{k+1}``
+    or an observer estimate is non-finite or leaves the divergence cap
+    (scanned once per chunk); its rows past that ``k`` are dropped.
     """
     configs = list(configs)
     if len({(c.law.mode, c.plant.shape, c.iterations) for c in configs}) != 1:
@@ -339,20 +352,25 @@ def run_batch(configs) -> list[IterationTrace]:
     P = _product(c.plant.full() for c in configs)
     negK = _product((c.gains.K for c in configs), negate=True)
     target = np.stack([c.target for c in configs])[..., None]
+    # the whole drift, as a cumulative one is a single cumsum
     N = np.empty((iterations + 1, runs, p, 1))  # becomes y = P u + N row by row
-    u = np.zeros((iterations + 1, runs, m, 1))
+    rows = iterations if states else _CHUNK
+    u = np.zeros((rows + 1, runs, m, 1))
     for b, c in enumerate(configs):
         N[:, b, :, 0] = uncertainty_sequence(c.uncertainty.with_seed(c.seed), iterations + 1)
         if c.u0 is not None:
             u[0, b, :, 0] = c.u0
-    e = np.empty((iterations, runs, p, 1))
-    ubar = np.empty((iterations, runs, m, 1))
-    states = [u]
+    e = np.empty((rows, runs, p, 1))
+    ubar = np.empty((rows, runs, m, 1))
+    carried = [u]
     tmp_p = np.empty((runs, p, 1))
+    err_inf, err_2, u_norm, ubar_norm, obs_err = np.empty((5, iterations, runs))
     if uses_observer:
-        # ground-truth disturbance aggregate seen by this law's observer
-        d_true = np.subtract(N[:-1], N[1:])
+        # ground-truth disturbance aggregate seen by this law's observer:
+        # N_k - N_{k+1}, plus delta ubar_k where it does not know the true map
+        d_true = np.empty((rows, runs, p, 1))
         maps = [_observer_maps(c) for c in configs]
+        deltas = None if maps[0][1] is None else np.stack([delta for _, delta in maps])
         L1 = _product(c.gains.observer.L1 for c in configs)
         L2 = _product(c.gains.observer.L2 for c in configs)
         P_used = _product(used for used, _ in maps)
@@ -360,30 +378,41 @@ def run_batch(configs) -> list[IterationTrace]:
             H, tmp_m = _product(c.gains.H for c in configs), np.empty((runs, m, 1))
         else:
             Hbar = _product(c.gains.Hbar for c in configs)
-        e_hat, d_hat = np.zeros((2, iterations + 1, runs, p, 1))
-        states += [e_hat, d_hat]
+        e_hat, d_hat = np.zeros((2, rows + 1, runs, p, 1))
+        carried += [e_hat, d_hat]
+    else:
+        e_hat = d_hat = d_true = None
+        obs_err.fill(np.nan)
 
     found: list[tuple[int | None, str | None]] = [(None, None)] * runs
     for k0 in range(0, iterations, _CHUNK):
         k1 = min(k0 + _CHUNK, iterations)
+        offset = 0 if states else k0
+        if offset:
+            for s in carried:
+                s[0] = s[_CHUNK]
+        w = slice(k0 - offset, k1 - offset)
+        if uses_observer:  # before these rows of N become y
+            np.subtract(N[k0:k1], N[k0 + 1 : k1 + 1], out=d_true[w])
         for k in range(k0, k1):
-            U, Y, E, Ub = u[k], N[k], e[k], ubar[k]
+            i = k - offset
+            U, Y, E, Ub = u[i], N[k], e[i], ubar[i]
             P(U, out=tmp_p)
             Y += tmp_p
             np.subtract(target, Y, out=E)
             if mode == "p_type":
                 negK(E, out=Ub)
             elif mode in ("eso_full_state", "eso_mixed"):
-                negK(e_hat[k] if mode == "eso_full_state" else E, out=Ub)
-                H(d_hat[k], out=tmp_m)
+                negK(e_hat[i] if mode == "eso_full_state" else E, out=Ub)
+                H(d_hat[i], out=tmp_m)
                 Ub -= tmp_m
             else:  # eso_robust, eso_model_free
-                Hbar(d_hat[k], out=tmp_p)
+                Hbar(d_hat[i], out=tmp_p)
                 tmp_p += E
                 negK(tmp_p, out=Ub)
-            np.subtract(U, Ub, out=u[k + 1])
+            np.subtract(U, Ub, out=u[i + 1])
             if uses_observer:
-                eh, dh, eh1, dh1 = e_hat[k], d_hat[k], e_hat[k + 1], d_hat[k + 1]
+                eh, dh, eh1, dh1 = e_hat[i], d_hat[i], e_hat[i + 1], d_hat[i + 1]
                 L1(eh, out=tmp_p)
                 np.subtract(eh, tmp_p, out=eh1)
                 eh1 += dh
@@ -395,14 +424,29 @@ def run_batch(configs) -> list[IterationTrace]:
                 np.subtract(dh, tmp_p, out=dh1)
                 L2(E, out=tmp_p)
                 dh1 += tmp_p
+
+        ew, stats = e[w, ..., 0], slice(k0, k1)
+        np.abs(ew).max(axis=2, out=err_inf[stats])
+        err_2[stats] = np.linalg.norm(ew, axis=2)
+        np.abs(u[w, ..., 0]).max(axis=2, out=u_norm[stats])
+        np.abs(ubar[w, ..., 0]).max(axis=2, out=ubar_norm[stats])
+        if uses_observer:
+            if deltas is not None:
+                d_true[w] += deltas @ ubar[w]
+            diff = np.subtract(ew, e_hat[w, ..., 0])
+            np.abs(diff, out=diff).max(axis=2, out=obs_err[stats])
+            np.subtract(d_true[w, ..., 0], d_hat[w, ..., 0], out=diff)
+            np.maximum(obs_err[stats], np.abs(diff, out=diff).max(axis=2), out=obs_err[stats])
+
         # max propagates NaN, which compares false: only a chunk with a
         # state outside the cap is searched row by row
-        if all(np.abs(s[k0 + 1 : k1 + 1]).max() <= DIVERGENCE_CAP for s in states):
+        after = slice(w.start + 1, w.stop + 1)
+        if all(np.abs(s[after]).max() <= DIVERGENCE_CAP for s in carried):
             continue
         # bad[j, b, i]: state part i (u, e_hat, d_hat) of run b left the
         # cap at k0 + j
         bad = np.stack(
-            [~(np.abs(s[k0 + 1 : k1 + 1]) <= DIVERGENCE_CAP).all(axis=(2, 3)) for s in states],
+            [~(np.abs(s[after]) <= DIVERGENCE_CAP).all(axis=(2, 3)) for s in carried],
             axis=2,
         )
         for b in np.flatnonzero(bad.any(axis=(0, 2))):
@@ -412,41 +456,18 @@ def run_batch(configs) -> list[IterationTrace]:
         if None not in [at for at, _ in found]:
             break
     diverged_at = [at for at, _ in found]
-
     lengths = [iterations if at is None else at + 1 for at in diverged_at]
-    rows = max(lengths)
-    if uses_observer:
-        for b, (_, delta) in enumerate(maps):
-            if delta is not None:
-                d_true[:rows, b] += delta @ ubar[:rows, b]
-        d_true = d_true[:rows, ..., 0]
-        e_hat, d_hat = e_hat[:rows, ..., 0], d_hat[:rows, ..., 0]
-    u, y, e, ubar = u[:rows, ..., 0], N[:rows, ..., 0], e[:rows, ..., 0], ubar[:rows, ..., 0]
-
-    err_inf = np.abs(e).max(axis=2)
-    err_2 = np.linalg.norm(e, axis=2)
-    u_norm = np.abs(u).max(axis=2)
-    ubar_norm = np.abs(ubar).max(axis=2)
-    if uses_observer:
-        diff = np.subtract(e, e_hat)
-        obs_err = np.abs(diff, out=diff).max(axis=2)
-        np.subtract(d_true, d_hat, out=diff)
-        np.maximum(obs_err, np.abs(diff, out=diff).max(axis=2), out=obs_err)
-        del diff
-    else:
-        e_hat = d_hat = d_true = None
-        obs_err = np.full((rows, runs), np.nan)
 
     def row(a, b, k):
-        return None if a is None else a[:k, b]
+        return a[:k, b, :, 0] if states and a is not None else None
 
     return [
         IterationTrace(
             mode=mode,
-            u=u[:k, b],
-            y=y[:k, b],
-            e=e[:k, b],
-            ubar=ubar[:k, b],
+            u=row(u, b, k),
+            y=row(N, b, k),
+            e=row(e, b, k),
+            ubar=row(ubar, b, k),
             e_hat=row(e_hat, b, k),
             d_hat=row(d_hat, b, k),
             d_true=row(d_true, b, k),
@@ -526,17 +547,19 @@ def estimate_stability_profile(
 # the divergence cap.
 # ---------------------------------------------------------------------------
 
-def _trace_csv_rows(trace: IterationTrace) -> bytearray:
-    """The CSV rows: each float as ``'%.17g'``, and ``k`` and the flag as
-    integers, which ``'%.17g'`` of a float writes alike."""
+def _trace_csv_rows(trace: IterationTrace) -> bytes:
+    """The CSV rows: ``k`` and the flag as integers, each float as
+    ``'%.17g'``, joined from one table of 32-byte fields."""
     n = len(trace)
     columns = (trace.err_inf, trace.err_2, trace.u_norm, trace.ubar_norm, trace.obs_err_norm)
-    table = np.zeros((n, len(columns) + 2))
-    table[:, 0] = np.arange(n)
-    table[:, 1:-1] = np.column_stack(columns)
+    flag = np.zeros(n, np.int64)
     if trace.diverged and n:
-        table[-1, -1] = 1
-    return format_g17(table, b",,,,,,\n")
+        flag[-1] = 1
+    fields = np.empty((n, len(columns) + 2, 32), np.uint8)
+    fields[:, 0] = int_fields(np.arange(n))
+    fields[:, 1:-1] = g17_fields(np.column_stack(columns))
+    fields[:, -1] = int_fields(flag)
+    return join_fields(fields, b",,,,,,\n")
 
 
 def trace_to_csv(trace: IterationTrace) -> str:

@@ -592,8 +592,11 @@ def certificate_from_dict(doc) -> LmiCertificate:
 def _json_matrix(M: np.ndarray) -> str:
     """``M`` as ``json.dump(M.tolist(), indent=2)`` lays it out one level
     deep in a document; every entry is finite, so ``float.__repr__`` is
-    what ``json`` writes for it."""
-    rows = ("[\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]" for row in M.tolist())
+    what ``json`` writes for it, and what ``str`` of a row's list writes
+    between its ``", "``."""
+    rows = (
+        "[\n      " + str(row)[1:-1].replace(", ", ",\n      ") + "\n    ]" for row in M.tolist()
+    )
     return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 

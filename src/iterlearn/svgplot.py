@@ -33,6 +33,15 @@ _WIDTH, _HEIGHT = 880, 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 30, 50
 
 
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+def _xml_text(text: str) -> str:
+    """``text`` as element content: markup escaped, and every non-ASCII
+    character a character reference, so the document is ASCII."""
+    return text.translate(_XML_ESCAPES).encode("ascii", "xmlcharrefreplace").decode("ascii")
+
+
 def _nice_ticks(lo: float, hi: float, count: int = 6) -> list[int]:
     span = max(hi - lo, 1)
     step = max(1, int(round(span / max(count - 1, 1))))
@@ -52,15 +61,18 @@ def render_convergence_svg(
     """
     if not curves:
         raise ValueError("need at least one curve to plot")
-    n_max = max(len(vals) for _, vals in curves)
-    if n_max < 1:
+    lengths = [len(vals) for _, vals in curves]
+    if min(lengths) < 1:
         raise ValueError("curves must be non-empty")
+    n_max = max(lengths)
 
-    logs = [
-        list(map(math.log10, np.maximum(np.abs(vals), LOG_FLOOR).tolist())) for _, vals in curves
-    ]
-    y_lo = math.floor(min(min(ls) for ls in logs))
-    y_hi = math.ceil(max(max(ls) for ls in logs))
+    # every curve's logs in one array; math.log10, as np.log10 may round
+    # differently
+    values = np.concatenate([np.asarray(vals, float) for _, vals in curves])
+    floored = np.maximum(np.abs(values), LOG_FLOOR)
+    logs = np.fromiter(map(math.log10, floored.tolist()), float, len(floored))
+    y_lo = math.floor(np.fmin.reduce(logs))  # fmin and fmax leave NaN out
+    y_hi = math.ceil(np.fmax.reduce(logs))
     if y_hi == y_lo:
         y_hi += 1
 
@@ -81,7 +93,7 @@ def render_convergence_svg(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{_xml_text(title)}</text>'
         )
 
     # gridlines and axis labels
@@ -119,14 +131,20 @@ def render_convergence_svg(
         f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">max abs tracking error</text>'
     )
 
-    for idx, ((label, _vals), ls) in enumerate(zip(curves, logs)):
+    # x_of and y_of over whole arrays: the same operations in the same
+    # order, so the same coordinates
+    xy = np.empty((len(logs), 2))
+    k = np.concatenate([np.arange(n) for n in lengths])
+    xy[:, 0] = _MARGIN_L + plot_w * (k / max(n_max - 1, 1))
+    xy[:, 1] = _MARGIN_T + plot_h * (y_hi - logs) / (y_hi - y_lo)
+    points = format_f2(xy, b", ")
+    # each point's text ends in the one space, so a curve's last point
+    # ends at the space numbered by the running count of points
+    ends = np.flatnonzero(np.frombuffer(points, np.uint8) == ord(" "))[np.cumsum(lengths) - 1]
+    starts = [0, *(ends[:-1] + 1).tolist()]
+    for idx, ((label, _vals), start, end) in enumerate(zip(curves, starts, ends.tolist())):
         color = _PALETTE[idx % len(_PALETTE)]
-        # x_of and y_of over whole arrays: the same operations in the same
-        # order, so the same coordinates
-        xy = np.empty((len(ls), 2))
-        xy[:, 0] = _MARGIN_L + plot_w * (np.arange(len(ls)) / max(n_max - 1, 1))
-        xy[:, 1] = _MARGIN_T + plot_h * (y_hi - np.array(ls)) / (y_hi - y_lo)
-        pts = format_f2(xy, b", ").decode("ascii")[:-1]  # no space after the last point
+        pts = points[start:end].decode("ascii")  # no space after the last point
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -138,7 +156,7 @@ def render_convergence_svg(
         )
         parts.append(
             f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{_xml_text(label)}</text>'
         )
 
     parts.append("</svg>")
@@ -146,5 +164,6 @@ def render_convergence_svg(
 
 
 def write_convergence_svg(path, curves, title: str = "") -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(render_convergence_svg(curves, title=title))
+    document = render_convergence_svg(curves, title=title).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(document)

@@ -19,8 +19,11 @@ a magnitude outside 1e-280..1e280 (``%.17g``) or from 1e15 up
 (``%.2f``).  ``nan`` and ``±0`` have fixed texts.  So every byte is the
 one ``%`` writes.
 
-Each value becomes one NUL-padded, fixed-width row of ASCII bytes that
-ends in its separator, and ``bytearray.translate`` deletes the NULs.
+Each value becomes one NUL-padded, fixed-width field of ASCII bytes
+whose last byte is its separator, and ``bytes.translate`` deletes the
+NULs of a whole table at once (``join_fields``).  ``g17_fields`` and
+``int_fields`` give the 32-byte fields themselves, so that a table of
+floats and integers is joined in one pass.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["format_g17", "format_f2"]
+__all__ = ["format_g17", "format_f2", "g17_fields", "int_fields", "join_fields"]
 
 _ZERO, _POINT, _MINUS = ord("0"), ord("."), ord("-")
 _TIE_MARGIN = 1e-9
@@ -39,6 +42,9 @@ _E_MIN, _E_MAX = -281, 281  # every exponent estimate or carry in that range
 # layouts after those of the exponents: the fixed texts of zero and nan
 _K_ZERO, _K_NAN = _E_MAX - _E_MIN + 1, _E_MAX - _E_MIN + 2
 _F2_MAX = 1e15
+# entries formatted at once: the temporaries of a larger block are fresh
+# pages on every call, which cost more than the arithmetic
+_F2_BLOCK = 8192
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 # A %.17g row is four little-endian words, 32 bytes: the sign and up to
 # 5 bytes before the digits ("0.000"), then the 17 digits from byte 8
@@ -159,47 +165,62 @@ def _g17_decimal(a: np.ndarray):
     return N, k, decided
 
 
-def _entries(values, seps: bytes):
-    """The entries of the 2-D ``values``, row by row, and the separator
-    byte after each: ``seps[j]`` after column ``j``."""
+def _table(values, seps: bytes) -> np.ndarray:
+    """``values`` as a 2-D float64 array with one separator byte per column."""
     table = np.asarray(values, dtype=np.float64)
     if table.ndim != 2 or len(seps) != table.shape[1]:
         raise ValueError(
             f"need a 2-D array and one separator per column, got shape "
             f"{table.shape} and {len(seps)} separators"
         )
-    return table.ravel(), np.tile(np.frombuffer(seps, np.uint8), table.shape[0])
+    return table
 
 
-def _rows(n: int, width: int):
-    """A zeroed ``bytearray`` of ``n`` rows of ``width`` bytes, and a 2-D view."""
-    buf = bytearray(n * width)
-    return buf, np.frombuffer(buf, np.uint8).reshape(n, width)
-
-
-def _join(buf, rows, flat: np.ndarray, slow: np.ndarray, fmt: str) -> bytearray:
-    """Write ``fmt % v`` over each row of bytes where ``slow``, keeping its
-    separator in the last byte, and join the rows without their NULs."""
+def _patch(rows: np.ndarray, flat: np.ndarray, slow: np.ndarray, fmt: str) -> np.ndarray:
+    """Write ``fmt % v`` over the bytes of each row where ``slow``, but for
+    the last byte of the row, widening every row if a text needs it."""
     idx = np.flatnonzero(slow)
     texts = [(fmt % v).encode("ascii") for v in flat[idx].tolist()]
     width = rows.shape[1] - 1
     need = max(map(len, texts), default=0)
     if need > width:  # only %.2f of a huge value is this long
         old = rows
-        buf, rows = _rows(len(old), need + 1)
+        rows = np.zeros((len(old), need + 1), np.uint8)
         rows[:, :width] = old[:, :width]
-        rows[:, -1] = old[:, -1]
         width = need
     for i, text in zip(idx.tolist(), texts):
         rows[i, :width] = 0
         rows[i, : len(text)] = np.frombuffer(text, np.uint8)
-    return buf.translate(None, b"\0")
+    return rows
 
 
-def format_g17(values, seps: bytes) -> bytearray:
-    """``'%.17g' % v`` of each entry of the 2-D ``values``, row by row, each
-    entry of column ``j`` followed by the byte ``seps[j]``."""
-    flat, sep = _entries(values, seps)
+def join_fields(fields: np.ndarray, seps: bytes) -> bytes:
+    """The NUL-padded ASCII fields of a ``(rows, cols, width)`` byte array
+    joined row by row without their NULs, the last byte of each field in
+    column ``j`` overwritten by the separator ``seps[j]``."""
+    fields[..., -1] = np.frombuffer(seps, np.uint8)
+    return fields.tobytes().translate(None, b"\0")
+
+
+def int_fields(values) -> np.ndarray:
+    """``'%d' % v`` of each non-negative integer of the 1-D ``values`` as
+    the ``(n, 32)`` NUL-padded fields ``g17_fields`` writes."""
+    rest = np.array(values, dtype=np.int64)
+    width = len(str(rest.max(initial=0)))
+    fields = np.zeros((len(rest), 32), np.uint8)
+    for c in range(width - 1, -1, -1):  # units first; no leading zeros
+        q = rest // 10
+        digit = rest - 10 * q + _ZERO
+        fields[:, c] = digit if c == width - 1 else digit * (rest > 0)
+        rest = q
+    return fields
+
+
+def g17_fields(values) -> np.ndarray:
+    """``'%.17g' % v`` of each entry of the 2-D ``values`` as a ``(rows,
+    cols, 32)`` array of NUL-padded ASCII fields whose last byte is NUL."""
+    table = np.asarray(values, dtype=np.float64)
+    flat = table.ravel()
     t = _g17_tables()
     N, k, decided = _g17_decimal(np.abs(flat))
     nan, zero = np.isnan(flat), flat == 0
@@ -207,8 +228,7 @@ def format_g17(values, seps: bytes) -> bytearray:
     k[nan] = _K_NAN
     neg = np.signbit(flat)
     neg[nan] = False
-    buf, rows = _rows(len(flat), 32)
-    rows = rows.view("<u8")
+    rows = np.empty((len(flat), 4), "<u8")
     rows[:, 0] = t.ends[0][k] + neg * np.uint64(_MINUS)
     # N = 10 X + last; X's 16 digits are two halves of two groups of four,
     # which give words 1 and 2, and the count of digits down to the last
@@ -244,9 +264,16 @@ def format_g17(values, seps: bytes) -> bytearray:
         w |= point[layout]
         rows[:, j] = w
     del words, w, moved, carry, layout
-    rows[:, 3] |= t.ends[1][k] | sep.astype(np.uint64) << 56
+    rows[:, 3] |= t.ends[1][k]
     slow = ~(decided | nan | zero)
-    return _join(buf, rows.view(np.uint8), flat, slow, "%.17g")
+    rows = _patch(rows.view(np.uint8), flat, slow, "%.17g")
+    return rows.reshape(*table.shape, 32)
+
+
+def format_g17(values, seps: bytes) -> bytes:
+    """``'%.17g' % v`` of each entry of the 2-D ``values``, row by row, each
+    entry of column ``j`` followed by the byte ``seps[j]``."""
+    return join_fields(g17_fields(_table(values, seps)), seps)
 
 
 def _f2_hundredths(a: np.ndarray):
@@ -266,22 +293,26 @@ def _f2_hundredths(a: np.ndarray):
     return M, decided
 
 
-def format_f2(values, seps: bytes) -> bytearray:
+def format_f2(values, seps: bytes) -> bytes:
     """``'%.2f' % v`` of each entry of the 2-D ``values``, row by row, each
     entry of column ``j`` followed by the byte ``seps[j]``."""
-    flat, sep = _entries(values, seps)
-    rest, decided = _f2_hundredths(np.abs(flat))
-    width = len(str(rest.max(initial=100)))  # digits of the widest value
-    # columns: sign, digits with the point before the last two, separator
-    cols = np.empty((width + 3, len(flat)), np.uint8)
-    cols[0] = np.signbit(flat) * _MINUS
-    cols[width - 1] = _POINT
-    cols[-1] = sep
-    for c in (*range(width + 1, width - 1, -1), *range(width - 2, 0, -1)):
-        q = rest // 10
-        digit = rest - 10 * q + _ZERO
-        cols[c] = digit if c >= width - 2 else digit * (rest > 0)  # no leading zeros
-        rest = q
-    buf, rows = _rows(len(flat), width + 3)
-    rows[...] = cols.T
-    return _join(buf, rows, flat, ~decided, "%.2f")
+    table = _table(values, seps)
+    flat = table.ravel()
+    blocks = [slice(s, s + _F2_BLOCK) for s in range(0, len(flat), _F2_BLOCK)]
+    hundredths, decided = np.empty(len(flat), np.int64), np.empty(len(flat), bool)
+    for block in blocks:
+        hundredths[block], decided[block] = _f2_hundredths(np.abs(flat[block]))
+    width = len(str(hundredths.max(initial=100)))  # digits of the widest value
+    # bytes: sign, digits with the point before the last two, separator
+    rows = np.zeros((len(flat), width + 3), np.uint8)
+    for block in blocks:
+        cols, rest = rows[block].T, hundredths[block]
+        cols[0] = np.signbit(flat[block]) * _MINUS
+        cols[width - 1] = _POINT
+        for c in (*range(width + 1, width - 1, -1), *range(width - 2, 0, -1)):
+            q = rest // 10
+            digit = rest - 10 * q + _ZERO
+            cols[c] = digit if c >= width - 2 else digit * (rest > 0)  # no leading zeros
+            rest = q
+    rows = _patch(rows, flat, ~decided, "%.2f")
+    return join_fields(rows.reshape(*table.shape, -1), seps)

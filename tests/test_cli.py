@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import iterlearn
 from iterlearn.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, load_experiment, main
-from iterlearn.learner import read_trace_csv
+from iterlearn.learner import read_trace_csv, run, trace_to_csv
 from iterlearn.matanalysis import load_matrix
 from iterlearn.plant import LiftedIlcSystem, save_ilc_system
 from iterlearn.presets import (
@@ -658,6 +658,28 @@ def test_plot_single_trace(tmp_path):
     assert svg.read_text().count("<polyline") == 1
 
 
+def test_plot_labels_with_markup_or_non_ascii_names(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    config = scalar_config(tmp_path, iterations=20)
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+    trace = (out / "trace_p_type_seed0.csv").read_bytes()
+    paths = [tmp_path / "a&b<c.csv", tmp_path / "caf\u00e9.csv"]
+    for path in paths:
+        path.write_bytes(trace)
+    svg = tmp_path / "labels.svg"
+    assert main(["plot", *map(str, paths), "--out", str(svg), "--quiet"]) == EXIT_OK
+    assert svg.read_bytes().isascii()
+    texts = [el.text for el in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b<c" in texts and "caf\u00e9" in texts
+    # one label alone, each in a document of its own
+    for path in paths:
+        assert main(["plot", str(path), "--out", str(svg), "--quiet"]) == EXIT_OK
+        texts = [el.text for el in ET.parse(svg).getroot().iter()]
+        assert path.stem in texts
+
+
 def test_plot_rejects_header_mismatch(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,value\n0,1\n", encoding="ascii")
@@ -686,6 +708,23 @@ def test_simulate_seed_alone_or_batched_same_bytes(tmp_path):
     assert len(list(alone.glob("trace_*.csv"))) == 2
     for name in ("trace_eso_model_free_seed2.csv", "trace_p_type_seed2.csv"):
         assert (both / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_simulate_writes_the_traces_of_recorded_runs(tmp_path):
+    # simulate keeps no states; each CSV must be that of the run recorded
+    # alone, diverged runs included (seeds 0 and 21 diverge at T = 100)
+    config = write_reference_experiment(tmp_path, seeds=[0, 1, 21], iterations=70, horizon=100)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
+    exp = load_experiment(config)
+    diverged = 0
+    for law in exp.laws:
+        for seed in exp.seeds:
+            trace = run(exp.simulation_config(law, seed))
+            diverged += trace.diverged
+            text = (out / f"trace_{law}_seed{seed}.csv").read_text(encoding="ascii")
+            assert text == trace_to_csv(trace)
+    assert diverged == 4
 
 
 def test_simulate_lifts_each_seed_once(tmp_path, monkeypatch):

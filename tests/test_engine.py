@@ -11,6 +11,7 @@ checked against the engine's recorded rows and the catalog's spectra.
 
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from iterlearn.learner import (
     synth_H_pseudo,
     synth_Hbar,
     trace_to_csv,
+    _CHUNK,
     _observer_maps,
     _product,
 )
@@ -175,10 +177,13 @@ def test_engine_matches_reference_loop(seed, mode, gain_scale, l1, observer_kind
     assert np.array_equal(trace.u[1:], trace.u[:-1] - trace.ubar[:-1])
 
 
-@pytest.mark.parametrize("mode", LAW_MODES)
-def test_batch_matches_single_runs_bitwise(mode):
-    # one seed's plant is reused so every config has the same shape; the
-    # large gain of the second run makes it diverge while the others go on
+def law_batches(mode: str) -> list[tuple[list[SimulationConfig], list | None, bool]]:
+    """Batches of three runs of ``mode`` on one seed's plant, as ``(batch,
+    Ks, shared)``.  In the first kind (``Ks`` None) the large gain of the
+    second run makes it diverge while the others go on, and a second batch
+    of that kind has one run's L1 off the diagonal.  In the others every
+    run's K is one of ``Ks``, applied as one matrix if ``shared``."""
+    # one seed's plant is reused so every config has the same shape
     base = random_config(3, mode, 150, 0.5, 0.9)
     configs = []
     for i, scale in enumerate((0.5, 2.4, 0.3)):
@@ -197,7 +202,7 @@ def test_batch_matches_single_runs_bitwise(mode):
                 seed=i,
             )
         )
-    batches = [configs]
+    batches = [(configs, None, False)]
     if mode != "p_type":
         # one run's L1 off the diagonal sends the batch's whole L1 stack
         # down the matmul path, while the other runs alone take the scaling
@@ -206,11 +211,7 @@ def test_batch_matches_single_runs_bitwise(mode):
         gains = configs[2].gains
         observer = ObserverGain(L1=L1, L2=gains.observer.L2)
         dense = GainSet(K=gains.K, H=gains.H, Hbar=gains.Hbar, observer=observer)
-        batches.append(configs[:2] + [replace(configs[2], gains=dense)])
-    for batch in batches:
-        batched = run_batch(batch)
-        assert batched[1].diverged and not batched[0].diverged and not batched[2].diverged
-        assert_batch_is_its_runs(batch, batched)
+        batches.append((configs[:2] + [replace(configs[2], gains=dense)], None, False))
 
     # every run's K: one shared object, equal copies, copies one of which
     # differs in a single entry or only by the sign of a zero; the first
@@ -226,9 +227,44 @@ def test_batch_matches_single_runs_bitwise(mode):
         ([K, K.copy(), one_entry], False),
         ([K, K.copy(), signed_zero], False),
     ):
-        assert _product(Ks, negate=True).args[0].ndim == (2 if shared else 3)
         batch = [replace(c, gains=replace(configs[0].gains, K=Kb)) for c, Kb in zip(configs, Ks)]
-        assert_batch_is_its_runs(batch, run_batch(batch))
+        batches.append((batch, Ks, shared))
+    return batches
+
+
+@pytest.mark.parametrize("mode", LAW_MODES)
+def test_batch_matches_single_runs_bitwise(mode):
+    for batch, Ks, shared in law_batches(mode):
+        if Ks is None:
+            batched = run_batch(batch)
+            assert batched[1].diverged and not batched[0].diverged and not batched[2].diverged
+            assert_batch_is_its_runs(batch, batched)
+        else:
+            assert _product(Ks, negate=True).args[0].ndim == (2 if shared else 3)
+            assert_batch_is_its_runs(batch, run_batch(batch))
+
+
+STATISTICS = ("err_inf", "err_2", "u_norm", "ubar_norm", "obs_err_norm")
+STATES = ("u", "y", "e", "ubar", "e_hat", "d_hat", "d_true")
+
+
+@pytest.mark.parametrize("mode", LAW_MODES)
+def test_batch_without_states_has_the_same_statistics(mode):
+    batches = [batch for batch, _, _ in law_batches(mode)]
+    # ten times the diverging run's gain: every run diverges in the first chunk
+    first = batches[0]
+    gains = replace(first[1].gains, K=10 * first[1].gains.K)
+    fast = [replace(c, gains=gains) for c in first]
+    assert all(t.diverged_at < _CHUNK for t in run_batch(fast))
+    batches.append(fast)
+    for batch in batches:
+        for full, streamed in zip(run_batch(batch), run_batch(batch, states=False)):
+            for name in STATISTICS:
+                a, b = getattr(full, name), getattr(streamed, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert streamed.diverged_at == full.diverged_at
+            assert streamed.diverged_component == full.diverged_component
+            assert all(getattr(streamed, name) is None for name in STATES)
 
 
 def assert_batch_is_its_runs(batch, batched):
@@ -526,6 +562,20 @@ def test_engine_memory_is_within_the_parent_engine():
         sup_err = b.err_inf.max()
         assert np.abs(a.err_inf - b.err_inf).max() <= 1e-9 * sup_err
         assert np.abs(a.obs_err_norm - b.obs_err_norm).max() <= 1e-9 * max(sup_err, 1.0)
+
+
+def test_memory_without_states_grows_only_by_the_drift_and_statistics():
+    # the drift benchmark's runs: 8 model-free runs at T = 20
+    def peak(iterations):
+        configs = [
+            presets.reference_config(seed, "eso_model_free", iterations, 20) for seed in range(1, 9)
+        ]
+        return traced_peak(partial(run_batch, states=False), configs)[1]
+
+    runs, p, more = 8, 20, 2000
+    drift, statistics = more * runs * p * 8, 5 * more * runs * 8
+    # plus slack for a few small Python objects
+    assert peak(2000 + more) - peak(2000) <= drift + statistics + 4096
 
 
 # a diverged run is stepped on until the batch ends and may overflow; its

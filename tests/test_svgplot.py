@@ -124,6 +124,7 @@ def test_renderer_matches_reference_bytes():
         [("a", curve(rng, 50)), ("b", curve(rng, 7)), ("c", [2.0])],
         [(f"seed {i}", curve(rng, int(rng.integers(1, 300)))) for i in range(12)],
         [("flat", [1.0] * 20)],
+        [("nan inside", [1.0, np.nan, 0.01]), ("nan", [2.0, np.nan])],
         [("long", curve(rng, 2000, -300, 300)), ("numpy", np.abs(curve(rng, 2000)))],
     ]
     for curves in cases:

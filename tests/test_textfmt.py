@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterlearn.textfmt import _f2_hundredths, _g17_decimal, format_f2, format_g17
+from iterlearn.textfmt import (
+    _f2_hundredths,
+    _g17_decimal,
+    format_f2,
+    format_g17,
+    g17_fields,
+    int_fields,
+    join_fields,
+)
 
 
 def python_text(fmt, values, seps):
@@ -93,6 +101,17 @@ def test_g17_separators_follow_their_columns():
         format_g17(table, b",")
     with pytest.raises(ValueError, match="2-D"):
         format_g17(np.zeros(3), b",")
+
+
+def test_int_fields_join_to_decimal_text():
+    values = [0, 1, 9, 10, 11, 99, 100, 101, 1999, 2000, 10**9, 2**62]
+    fields = int_fields(values)
+    assert fields.shape == (len(values), 32)
+    assert join_fields(fields[:, None], b"\n").decode("ascii") == "".join(f"{v}\n" for v in values)
+    # a table of integer and float fields joins in one pass
+    table = np.stack([int_fields([7, 80]), g17_fields([[0.1], [-1e-300]])[:, 0]], axis=1)
+    assert join_fields(table, b",\n") == b"7,0.10000000000000001\n80,-1e-300\n"
+    assert join_fields(int_fields([]).reshape(0, 1, 32), b"\n") == b""
 
 
 def test_g17_fallback_branches():
