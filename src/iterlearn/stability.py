@@ -6,7 +6,8 @@ observer and feedback designs decouple (``eq20`` .. ``eq76``), and block
 matrix inequalities whose negative definiteness certifies the spectral
 conditions for every admissible structured model error (``eq44``,
 ``eq65``, ``eq101``).  Certificates are verified exactly; the search is a
-Lyapunov-seeded heuristic, not a general-purpose semidefinite solver.
+heuristic seeded by the discrete Lyapunov (Stein) solution of the loop,
+summed by doubling in numpy, not a general-purpose semidefinite solver.
 Every catalog loop, every inequality's loop and every separation target
 is laid out by ``_robust_form`` as ``M0 + D delta E``, and every
 unseparated loop is a law's step, ``learner.law_map``.  The laws run
@@ -28,7 +29,6 @@ from .observer import error_dynamics_matrix
 from .matanalysis import (
     as_matrix,
     block_spectral_radius,
-    check_symmetric,
     cholesky_negative_definite,
     induced_norm,
     is_negative_definite,
@@ -421,17 +421,35 @@ def _verifies(loop, cert: LmiCertificate, structure) -> bool:
 
 
 def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
-    """The search's seed: the discrete Lyapunov solution of the loop ``M0``
-    (``p x p`` blocks), scaled to unit 2-norm, or None when that loop is
-    not stable."""
+    """The search's seed: the solution ``X`` of ``M0^T X M0 - X + I = 0``
+    for the loop ``M0`` (``p x p`` blocks), scaled to unit 2-norm, or None
+    when that loop is not stable or ``X`` is not found positive definite.
+
+    ``X = sum_k (M0^k)^T M0^k`` is summed by squared Smith doubling (R. A.
+    Smith, SIAM J. Appl. Math. 16(1), 1968): from ``X = I``, ``A = M0``,
+    each ``X += A^T X A``, ``A = A A`` doubles the terms summed.  The rest,
+    ``A^T X_inf A``, is below ``X``'s rounding once ``|A|_F^2 <= eps``; a
+    sum that is not there within 64 doublings, or that overflows, gives
+    None, with no warning.
+    """
     if block_spectral_radius(M0, p)[0] >= 1.0:
         return None
-    from scipy.linalg import solve_discrete_lyapunov  # deferred: simulate needs no scipy
-    Qfull = solve_discrete_lyapunov(M0.T, np.eye(M0.shape[0]))
-    Qfull = 0.5 * (Qfull + Qfull.T)
-    if np.linalg.eigvalsh(Qfull).min() <= 0:
+    X, A = np.eye(len(M0)), M0
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            tail = np.vdot(A, A)  # |A|_F^2
+            if not eps < tail < math.inf:
+                break
+            X += A.T @ (X @ A)
+            A = A @ A
+    if not (tail <= eps and np.isfinite(X).all()):
         return None
-    Qfull /= induced_norm(Qfull, "two")
+    Qfull = 0.5 * (X + X.T)
+    w = np.linalg.eigvalsh(Qfull)
+    if w[0] <= 0:
+        return None
+    Qfull /= w[-1]
     return Qfull
 
 
@@ -439,14 +457,17 @@ def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
     """The search's candidates in grid order, as ``(Q, tau, G(tau), screened)``.
 
     For each block rescaling ``Q = D Qfull D`` of the seed, the inequality
-    is assembled once, at ``tau = 1``, and checked for symmetry once.  Each
-    ``tau`` then overwrites only what depends on it, in place: block
-    ``(2, 0)`` becomes ``tau`` times its value at ``tau = 1`` and is
-    mirrored by transposition, and the diagonal of blocks 2 and 3 becomes
-    ``-tau``.  So ``G`` stays exactly symmetric, and it equals a fresh
-    assembly exactly when ``phi2`` is the identity (otherwise to rounding,
-    since ``(tau phi2) E`` and ``tau (phi2 E)`` round differently).  One
-    ``G`` is reused by every candidate.
+    is assembled once, at ``tau = 1``.  Each ``tau`` then overwrites only
+    what depends on it, in place: block ``(2, 0)`` becomes ``tau`` times
+    its value at ``tau = 1`` and is mirrored by transposition, and the
+    diagonal of blocks 2 and 3 becomes ``-tau``.  So ``G`` stays exactly
+    symmetric, and it equals a fresh assembly exactly when ``phi2`` is the
+    identity (otherwise to rounding, since ``(tau phi2) E`` and
+    ``tau (phi2 E)`` round differently).  One ``G`` is reused by every
+    candidate.  Symmetry is checked once, exactly, on the seed (else
+    ``ValueError``): ``_assemble_lmi`` mirrors every off-diagonal block
+    and the rescalings are by powers of two, so every ``G`` is then
+    exactly symmetric.
 
     ``screened`` is False when ``G(tau)`` is not negative definite even
     without a tolerance.  The leading ``2n x 2n`` block of ``G`` does not
@@ -455,10 +476,15 @@ def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
     rescaling, at ``tau = 1``; the trailing rows at ``tau`` are
     ``D_tau = diag(tau I_r, I_q)`` times those at ``tau = 1``, so ``G(tau)``
     is negative definite exactly when the leading block is and
-    ``D_tau C D_tau - tau I`` is.  ``work`` is scratch of ``G``'s shape
-    (C-contiguous), holding the factors and each screen, used here only
-    before a candidate is yielded, so the caller may use it in between.
+    ``D_tau C D_tau - tau I`` is.  Overflow warns nowhere here: a screen
+    that is not finite rejects its candidate, and an infinite ``G(tau)``
+    leaves the full test's tolerance infinite (see ``lmi_search``).
+    ``work`` is scratch of ``G``'s shape (C-contiguous), holding the
+    factors and each screen, used here only before a candidate is
+    yielded, so the caller may use it in between.
     """
+    if not np.array_equal(Qfull, Qfull.T):
+        raise ValueError("matrix is not symmetric: the seed differs from its transpose")
     p = Qfull.shape[0] // 3
     edges = _lmi_edges(len(Qfull), structure)
     n, k, r = edges[1], edges[2], edges[3] - edges[2]
@@ -473,21 +499,22 @@ def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
         Q = d[:, None] * Qfull
         Q *= d  # D Qfull D, entry by entry in the same order
         _assemble_lmi(Q, 1.0, loop, structure, out=G)
-        check_symmetric(G, work)
         at_one = G[row2, :n].copy()
-        C = negative_definite_schur_term(G, k, work)
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = negative_definite_schur_term(G, k, work)
         for tau in np.logspace(-4, 4, 17):
-            np.multiply(at_one, tau, out=G[row2, :n])
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(at_one, tau, out=G[row2, :n])
+                screened = C is not None
+                if screened:
+                    d_tau[:r] = tau
+                    np.multiply(C, d_tau, out=S)
+                    S *= d_tau[:, None]
+                    S.flat[:: m + 1] -= tau
+                    screened = np.isfinite(S).all() and cholesky_negative_definite(S, 0.0, S)
             G[:n, row2] = G[row2, :n].T
             G[diag, diag] = -tau
-            screened = C is not None
-            if screened:
-                d_tau[:r] = tau
-                np.multiply(C, d_tau, out=S)
-                S *= d_tau[:, None]
-                S.flat[:: m + 1] -= tau
-                screened = cholesky_negative_definite(S, 0.0, S)
-            yield Q, float(tau), G, screened
+            yield Q, float(tau), G, bool(screened)
 
 
 def lmi_search(
@@ -498,14 +525,16 @@ def lmi_search(
 ) -> LmiCertificate | None:
     """Heuristic certificate search: Lyapunov seed plus a tau grid.
 
-    Seeds ``Q`` from the discrete Lyapunov solution of the nominal closed
-    matrix, tries a few block rescalings of that seed, and sweeps ``tau``
-    over a log grid, returning the first certificate that verifies.  Each
-    candidate is first screened on the ``tau``-dependent Schur complement
-    of the inequality (see ``_lmi_grid``); one that passes costs one
-    in-place Cholesky factorisation of the whole inequality at the
-    tolerance ``lmi_verify`` uses, which alone accepts.  The screen tests
-    with no tolerance, so it rejects only candidates that test rejects.
+    Seeds ``Q`` from the discrete Lyapunov (Stein) solution of the nominal
+    closed matrix, summed by doubling (``_lyapunov_seed``), tries a few
+    block rescalings of that seed, and sweeps ``tau`` over a log grid,
+    returning the first certificate that verifies.  Each candidate is
+    first screened on the ``tau``-dependent Schur complement of the
+    inequality (see ``_lmi_grid``); one that passes costs one in-place
+    Cholesky factorisation of the whole inequality at the tolerance
+    ``lmi_verify`` uses, which alone accepts.  The screen tests with no
+    tolerance, so it rejects only candidates that test rejects; a
+    candidate whose tolerance overflows is rejected too, with no warning.
     The rescalings are positive definite by congruence with the checked
     seed, so only the returned certificate is built and validated.
     Absence of a certificate is a legitimate outcome (None), not an error.
@@ -522,8 +551,9 @@ def lmi_search(
         if not screened:
             continue
         np.abs(G, out=work)
-        tol = 1e-9 * float(work.sum(axis=1).max())  # induced_norm(G, "infinity")
-        if cholesky_negative_definite(G, tol, work):
+        with np.errstate(over="ignore"):
+            tol = 1e-9 * float(work.sum(axis=1).max())  # induced_norm(G, "infinity")
+        if tol < math.inf and cholesky_negative_definite(G, tol, work):
             grid.close()  # frees the Schur term before the certificate is validated
             return LmiCertificate(Q11=Q[:p, :p], Q21=Q[p:, :p], Q22=Q[p:, p:], tau=tau)
     return None

@@ -749,6 +749,26 @@ def test_simulate_lifts_each_seed_once(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize(
+    ("phi1", "phi2"), [(1e200, 1.0), (1e308, 1.0), (0.05, 1e306)], ids=["1e200", "1e308", "phi2"]
+)
+def test_check_rejects_an_overflowing_structure_without_warnings(tmp_path, capsys, phi1, phi2):
+    # the Schur term, the screen or the full test's tolerance overflows;
+    # the search rejects those candidates by their infinities, not by what
+    # LAPACK makes of them, and warns nowhere
+    config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
+    doc = json.loads(config.read_text())
+    doc["structure"] = {
+        "phi1": np.full((20, 20), phi1).tolist(),
+        "phi2": (phi2 * np.eye(20)).tolist(),
+    }
+    write_json(config, doc)
+    assert main(["check", "--config", str(config), "--out", str(tmp_path / "c"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert report["lmi"] == {"id": "eq101", "found": False}
+
+
 def _pseudo_inverse_H(doc):
     # H = K Hbar would not hold with a per-seed H, so Hbar goes
     del doc["gains"]["Hbar"]

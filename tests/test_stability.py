@@ -1,14 +1,18 @@
 import io
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
-from iterlearn import cli, presets
+from iterlearn import cli, presets, stability
 from iterlearn.learner import (
     GainSet,
     LearningLaw,
@@ -688,20 +692,31 @@ def oracle_assemble_lmi(lmi_id, Q, tau, ingredients, gains):
     return G
 
 
-def reference_lmi_search(lmi_id, nominal, structure, gains, budget=200):
-    """The search as first written, kept as the oracle: a fresh validated
-    certificate, a fresh hand-expanded assembly and a full symmetric
-    eigenvalue solve for every candidate, in the same grid order."""
-    P0 = np.asarray(nominal, dtype=float)
-    M0 = oracle_loop_matrix(ORACLE_IMPLIED[lmi_id], TransferPlant(nominal=P0), gains, P0)
-    p = gains.observer.p
+def scipy_lyapunov_seed(M0, p):
+    """The search's seed as first written: scipy's discrete Lyapunov solver,
+    symmetrised and scaled by its largest singular value."""
     if block_spectral_radius(M0, p)[0] >= 1.0:
         return None
-    Qfull = solve_discrete_lyapunov(M0.T, np.eye(3 * p))
+    Qfull = solve_discrete_lyapunov(M0.T, np.eye(len(M0)))
     Qfull = 0.5 * (Qfull + Qfull.T)
     if np.linalg.eigvalsh(Qfull).min() <= 0:
         return None
-    Qfull /= induced_norm(Qfull, "two")
+    return Qfull / induced_norm(Qfull, "two")
+
+
+def reference_lmi_search(
+    lmi_id, nominal, structure, gains, budget=200, seed=scipy_lyapunov_seed
+):
+    """The search as first written, kept as the oracle: a fresh validated
+    certificate, a fresh hand-expanded assembly and a full symmetric
+    eigenvalue solve for every candidate, in the same grid order, from
+    ``seed(M0, p)`` of the hand-built loop ``M0``."""
+    P0 = np.asarray(nominal, dtype=float)
+    M0 = oracle_loop_matrix(ORACLE_IMPLIED[lmi_id], TransferPlant(nominal=P0), gains, P0)
+    p = gains.observer.p
+    Qfull = seed(M0, p)
+    if Qfull is None:
+        return None
 
     ingredients = oracle_ingredients(nominal, structure, gains)
     taus = np.logspace(-4, 4, 17)
@@ -768,21 +783,36 @@ def grid_of(lmi_id, nominal, structure, gains):
     return [(Q, tau, G.copy()) for Q, tau, G, _ in grid]
 
 
+def assert_same_certificate_as_scipy_seeded(cert, lmi_id, problem, budget=200):
+    """The reference seeded by scipy's solver reaches the outcome of
+    ``cert``: None, or the same ``tau`` and a ``Q`` within 1e-12 relative,
+    so at the same rescaling (another one moves ``Q11`` by 2x or more)."""
+    ref = reference_lmi_search(lmi_id, *problem, budget=budget)
+    assert (ref is None) == (cert is None)
+    if cert is not None:
+        assert ref.tau == cert.tau
+        Q, Q_ref = cert.assembled(), ref.assembled()
+        assert np.abs(Q - Q_ref).max() <= 1e-12 * np.abs(Q_ref).max()
+
+
 def test_lmi_search_matches_reference_on_random_problems():
     rng = np.random.default_rng(20)
     found = past_first_scale = 0
     for i in range(10):
         for lmi_id in LMI_IDS:
             problem = random_lmi_problem(rng, lmi_id, i % 5 + 1, identity_phi2=i % 2 == 0)
-            ref = reference_lmi_search(lmi_id, *problem)
+            ref = reference_lmi_search(lmi_id, *problem, seed=_lyapunov_seed)
             cert = lmi_search(lmi_id, *problem)
+            assert_same_certificate_as_scipy_seeded(cert, lmi_id, problem)
             if ref is None:
                 assert cert is None
                 continue
             assert cert is not None and cert.tau == ref.tau
             assert cert.assembled().tobytes() == ref.assembled().tobytes()
             found += 1
-            past_first_scale += reference_lmi_search(lmi_id, *problem, budget=17) is None
+            past_first_scale += (
+                reference_lmi_search(lmi_id, *problem, budget=17, seed=_lyapunov_seed) is None
+            )
     # both outcomes occur, and some certificates lie past the first scale's 17 candidates
     assert 0 < past_first_scale < found < 30
 
@@ -817,6 +847,99 @@ def wide_reference_problem(horizon):
     gains = presets.reference_gains(surrogate)
     I = np.eye(horizon)
     return surrogate, StructuredUncertainty(phi1=0.05 * I, phi2=I), gains
+
+
+def seed_problems():
+    """``(M0, p)`` of random search problems drawn as the search tests draw
+    them, and of the wide reference problem at T = 20 and T = 100."""
+    problems = []
+    for seed, count in ((20, 10), (12, 30), (44, 60)):
+        rng = np.random.default_rng(seed)
+        problems += [
+            (lmi_id, random_lmi_problem(rng, lmi_id, i % 5 + 1, identity_phi2=i % 2 == 0))
+            for i in range(count)
+            for lmi_id in LMI_IDS
+        ]
+    problems += [("eq101", wide_reference_problem(20)), ("eq101", wide_reference_problem(100))]
+    return [(_robust_loop(lmi_id, *pr)[0], pr[2].observer.p) for lmi_id, pr in problems]
+
+
+def test_lyapunov_seed_matches_scipy_and_solves_the_stein_equation():
+    for M0, p in seed_problems():
+        Q, ref = _lyapunov_seed(M0, p), scipy_lyapunov_seed(M0, p)
+        assert Q is not None and ref is not None
+        assert np.array_equal(Q, Q.T)
+        assert np.abs(Q - ref).max() <= 1e-12 * np.abs(ref).max()
+        # Q = X / |X|_2 with M0^T X M0 - X + I = 0, so Q - M0^T Q M0 = c I
+        # with c = 1 / |X|_2 in (0, 1], and |Q|_2 = 1
+        R = Q - M0.T @ Q @ M0
+        c = float(np.mean(np.diag(R)))
+        assert 0 < c <= 1
+        assert np.linalg.norm(R - c * np.eye(len(Q)), 2) <= 1e-13
+        assert abs(np.linalg.norm(Q, 2) - 1) <= 1e-13
+
+
+def test_lyapunov_seed_rejects_unstable_and_overflowing_loops_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _lyapunov_seed(np.diag([0.5, 1.0]), 1) is None  # rho = 1
+        assert _lyapunov_seed(np.diag([0.5, -1.5]), 1) is None
+        # stable, with transients past the float range: |M0|_F^2 overflows
+        # at once, or the sum does while the powers still decay
+        assert _lyapunov_seed(np.array([[0.5, 1e200], [0.0, 0.5]]), 1) is None
+        assert _lyapunov_seed(np.array([[0.5, 1e154], [0.0, 0.5]]), 1) is None
+
+
+def test_lyapunov_seed_converges_within_the_cap_near_the_stability_edge():
+    # a rotation scaled to rho = 1 - 1e-6 needs about 25 doublings; its
+    # series is I / (1 - rho^2), so the seed is I
+    rho, t = 1 - 1e-6, 0.3
+    M0 = rho * np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    Q = _lyapunov_seed(np.kron(np.eye(2), M0), 2)
+    assert Q is not None
+    assert np.abs(Q - np.eye(4)).max() <= 1e-12
+
+
+def test_lyapunov_seed_rejects_the_transient_bad_model_free_loops():
+    # the eq102 loops of draws 0 and 21 at T = 100 pass the radius gate
+    # (rho near 0.88), but their powers grow to about 1e17 first: both seeds
+    # sum a series that rounds to an indefinite matrix
+    surrogate = presets.banded_surrogate(100)
+    gains = presets.reference_gains(surrogate)
+    for draw in (0, 21):
+        M = loop_matrix("eq102", presets.reference_plant(draw, 100), gains, surrogate)
+        assert block_spectral_radius(M, 100)[0] < 1
+        assert _lyapunov_seed(M, 100) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns that it perturbed its input
+            assert scipy_lyapunov_seed(M, 100) is None
+
+
+def test_lmi_grid_rejects_an_asymmetric_seed():
+    # the grid checks symmetry on the seed alone: every G it assembles
+    # from a symmetric seed is exactly symmetric
+    problem = random_lmi_problem(np.random.default_rng(3), "eq101", 2, identity_phi2=True)
+    loop = _robust_loop("eq101", *problem)
+    Qfull = _lyapunov_seed(loop[0], 2)
+    Qfull[0, 1] = np.nextafter(Qfull[0, 1], np.inf)
+    n = _lmi_edges(len(Qfull), problem[1])[-1]
+    with pytest.raises(ValueError, match="not symmetric"):
+        next(_lmi_grid(Qfull, loop, problem[1], np.empty((n, n))))
+
+
+def test_lyapunov_seed_imports_no_scipy():
+    src = str(Path(stability.__file__).parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "from iterlearn.stability import _lyapunov_seed\n"
+        "print(_lyapunov_seed(np.diag([0.5, 0.25, 0.125]), 1).shape,"
+        " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout == "(3, 3) []\n"
 
 
 def test_screen_rejects_only_what_the_full_test_rejects():
@@ -958,15 +1081,21 @@ def test_wide_search_budget_pins_grid_order_and_memory():
     problem = wide_reference_problem(100)
     # the first scale's 17 candidates all fail; the 18th, the first of
     # scale 0.5, verifies
-    assert reference_lmi_search("eq101", *problem, budget=17) is None
+    assert reference_lmi_search("eq101", *problem, budget=17, seed=_lyapunov_seed) is None
 
-    ref, ref_peak = traced_peak(reference_lmi_search, "eq101", *problem, budget=18)
+    ref, ref_peak = traced_peak(
+        reference_lmi_search, "eq101", *problem, budget=18, seed=_lyapunov_seed
+    )
     cert, peak = traced_peak(lmi_search, "eq101", *problem)
 
     assert cert is not None and ref is not None
     assert cert.tau == ref.tau == 1e-4
     for name in ("Q11", "Q21", "Q22"):
         assert getattr(cert, name).tobytes() == getattr(ref, name).tobytes()
+    # seeded by scipy's solver, the reference also verifies on the 18th
+    # candidate and not before
+    assert reference_lmi_search("eq101", *problem, budget=17) is None
+    assert_same_certificate_as_scipy_seeded(cert, "eq101", problem, budget=18)
     # one inequality and one work buffer: a dense copy per candidate, or a
     # separate tau coefficient matrix, would need one or two more
     assert peak <= 1.05 * ref_peak
