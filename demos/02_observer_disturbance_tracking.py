@@ -7,20 +7,56 @@ drifting disturbance (which never converges!) is still estimated exactly
 in the limit.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from iterlearn import (
     ObserverGain,
     UncertaintyModel,
-    build_extended,
     check_observer_condition,
     simulate_observation_error,
     uncertainty_sequence,
 )
+from iterlearn.matanalysis import as_matrix
+from iterlearn.observer import error_dynamics_matrix
+
+
+@dataclass
+class ExtendedSystem:
+    """Block matrices of the extended iteration-domain state space.
+
+    ``Abar = [[I, I], [0, I]]``, ``Bbar_used = [P_used; 0]``,
+    ``Cbar = [I, 0]`` and ``F = [0, I]``, where ``P_used`` is whatever
+    input map the observer is allowed to know.
+    """
+
+    p: int
+    Abar: np.ndarray
+    Bbar_used: np.ndarray
+    Cbar: np.ndarray
+    F: np.ndarray
+
+
+def build_extended(p: int, P_used) -> ExtendedSystem:
+    """Assemble the extended state-space blocks around ``P_used``."""
+    P_used = as_matrix(P_used, "P_used")
+    if P_used.shape[0] != p:
+        raise ValueError(f"P_used must have {p} rows, got {P_used.shape[0]}")
+    I = np.eye(p)
+    Z = np.zeros((p, p))
+    Abar = np.block([[I, I], [Z, I]])
+    Bbar = np.vstack([P_used, np.zeros((p, P_used.shape[1]))])
+    Cbar = np.hstack([I, Z])
+    F = np.hstack([Z, I])
+    return ExtendedSystem(p=p, Abar=Abar, Bbar_used=Bbar, Cbar=Cbar, F=F)
+
 
 p = 2
 es = build_extended(p, np.eye(p))
 gains = ObserverGain.diagonal(p, 0.9, 0.1)
+same = np.array_equal(error_dynamics_matrix(gains), es.Abar - gains.stacked @ es.Cbar)
+print(f"closed observer matrix is Abar - [L1; L2] Cbar: {same}")
 
 holds, rho = check_observer_condition(gains)
 print(f"observer loop spectral radius: {rho:.4f} (contraction: {holds})")

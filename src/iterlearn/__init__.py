@@ -14,9 +14,7 @@ from .matanalysis import (
     spectral_radius,
 )
 from .observer import (
-    ExtendedSystem,
     ObserverGain,
-    build_extended,
     check_observer_condition,
     simulate_observation_error,
 )
@@ -62,9 +60,7 @@ __all__ = [
     "induced_norm",
     "is_negative_definite",
     "spectral_radius",
-    "ExtendedSystem",
     "ObserverGain",
-    "build_extended",
     "check_observer_condition",
     "simulate_observation_error",
     "DiffStats",

@@ -71,13 +71,27 @@ def synth_H_pseudo(P) -> np.ndarray:
     """Right pseudo-inverse compensation gain ``P^T (P P^T)^-1``.
 
     Requires full row rank; the result satisfies ``P @ H = I`` so the
-    disturbance estimate is cancelled exactly in the error recursion.
+    disturbance estimate is cancelled exactly in the error recursion.  The
+    normal equations would square ``P``'s condition number, so a square
+    ``P`` is inverted directly, by forward substitution when it is lower
+    triangular (a lifted plant; ``H`` then keeps exact zeros above the
+    diagonal), and a wide one through ``P^T = Q R``, where ``H = Q R^-T``.
     """
     P = as_matrix(P, "P")
+    p, m = P.shape
     sv = np.linalg.svd(P, compute_uv=False)
-    if sv.size < P.shape[0] or sv[P.shape[0] - 1] <= 1e-10 * sv[0]:
+    if sv.size < p or sv[p - 1] <= 1e-10 * sv[0]:
         raise ValueError("P must have full row rank for the pseudo-inverse gain")
-    return np.linalg.solve(P @ P.T, P).T
+    if p < m:
+        Q, R = np.linalg.qr(P.T)
+        return np.linalg.solve(R, Q.T).T
+    if np.triu(P, 1).any():
+        return np.linalg.solve(P, np.eye(p))
+    H = np.eye(p)
+    for i in range(p):  # forward substitution: row i of P H = I, given the rows above
+        H[i] -= P[i, :i] @ H[:i]
+        H[i] /= P[i, i]
+    return H
 
 
 def synth_Hbar(P_used, K) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Dense real-matrix analysis primitives.
 
 Eigenvalues, spectral radii (dense, and block by block in time for
-lifted loops), induced norms, a negative-definiteness test by Cholesky
-factorisation and the Schur term that splits such a test in two, and a
-plain text format for matrices.  Everything operates on plain 2-D
+lifted loops, whose time structure ``time_steps`` reads), induced norms,
+a negative-definiteness test by Cholesky factorisation and the Schur
+term that splits such a test in two, and a plain text format for
+matrices.  Everything operates on plain 2-D
 ``numpy`` arrays of finite floats; all functions are pure, apart from
 the work buffer a caller lends to ``check_symmetric``,
 ``cholesky_negative_definite`` and ``negative_definite_schur_term``.
@@ -21,6 +22,7 @@ __all__ = [
     "as_square",
     "eigenvalues",
     "spectral_radius",
+    "time_steps",
     "block_spectral_radius",
     "induced_norm",
     "check_symmetric",
@@ -77,30 +79,51 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(eigenvalues(M))))
 
 
+def time_steps(M: np.ndarray, block: int) -> tuple[np.ndarray | None, str | None]:
+    """The time-diagonal blocks of a lifted loop, and how it couples time steps.
+
+    ``M`` is read as a ``b x b`` grid of ``block x block`` blocks, one per
+    pair of signals, each indexed by time.  ``steps`` is the
+    ``(block, b, b)`` stack ``steps[t] = [M_ij[t, t]]``, a read-only view of
+    ``M``.  ``structure`` comes from exact tests: ``"decoupled"`` when every
+    nonzero of ``M`` lies in ``steps`` (ordered time-major, ``M`` is then
+    block diagonal with the blocks ``steps[t]``), ``"triangular"`` when the
+    strictly upper part of every block is zero (time-major, ``M`` is block
+    lower triangular), else None.  A ``block`` below 2 or not dividing the
+    size gives ``(None, None)``.
+    """
+    n = M.shape[0]
+    if block < 2 or n % block:
+        return None, None
+    b = n // block
+    steps = np.moveaxis(np.diagonal(M.reshape(b, block, b, block), axis1=1, axis2=3), 2, 0)
+    nonzero = (M != 0).reshape(b, block, b, block)  # [i, s, j, t]: M_ij[s, t] != 0
+    if np.count_nonzero(nonzero) == np.count_nonzero(np.diagonal(nonzero, axis1=1, axis2=3)):
+        return steps, "decoupled"
+    t = np.arange(block)
+    if not np.any(nonzero & (t[:, None, None] < t)):  # the mask [s, j, t] is s < t
+        return steps, "triangular"
+    return steps, None
+
+
 def block_spectral_radius(M, block: int) -> tuple[float, str]:
     """Spectral radius of a lifted loop, and how it was obtained.
 
-    ``M`` is read as a ``b x b`` grid of ``block x block`` blocks.  When
-    the strictly upper part of every block is exactly zero, ordering the
-    rows and columns time-major makes ``M`` block lower triangular, so its
-    spectrum is the union of the spectra of the ``block`` small ``b x b``
-    matrices ``[X_ac[t, t]]``; every ``t`` is solved, in one batched call,
-    and the method is ``"block_triangular"``.  A dense solve would scatter
-    such a ``block``-fold defective eigenvalue by about
-    ``eps^(1/block)``.  Any other matrix, or a ``block`` below 2 or not
-    dividing the size, takes the dense solve and the method ``"dense"``.
+    When ``time_steps`` finds the loop decoupled or block triangular in
+    time (``M`` a ``b x b`` grid of ``block x block`` blocks), its spectrum
+    is the union of the spectra of the ``block`` small ``b x b`` matrices
+    ``[X_ac[t, t]]``; every ``t`` is solved, in one batched call, and the
+    method is ``"block_triangular"``.  A dense solve would scatter such a
+    ``block``-fold defective eigenvalue by about ``eps^(1/block)``.  Any
+    other matrix, or a ``block`` below 2 or not dividing the size, takes
+    the dense solve and the method ``"dense"``.
     """
     M = as_square(M)
-    n = M.shape[0]
-    if block < 2 or n % block:
+    steps, structure = time_steps(M, block)
+    if structure is None:
         return spectral_radius(M), "dense"
-    b = n // block
-    grid = M.reshape(b, block, b, block).transpose(0, 2, 1, 3)  # (b, b, block, block)
-    if np.any(np.triu(grid, 1)):
-        return spectral_radius(M), "dense"
-    small = np.moveaxis(np.diagonal(grid, axis1=2, axis2=3), 2, 0)  # (block, b, b)
     try:
-        w = np.linalg.eigvals(small)
+        w = np.linalg.eigvals(steps)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic input
         raise RuntimeError(f"eigenvalue iteration did not converge: {exc}") from exc
     return float(np.abs(w).max()), "block_triangular"

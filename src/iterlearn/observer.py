@@ -7,7 +7,9 @@ The observers of the updating laws differ only in the input map they
 inject: the true map (``eso_full_state``, loops ``eq04`` and ``eq17``),
 the nominal model (``eso_mixed``, ``eq41``; ``eso_robust``, ``eq62``) or
 a surrogate (``eso_model_free``, ``eq102``).  This module builds the
-blocks and the closed observer matrix; ``learner.law_map`` a law's step.
+closed observer matrix ``Abar - [L1; L2] Cbar`` block by block, with
+``Abar = [[I, I], [0, I]]`` and ``Cbar = [I, 0]``; ``learner.law_map``
+builds a law's step.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .matanalysis import as_matrix, block_spectral_radius
 
 __all__ = [
     "ObserverGain",
-    "ExtendedSystem",
-    "build_extended",
     "error_dynamics_matrix",
     "check_observer_condition",
     "simulate_observation_error",
@@ -53,36 +53,6 @@ class ObserverGain:
     @property
     def stacked(self) -> np.ndarray:
         return np.vstack([self.L1, self.L2])
-
-
-@dataclass
-class ExtendedSystem:
-    """Block matrices of the extended iteration-domain state space.
-
-    ``Abar = [[I, I], [0, I]]``, ``Bbar_used = [P_used; 0]``,
-    ``Cbar = [I, 0]`` and ``F = [0, I]``, where ``P_used`` is whatever
-    input map the observer is allowed to know.
-    """
-
-    p: int
-    Abar: np.ndarray
-    Bbar_used: np.ndarray
-    Cbar: np.ndarray
-    F: np.ndarray
-
-
-def build_extended(p: int, P_used) -> ExtendedSystem:
-    """Assemble the extended state-space blocks around ``P_used``."""
-    P_used = as_matrix(P_used, "P_used")
-    if P_used.shape[0] != p:
-        raise ValueError(f"P_used must have {p} rows, got {P_used.shape[0]}")
-    I = np.eye(p)
-    Z = np.zeros((p, p))
-    Abar = np.block([[I, I], [Z, I]])
-    Bbar = np.vstack([P_used, np.zeros((p, P_used.shape[1]))])
-    Cbar = np.hstack([I, Z])
-    F = np.hstack([Z, I])
-    return ExtendedSystem(p=p, Abar=Abar, Bbar_used=Bbar, Cbar=Cbar, F=F)
 
 
 def error_dynamics_matrix(gains: ObserverGain) -> np.ndarray:

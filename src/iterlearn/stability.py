@@ -7,7 +7,8 @@ matrix inequalities whose negative definiteness certifies the spectral
 conditions for every admissible structured model error (``eq44``,
 ``eq65``, ``eq101``).  Certificates are verified exactly; the search is a
 heuristic seeded by the discrete Lyapunov (Stein) solution of the loop,
-summed by doubling in numpy, not a general-purpose semidefinite solver.
+summed by doubling in numpy (per time step when the loop couples no two
+time steps), not a general-purpose semidefinite solver.
 Every catalog loop, every inequality's loop and every separation target
 is laid out by ``_robust_form`` as ``M0 + D delta E``, and every
 unseparated loop is a law's step, ``learner.law_map``.  The laws run
@@ -33,6 +34,7 @@ from .matanalysis import (
     induced_norm,
     is_negative_definite,
     negative_definite_schur_term,
+    time_steps,
 )
 from .plant import StructuredUncertainty, TransferPlant, sample_structured_delta
 
@@ -430,26 +432,36 @@ def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
     each ``X += A^T X A``, ``A = A A`` doubles the terms summed.  The rest,
     ``A^T X_inf A``, is below ``X``'s rounding once ``|A|_F^2 <= eps``; a
     sum that is not there within 64 doublings, or that overflows, gives
-    None, with no warning.
+    None, with no warning.  A loop that couples no two time steps
+    (``matanalysis.time_steps``) is, time-major, block diagonal, and so
+    are its powers and ``X``: the doubling then runs on the stack of its
+    ``p`` small steps, batched, and the result is scattered back.
     """
     if block_spectral_radius(M0, p)[0] >= 1.0:
         return None
-    X, A = np.eye(len(M0)), M0
+    steps, structure = time_steps(M0, p)
+    A = steps if structure == "decoupled" else M0
+    X = np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()
     eps = np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(64):
-            tail = np.vdot(A, A)  # |A|_F^2
+            tail = np.vdot(A, A)  # |A|_F^2, summed over the steps
             if not eps < tail < math.inf:
                 break
-            X += A.T @ (X @ A)
+            X += np.swapaxes(A, -1, -2) @ (X @ A)
             A = A @ A
     if not (tail <= eps and np.isfinite(X).all()):
         return None
-    Qfull = 0.5 * (X + X.T)
-    w = np.linalg.eigvalsh(Qfull)
-    if w[0] <= 0:
+    X = 0.5 * (X + np.swapaxes(X, -1, -2))
+    w = np.linalg.eigvalsh(X)
+    if w[..., 0].min() <= 0:
         return None
-    Qfull /= w[-1]
+    X /= w[..., -1].max()
+    if structure != "decoupled":
+        return X
+    Qfull = np.zeros(M0.shape)
+    rows = np.arange(0, len(M0), p)[:, None] + np.arange(p)  # rows[i, t] = i p + t
+    Qfull[rows[:, None, :], rows[None, :, :]] = np.moveaxis(X, 0, -1)
     return Qfull
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import iterlearn
 from iterlearn.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, load_experiment, main
-from iterlearn.learner import read_trace_csv, run, trace_to_csv
+from iterlearn.learner import read_trace_csv, run, synth_H_pseudo, trace_to_csv
 from iterlearn.matanalysis import load_matrix
 from iterlearn.plant import LiftedIlcSystem, save_ilc_system
 from iterlearn.presets import (
@@ -448,7 +448,7 @@ def test_gains_that_do_not_read_the_plant_are_built_once(tmp_path):
     assert a.K is b.K
     for seed, gains in ((1, a), (2, b)):
         P = exp.plant_for(seed).full()
-        assert np.array_equal(gains.H, np.linalg.solve(P @ P.T, P).T)
+        assert np.array_equal(gains.H, synth_H_pseudo(P))
     assert not np.array_equal(a.H, b.H)
 
 
@@ -801,6 +801,29 @@ def test_pseudo_inverse_H_is_built_once_per_seed(tmp_path, monkeypatch):
         assert main([command, "--config", str(config), "--out", str(tmp_path / command),
                      "--quiet"]) == EXIT_OK
         assert len(calls) == len(seeds)
+
+
+def test_pseudo_inverse_H_keeps_the_eq41_loop_block_triangular(tmp_path):
+    # H is lower triangular like each lifted plant, so eq41 couples time
+    # steps only forward and its radius is read step by step; every step of
+    # a reference draw is the same at any horizon.  Through the normal
+    # equations, draws 0 and 21 at T = 100 read 1.096 and 1.118 (violated)
+    # from a dense solve.
+    radii = {}
+    for horizon in (20, 100):
+        config = write_reference_experiment(
+            tmp_path / str(horizon), seeds=[0, 21], iterations=5, horizon=horizon
+        )
+        doc = json.loads(config.read_text())
+        _pseudo_inverse_H(doc)
+        write_json(config, doc)
+        for seed, reports in load_experiment(config).condition_map().items():
+            eq41 = next(r for r in reports if r["condition_id"] == "eq41")
+            assert eq41["method"] == "block_triangular" and eq41["holds"]
+            radii[horizon, seed] = eq41["rho"]
+    for seed in ("0", "21"):
+        assert radii[100, seed] == pytest.approx(radii[20, seed], rel=1e-12)
+        assert radii[100, seed] < 0.9
 
 
 def _hbar_from_nominal(doc):

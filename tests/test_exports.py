@@ -19,3 +19,14 @@ def test_all_names_resolve(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ lists a name twice"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_top_level_names_come_from_their_modules():
+    # every name the package exports is exported by the module that defines
+    # it; the extended-state blocks are the tests' oracle (extended_state.py)
+    # and the observer demo's, not the library's
+    exported = set()
+    for name in MODULES[1:]:
+        exported |= set(getattr(importlib.import_module(name), "__all__", []))
+    assert set(iterlearn.__all__) - {"__version__"} <= exported
+    assert not {"ExtendedSystem", "build_extended"} & exported

@@ -11,6 +11,7 @@ from iterlearn.matanalysis import (
     is_negative_definite,
     parse_matrix_text,
     spectral_radius,
+    time_steps,
 )
 from iterlearn.textfmt import format_g17
 
@@ -189,6 +190,41 @@ def test_block_radius_one_tiny_upper_entry_takes_dense_solve():
 def test_block_radius_without_a_block_grid_takes_dense_solve(block):
     M = np.tril(np.random.default_rng(1).standard_normal((6, 6)))
     assert block_spectral_radius(M, block) == (spectral_radius(M), "dense")
+
+
+def decoupled_grid(rng, b, T):
+    """A ``b x b`` grid of diagonal ``T x T`` blocks that vary in t."""
+    return [[np.diag(rng.standard_normal(T)) for _ in range(b)] for _ in range(b)]
+
+
+def test_time_steps_reads_the_diagonal_stack_and_the_coupling():
+    rng = np.random.default_rng(29)
+    for b, T in ((1, 2), (2, 5), (3, 17)):
+        blocks = decoupled_grid(rng, b, T)
+        M = np.block(blocks)
+        steps, structure = time_steps(M, T)
+        assert structure == "decoupled" and steps.shape == (T, b, b)
+        for t in range(T):
+            expected = [[blocks[i][j][t, t] for j in range(b)] for i in range(b)]
+            assert np.array_equal(steps[t], expected)
+            # the steps are the whole matrix, time-major
+            idx = np.arange(b) * T + t
+            assert np.array_equal(M[np.ix_(idx, idx)], steps[t])
+        assert block_spectral_radius(M, T) == (
+            float(np.abs(np.linalg.eigvals(steps)).max()),
+            "block_triangular",
+        )
+        # one entry below a block's diagonal couples two time steps; one
+        # above it breaks the triangular order too, however small
+        M[T - 1, 0] = 1e-300
+        assert time_steps(M, T)[1] == "triangular"
+        M[0, T - 1] = 1e-300
+        assert time_steps(M, T)[1] is None
+    M = np.tril(rng.standard_normal((6, 6)))
+    steps, structure = time_steps(M, 6)
+    assert structure == "triangular" and np.array_equal(steps.ravel(), np.diag(M))
+    assert time_steps(M, 3)[1] is None  # block (1, 0) is full
+    assert time_steps(M, 1) == (None, None) and time_steps(M, 4) == (None, None)
 
 
 def test_block_radius_rejects_non_square():

@@ -4,12 +4,13 @@ import pytest
 from iterlearn.learner import GainSet, LearningLaw, SimulationConfig, run
 from iterlearn.observer import (
     ObserverGain,
-    build_extended,
     check_observer_condition,
     error_dynamics_matrix,
     simulate_observation_error,
 )
 from iterlearn.plant import TransferPlant, UncertaintyModel, uncertainty_sequence
+
+from extended_state import build_extended
 
 # spectral radius of the benchmark observer loop at p=1 with gains 0.9/0.1:
 # largest root of lambda^2 - 1.1 lambda + 0.2, frozen from (1.1+sqrt(0.41))/2

@@ -22,8 +22,13 @@ from iterlearn.learner import (
     synth_H_pseudo,
     synth_Hbar,
 )
-from iterlearn.matanalysis import block_spectral_radius, cholesky_negative_definite, induced_norm
-from iterlearn.observer import ObserverGain, build_extended, error_dynamics_matrix
+from iterlearn.matanalysis import (
+    block_spectral_radius,
+    cholesky_negative_definite,
+    induced_norm,
+    time_steps,
+)
+from iterlearn.observer import ObserverGain, error_dynamics_matrix
 from iterlearn.plant import (
     StructuredUncertainty,
     TransferPlant,
@@ -54,6 +59,8 @@ from iterlearn.stability import (
     theorem_implication_check,
     verify_separation,
 )
+
+from extended_state import build_extended
 
 
 def scalar_setup(p_val=1.0, k_val=0.5):
@@ -849,9 +856,31 @@ def wide_reference_problem(horizon):
     return surrogate, StructuredUncertainty(phi1=0.05 * I, phi2=I), gains
 
 
+def scatter_steps(steps):
+    """The loop whose time-major steps are ``steps`` (``(p, b, b)``): a
+    ``b x b`` grid of diagonal ``p x p`` blocks, entry by entry."""
+    p, b, _ = steps.shape
+    M = np.zeros((b * p, b * p))
+    for t in range(p):
+        idx = np.arange(b) * p + t
+        M[np.ix_(idx, idx)] = steps[t]
+    return M
+
+
+def random_decoupled_loop(rng, p, b):
+    """A loop that couples no two time steps, with a different stable
+    ``b x b`` step at each ``t`` (radius up to 0.95)."""
+    steps = rng.standard_normal((p, b, b))
+    rho = np.abs(np.linalg.eigvals(steps)).max(axis=1)
+    steps *= (rng.uniform(0.2, 0.95, p) / rho)[:, None, None]
+    return scatter_steps(steps)
+
+
 def seed_problems():
     """``(M0, p)`` of random search problems drawn as the search tests draw
-    them, and of the wide reference problem at T = 20 and T = 100."""
+    them, of the wide reference problem at T = 20 and T = 100, and of
+    random loops that couple no two time steps, each also with one tiny
+    entry that couples two (so it takes the dense doubling)."""
     problems = []
     for seed, count in ((20, 10), (12, 30), (44, 60)):
         rng = np.random.default_rng(seed)
@@ -861,7 +890,16 @@ def seed_problems():
             for lmi_id in LMI_IDS
         ]
     problems += [("eq101", wide_reference_problem(20)), ("eq101", wide_reference_problem(100))]
-    return [(_robust_loop(lmi_id, *pr)[0], pr[2].observer.p) for lmi_id, pr in problems]
+    loops = [(_robust_loop(lmi_id, *pr)[0], pr[2].observer.p) for lmi_id, pr in problems]
+    rng = np.random.default_rng(31)
+    for p in (2, 5, 100):
+        for b in (1, 3):
+            M0 = random_decoupled_loop(rng, p, b)
+            coupled = M0.copy()
+            coupled[0, p - 1] = 1e-300
+            assert time_steps(M0, p)[1] == "decoupled" and time_steps(coupled, p)[1] is None
+            loops += [(M0, p), (coupled, p)]
+    return loops
 
 
 def test_lyapunov_seed_matches_scipy_and_solves_the_stein_equation():
@@ -888,6 +926,18 @@ def test_lyapunov_seed_rejects_unstable_and_overflowing_loops_without_warnings()
         # at once, or the sum does while the powers still decay
         assert _lyapunov_seed(np.array([[0.5, 1e200], [0.0, 0.5]]), 1) is None
         assert _lyapunov_seed(np.array([[0.5, 1e154], [0.0, 0.5]]), 1) is None
+        # the same as each entry times I_3, summed per time step, and the
+        # radius 1 or 1.5 in one step among stable ones
+        for M0 in (
+            np.kron(np.diag([0.5, 1.0]), np.eye(3)),
+            np.kron(np.diag([0.5, -1.5]), np.eye(3)),
+            np.kron([[0.5, 1e200], [0.0, 0.5]], np.eye(3)),
+            np.kron([[0.5, 1e154], [0.0, 0.5]], np.eye(3)),
+            scatter_steps(np.array([[[0.5]], [[0.25]], [[1.0]]])),
+            scatter_steps(np.array([[[0.5]], [[-1.5]], [[0.25]]])),
+        ):
+            assert time_steps(M0, 3)[1] == "decoupled"
+            assert _lyapunov_seed(M0, 3) is None
 
 
 def test_lyapunov_seed_converges_within_the_cap_near_the_stability_edge():
@@ -898,6 +948,49 @@ def test_lyapunov_seed_converges_within_the_cap_near_the_stability_edge():
     Q = _lyapunov_seed(np.kron(np.eye(2), M0), 2)
     assert Q is not None
     assert np.abs(Q - np.eye(4)).max() <= 1e-12
+
+
+def test_both_seed_paths_converge_within_the_cap_near_the_stability_edge():
+    # the rotation of the test above on each path: as two coupled 2 x 2
+    # blocks (dense doubling), and as each entry times I_p (p steps)
+    rho, t = 1 - 1e-6, 0.3
+    M0 = rho * np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    assert time_steps(np.kron(np.eye(2), M0), 2)[1] is None
+    for p in (2, 5):
+        M = np.kron(M0, np.eye(p))
+        assert time_steps(M, p)[1] == "decoupled"
+        Q = _lyapunov_seed(M, p)
+        assert Q is not None
+        assert np.abs(Q - np.eye(2 * p)).max() <= 1e-12
+
+
+def test_per_step_seed_rejects_a_loop_with_one_indefinite_step():
+    # a Jordan-like step with a 1e8 shear: its sum, near 1e49, rounds to an
+    # indefinite matrix, so the whole loop is rejected, as on the dense path
+    bad = 0.5 * np.eye(4) + 1e8 * np.eye(4, k=1)
+    M0 = scatter_steps(np.stack([0.5 * np.eye(4), bad]))
+    assert time_steps(M0, 2)[1] == "decoupled"
+    assert _lyapunov_seed(M0, 2) is None and _lyapunov_seed(M0, 1) is None
+    assert _lyapunov_seed(scatter_steps(np.stack([0.5 * np.eye(4)] * 2)), 2) is not None
+
+
+def test_per_step_seed_reaches_the_dense_seeds_certificate_on_the_wide_problem(monkeypatch):
+    # with p = 1 no time structure is read, so the dense doubling runs
+    for horizon in (20, 100):
+        problem = wide_reference_problem(horizon)
+        M0 = _robust_loop("eq101", *problem)[0]
+        assert time_steps(M0, horizon)[1] == "decoupled"
+        Q, dense = _lyapunov_seed(M0, horizon), _lyapunov_seed(M0, 1)
+        assert np.abs(Q - dense).max() <= 1e-12 * np.abs(dense).max()
+        cert = lmi_search("eq101", *problem)
+        with monkeypatch.context() as m:
+            m.setattr(stability, "_lyapunov_seed", lambda M0, p: dense)
+            ref = lmi_search("eq101", *problem)
+        assert cert is not None and ref is not None
+        assert cert.tau == ref.tau
+        # within 1e-12, so at the same rescaling (another moves Q11 by 2x)
+        Q, Q_ref = cert.assembled(), ref.assembled()
+        assert np.abs(Q - Q_ref).max() <= 1e-12 * np.abs(Q_ref).max()
 
 
 def test_lyapunov_seed_rejects_the_transient_bad_model_free_loops():
@@ -934,12 +1027,13 @@ def test_lyapunov_seed_imports_no_scipy():
         "import numpy as np\n"
         "from iterlearn.stability import _lyapunov_seed\n"
         "print(_lyapunov_seed(np.diag([0.5, 0.25, 0.125]), 1).shape,"
+        " _lyapunov_seed(np.kron(np.diag([0.5, 0.25]), np.eye(2)), 2).shape,"
         " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True
     )
-    assert done.stdout == "(3, 3) []\n"
+    assert done.stdout == "(3, 3) (4, 4) []\n"
 
 
 def test_screen_rejects_only_what_the_full_test_rejects():
