@@ -49,7 +49,6 @@ from .stability import (
     lmi_verify,
     loop_matrix,
     theorem_implication_check,
-    verify_separation,
 )
 
 __version__ = "0.1.0"
@@ -89,6 +88,5 @@ __all__ = [
     "lmi_verify",
     "loop_matrix",
     "theorem_implication_check",
-    "verify_separation",
     "__version__",
 ]

@@ -184,26 +184,48 @@ def cholesky_negative_definite(S: np.ndarray, tol: float, work: np.ndarray) -> b
     return info == 0
 
 
-def negative_definite_schur_term(S: np.ndarray, k: int, work: np.ndarray) -> np.ndarray | None:
+def negative_definite_schur_term(
+    S: np.ndarray, k: int, work: np.ndarray, block: int
+) -> np.ndarray | None:
     """The Schur term of the symmetric ``S`` at its leading ``k x k`` block.
 
     With ``S = [[S11, S21^T], [S21, S22]]``, ``S`` is negative definite
     exactly when ``S11`` is and its Schur complement ``S22 + C`` is, where
     ``C = S21 (-S11)^-1 S21^T``.  Returns ``C``, or None when ``S11`` is not
     negative definite (the Cholesky factorisation ``-S11 = L L^T`` fails).
-    ``L`` and ``X = S21 L^-T`` are formed in place in ``work``, a
-    C-contiguous float array of at least ``k (k + m)`` entries, ``m`` the
-    trailing size; ``C = X X^T`` is the one ``m x m`` allocation.  One
-    triangle of ``S11`` and the trailing rows ``S21`` are read, so ``S``
-    must be exactly symmetric.
+    ``work`` is a C-contiguous float array of at least ``k (k + m)``
+    entries, ``m`` the trailing size.  One triangle of ``S11`` and the
+    trailing rows ``S21`` are read, so ``S`` must be exactly symmetric.
+
+    ``S11`` is read through ``time_steps(S11, block)``.  When it couples no
+    two time steps, ``-S11`` is, time-major, block diagonal with the
+    ``(block, c, c)`` stack of its steps (``c = k / block`` signals), all
+    factored by one batched Cholesky ``L_t L_t^T``; with ``B_t`` the
+    columns of ``S21`` at step ``t`` (gathered in ``work``),
+    ``X_t = L_t^-1 B_t^T`` is one batched product with the inverse
+    factors, and ``C`` the sum of ``X_t^T X_t``, one ``(m x k) @ (k x m)``
+    product.  Any other ``S11`` is factored
+    densely: ``L`` and ``X = S21 L^-T`` are formed in place in ``work`` by
+    LAPACK ``dpotrf`` and BLAS ``dtrsm``, and ``C = X X^T``.
     """
     from scipy.linalg.blas import dtrsm  # deferred: simulate needs no scipy
     from scipy.linalg.lapack import dpotrf
 
     m = S.shape[0] - k
     flat = work.reshape(-1)
+    S11 = S[:k, :k]
+    steps, structure = time_steps(S11, block)
+    if structure == "decoupled":
+        try:
+            L = np.linalg.cholesky(-steps)
+        except np.linalg.LinAlgError:
+            return None
+        B = flat[: k * m].reshape(block, -1, m)  # B[t] = S21[:, i block + t]^T
+        B[...] = S[k:, :k].reshape(m, -1, block).T
+        X = (np.linalg.inv(L) @ B).reshape(k, m)
+        return X.T @ X
     L = flat[: k * k].reshape(k, k)
-    np.negative(S[:k, :k], out=L)
+    np.negative(S11, out=L)
     # as in cholesky_negative_definite, the Fortran-ordered transposes let
     # LAPACK and BLAS work in place
     _, info = dpotrf(L.T, lower=1, clean=0, overwrite_a=1)

@@ -2,7 +2,8 @@
 
 The library keeps a small catalog of closed-loop spectral-radius
 conditions (``eq04`` .. ``eq102``), similarity identities showing that
-observer and feedback designs decouple (``eq20`` .. ``eq76``), and block
+observer and feedback designs decouple (``eq20`` .. ``eq76``, which the
+tests check numerically), and block
 matrix inequalities whose negative definiteness certifies the spectral
 conditions for every admissible structured model error (``eq44``,
 ``eq65``, ``eq101``).  Certificates are verified exactly; the search is a
@@ -19,13 +20,12 @@ observer on the true map), ``eq41`` and ``eq62`` (``eso_mixed`` and
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .learner import DESIGN_GAINS, GainSet, law_map, require_gains
+from .learner import DESIGN_GAINS, GainSet, require_gains
 from .observer import error_dynamics_matrix
 from .matanalysis import (
     as_matrix,
@@ -50,14 +50,11 @@ __all__ = [
     "condition_form",
     "loop_matrix",
     "check_condition",
-    "verify_separation",
     "lmi_verify",
     "lmi_search",
     "theorem_implication_check",
     "certificate_to_dict",
-    "certificate_from_dict",
     "save_certificate",
-    "load_certificate",
 ]
 
 CONDITION_IDS = ("eq04", "eq48", "eq17", "eq41", "eq62", "eq95", "eq102")
@@ -262,43 +259,6 @@ def check_condition(
     )
 
 
-def verify_separation(
-    identity_id: str, plant: TransferPlant, gains: GainSet
-) -> tuple[float, bool]:
-    """Check one similarity identity numerically: ``T M T^-1`` against its
-    block-triangular ``_robust_form`` target.  ``M`` is a law's
-    ``learner.law_map``: ``eq20`` ``eso_full_state`` and ``eq30``
-    ``eso_mixed`` on the true map, ``eq61`` ``eso_robust`` at ``P = P0``,
-    and ``eq76`` ``eso_robust`` with its observer on ``P0``, in the
-    coordinates ``[(P K)^-1 E; -e_hat; -d_hat]``.  Returns the maximum
-    residual (infinity norm) and whether the transformed lower-left block
-    is numerically zero (infinity norm below 1e-10).
-    """
-    if identity_id not in SEPARATION_IDS:
-        raise ValueError(f"unknown separation identity {identity_id!r}")
-    P, P0, K = plant.full(), plant.nominal, gains.K
-    p = P.shape[0]
-    T = np.eye(3 * p)
-    T[p : 2 * p, :p] = -np.eye(p)  # [[I, 0], [-Cbar^T, I]]
-    if identity_id == "eq76":
-        M, target = law_map("eso_robust", P, gains, P0), loop_matrix("eq62", plant, gains)
-        # [[I, 0], [Bbar K, I]] after the coordinates diag((P K)^-1, -I)
-        T[:p, :p] = np.linalg.inv(P @ K)
-        T[p : 2 * p, :p] = P0 @ K @ T[:p, :p]
-        T[p:, p:] = -np.eye(2 * p)
-    elif identity_id == "eq61":
-        M = law_map("eso_robust", P0, gains)
-        target = _robust_form("compensated", P0, replace(gains, H=K @ gains.Hbar), identity_id)[0]
-    else:
-        M = law_map("eso_full_state" if identity_id == "eq20" else "eso_mixed", P, gains)
-        target = _robust_form("compensated", P, gains, identity_id)[0]
-        if identity_id == "eq20":  # the law feeds e_hat where eq30's feeds E
-            target[:p, p : 2 * p] = -P @ K
-    transformed = T @ M @ np.linalg.inv(T)
-    max_residual = float(np.abs(transformed - target).max())
-    return max_residual, bool(np.abs(transformed[p:, :p]).max() < 1e-10)
-
-
 # ---------------------------------------------------------------------------
 # Block matrix inequalities
 # ---------------------------------------------------------------------------
@@ -311,7 +271,10 @@ class LmiCertificate:
     The assembled matrix ``[[Q11, Q21^T], [Q21, Q22]]`` must be symmetric
     positive definite and ``tau`` finite and strictly positive; violating
     either makes the certificate invalid (an error), distinct from a valid
-    certificate that merely fails an inequality.
+    certificate that merely fails an inequality.  Symmetry is to
+    ``1e-10 max(1, |Q|_max)``; positive definiteness of the symmetrised
+    ``Q``, with no tolerance, is decided by its Cholesky factorisation
+    (``matanalysis.cholesky_negative_definite`` on ``-Q`` at ``tol = 0``).
     """
 
     Q11: np.ndarray
@@ -336,7 +299,9 @@ class LmiCertificate:
         Q = self.assembled()
         if np.abs(Q - Q.T).max() > 1e-10 * max(1.0, np.abs(Q).max()):
             raise ValueError("assembled Q must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() <= 0:
+        S = Q + Q.T
+        S *= -0.5
+        if not cholesky_negative_definite(S, 0.0, S):
             raise ValueError("assembled Q must be positive definite")
 
     @property
@@ -484,8 +449,9 @@ def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
     ``screened`` is False when ``G(tau)`` is not negative definite even
     without a tolerance.  The leading ``2n x 2n`` block of ``G`` does not
     depend on ``tau``, so its Schur term ``C`` (``(r + q) x (r + q)``, see
-    ``matanalysis.negative_definite_schur_term``) is formed once per
-    rescaling, at ``tau = 1``; the trailing rows at ``tau`` are
+    ``matanalysis.negative_definite_schur_term``, which forms it per time
+    step when that block couples no two of the ``p`` time steps) is formed
+    once per rescaling, at ``tau = 1``; the trailing rows at ``tau`` are
     ``D_tau = diag(tau I_r, I_q)`` times those at ``tau = 1``, so ``G(tau)``
     is negative definite exactly when the leading block is and
     ``D_tau C D_tau - tau I`` is.  Overflow warns nowhere here: a screen
@@ -513,7 +479,7 @@ def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
         _assemble_lmi(Q, 1.0, loop, structure, out=G)
         at_one = G[row2, :n].copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            C = negative_definite_schur_term(G, k, work)
+            C = negative_definite_schur_term(G, k, work, p)
         for tau in np.logspace(-4, 4, 17):
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(at_one, tau, out=G[row2, :n])
@@ -607,30 +573,6 @@ def certificate_to_dict(cert: LmiCertificate) -> dict:
     }
 
 
-def _numbers(rows, name: str) -> np.ndarray:
-    """A JSON array of equally long arrays of numbers (not booleans) as floats."""
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and len(row) == len(rows[0])
-        and all(type(x) in (int, float) for x in row)
-        for row in rows
-    ):
-        raise ValueError(f"{name} must be a rectangular nested array of numbers")
-    return np.asarray(rows, dtype=float)
-
-
-def certificate_from_dict(doc) -> LmiCertificate:
-    """The certificate of a parsed certificate file; ``ValueError`` if malformed."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"certificate file must be a JSON object, got {type(doc).__name__}")
-    for name in ("Q11", "Q21", "Q22", "tau"):
-        if name not in doc:
-            raise ValueError(f"certificate file missing field {name!r}")
-    if type(doc["tau"]) not in (int, float):
-        raise ValueError(f"tau must be a number, got {json.dumps(doc['tau'])}")
-    Q11, Q21, Q22 = (_numbers(doc[name], name) for name in ("Q11", "Q21", "Q22"))
-    return LmiCertificate(Q11=Q11, Q21=Q21, Q22=Q22, tau=doc["tau"])
-
-
 def _json_matrix(M: np.ndarray) -> str:
     """``M`` as ``json.dump(M.tolist(), indent=2)`` lays it out one level
     deep in a document; every entry is finite, so ``float.__repr__`` is
@@ -653,9 +595,3 @@ def save_certificate(path, cert: LmiCertificate) -> None:
     )
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
-
-
-def load_certificate(path) -> LmiCertificate:
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    return certificate_from_dict(doc)

@@ -1,0 +1,83 @@
+"""What the tests check ``iterlearn.stability`` with, and no command runs.
+
+``verify_separation`` checks each similarity identity numerically against
+its block-triangular target, and ``load_certificate`` (with
+``certificate_from_dict``) reads back the certificate files that
+``stability.save_certificate`` writes, rejecting a malformed one.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+
+from iterlearn.learner import GainSet, law_map
+from iterlearn.plant import TransferPlant
+from iterlearn.stability import SEPARATION_IDS, LmiCertificate, _robust_form, loop_matrix
+
+
+def verify_separation(
+    identity_id: str, plant: TransferPlant, gains: GainSet
+) -> tuple[float, bool]:
+    """Check one similarity identity numerically: ``T M T^-1`` against its
+    block-triangular ``_robust_form`` target.  ``M`` is a law's
+    ``learner.law_map``: ``eq20`` ``eso_full_state`` and ``eq30``
+    ``eso_mixed`` on the true map, ``eq61`` ``eso_robust`` at ``P = P0``,
+    and ``eq76`` ``eso_robust`` with its observer on ``P0``, in the
+    coordinates ``[(P K)^-1 E; -e_hat; -d_hat]``.  Returns the maximum
+    residual (infinity norm) and whether the transformed lower-left block
+    is numerically zero (infinity norm below 1e-10).
+    """
+    if identity_id not in SEPARATION_IDS:
+        raise ValueError(f"unknown separation identity {identity_id!r}")
+    P, P0, K = plant.full(), plant.nominal, gains.K
+    p = P.shape[0]
+    T = np.eye(3 * p)
+    T[p : 2 * p, :p] = -np.eye(p)  # [[I, 0], [-Cbar^T, I]]
+    if identity_id == "eq76":
+        M, target = law_map("eso_robust", P, gains, P0), loop_matrix("eq62", plant, gains)
+        # [[I, 0], [Bbar K, I]] after the coordinates diag((P K)^-1, -I)
+        T[:p, :p] = np.linalg.inv(P @ K)
+        T[p : 2 * p, :p] = P0 @ K @ T[:p, :p]
+        T[p:, p:] = -np.eye(2 * p)
+    elif identity_id == "eq61":
+        M = law_map("eso_robust", P0, gains)
+        target = _robust_form("compensated", P0, replace(gains, H=K @ gains.Hbar), identity_id)[0]
+    else:
+        M = law_map("eso_full_state" if identity_id == "eq20" else "eso_mixed", P, gains)
+        target = _robust_form("compensated", P, gains, identity_id)[0]
+        if identity_id == "eq20":  # the law feeds e_hat where eq30's feeds E
+            target[:p, p : 2 * p] = -P @ K
+    transformed = T @ M @ np.linalg.inv(T)
+    max_residual = float(np.abs(transformed - target).max())
+    return max_residual, bool(np.abs(transformed[p:, :p]).max() < 1e-10)
+
+
+def _numbers(rows, name: str) -> np.ndarray:
+    """A JSON array of equally long arrays of numbers (not booleans) as floats."""
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == len(rows[0])
+        and all(type(x) in (int, float) for x in row)
+        for row in rows
+    ):
+        raise ValueError(f"{name} must be a rectangular nested array of numbers")
+    return np.asarray(rows, dtype=float)
+
+
+def certificate_from_dict(doc) -> LmiCertificate:
+    """The certificate of a parsed certificate file; ``ValueError`` if malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"certificate file must be a JSON object, got {type(doc).__name__}")
+    for name in ("Q11", "Q21", "Q22", "tau"):
+        if name not in doc:
+            raise ValueError(f"certificate file missing field {name!r}")
+    if type(doc["tau"]) not in (int, float):
+        raise ValueError(f"tau must be a number, got {json.dumps(doc['tau'])}")
+    Q11, Q21, Q22 = (_numbers(doc[name], name) for name in ("Q11", "Q21", "Q22"))
+    return LmiCertificate(Q11=Q11, Q21=Q21, Q22=Q22, tau=doc["tau"])
+
+
+def load_certificate(path) -> LmiCertificate:
+    with open(path, "r", encoding="ascii") as fh:
+        doc = json.load(fh)
+    return certificate_from_dict(doc)

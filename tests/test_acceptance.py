@@ -36,8 +36,9 @@ from iterlearn.stability import (
     lmi_search,
     lmi_verify,
     theorem_implication_check,
-    verify_separation,
 )
+
+from stability_oracles import verify_separation
 
 RHO_BENCH_OBSERVER = 0.87015621187164243
 

@@ -19,7 +19,8 @@ from iterlearn.presets import (
     reference_system,
     write_reference_experiment,
 )
-from iterlearn.stability import load_certificate
+
+from stability_oracles import load_certificate
 
 
 def write_json(path, doc):

@@ -24,9 +24,12 @@ def test_all_names_resolve(name):
 def test_top_level_names_come_from_their_modules():
     # every name the package exports is exported by the module that defines
     # it; the extended-state blocks are the tests' oracle (extended_state.py)
-    # and the observer demo's, not the library's
+    # and the observer demo's, and the separation check and the certificate
+    # reader are the tests' (stability_oracles.py), not the library's
     exported = set()
     for name in MODULES[1:]:
         exported |= set(getattr(importlib.import_module(name), "__all__", []))
     assert set(iterlearn.__all__) - {"__version__"} <= exported
     assert not {"ExtendedSystem", "build_extended"} & exported
+    oracles = {"verify_separation", "load_certificate", "certificate_from_dict", "_numbers"}
+    assert not any(hasattr(importlib.import_module(name), n) for name in MODULES for n in oracles)

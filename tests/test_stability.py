@@ -26,6 +26,7 @@ from iterlearn.matanalysis import (
     block_spectral_radius,
     cholesky_negative_definite,
     induced_norm,
+    negative_definite_schur_term,
     time_steps,
 )
 from iterlearn.observer import ObserverGain, error_dynamics_matrix
@@ -48,19 +49,17 @@ from iterlearn.stability import (
     _lyapunov_seed,
     _robust_form,
     _robust_loop,
-    certificate_from_dict,
     certificate_to_dict,
     check_condition,
     lmi_search,
     lmi_verify,
-    load_certificate,
     loop_matrix,
     save_certificate,
     theorem_implication_check,
-    verify_separation,
 )
 
 from extended_state import build_extended
+from stability_oracles import certificate_from_dict, load_certificate, verify_separation
 
 
 def scalar_setup(p_val=1.0, k_val=0.5):
@@ -1067,6 +1066,149 @@ def test_cholesky_and_eigvalsh_agree_on_every_reference_grid_point():
         verdicts.append(cholesky_verdict(G))
         assert verdicts[-1] == eigvalsh_verdict(G)
     assert len(verdicts) == 85 and 0 < sum(verdicts) < 85
+
+
+# ---------------------------------------------------------------------------
+# the Schur term per time step, and the certificate's own check
+# ---------------------------------------------------------------------------
+
+def random_decoupled_problem(rng, p, b):
+    """An inequality around a loop that couples no two of its ``p`` time
+    steps (``b`` signals, a different step at each ``t``), through a dense
+    channel ``(D, E)`` and a random structure, with the loop's seed."""
+    M0 = random_decoupled_loop(rng, p, b)
+    n = b * p
+    loop = (M0, rng.standard_normal((n, p)), rng.standard_normal((p, n)))
+    phi1 = 10 ** rng.uniform(-3, -1) * rng.standard_normal((p, int(rng.integers(1, 4))))
+    phi2 = rng.standard_normal((int(rng.integers(1, 4)), p))
+    return loop, StructuredUncertainty(phi1=phi1, phi2=phi2), _lyapunov_seed(M0, p)
+
+
+def decoupled_problems(bs=(1, 3)):
+    rng = np.random.default_rng(31)
+    return [
+        (p, random_decoupled_problem(rng, p, b))
+        for _ in range(5)
+        for p in (2, 5, 100)
+        for b in bs
+    ]
+
+
+def batched_factorisations(monkeypatch):
+    """The shapes ``np.linalg.cholesky`` is called on: within a search, only
+    the per-step Schur term calls it."""
+    shapes, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+    return shapes
+
+
+def test_per_step_schur_term_matches_the_dense_factorisation(monkeypatch):
+    # a block below 2 reads no time structure, so it takes the dense path
+    shapes = batched_factorisations(monkeypatch)
+    for p, (loop, structure, Q) in decoupled_problems():
+        G = _assemble_lmi(Q, 1.0, loop, structure)
+        k, work = 2 * len(Q), np.empty(G.shape)
+        C = negative_definite_schur_term(G, k, work, p)
+        dense = negative_definite_schur_term(G, k, work, 1)
+        assert shapes.pop() == (p, k // p, k // p) and not shapes
+        assert np.abs(C - dense).max() <= 1e-12 * np.abs(dense).max()
+        # one step made positive definite: no Schur term on either path
+        steps = np.arange(0, k, p)
+        bad = G.copy()
+        bad[np.ix_(steps + 1, steps + 1)] *= -1
+        assert time_steps(bad[:k, :k], p)[1] == "decoupled"
+        assert negative_definite_schur_term(bad, k, work, p) is None
+        assert negative_definite_schur_term(bad, k, work, 1) is None
+        shapes.clear()
+        # one entry of 1e-300 couples time steps 0 and 1: the dense path
+        coupled = G.copy()
+        coupled[0, 1] = coupled[1, 0] = 1e-300
+        C_coupled = negative_definite_schur_term(coupled, k, work, p)
+        assert not shapes
+        assert C_coupled.tobytes() == negative_definite_schur_term(coupled, k, work, 1).tobytes()
+        assert np.abs(C_coupled - C).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_wide_search_forms_the_schur_term_per_step(monkeypatch):
+    # the dense Schur term, as the search formed it before, returns the
+    # same certificate bit for bit
+    def dense(S, k, work, block):
+        return negative_definite_schur_term(S, k, work, 1)
+
+    for horizon in (20, 100):
+        problem = wide_reference_problem(horizon)
+        with monkeypatch.context() as m:
+            shapes = batched_factorisations(m)
+            cert = lmi_search("eq101", *problem)
+        assert shapes and set(shapes) == {(horizon, 6, 6)}
+        with monkeypatch.context() as m:
+            m.setattr(stability, "negative_definite_schur_term", dense)
+            ref = lmi_search("eq101", *problem)
+        assert cert is not None and ref is not None and cert.tau == ref.tau
+        assert cert.assembled().tobytes() == ref.assembled().tobytes()
+        if horizon == 100:
+            # tau = 1e-4 at the second rescaling, 0.5: two Schur terms
+            seed = _lyapunov_seed(_robust_loop("eq101", *problem)[0], horizon)
+            assert cert.tau == 1e-4 and len(shapes) == 2
+            assert np.array_equal(cert.Q11, 0.25 * seed[:horizon, :horizon])
+            assert np.array_equal(cert.Q22, seed[horizon:, horizon:])
+
+
+def test_screen_rejects_only_what_the_full_test_rejects_on_decoupled_problems():
+    # as on the search's random problems, with a leading block that couples
+    # no two time steps (so a per-step Schur term) at every rescaling
+    counts = {(s, v): 0 for s in (False, True) for v in (False, True)}
+    problems = decoupled_problems(bs=(3,))
+    for p, (loop, structure, Qfull) in problems:
+        n = _lmi_edges(len(Qfull), structure)[-1]
+        for _, _, G, screened in _lmi_grid(Qfull, loop, structure, np.empty((n, n))):
+            assert time_steps(G[: 6 * p, : 6 * p], p)[1] == "decoupled"
+            verdict = cholesky_verdict(G)
+            assert screened or not verdict
+            counts[screened, verdict] += 1
+    assert sum(counts.values()) == len(problems) * 85
+    assert counts[False, False] > 0 and counts[True, True] > 0
+
+
+def certificate_accepts(Q):
+    """Whether ``LmiCertificate`` takes ``Q`` as positive definite."""
+    p = len(Q) // 3
+    try:
+        LmiCertificate(Q11=Q[:p, :p], Q21=Q[p:, :p], Q22=Q[p:, p:], tau=1.0)
+    except ValueError as exc:
+        assert "positive definite" in str(exc)
+        return False
+    return True
+
+
+def test_certificate_cholesky_check_agrees_with_eigvalsh():
+    # every certificate the random problems and the wide problem give, each
+    # also shifted to a smallest eigenvalue of +-1e-8 relative, and random
+    # Q with that smallest eigenvalue; eigvalsh stays the oracle
+    rng = np.random.default_rng(20)
+    problems = [
+        (lmi_id, random_lmi_problem(rng, lmi_id, i % 5 + 1, identity_phi2=i % 2 == 0))
+        for i in range(10)
+        for lmi_id in LMI_IDS
+    ]
+    problems += [("eq101", wide_reference_problem(20)), ("eq101", wide_reference_problem(100))]
+    certs = [lmi_search(lmi_id, *problem) for lmi_id, problem in problems]
+    Qs = [cert.assembled() for cert in certs if cert is not None]
+    assert len(Qs) > 10
+    for p in range(1, 11):
+        V = np.linalg.qr(rng.standard_normal((3 * p, 3 * p)))[0]
+        w = np.logspace(0, -6, 3 * p)
+        Q = (V * w) @ V.T
+        Qs.append(0.5 * (Q + Q.T))
+    verdicts = []
+    for Q in Qs:
+        w = np.linalg.eigvalsh(Q)
+        for sign in (0, 1, -1):
+            S = Q - (w[0] - sign * 1e-8 * w[-1]) * np.eye(len(Q)) if sign else Q
+            verdicts.append(certificate_accepts(S))
+            assert verdicts[-1] == (np.linalg.eigvalsh(S).min() > 0)
+            assert verdicts[-1] == (sign >= 0)
+    assert len(verdicts) == 3 * len(Qs)
 
 
 def test_assembly_matches_hand_expanded_oracle_on_every_grid_point():
