@@ -8,7 +8,7 @@ algebra reproduces a time-domain rollout exactly.
 
 import numpy as np
 
-from iterlearn import LiftedIlcSystem, lift_ilc, simulate_time_domain
+from iterlearn import LiftedIlcSystem, lift_ilc
 from iterlearn.matanalysis import save_matrix
 from pathlib import Path
 
@@ -35,7 +35,11 @@ w = 0.1 * rng.standard_normal(60)
 v = 0.05 * rng.standard_normal(20)
 x0 = rng.standard_normal(3)
 
-y_rolled = simulate_time_domain(sys, u, w, v, x0)
+# roll one iteration through x(t+1) = A x(t) + B u(t) + w(t), y(t+1) = C x(t+1) + v(t+1)
+x, y_rolled = x0, np.zeros(20)
+for t in range(20):
+    x = sys.A @ x + sys.B @ u[t : t + 1] + w[3 * t : 3 * t + 3]
+    y_rolled[t : t + 1] = sys.C @ x + v[t : t + 1]
 y_lifted = P @ u + Q @ w + v + S @ x0
 print(f"rollout vs lifted algebra, max gap: {np.abs(y_rolled - y_lifted).max():.3e}")
 

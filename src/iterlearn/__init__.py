@@ -10,14 +10,9 @@ from .matanalysis import (
     block_spectral_radius,
     eigenvalues,
     induced_norm,
-    is_negative_definite,
     spectral_radius,
 )
-from .observer import (
-    ObserverGain,
-    check_observer_condition,
-    simulate_observation_error,
-)
+from .observer import ObserverGain
 from .plant import (
     DiffStats,
     LiftedIlcSystem,
@@ -26,8 +21,6 @@ from .plant import (
     UncertaintyModel,
     diff_stats,
     lift_ilc,
-    sample_structured_delta,
-    simulate_time_domain,
     uncertainty_sequence,
 )
 from .learner import (
@@ -48,7 +41,6 @@ from .stability import (
     lmi_search,
     lmi_verify,
     loop_matrix,
-    theorem_implication_check,
 )
 
 __version__ = "0.1.0"
@@ -57,11 +49,8 @@ __all__ = [
     "block_spectral_radius",
     "eigenvalues",
     "induced_norm",
-    "is_negative_definite",
     "spectral_radius",
     "ObserverGain",
-    "check_observer_condition",
-    "simulate_observation_error",
     "DiffStats",
     "LiftedIlcSystem",
     "StructuredUncertainty",
@@ -69,8 +58,6 @@ __all__ = [
     "UncertaintyModel",
     "diff_stats",
     "lift_ilc",
-    "sample_structured_delta",
-    "simulate_time_domain",
     "uncertainty_sequence",
     "GainSet",
     "IterationTrace",
@@ -87,6 +74,5 @@ __all__ = [
     "lmi_search",
     "lmi_verify",
     "loop_matrix",
-    "theorem_implication_check",
     "__version__",
 ]

@@ -38,7 +38,8 @@ class ConfigError(ValueError):
 
 
 # Config values are type-checked, not coerced: int("2"), list("12") and int(2.5)
-# would misread a value, and true/false would pass as a number.
+# would misread a value, and true/false would pass as a number.  Arrays of
+# numbers are checked entry by entry by plant.json_floats.
 def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
@@ -80,8 +81,8 @@ def _directive(obj):
 def _vector(value, name: str, length: int) -> np.ndarray:
     """A finite vector of ``length`` numbers, given as a flat JSON array."""
     try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        v = plant.json_floats(value, name)
+    except ValueError as exc:
         raise ConfigError(f"invalid numbers for {name!r}: {exc}") from exc
     if v.shape != (length,):
         raise ConfigError(f"{name} must be an array of {length} numbers, got shape {v.shape}")
@@ -104,8 +105,8 @@ def _matrix_field(obj, name: str, base: Path) -> np.ndarray:
 
         return load_matrix(_file(obj, name, base))
     try:
-        return as_matrix(np.asarray(obj, dtype=float), name)
-    except (TypeError, ValueError) as exc:
+        return as_matrix(plant.json_floats(obj, name), name)
+    except ValueError as exc:
         raise ConfigError(f"invalid matrix for {name!r}: {exc}") from exc
 
 
@@ -117,13 +118,15 @@ def _parse_uncertainty(obj, dimension: int) -> plant.UncertaintyModel:
         if kind == "zero":
             return plant.UncertaintyModel.zero(dimension)
         if kind == "constant":
-            return plant.UncertaintyModel.constant(np.asarray(obj["value"], dtype=float))
+            value = plant.json_floats(obj["value"], "uncertainty.value")
+            return plant.UncertaintyModel.constant(value)
         if kind == "ramp":
-            return plant.UncertaintyModel.ramp(np.asarray(obj["slope"], dtype=float))
+            slope = plant.json_floats(obj["slope"], "uncertainty.slope")
+            return plant.UncertaintyModel.ramp(slope)
         if kind == "cumulative_sine":
             return plant.UncertaintyModel.cumulative_sine(dimension)
         if kind == "table":
-            rows = np.asarray(obj["rows"], dtype=float)
+            rows = plant.json_floats(obj["rows"], "uncertainty.rows")
             if rows.ndim != 2:
                 raise ValueError(f"table rows must be a 2-D array, got shape {rows.shape}")
             return plant.UncertaintyModel.from_table(rows)
@@ -219,8 +222,8 @@ class Experiment:
             _object(struct, "structure")
             try:
                 self.structure = plant.StructuredUncertainty(
-                    phi1=_matrix_field(struct["phi1"], "phi1", base),
-                    phi2=_matrix_field(struct["phi2"], "phi2", base),
+                    phi1=_matrix_field(struct["phi1"], "structure.phi1", base),
+                    phi2=_matrix_field(struct["phi2"], "structure.phi2", base),
                 )
             except KeyError as exc:
                 raise ConfigError(f"structure missing field {exc}") from exc

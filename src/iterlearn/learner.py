@@ -1,8 +1,8 @@
 """Updating laws and the closed-loop iteration engine.
 
 Five laws share the pattern "observe, correct the input, repeat".  Each
-is one step, ``law_map``, runs the loop of one catalog condition and has
-its observer on one map (``_observer_maps``): ``p_type`` (``eq04``, no
+law's step runs the loop of one catalog condition and has its observer
+on one map (``_observer_maps``): ``p_type`` (``eq04``, no
 observer), ``eso_full_state`` (``eq04`` and ``eq17``, the true map),
 ``eso_mixed`` (``eq41``) and ``eso_robust`` (``eq62``) on the nominal
 map, and ``eso_model_free`` (``eq102``) on a full-row-rank surrogate.
@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .matanalysis import as_matrix
-from .observer import ObserverGain, error_dynamics_matrix
+from .observer import ObserverGain
 from .plant import DiffStats, TransferPlant, UncertaintyModel, uncertainty_sequence
 from .textfmt import g17_fields, int_fields, join_fields
 
@@ -33,7 +33,6 @@ __all__ = [
     "synth_Hbar",
     "run",
     "run_batch",
-    "law_map",
     "estimate_stability_profile",
     "trace_to_csv",
     "write_trace_csv",
@@ -268,28 +267,6 @@ def _observer_maps(config: SimulationConfig):
     return plant.nominal, plant.delta
 
 
-def law_map(mode: str, P, gains: GainSet, P_used=None) -> np.ndarray:
-    """The homogeneous step ``X_{k+1} = A X_k`` of a law's loop on the map
-    ``P`` with its observer on ``P_used`` (default ``P``), in the error
-    coordinates ``X = [E; e_hat; d_hat]`` (``[E]`` for ``p_type``): ``Du =
-    Ke E + Kh e_hat + Hd d_hat`` with ``(Ke, Kh, Hd)`` ``(K, 0, 0)``, ``(0,
-    K, H)`` (``eso_full_state``), ``(K, 0, H)`` (``eso_mixed``) or ``(K, 0,
-    K Hbar)`` (aggregated laws), then ``E' = E - P Du``, ``e_hat' = L1 E +
-    (I - L1) e_hat + d_hat - P_used Du`` and ``d_hat' = L2 E - L2 e_hat +
-    d_hat``."""
-    _check_gains(mode, gains)
-    P, K = as_matrix(P, "P"), gains.K
-    if mode == "p_type":
-        return np.eye(len(P)) - P @ K
-    p, zero, og = len(P), np.zeros_like(K), gains.observer
-    Hd = gains.H if LAW_DESIGNS[mode] == "compensated" else K @ gains.Hbar
-    G = np.hstack([zero, K, Hd] if mode == "eso_full_state" else [K, zero, Hd])  # Du = G X
-    A = np.block([[np.eye(p), np.zeros((p, 2 * p))], [og.stacked, error_dynamics_matrix(og)]])
-    A[:p] -= P @ G
-    A[p : 2 * p] -= (P if P_used is None else as_matrix(P_used, "P_used")) @ G
-    return A
-
-
 #: Iterations stepped between two scans of the states for divergence, and
 #: the rows of the window ``run_batch`` steps them in.
 _CHUNK = 32
@@ -331,7 +308,7 @@ def run_batch(configs, states: bool = True) -> list[IterationTrace]:
 
     The configs must share the law, the plant shape and the iteration
     count.  One iteration does, for the stacked runs, a single run's step
-    (``law_map``) in the order it is written: ``E = target - (P U + N_k)``,
+    in the order it is written: ``E = target - (P U + N_k)``,
     the law's ``ubar``, ``U - ubar``, then the observer's ``e_hat - L1
     e_hat + d_hat + P_used ubar + L1 E`` and ``d_hat - L2 e_hat + L2 E``.
     Each product is one matvec per run, with the bits ``_product`` keeps,

@@ -6,8 +6,8 @@ a negative-definiteness test by Cholesky factorisation and the Schur
 term that splits such a test in two, and a plain text format for
 matrices.  Everything operates on plain 2-D
 ``numpy`` arrays of finite floats; all functions are pure, apart from
-the work buffer a caller lends to ``check_symmetric``,
-``cholesky_negative_definite`` and ``negative_definite_schur_term``.
+the work buffer a caller lends to ``cholesky_negative_definite`` and
+``negative_definite_schur_term``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ __all__ = [
     "time_steps",
     "block_spectral_radius",
     "induced_norm",
-    "check_symmetric",
     "cholesky_negative_definite",
     "negative_definite_schur_term",
-    "is_negative_definite",
     "format_matrix_text",
     "parse_matrix_text",
     "save_matrix",
@@ -145,25 +143,6 @@ def induced_norm(M, kind: str = "infinity") -> float:
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
-def check_symmetric(S: np.ndarray, work: np.ndarray) -> None:
-    """Reject a matrix whose asymmetry is more than rounding noise.
-
-    The bound is ``|S - S^T|_max <= 1e-10 * max(1, |S|_inf)``.  The
-    intermediates go to ``work``, a float array of the shape of ``S``, so
-    the check allocates no matrix-sized temporaries.
-    """
-    np.abs(S, out=work)
-    scale = max(1.0, float(work.sum(axis=1).max()))
-    np.subtract(S, S.T, out=work)
-    np.abs(work, out=work)
-    asym = float(work.max())
-    if asym > 1e-10 * scale:
-        raise ValueError(
-            f"matrix is not symmetric: |S - S^T|_max = {asym:.3g} "
-            f"exceeds 1e-10 * max(1, |S|_inf)"
-        )
-
-
 def cholesky_negative_definite(S: np.ndarray, tol: float, work: np.ndarray) -> bool:
     """Whether every eigenvalue of the symmetric ``S`` lies below ``-tol``.
 
@@ -235,30 +214,6 @@ def negative_definite_schur_term(
     X[...] = S[k:, :k]
     Xt = dtrsm(1.0, L.T, X.T, lower=1, overwrite_b=1)  # L^-1 S21^T
     return Xt.T @ Xt
-
-
-def is_negative_definite(S, tol: float | None = None) -> bool:
-    """Whether a (numerically) symmetric matrix is negative definite.
-
-    The input is symmetrized as ``(S + S^T)/2`` before testing, since
-    floating-point asymmetry is noise; asymmetry beyond
-    ``1e-10 * max(1, |S|_inf)`` is rejected as an error.  The default
-    ``tol`` is ``1e-10 * |S|_inf``; all eigenvalues must lie strictly
-    below ``-tol``, which ``cholesky_negative_definite`` decides.  With
-    ``tol = 0`` an exactly singular matrix sits on the rounding boundary:
-    the verdict then depends on rounding, for this test and for an
-    eigenvalue solve alike.
-    """
-    S = as_square(S, "S")
-    work = np.empty(S.shape)
-    check_symmetric(S, work)
-    if tol is None:
-        tol = 1e-10 * induced_norm(S, "infinity")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    np.add(S, S.T, out=work)
-    work *= 0.5
-    return cholesky_negative_definite(work, tol, work)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A plant is the linear map from a stacked input to a stacked output over
 one task repetition, ``Y_k = P @ U_k + N_k``, with an iteration-varying
-uncertainty ``N_k``.  This module builds such plants directly, by lifting
-a finite-horizon time-domain system, or by sampling a structured model
-perturbation, and provides forward-difference statistics of the
+uncertainty ``N_k``.  This module builds such plants directly or by
+lifting a finite-horizon time-domain system, describes a structured
+model error, and provides forward-difference statistics of the
 uncertainty sequence.
 """
 
@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .matanalysis import as_matrix, induced_norm
+from .matanalysis import as_matrix
 
 __all__ = [
     "TransferPlant",
@@ -24,8 +25,6 @@ __all__ = [
     "LiftedIlcSystem",
     "DiffStats",
     "lift_ilc",
-    "simulate_time_domain",
-    "sample_structured_delta",
     "uncertainty_sequence",
     "diff_stats",
     "perturb_elementwise",
@@ -88,23 +87,6 @@ class StructuredUncertainty:
     def __post_init__(self):
         self.phi1 = as_matrix(self.phi1, "phi1")
         self.phi2 = as_matrix(self.phi2, "phi2")
-
-
-def sample_structured_delta(structure: StructuredUncertainty, seed) -> np.ndarray:
-    """Draw ``phi1 @ sigma @ phi2`` with a random contraction ``sigma``.
-
-    Entries of ``sigma`` are uniform on [-1, 1]; if the draw has two-norm
-    above one it is scaled back onto the contraction ball.  Deterministic
-    per seed.
-    """
-    rng = np.random.default_rng(seed)
-    q = structure.phi1.shape[1]
-    r = structure.phi2.shape[0]
-    sigma = rng.uniform(-1.0, 1.0, size=(q, r))
-    s = induced_norm(sigma, "two")
-    if s > 1.0:
-        sigma /= s
-    return structure.phi1 @ sigma @ structure.phi2
 
 
 @dataclass
@@ -340,41 +322,6 @@ def lift_ilc(sys: LiftedIlcSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return P, Q, S
 
 
-def simulate_time_domain(
-    sys: LiftedIlcSystem,
-    u,
-    w=None,
-    v=None,
-    x0=None,
-) -> np.ndarray:
-    """Roll one iteration through the time domain and stack the outputs.
-
-    ``u`` stacks ``u(0..T-1)``, ``w`` stacks ``w(0..T-1)``, ``v`` stacks
-    ``v(1..T)``; the result stacks ``y(1..T)`` and equals
-    ``P @ u + Q_lift @ w + v + S @ x0`` exactly; ``x0`` defaults to zero.
-    """
-    T = sys.horizon
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape != (T * sys.n_inputs,):
-        raise ValueError(f"input stack must have length {T * sys.n_inputs}")
-    w = np.zeros(T * sys.n_states) if w is None else np.asarray(w, dtype=float).reshape(-1)
-    if w.shape != (T * sys.n_states,):
-        raise ValueError(f"state-noise stack must have length {T * sys.n_states}")
-    v = np.zeros(T * sys.n_outputs) if v is None else np.asarray(v, dtype=float).reshape(-1)
-    if v.shape != (T * sys.n_outputs,):
-        raise ValueError(f"output-noise stack must have length {T * sys.n_outputs}")
-    x = np.zeros(sys.n_states) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape != (sys.n_states,):
-        raise ValueError("x0 must match the state dimension")
-
-    ni, ns, no = sys.n_inputs, sys.n_states, sys.n_outputs
-    y = np.zeros(T * no)
-    for t in range(T):
-        x = sys.A @ x + sys.B @ u[t * ni : (t + 1) * ni] + w[t * ns : (t + 1) * ns]
-        y[t * no : (t + 1) * no] = sys.C @ x + v[t * no : (t + 1) * no]
-    return y
-
-
 def perturb_elementwise(M, level: float, rng: np.random.Generator) -> np.ndarray:
     """Multiplicative elementwise perturbation ``M * (1 + level * xi)``.
 
@@ -416,6 +363,28 @@ def save_ilc_system(path, sys: LiftedIlcSystem) -> None:
         fh.write("\n")
 
 
+def json_floats(value, name: str) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float array.
+
+    Every entry must be a JSON number, an ``int`` or ``float`` as ``json``
+    reads it: ``np.asarray(..., dtype=float)`` alone would read ``"0.1"``
+    as 0.1 and ``true`` as 1.  Anything else raises ``ValueError`` naming
+    ``name``.  The entries' types are gathered one nesting level at a
+    time, by ``map`` and ``chain``, so the check adds no Python loop over
+    the entries.
+    """
+    level, types = [value], {type(value)}
+    while types == {list}:
+        level = list(chain.from_iterable(level))
+        types = set(map(type, level))
+    if types <= {int, float}:
+        return np.asarray(value, dtype=float)
+    bad = [v for v in level if type(v) not in (int, float, list)]
+    if not bad:  # a level mixes arrays and numbers
+        raise ValueError(f"{name} must be a rectangular nested array of numbers")
+    raise ValueError(f"{name} entries must be numbers, got {json.dumps(bad[0])}")
+
+
 def parse_ilc_system(doc) -> LiftedIlcSystem:
     """The system of a parsed ILC system file; ``ValueError`` if malformed.
 
@@ -437,16 +406,10 @@ def parse_ilc_system(doc) -> LiftedIlcSystem:
         horizon = doc["horizon"]
         if isinstance(horizon, bool) or not isinstance(horizon, int):
             raise ValueError(f"horizon must be an integer, got {json.dumps(horizon)}")
-        return LiftedIlcSystem(
-            A=np.asarray(doc["A"], dtype=float),
-            B=np.asarray(doc["B"], dtype=float),
-            C=np.asarray(doc["C"], dtype=float),
-            horizon=horizon,
-        )
+        A, B, C = (json_floats(doc[name], name) for name in ("A", "B", "C"))
+        return LiftedIlcSystem(A=A, B=B, C=C, horizon=horizon)
     except KeyError as exc:
         raise ValueError(f"ILC system file missing field {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"A, B and C must be nested arrays of numbers: {exc}") from exc
 
 
 def load_ilc_system(path) -> LiftedIlcSystem:

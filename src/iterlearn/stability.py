@@ -6,13 +6,15 @@ observer and feedback designs decouple (``eq20`` .. ``eq76``, which the
 tests check numerically), and block
 matrix inequalities whose negative definiteness certifies the spectral
 conditions for every admissible structured model error (``eq44``,
-``eq65``, ``eq101``).  Certificates are verified exactly; the search is a
-heuristic seeded by the discrete Lyapunov (Stein) solution of the loop,
-summed by doubling in numpy (per time step when the loop couples no two
-time steps), not a general-purpose semidefinite solver.
+``eq65``, ``eq101``).  One test, ``_accepts``, decides whether an
+assembled inequality holds, for ``lmi_verify`` and for every candidate
+of the search.  The search is a heuristic seeded by the discrete
+Lyapunov (Stein) solution of the loop, summed by doubling in numpy (per
+time step when the loop couples no two time steps), not a
+general-purpose semidefinite solver.
 Every catalog loop, every inequality's loop and every separation target
-is laid out by ``_robust_form`` as ``M0 + D delta E``, and every
-unseparated loop is a law's step, ``learner.law_map``.  The laws run
+is laid out by ``_robust_form`` as ``M0 + D delta E``; the tests check
+each unseparated loop against its law's step in the engine.  The laws run
 ``eq04`` (``p_type``), ``eq04`` with ``eq17`` (``eso_full_state``, its
 observer on the true map), ``eq41`` and ``eq62`` (``eso_mixed`` and
 ``eso_robust``, on the nominal map) and ``eq102`` (``eso_model_free``).
@@ -31,12 +33,10 @@ from .matanalysis import (
     as_matrix,
     block_spectral_radius,
     cholesky_negative_definite,
-    induced_norm,
-    is_negative_definite,
     negative_definite_schur_term,
     time_steps,
 )
-from .plant import StructuredUncertainty, TransferPlant, sample_structured_delta
+from .plant import StructuredUncertainty, TransferPlant
 
 __all__ = [
     "CONDITION_IDS",
@@ -52,7 +52,6 @@ __all__ = [
     "check_condition",
     "lmi_verify",
     "lmi_search",
-    "theorem_implication_check",
     "certificate_to_dict",
     "save_certificate",
 ]
@@ -272,8 +271,11 @@ class LmiCertificate:
     positive definite and ``tau`` finite and strictly positive; violating
     either makes the certificate invalid (an error), distinct from a valid
     certificate that merely fails an inequality.  Symmetry is to
-    ``1e-10 max(1, |Q|_max)``; positive definiteness of the symmetrised
-    ``Q``, with no tolerance, is decided by its Cholesky factorisation
+    ``1e-10 max(1, |Q|_max)``, and the blocks ``Q11`` and ``Q22`` are kept
+    symmetrised, ``(X + X^T) / 2``, so that ``Q`` and every inequality
+    assembled from it are exactly symmetric (an exactly symmetric block is
+    kept bit for bit).  Positive definiteness of that ``Q``, with no
+    tolerance, is decided by its Cholesky factorisation
     (``matanalysis.cholesky_negative_definite`` on ``-Q`` at ``tol = 0``).
     """
 
@@ -300,8 +302,9 @@ class LmiCertificate:
         if np.abs(Q - Q.T).max() > 1e-10 * max(1.0, np.abs(Q).max()):
             raise ValueError("assembled Q must be symmetric")
         S = Q + Q.T
-        S *= -0.5
-        if not cholesky_negative_definite(S, 0.0, S):
+        S *= 0.5
+        self.Q11, self.Q22 = S[:p, :p], S[p:, p:]
+        if not cholesky_negative_definite(np.negative(S, out=Q), 0.0, Q):
             raise ValueError("assembled Q must be positive definite")
 
     @property
@@ -366,6 +369,18 @@ def _assemble_lmi(Q: np.ndarray, tau: float, loop, structure, out=None) -> np.nd
     return G
 
 
+def _accepts(G: np.ndarray, work: np.ndarray) -> bool:
+    """The full test of an assembled inequality ``G`` (exactly symmetric):
+    every eigenvalue below ``-1e-9 |G|_inf``, by the Cholesky factorisation
+    ``cholesky_negative_definite`` forms in ``work`` (scratch of ``G``'s
+    shape, C-contiguous).  A tolerance that is not finite (``G`` overflowed)
+    rejects ``G``, with no warning."""
+    np.abs(G, out=work)
+    with np.errstate(over="ignore"):
+        tol = 1e-9 * float(work.sum(axis=1).max())  # induced_norm(G, "infinity")
+    return tol < math.inf and cholesky_negative_definite(G, tol, work)
+
+
 def lmi_verify(
     lmi_id: str,
     cert: LmiCertificate,
@@ -376,15 +391,14 @@ def lmi_verify(
     """Whether a certificate satisfies the cited block inequality.
 
     The block matrix is assembled exactly as displayed (symmetric stars
-    filled by transposition) and tested for negative definiteness with a
-    tolerance of ``1e-9`` times its infinity norm.
+    filled by transposition; the certificate's ``Q`` is exactly symmetric)
+    and tested by ``_accepts``, as every candidate of ``lmi_search`` is.
+    An inequality that overflows is not satisfied.
     """
-    return _verifies(_robust_loop(lmi_id, nominal, structure, gains), cert, structure)
-
-
-def _verifies(loop, cert: LmiCertificate, structure) -> bool:
-    G = _assemble_lmi(cert.assembled(), cert.tau, loop, structure)
-    return is_negative_definite(G, tol=1e-9 * induced_norm(G, "infinity"))
+    loop = _robust_loop(lmi_id, nominal, structure, gains)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _assemble_lmi(cert.assembled(), cert.tau, loop, structure)
+    return _accepts(G, np.empty_like(G))
 
 
 def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
@@ -456,7 +470,7 @@ def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
     is negative definite exactly when the leading block is and
     ``D_tau C D_tau - tau I`` is.  Overflow warns nowhere here: a screen
     that is not finite rejects its candidate, and an infinite ``G(tau)``
-    leaves the full test's tolerance infinite (see ``lmi_search``).
+    leaves the full test's tolerance infinite (see ``_accepts``).
     ``work`` is scratch of ``G``'s shape (C-contiguous), holding the
     factors and each screen, used here only before a candidate is
     yielded, so the caller may use it in between.
@@ -509,10 +523,9 @@ def lmi_search(
     returning the first certificate that verifies.  Each candidate is
     first screened on the ``tau``-dependent Schur complement of the
     inequality (see ``_lmi_grid``); one that passes costs one in-place
-    Cholesky factorisation of the whole inequality at the tolerance
-    ``lmi_verify`` uses, which alone accepts.  The screen tests with no
-    tolerance, so it rejects only candidates that test rejects; a
-    candidate whose tolerance overflows is rejected too, with no warning.
+    Cholesky factorisation of the whole inequality by ``_accepts``, the
+    test ``lmi_verify`` applies, which alone accepts.  The screen tests
+    with no tolerance, so it rejects only candidates that test rejects.
     The rescalings are positive definite by congruence with the checked
     seed, so only the returned certificate is built and validated.
     Absence of a certificate is a legitimate outcome (None), not an error.
@@ -526,37 +539,10 @@ def lmi_search(
     work = np.empty((n, n))
     grid = _lmi_grid(Qfull, loop, structure, work)
     for Q, tau, G, screened in grid:
-        if not screened:
-            continue
-        np.abs(G, out=work)
-        with np.errstate(over="ignore"):
-            tol = 1e-9 * float(work.sum(axis=1).max())  # induced_norm(G, "infinity")
-        if tol < math.inf and cholesky_negative_definite(G, tol, work):
+        if screened and _accepts(G, work):
             grid.close()  # frees the Schur term before the certificate is validated
             return LmiCertificate(Q11=Q[:p, :p], Q21=Q[p:, :p], Q22=Q[p:, p:], tau=tau)
     return None
-
-
-def theorem_implication_check(
-    lmi_id: str,
-    structure: StructuredUncertainty,
-    gains: GainSet,
-    nominal,
-    cert: LmiCertificate,
-    samples: int,
-    seed: int,
-) -> bool:
-    """Monte-Carlo check that a verified certificate implies its spectral
-    condition for every sampled admissible model error ``delta``: the loop
-    ``M0 + D delta E`` must have a spectral radius below one."""
-    loop = _robust_loop(lmi_id, nominal, structure, gains)
-    if not _verifies(loop, cert, structure):
-        raise ValueError("certificate does not verify; implication check requires one")
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        M = _at_error(loop, sample_structured_delta(structure, child))
-        if block_spectral_radius(M, gains.K.shape[1])[0] >= 1.0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

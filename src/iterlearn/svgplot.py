@@ -57,7 +57,8 @@ def render_convergence_svg(
     """Render labelled error curves into an SVG document string.
 
     ``curves`` is a list of ``(label, values)``; the y axis is log10 with
-    a hard floor at ``LOG_FLOOR``.
+    a hard floor at ``LOG_FLOOR``.  A curve with an infinite value, or
+    with NaN only, raises ``ValueError`` naming it.
     """
     if not curves:
         raise ValueError("need at least one curve to plot")
@@ -66,9 +67,15 @@ def render_convergence_svg(
         raise ValueError("curves must be non-empty")
     n_max = max(lengths)
 
+    arrays = [np.asarray(vals, float) for _, vals in curves]
+    for (label, _), vals in zip(curves, arrays):
+        # an infinite value, or no value but NaN, leaves the y axis no range
+        if np.isinf(vals).any() or np.isnan(vals).all():
+            raise ValueError(f"curve {label!r} has an infinite value or no finite one")
+
     # every curve's logs in one array; math.log10, as np.log10 may round
     # differently
-    values = np.concatenate([np.asarray(vals, float) for _, vals in curves])
+    values = np.concatenate(arrays)
     floored = np.maximum(np.abs(values), LOG_FLOOR)
     logs = np.fromiter(map(math.log10, floored.tolist()), float, len(floored))
     y_lo = math.floor(np.fmin.reduce(logs))  # fmin and fmax leave NaN out

@@ -1,9 +1,11 @@
 """What the tests check ``iterlearn.stability`` with, and no command runs.
 
 ``verify_separation`` checks each similarity identity numerically against
-its block-triangular target, and ``load_certificate`` (with
+its block-triangular target, ``load_certificate`` (with
 ``certificate_from_dict``) reads back the certificate files that
-``stability.save_certificate`` writes, rejecting a malformed one.
+``stability.save_certificate`` writes, rejecting a malformed one, and
+``theorem_implication_check`` samples structured model errors
+(``sample_structured_delta``) to test what a verified certificate claims.
 """
 
 import json
@@ -11,9 +13,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from iterlearn.learner import GainSet, law_map
-from iterlearn.plant import TransferPlant
-from iterlearn.stability import SEPARATION_IDS, LmiCertificate, _robust_form, loop_matrix
+from iterlearn.learner import GainSet
+from iterlearn.matanalysis import block_spectral_radius, induced_norm
+from iterlearn.plant import StructuredUncertainty, TransferPlant
+from iterlearn.stability import (
+    SEPARATION_IDS,
+    LmiCertificate,
+    _at_error,
+    _robust_form,
+    _robust_loop,
+    lmi_verify,
+    loop_matrix,
+)
+
+from extended_state import law_map
 
 
 def verify_separation(
@@ -81,3 +94,42 @@ def load_certificate(path) -> LmiCertificate:
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
     return certificate_from_dict(doc)
+
+
+def sample_structured_delta(structure: StructuredUncertainty, seed) -> np.ndarray:
+    """Draw ``phi1 @ sigma @ phi2`` with a random contraction ``sigma``.
+
+    Entries of ``sigma`` are uniform on [-1, 1]; if the draw has two-norm
+    above one it is scaled back onto the contraction ball.  Deterministic
+    per seed.
+    """
+    rng = np.random.default_rng(seed)
+    q = structure.phi1.shape[1]
+    r = structure.phi2.shape[0]
+    sigma = rng.uniform(-1.0, 1.0, size=(q, r))
+    s = induced_norm(sigma, "two")
+    if s > 1.0:
+        sigma /= s
+    return structure.phi1 @ sigma @ structure.phi2
+
+
+def theorem_implication_check(
+    lmi_id: str,
+    structure: StructuredUncertainty,
+    gains: GainSet,
+    nominal,
+    cert: LmiCertificate,
+    samples: int,
+    seed: int,
+) -> bool:
+    """Monte-Carlo check that a verified certificate implies its spectral
+    condition for every sampled admissible model error ``delta``: the loop
+    ``M0 + D delta E`` must have a spectral radius below one."""
+    if not lmi_verify(lmi_id, cert, nominal, structure, gains):
+        raise ValueError("certificate does not verify; implication check requires one")
+    loop = _robust_loop(lmi_id, nominal, structure, gains)
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        M = _at_error(loop, sample_structured_delta(structure, child))
+        if block_spectral_radius(M, gains.K.shape[1])[0] >= 1.0:
+            return False
+    return True

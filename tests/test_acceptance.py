@@ -17,28 +17,27 @@ from iterlearn.learner import (
     synth_Hbar,
 )
 from iterlearn.matanalysis import (
+    cholesky_negative_definite,
     induced_norm,
-    is_negative_definite,
     spectral_radius,
 )
-from iterlearn.observer import ObserverGain, simulate_observation_error
+from iterlearn.observer import ObserverGain
 from iterlearn.plant import (
     LiftedIlcSystem,
     StructuredUncertainty,
     TransferPlant,
     UncertaintyModel,
     lift_ilc,
-    simulate_time_domain,
 )
 from iterlearn.presets import reference_config, reference_seeds
 from iterlearn.stability import (
     LmiCertificate,
     lmi_search,
     lmi_verify,
-    theorem_implication_check,
 )
 
-from stability_oracles import verify_separation
+from extended_state import simulate_observation_error, simulate_time_domain
+from stability_oracles import theorem_implication_check, verify_separation
 
 RHO_BENCH_OBSERVER = 0.87015621187164243
 
@@ -386,8 +385,8 @@ def test_criterion_9_matrix_analysis_suite():
     assert induced_norm(M, "infinity") == 7.0
     assert induced_norm(M, "one") == 6.0
     assert induced_norm(np.diag([3.0, -4.0]), "two") == pytest.approx(4.0, abs=1e-14)
-    assert is_negative_definite(-np.eye(3), tol=0.0) is True
-    assert is_negative_definite(np.eye(3), tol=0.0) is False
+    assert cholesky_negative_definite(-np.eye(3), 0.0, np.empty((3, 3))) is True
+    assert cholesky_negative_definite(np.eye(3), 0.0, np.empty((3, 3))) is False
     assert spectral_radius(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
     report(
         9,

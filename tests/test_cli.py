@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import iterlearn
 from iterlearn.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, load_experiment, main
-from iterlearn.learner import read_trace_csv, run, synth_H_pseudo, trace_to_csv
+from iterlearn.learner import TRACE_CSV_HEADER, read_trace_csv, run, synth_H_pseudo, trace_to_csv
 from iterlearn.matanalysis import load_matrix
 from iterlearn.plant import LiftedIlcSystem, save_ilc_system
 from iterlearn.presets import (
@@ -289,6 +289,60 @@ def test_check_malformed_field_is_config_error(tmp_path, capsys, path, value):
 def test_unusable_numbers_are_config_errors(tmp_path, capsys, command, path, value):
     assert_field_is_config_error(tmp_path, capsys, command, path, value)
     assert not (tmp_path / "out" / "plot.svg").exists()
+
+
+def _as_strings(rows):
+    return [[repr(x) for x in row] for row in rows]
+
+
+_T = 20  # the reference experiment's horizon and output dimension
+_EYE = np.eye(_T).tolist()
+_SYSTEM = reference_system(_T)
+
+# arrays of numbers with an entry that is not a JSON number: np.asarray(...,
+# dtype=float) alone reads "0.1" as 0.1 and true as 1
+NON_NUMBER_ENTRY_FIELDS = {
+    "target=strings": (("target",), ["0.1"] * _T),
+    "target=booleans": (("target",), [True] * _T),
+    "u0=string": (("u0",), [0.0] * (_T - 1) + ["0"]),
+    "L1=strings": (("gains", "L1"), _as_strings(_EYE)),
+    "phi1=booleans": (
+        ("structure",),
+        {"phi1": [[i == j for j in range(_T)] for i in range(_T)], "phi2": _EYE},
+    ),
+    "value=strings": (("uncertainty",), {"kind": "constant", "value": ["0.1"] * _T}),
+    "slope=null": (("uncertainty",), {"kind": "ramp", "slope": [None] * _T}),
+    "rows=booleans": (("uncertainty",), {"kind": "table", "rows": [[False] * _T]}),
+    "system.A=strings": (
+        ("plant", "system"),
+        {
+            "A": _as_strings(_SYSTEM.A.tolist()),
+            "B": _SYSTEM.B.tolist(),
+            "C": _SYSTEM.C.tolist(),
+            "horizon": _T,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize(
+    "path, value", NON_NUMBER_ENTRY_FIELDS.values(), ids=NON_NUMBER_ENTRY_FIELDS.keys()
+)
+def test_array_entries_that_are_not_numbers_are_config_errors(
+    tmp_path, capsys, command, path, value
+):
+    assert_field_is_config_error(tmp_path, capsys, command, path, value)
+    assert not (tmp_path / "out" / "plot.svg").exists()
+
+
+def test_lift_rejects_system_entries_that_are_not_numbers(tmp_path, capsys):
+    sys_file = tmp_path / "sys.json"
+    doc = {"format_version": 1, "A": [[1.0]], "B": [["1"]], "C": [[1.0]], "horizon": 2}
+    write_json(sys_file, doc)
+    rc = main(["lift", str(sys_file), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == 'error: B entries must be numbers, got "1"\n'
 
 
 @pytest.mark.parametrize("path", [("gains", "K"), ("plant", "system")])
@@ -691,6 +745,24 @@ def test_plot_rejects_empty_csv(tmp_path):
     bad = tmp_path / "empty.csv"
     bad.write_text("", encoding="ascii")
     assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        (["0,1,1,1,1,nan,0", "1,inf,1,1,1,nan,1"], "infinite"),
+        (["0,nan,1,1,1,nan,0", "1,nan,1,1,1,nan,1"], "no finite"),
+    ],
+)
+def test_plot_names_a_curve_it_cannot_draw(tmp_path, capsys, rows, bad):
+    # neither curve gives the log axis a range: one error a line naming it
+    trace = tmp_path / "blown.csv"
+    trace.write_text("\n".join([TRACE_CSV_HEADER, *rows]) + "\n", encoding="ascii")
+    out = tmp_path / "x.svg"
+    assert main(["plot", str(trace), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: curve 'blown' has an ") and bad in err
+    assert err.count("\n") == 1 and not out.exists()
 
 
 # ---------------------------------------------------------------------------

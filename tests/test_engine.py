@@ -27,7 +27,6 @@ from iterlearn.learner import (
     IterationTrace,
     LearningLaw,
     SimulationConfig,
-    law_map,
     run,
     run_batch,
     synth_H_pseudo,
@@ -40,6 +39,8 @@ from iterlearn.learner import (
 from iterlearn.observer import ObserverGain
 from iterlearn.plant import TransferPlant, UncertaintyModel, uncertainty_sequence
 from iterlearn.stability import check_condition, loop_matrix
+
+from extended_state import law_map
 
 
 def reference_run(config: SimulationConfig) -> dict:

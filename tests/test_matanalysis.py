@@ -3,16 +3,15 @@ import pytest
 
 from iterlearn.matanalysis import (
     block_spectral_radius,
-    check_symmetric,
     cholesky_negative_definite,
     eigenvalues,
     format_matrix_text,
     induced_norm,
-    is_negative_definite,
     parse_matrix_text,
     spectral_radius,
     time_steps,
 )
+from iterlearn.stability import LmiCertificate
 from iterlearn.textfmt import format_g17
 
 # Third-order benchmark state matrix; characteristic polynomial roots were
@@ -252,38 +251,30 @@ def test_induced_norm_unknown_kind():
 # definiteness
 # ---------------------------------------------------------------------------
 
+def negative_definite(S, tol=None):
+    """``cholesky_negative_definite`` on a fresh work buffer, at ``tol``
+    (default ``1e-10 |S|_inf``)."""
+    if tol is None:
+        tol = 1e-10 * induced_norm(S, "infinity")
+    return cholesky_negative_definite(S, tol, np.empty(S.shape))
+
+
 def test_negative_definite_trivial():
-    assert is_negative_definite(-np.eye(3), tol=0.0) is True
-    assert is_negative_definite(np.eye(3), tol=0.0) is False
+    assert negative_definite(-np.eye(3), tol=0.0) is True
+    assert negative_definite(np.eye(3), tol=0.0) is False
 
 
 def test_negative_definite_indefinite_by_hand():
     # eigenvalues 1 and -3
-    assert is_negative_definite(np.array([[-1.0, 2.0], [2.0, -1.0]]), tol=0.0) is False
+    assert negative_definite(np.array([[-1.0, 2.0], [2.0, -1.0]]), tol=0.0) is False
 
 
 def test_negative_definite_default_tolerance():
-    assert is_negative_definite(-1e-3 * np.eye(2)) is True
-
-
-def test_negative_definite_symmetrizes_noise():
-    S = -np.eye(2)
-    S[0, 1] += 1e-13
-    assert is_negative_definite(S) is True
-
-
-def test_negative_definite_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        is_negative_definite(np.array([[-1.0, 0.5], [0.0, -1.0]]))
-
-
-def test_negative_definite_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        is_negative_definite(-np.eye(2), tol=-1e-12)
+    assert negative_definite(-1e-3 * np.eye(2)) is True
 
 
 def test_negative_definite_zero_scalar_is_not_definite():
-    assert is_negative_definite(np.zeros((1, 1))) is False
+    assert negative_definite(np.zeros((1, 1))) is False
 
 
 def test_negative_definite_rank_deficient_reads_false_like_eigvalsh():
@@ -297,10 +288,10 @@ def test_negative_definite_rank_deficient_reads_false_like_eigvalsh():
         S = 0.5 * (S + S.T)
         tol = 1e-10 * induced_norm(S, "infinity")
         assert np.linalg.eigvalsh(S).max() >= -tol
-        assert is_negative_definite(S) is False
+        assert negative_definite(S) is False
         # at tol = 0 the zero eigenvalue sits on the rounding boundary for
         # both methods, so no verdict is asserted there
-        assert is_negative_definite(S, tol=0.0) in (True, False)
+        assert negative_definite(S, tol=0.0) in (True, False)
 
 
 def test_negative_definite_agrees_with_eigvalsh():
@@ -315,7 +306,7 @@ def test_negative_definite_agrees_with_eigvalsh():
         S = (Q * w) @ Q.T
         S = 0.5 * (S + S.T)
         tol = 1e-10 * induced_norm(S, "infinity")
-        verdicts.append(is_negative_definite(S))
+        verdicts.append(negative_definite(S))
         assert verdicts[-1] == bool(np.linalg.eigvalsh(S).max() < -tol)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -330,13 +321,26 @@ def test_cholesky_kernel_factors_in_place():
     assert cholesky_negative_definite(S, 1.0, work) is False
 
 
+# the kernel reads one triangle, so its input must be exactly symmetric; the
+# one place asymmetry is bounded (and noise within the bound symmetrised) is
+# LmiCertificate, whose blocks every assembled inequality is formed from
+
+def test_negative_definite_rejects_asymmetric():
+    with pytest.raises(ValueError, match="assembled Q must be symmetric"):
+        LmiCertificate(
+            Q11=np.array([[1.0, 0.5], [0.0, 1.0]]), Q21=np.zeros((4, 2)), Q22=np.eye(4), tau=1.0
+        )
+
+
 def test_check_symmetric_bound():
-    S = -np.eye(2)
-    S[0, 1] = 1e-11
-    check_symmetric(S, np.empty((2, 2)))
-    S[0, 1] = 1e-9
-    with pytest.raises(ValueError):
-        check_symmetric(S, np.empty((2, 2)))
+    # the bound is 1e-10 max(1, |Q|_max)
+    for scale in (1.0, 1e3):
+        Q11 = scale * np.eye(2)
+        Q11[0, 1] = 1e-11 * scale
+        LmiCertificate(Q11=Q11, Q21=np.zeros((4, 2)), Q22=scale * np.eye(4), tau=1.0)
+        Q11[0, 1] = 1e-9 * scale
+        with pytest.raises(ValueError, match="assembled Q must be symmetric"):
+            LmiCertificate(Q11=Q11, Q21=np.zeros((4, 2)), Q22=scale * np.eye(4), tau=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from iterlearn.learner import GainSet, LearningLaw, SimulationConfig, run
-from iterlearn.observer import (
-    ObserverGain,
-    check_observer_condition,
-    error_dynamics_matrix,
-    simulate_observation_error,
-)
+from iterlearn.matanalysis import block_spectral_radius
+from iterlearn.observer import ObserverGain, error_dynamics_matrix
 from iterlearn.plant import TransferPlant, UncertaintyModel, uncertainty_sequence
 
-from extended_state import build_extended
+from extended_state import build_extended, simulate_observation_error
 
 # spectral radius of the benchmark observer loop at p=1 with gains 0.9/0.1:
 # largest root of lambda^2 - 1.1 lambda + 0.2, frozen from (1.1+sqrt(0.41))/2
@@ -111,22 +107,23 @@ def test_observer_scalar_hand_values():
 def test_condition_deadbeat_error_gain_fails():
     # L1 = I, L2 = 0 leaves an eigenvalue at 1
     gains = ObserverGain(L1=np.eye(2), L2=np.zeros((2, 2)))
-    holds, rho = check_observer_condition(gains)
+    rho, _ = block_spectral_radius(error_dynamics_matrix(gains), gains.p)
     assert rho == pytest.approx(1.0, abs=1e-10)
-    assert not holds
+    assert not rho < 1.0
 
 
 def test_condition_benchmark_gains():
-    holds, rho = check_observer_condition(ObserverGain.diagonal(1, 0.9, 0.1))
-    assert holds
+    gains = ObserverGain.diagonal(1, 0.9, 0.1)
+    rho, _ = block_spectral_radius(error_dynamics_matrix(gains), gains.p)
+    assert rho < 1.0
     assert rho == pytest.approx(RHO_BENCH_OBSERVER, abs=1e-12)
 
 
 def test_condition_zero_gains_fail():
     gains = ObserverGain(L1=np.zeros((2, 2)), L2=np.zeros((2, 2)))
-    holds, rho = check_observer_condition(gains)
+    rho, _ = block_spectral_radius(error_dynamics_matrix(gains), gains.p)
     assert rho == pytest.approx(1.0, abs=1e-10)
-    assert not holds
+    assert not rho < 1.0
 
 
 # ---------------------------------------------------------------------------

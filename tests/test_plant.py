@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,16 +12,18 @@ from iterlearn.plant import (
     TransferPlant,
     UncertaintyModel,
     diff_stats,
+    json_floats,
     lift_ilc,
     load_ilc_system,
     parse_ilc_system,
     perturb_elementwise,
     perturb_system,
-    sample_structured_delta,
     save_ilc_system,
-    simulate_time_domain,
     uncertainty_sequence,
 )
+
+from extended_state import simulate_time_domain
+from stability_oracles import sample_structured_delta
 
 A_BENCH = np.array([[0.72, 0.0, 0.0], [1.0, -1.04, -0.81], [0.0, 0.81, 0.0]])
 B_BENCH = np.array([[1.0], [0.0], [0.0]])
@@ -380,3 +383,33 @@ def test_ilc_system_file_with_zero_x0_policy_is_read():
     doc["x0_policy"] = {"kind": "zero"}
     sys = parse_ilc_system(doc)
     assert np.array_equal(sys.A, A_BENCH) and sys.horizon == 6
+
+
+def test_json_floats_reads_numbers_as_numpy_does():
+    for value in ([], [[]], [1, 2.5], [[1, -0.0], [3e300, 4]], 7, [[[1.5]]]):
+        got = json_floats(value, "x")
+        assert got.dtype == float
+        assert got.tobytes() == np.asarray(value, dtype=float).tobytes()
+        assert got.shape == np.asarray(value, dtype=float).shape
+
+
+@pytest.mark.parametrize(
+    "value, bad",
+    [
+        (["0.1"], '"0.1"'),
+        ([1.0, True], "true"),
+        ([[1.0], [None]], "null"),
+        ([[1.0, {"a": 1}]], '{"a": 1}'),
+        ("12", '"12"'),
+    ],
+)
+def test_json_floats_rejects_entries_that_are_not_numbers(value, bad):
+    with pytest.raises(ValueError, match=f"^x entries must be numbers, got {re.escape(bad)}$"):
+        json_floats(value, "x")
+
+
+def test_json_floats_rejects_arrays_mixed_with_numbers():
+    with pytest.raises(ValueError, match="x must be a rectangular nested array of numbers"):
+        json_floats([1.0, [2.0]], "x")
+    with pytest.raises(ValueError):  # ragged at one depth: numpy refuses it
+        json_floats([[1.0], [2.0, 3.0]], "x")

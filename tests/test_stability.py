@@ -17,7 +17,6 @@ from iterlearn.learner import (
     GainSet,
     LearningLaw,
     SimulationConfig,
-    law_map,
     run,
     synth_H_pseudo,
     synth_Hbar,
@@ -34,7 +33,6 @@ from iterlearn.plant import (
     StructuredUncertainty,
     TransferPlant,
     UncertaintyModel,
-    sample_structured_delta,
 )
 from iterlearn.stability import (
     CONDITION_IDS,
@@ -55,11 +53,16 @@ from iterlearn.stability import (
     lmi_verify,
     loop_matrix,
     save_certificate,
-    theorem_implication_check,
 )
 
-from extended_state import build_extended
-from stability_oracles import certificate_from_dict, load_certificate, verify_separation
+from extended_state import build_extended, law_map
+from stability_oracles import (
+    certificate_from_dict,
+    load_certificate,
+    sample_structured_delta,
+    theorem_implication_check,
+    verify_separation,
+)
 
 
 def scalar_setup(p_val=1.0, k_val=0.5):
@@ -411,6 +414,53 @@ def test_certificate_validation():
         LmiCertificate(Q11=-np.eye(1), Q21=np.zeros((2, 1)), Q22=np.eye(2), tau=1.0)
     cert = LmiCertificate(Q11=np.eye(1), Q21=np.zeros((2, 1)), Q22=np.eye(2), tau=1.0)
     assert cert.assembled().shape == (3, 3)
+
+
+def test_certificate_symmetrizes_noise():
+    # asymmetry within 1e-10 max(1, |Q|_max) is rounding noise: Q11 and Q22
+    # are kept as (X + X^T) / 2, so every inequality assembled from them is
+    # exactly symmetric, as the one full test (it reads one triangle) needs
+    P0, gains44, _, structure = small_instance(eta=0.1)
+    cert = lmi_search("eq44", P0, structure, gains44)
+    Q22 = cert.Q22.copy()
+    Q22[0, 1] += 1e-13
+    noisy = LmiCertificate(Q11=cert.Q11, Q21=cert.Q21, Q22=Q22, tau=cert.tau)
+    assert np.array_equal(noisy.Q22, 0.5 * (Q22 + Q22.T))
+    assert not np.array_equal(noisy.Q22, Q22)
+    Q = noisy.assembled()
+    assert np.array_equal(Q, Q.T)
+    G = _assemble_lmi(Q, noisy.tau, _robust_loop("eq44", P0, structure, gains44), structure)
+    assert np.array_equal(G, G.T)
+    assert lmi_verify("eq44", noisy, P0, structure, gains44) is True
+    # an exactly symmetric block, as every found certificate has, keeps its bits
+    again = LmiCertificate(Q11=cert.Q11, Q21=cert.Q21, Q22=cert.Q22, tau=cert.tau)
+    assert cert.assembled().tobytes() == again.assembled().tobytes()
+
+
+def test_lmi_verify_rejects_an_inequality_that_overflows():
+    # tau phi2 E overflows: the inequality is not satisfied, as the search
+    # rejects such a candidate, with no warning and no error
+    P0, gains44, _, _ = small_instance()
+    structure = StructuredUncertainty(phi1=np.array([[0.1]]), phi2=np.array([[1e300]]))
+    cert = LmiCertificate(Q11=np.eye(1), Q21=np.zeros((2, 1)), Q22=np.eye(2), tau=1e10)
+    assert lmi_verify("eq44", cert, P0, structure, gains44) is False
+
+
+def test_search_and_verify_accept_by_one_test(monkeypatch):
+    calls = []
+    accepts = stability._accepts
+
+    def counted(G, work):
+        calls.append(len(G))
+        return accepts(G, work)
+
+    monkeypatch.setattr(stability, "_accepts", counted)
+    P0, gains44, _, structure = small_instance(eta=0.1)
+    cert = lmi_search("eq44", P0, structure, gains44)
+    assert cert is not None and len(calls) >= 1
+    searched = len(calls)
+    assert lmi_verify("eq44", cert, P0, structure, gains44) is True
+    assert calls[searched:] == [calls[0]]
 
 
 def test_lmi_verify_zero_structure_with_lyapunov_seed():

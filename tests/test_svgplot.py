@@ -138,3 +138,14 @@ def test_renderer_rejects_what_the_reference_rejects():
             reference_render(curves)
         with pytest.raises(ValueError):
             render_convergence_svg(curves)
+
+
+@pytest.mark.parametrize(
+    "values", [[1.0, math.inf, 0.01], [-math.inf], [math.nan], [math.nan, math.nan, math.nan]]
+)
+def test_renderer_names_a_curve_without_a_y_range(values):
+    # an infinite value has no log to scale, and a curve of NaN only has no
+    # value at all; the NaN-inside case above keeps its reference bytes
+    curves = [("fine", [1.0, 0.1]), ("bad <curve>", values)]
+    with pytest.raises(ValueError, match="^curve 'bad <curve>' has an "):
+        render_convergence_svg(curves)
