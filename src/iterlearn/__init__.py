@@ -1,6 +1,6 @@
 """Iteration-domain learning control.
 
-A numpy/scipy library for data-driven learning over repeated task
+A numpy library for data-driven learning over repeated task
 executions: lifted plant construction, extended-state-observer based
 updating laws, and robust stability certification through spectral-radius
 conditions and block matrix inequalities.

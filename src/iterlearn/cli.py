@@ -146,14 +146,15 @@ def _parse_uncertainty(obj, dimension: int) -> plant.UncertaintyModel:
 class Experiment:
     """A parsed config able to materialize per-seed runs.
 
-    Whatever does not depend on the seed (a direct plant, the target, ``u0``
-    and the uncertainty) is parsed and checked at load.  Each seed's plant is
-    built once and shared by every run, condition report and certificate
-    search of that seed.  Every seed shares one nominal map, ``nominal`` (a
-    zero or a lifted nominal for a lifted plant), each law and one gain set,
-    ``gains``, built on first use; ``hbar_from_nominal`` reads ``nominal``.
-    Only a ``pseudo_inverse_H`` reads the seed's plant, so ``gains_for``
-    gives each seed the shared set with its own ``H``, built once per seed.
+    The whole config is parsed and checked at load, every seed's gain set
+    included (``check_gains``), so a config error is raised before anything
+    is written.  Each seed's plant is built once and shared by every run,
+    condition report and certificate search of that seed.  Every seed
+    shares one nominal map, ``nominal`` (a zero or a lifted nominal for a
+    lifted plant), each law and one gain set, ``gains``;
+    ``hbar_from_nominal`` reads ``nominal``.  Only a ``pseudo_inverse_H``
+    reads the seed's plant, so ``gains_for`` gives each seed the shared set
+    with its own ``H``, built once per seed.
     """
 
     def __init__(self, doc: dict, base: Path):
@@ -227,6 +228,7 @@ class Experiment:
                 )
             except KeyError as exc:
                 raise ConfigError(f"structure missing field {exc}") from exc
+        self.check_gains()
 
     # -- plant ---------------------------------------------------------
     def _parse_plant(self, doc: dict) -> tuple[int, int]:
@@ -287,6 +289,12 @@ class Experiment:
             raise ConfigError(f"invalid ILC system: {exc}") from exc
 
     # -- gains ----------------------------------------------------------
+    def check_gains(self) -> None:
+        """Build every seed's gain set, so that an invalid gain is a
+        ``ConfigError`` before anything is written."""
+        for seed in self.seeds:
+            self.gains_for(seed)
+
     def gains_for(self, seed: int) -> GainSet:
         """The seed's gains: ``gains``, with the seed's own ``pseudo_inverse_H``,
         built once per seed like its plant."""
@@ -456,6 +464,7 @@ def cmd_simulate(args) -> int:
         exp.seeds = _distinct([_integer(s, "--seeds entry") for s in seeds], "--seeds")
         if not exp.seeds:
             raise ConfigError("--seeds must list at least one seed")
+        exp.check_gains()
     if args.iterations is not None:
         exp.iterations = args.iterations
     out = Path(args.out or exp.output_dir or ".")

@@ -4,10 +4,8 @@ Eigenvalues, spectral radii (dense, and block by block in time for
 lifted loops, whose time structure ``time_steps`` reads), induced norms,
 a negative-definiteness test by Cholesky factorisation and the Schur
 term that splits such a test in two, and a plain text format for
-matrices.  Everything operates on plain 2-D
-``numpy`` arrays of finite floats; all functions are pure, apart from
-the work buffer a caller lends to ``cholesky_negative_definite`` and
-``negative_definite_schur_term``.
+matrices.  Everything operates on plain ``numpy`` arrays of finite
+floats, with numpy's own LAPACK; all functions are pure.
 """
 
 from __future__ import annotations
@@ -143,77 +141,44 @@ def induced_norm(M, kind: str = "infinity") -> float:
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
-def cholesky_negative_definite(S: np.ndarray, tol: float, work: np.ndarray) -> bool:
+def cholesky_negative_definite(S: np.ndarray, tol: float = 0.0) -> bool:
     """Whether every eigenvalue of the symmetric ``S`` lies below ``-tol``.
 
     That holds exactly when ``-S - tol I`` is positive definite, that is
-    when its Cholesky factorisation exists.  LAPACK ``dpotrf`` factors it
-    in place in ``work``, a C-contiguous float array of the shape of ``S``
-    (``S`` itself may serve, and is then overwritten); one triangle is
-    read, so ``S`` must be exactly symmetric.  This costs about a third of
-    a symmetric eigenvalue solve and allocates nothing.
+    when its Cholesky factorisation exists.  One triangle is read, so ``S``
+    must be exactly symmetric.  This costs about a third of a symmetric
+    eigenvalue solve.
     """
-    from scipy.linalg.lapack import dpotrf  # deferred: simulate needs no scipy
+    N = np.negative(S)
+    N.flat[:: len(N) + 1] -= tol
+    try:
+        np.linalg.cholesky(N)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    np.negative(S, out=work)
-    work.flat[:: work.shape[0] + 1] -= tol
-    # the transpose of a C-contiguous array is Fortran-contiguous, so the
-    # factorisation runs in place instead of on a copy
-    _, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
-    return info == 0
 
+def negative_definite_schur_term(S11: np.ndarray, S21T: np.ndarray) -> np.ndarray | None:
+    """The Schur term ``C = S21 (-S11)^-1 S21^T`` of a symmetric matrix
+    ``[[S11, S21^T], [S21, S22]]`` at its leading block ``S11``.
 
-def negative_definite_schur_term(
-    S: np.ndarray, k: int, work: np.ndarray, block: int
-) -> np.ndarray | None:
-    """The Schur term of the symmetric ``S`` at its leading ``k x k`` block.
-
-    With ``S = [[S11, S21^T], [S21, S22]]``, ``S`` is negative definite
-    exactly when ``S11`` is and its Schur complement ``S22 + C`` is, where
-    ``C = S21 (-S11)^-1 S21^T``.  Returns ``C``, or None when ``S11`` is not
+    That matrix is negative definite exactly when ``S11`` is and its Schur
+    complement ``S22 + C`` is.  Returns ``C``, or None when ``S11`` is not
     negative definite (the Cholesky factorisation ``-S11 = L L^T`` fails).
-    ``work`` is a C-contiguous float array of at least ``k (k + m)``
-    entries, ``m`` the trailing size.  One triangle of ``S11`` and the
-    trailing rows ``S21`` are read, so ``S`` must be exactly symmetric.
-
-    ``S11`` is read through ``time_steps(S11, block)``.  When it couples no
-    two time steps, ``-S11`` is, time-major, block diagonal with the
-    ``(block, c, c)`` stack of its steps (``c = k / block`` signals), all
-    factored by one batched Cholesky ``L_t L_t^T``; with ``B_t`` the
-    columns of ``S21`` at step ``t`` (gathered in ``work``),
-    ``X_t = L_t^-1 B_t^T`` is one batched product with the inverse
-    factors, and ``C`` the sum of ``X_t^T X_t``, one ``(m x k) @ (k x m)``
-    product.  Any other ``S11`` is factored
-    densely: ``L`` and ``X = S21 L^-T`` are formed in place in ``work`` by
-    LAPACK ``dpotrf`` and BLAS ``dtrsm``, and ``C = X X^T``.
+    ``S11`` is ``k x k`` and ``S21T`` ``k x m``; or ``S11`` is a
+    ``(T, c, c)`` stack that stands for the block diagonal matrix of its
+    steps, and ``S21T`` the ``(T, c, m)`` stack of the matching rows of
+    ``S21^T``: one batched Cholesky factors every step.  ``X = L^-1 S21^T``
+    is one (batched) product with the inverse factors, and ``C = X^T X``,
+    summed over the steps.  One triangle of ``S11`` is read, so it must be
+    exactly symmetric.
     """
-    from scipy.linalg.blas import dtrsm  # deferred: simulate needs no scipy
-    from scipy.linalg.lapack import dpotrf
-
-    m = S.shape[0] - k
-    flat = work.reshape(-1)
-    S11 = S[:k, :k]
-    steps, structure = time_steps(S11, block)
-    if structure == "decoupled":
-        try:
-            L = np.linalg.cholesky(-steps)
-        except np.linalg.LinAlgError:
-            return None
-        B = flat[: k * m].reshape(block, -1, m)  # B[t] = S21[:, i block + t]^T
-        B[...] = S[k:, :k].reshape(m, -1, block).T
-        X = (np.linalg.inv(L) @ B).reshape(k, m)
-        return X.T @ X
-    L = flat[: k * k].reshape(k, k)
-    np.negative(S11, out=L)
-    # as in cholesky_negative_definite, the Fortran-ordered transposes let
-    # LAPACK and BLAS work in place
-    _, info = dpotrf(L.T, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
+    try:
+        L = np.linalg.cholesky(-S11)
+    except np.linalg.LinAlgError:
         return None
-    X = flat[k * k : k * (k + m)].reshape(m, k)
-    X[...] = S[k:, :k]
-    Xt = dtrsm(1.0, L.T, X.T, lower=1, overwrite_b=1)  # L^-1 S21^T
-    return Xt.T @ Xt
+    X = (np.linalg.inv(L) @ S21T).reshape(-1, S21T.shape[-1])
+    return X.T @ X
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ tests check numerically), and block
 matrix inequalities whose negative definiteness certifies the spectral
 conditions for every admissible structured model error (``eq44``,
 ``eq65``, ``eq101``).  One test, ``_accepts``, decides whether an
-assembled inequality holds, for ``lmi_verify`` and for every candidate
-of the search.  The search is a heuristic seeded by the discrete
-Lyapunov (Stein) solution of the loop, summed by doubling in numpy (per
-time step when the loop couples no two time steps), not a
+inequality holds, for ``lmi_verify`` and for every candidate of the
+search: the Schur split at its leading block, from its blocks, so the
+whole inequality is never formed.  The search is a heuristic seeded by
+the discrete Lyapunov (Stein) solution of the loop, summed by doubling
+in numpy (per time step when the loop couples no two time steps), not a
 general-purpose semidefinite solver.
 Every catalog loop, every inequality's loop and every separation target
 is laid out by ``_robust_form`` as ``M0 + D delta E``; the tests check
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +115,9 @@ class ConditionReport:
     """A condition's spectral radius, verdict and how the radius was found.
 
     ``method`` is ``"block_triangular"`` when the radius was read from the
-    diagonal blocks of a loop that is block triangular in time, else
-    ``"dense"`` (see ``matanalysis.block_spectral_radius``); ``margin`` is
+    diagonal blocks of a loop that is block triangular in time,
+    ``"non_finite"`` when the loop overflowed (``rho`` is then infinite),
+    else ``"dense"`` (see ``matanalysis.block_spectral_radius``); ``margin`` is
     ``1 - rho``, the distance of the verdict from flipping.
     """
 
@@ -149,7 +152,8 @@ def _robust_form(design: str, P0: np.ndarray, gains: GainSet, cid: str):
     ``Lbar = [L1; L2]``.  The selectors ``F = [0, I]`` and
     ``Cbar^T = [I; 0]`` are placed, not multiplied.  ``observer`` is
     ``(A_lc, None, None)``.  A design's gain that ``gains`` lack
-    (``learner.DESIGN_GAINS``) raises ``ValueError``.
+    (``learner.DESIGN_GAINS``) raises ``ValueError``.  A product that
+    overflows leaves the loop infinite, with no warning.
     """
     require_gains(design, gains, f"condition {cid}")
     K, og = gains.K, gains.observer
@@ -157,18 +161,19 @@ def _robust_form(design: str, P0: np.ndarray, gains: GainSet, cid: str):
         return error_dynamics_matrix(og), None, None
     p = P0.shape[0]
     I = np.eye(p)
-    learning = I - P0 @ K if P0.any() else I
-    if design == "learning":
-        return learning, -I, K
-    if og.p != p:
-        raise ValueError("nominal map and observer gains disagree on dimension")
-    M0, D, E = np.zeros((3 * p, 3 * p)), np.zeros((3 * p, p)), np.zeros((K.shape[0], 3 * p))
-    M0[:p, :p], M0[p:, p:], D[:p], E[:, :p] = learning, error_dynamics_matrix(og), -I, K
-    if design == "compensated":
-        M0[:p, 2 * p :], D[p : 2 * p], E[:, 2 * p :] = -P0 @ gains.H, I, gains.H
-    else:
-        M0[:p, 2 * p :] = gains.Hbar
-        D[p:] = -og.stacked
+    with np.errstate(over="ignore", invalid="ignore"):
+        learning = I - P0 @ K if P0.any() else I
+        if design == "learning":
+            return learning, -I, K
+        if og.p != p:
+            raise ValueError("nominal map and observer gains disagree on dimension")
+        M0, D, E = np.zeros((3 * p, 3 * p)), np.zeros((3 * p, p)), np.zeros((K.shape[0], 3 * p))
+        M0[:p, :p], M0[p:, p:], D[:p], E[:, :p] = learning, error_dynamics_matrix(og), -I, K
+        if design == "compensated":
+            M0[:p, 2 * p :], D[p : 2 * p], E[:, 2 * p :] = -P0 @ gains.H, I, gains.H
+        else:
+            M0[:p, 2 * p :] = gains.Hbar
+            D[p:] = -og.stacked
     return M0, D, E
 
 
@@ -235,7 +240,8 @@ def loop_matrix(
     if error is None:
         return loop[0]
     plant = _require(plant, "a plant", condition_id)
-    return _at_error(loop, plant.delta if error == "plant.delta" else plant.full() - X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _at_error(loop, plant.delta if error == "plant.delta" else plant.full() - X)
 
 
 def check_condition(
@@ -249,10 +255,15 @@ def check_condition(
 
     Every block of the matrix is ``p x p``, with ``p`` the error dimension
     of the gains, so a lifted loop is solved block by block in time.
-    ``form`` is as in ``loop_matrix``.
+    ``form`` is as in ``loop_matrix``.  A matrix that is not finite (the
+    loop overflowed) is a verdict, not an error: ``rho`` is infinite and
+    the condition does not hold.
     """
     M = loop_matrix(condition_id, plant, gains, surrogate, form)
-    rho, method = block_spectral_radius(M, gains.K.shape[1])
+    if np.isfinite(M).all():
+        rho, method = block_spectral_radius(M, gains.K.shape[1])
+    else:
+        rho, method = math.inf, "non_finite"
     return ConditionReport(
         condition_id=condition_id, rho=rho, holds=rho < 1.0, matrix_dim=M.shape[0], method=method
     )
@@ -276,7 +287,7 @@ class LmiCertificate:
     assembled from it are exactly symmetric (an exactly symmetric block is
     kept bit for bit).  Positive definiteness of that ``Q``, with no
     tolerance, is decided by its Cholesky factorisation
-    (``matanalysis.cholesky_negative_definite`` on ``-Q`` at ``tol = 0``).
+    (``matanalysis.cholesky_negative_definite`` on ``-Q``).
     """
 
     Q11: np.ndarray
@@ -304,7 +315,7 @@ class LmiCertificate:
         S = Q + Q.T
         S *= 0.5
         self.Q11, self.Q22 = S[:p, :p], S[p:, p:]
-        if not cholesky_negative_definite(np.negative(S, out=Q), 0.0, Q):
+        if not cholesky_negative_definite(np.negative(S, out=Q)):
             raise ValueError("assembled Q must be positive definite")
 
     @property
@@ -326,59 +337,116 @@ def _robust_loop(lmi_id: str, nominal, structure, gains):
     return _robust_form(_CATALOG[lmi_id][0], P0, gains, lmi_id)
 
 
-def _lmi_edges(n: int, structure) -> np.ndarray:
-    """Block edges of the inequality around a loop of dimension ``n``: blocks
-    of sizes ``[n, n, r, q]``, ``r`` rows of ``phi2``, ``q`` columns of ``phi1``."""
-    return np.cumsum([0, n, n, structure.phi2.shape[0], structure.phi1.shape[1]])
-
-
-def _assemble_lmi(Q: np.ndarray, tau: float, loop, structure, out=None) -> np.ndarray:
-    """The S-procedure inequality of the loop ``(M0, D, E)`` at ``Q`` and ``tau``:
+class _LmiBlocks(NamedTuple):
+    """The blocks of the S-procedure inequality of a loop ``(M0, D, E)`` at
+    ``Q``, at ``tau = 1``; ``steps`` is the number of time steps its
+    leading block is read by (``matanalysis.time_steps``).  At ``tau`` the
+    inequality is
 
         [[-Q,              *,                 *,        *     ],
          [Q M0,            -Q,                *,        *     ],
          [tau phi2 E,      0,                 -tau I,   *     ],
          [0,               phi1^T D^T Q,      0,        -tau I]]
 
-    with the stars filled by transposition (see ``_lmi_edges`` for the
-    block sizes).  ``tau`` enters only block ``(2, 0)`` (linearly, mirrored
-    into block ``(0, 2)``) and the diagonal ``-tau`` of blocks 2 and 3.
-    """
+    with the stars filled by transposition; it is never formed.  Its
+    leading ``2n x 2n`` block ``S11`` does not depend on ``tau``, and its
+    trailing rows ``S21`` at ``tau`` are ``D_tau = diag(tau I_r, I_q)``
+    times those at ``tau = 1``, ``r`` rows of ``phi2`` and ``q`` columns of
+    ``phi1``."""
+
+    Q: np.ndarray
+    QM0: np.ndarray
+    phi2E: np.ndarray
+    phi1DQ: np.ndarray
+    steps: int
+
+
+def _lmi_blocks(Q: np.ndarray, loop, structure, steps: int) -> _LmiBlocks:
+    """The inequality's blocks (``_LmiBlocks``) of the loop ``(M0, D, E)``
+    at ``Q``.  A product that overflows warns nowhere: its tolerance is not
+    finite, which rejects it (``_accepts``)."""
     M0, D, E = loop
     if Q.shape != M0.shape:
         raise ValueError("certificate dimension does not match the problem")
-    phi1, phi2 = structure.phi1, structure.phi2
-    edges = _lmi_edges(len(M0), structure)
-    G = np.empty((edges[-1], edges[-1])) if out is None else out
-    G.fill(0.0)
-
-    def put(i, j, blk):
-        """Block (i, j) of the lower triangle, mirrored by transposition."""
-        rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
-        G[rows, cols] = blk
-        if i != j:
-            G[cols, rows] = G[rows, cols].T
-
-    put(0, 0, -Q)
-    put(1, 0, Q @ M0)
-    put(1, 1, -Q)
-    put(2, 0, tau * phi2 @ E)
-    put(2, 2, -tau * np.eye(phi2.shape[0]))
-    put(3, 1, phi1.T @ D.T @ Q)
-    put(3, 3, -tau * np.eye(phi1.shape[1]))
-    return G
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _LmiBlocks(Q, Q @ M0, structure.phi2 @ E, structure.phi1.T @ D.T @ Q, steps)
 
 
-def _accepts(G: np.ndarray, work: np.ndarray) -> bool:
-    """The full test of an assembled inequality ``G`` (exactly symmetric):
-    every eigenvalue below ``-1e-9 |G|_inf``, by the Cholesky factorisation
-    ``cholesky_negative_definite`` forms in ``work`` (scratch of ``G``'s
-    shape, C-contiguous).  A tolerance that is not finite (``G`` overflowed)
-    rejects ``G``, with no warning."""
-    np.abs(G, out=work)
-    with np.errstate(over="ignore"):
-        tol = 1e-9 * float(work.sum(axis=1).max())  # induced_norm(G, "infinity")
-    return tol < math.inf and cholesky_negative_definite(G, tol, work)
+def _tolerance(blocks: _LmiBlocks, tau: float) -> float:
+    """``1e-9 |G(tau)|_inf``, the largest absolute row sum of the
+    inequality, from its blocks' absolute row and column sums (``Q`` is
+    symmetric).  Not finite when a sum overflows, with no warning."""
+    Q, QM0, A, B = (np.abs(X) for X in blocks[:4])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_rows = Q.sum(axis=1)
+        rows = (
+            q_rows + QM0.sum(axis=0) + tau * A.sum(axis=0),
+            QM0.sum(axis=1) + q_rows + B.sum(axis=0),
+            tau * A.sum(axis=1) + tau,
+            B.sum(axis=1) + tau,
+        )
+        return 1e-9 * float(np.concatenate(rows).max())
+
+
+def _schur_term(blocks: _LmiBlocks, tol: float) -> np.ndarray | None:
+    """The Schur term ``S21 (-S11 - tol I)^-1 S21^T`` of the inequality at
+    ``tau = 1`` (``(r + q) x (r + q)``), or None when ``S11 + tol I`` is not
+    negative definite (``matanalysis.negative_definite_schur_term``).
+
+    When ``Q`` and ``Q M0`` couple no two of the ``steps`` time steps
+    (``time_steps``), ``S11`` is, time-major, block diagonal: it is passed
+    as the ``(steps, 2b, 2b)`` stack of its steps (``b`` signals), with the
+    columns of ``S21`` gathered per step, and factored by one batched
+    Cholesky.  Any other ``S11`` is formed densely (``2n x 2n``).  An
+    overflow warns nowhere: it leaves the term not finite."""
+    Q, QM0, A, B, steps = blocks
+    n, r, m = len(Q), len(A), len(A) + len(B)
+    Qs, q_structure = time_steps(Q, steps)
+    Ms, m_structure = time_steps(QM0, steps)
+    if q_structure == m_structure == "decoupled":
+        b = n // steps
+        S11 = np.empty((steps, 2 * b, 2 * b))
+        S11[:, :b, :b] = S11[:, b:, b:] = -Qs
+        S11[:, b:, :b] = Ms
+        S11[:, :b, b:] = np.swapaxes(Ms, 1, 2)
+        S21T = np.zeros((steps, 2 * b, m))  # S21T[t, i] = S21[:, i steps + t]
+        S21T[:, :b, :r] = A.reshape(r, b, steps).T
+        S21T[:, b:, r:] = B.reshape(-1, b, steps).T
+    else:
+        S11 = np.empty((2 * n, 2 * n))
+        S11[:n, :n] = S11[n:, n:] = -Q
+        S11[n:, :n], S11[:n, n:] = QM0, QM0.T
+        S21T = np.zeros((2 * n, m))
+        S21T[:n, :r], S21T[n:, r:] = A.T, B.T
+    diag = np.arange(S11.shape[-1])
+    S11[..., diag, diag] += tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        return negative_definite_schur_term(S11, S21T)
+
+
+def _accepts(blocks: _LmiBlocks, tau: float, tol: float, schur=None) -> bool:
+    """Whether the inequality of ``blocks`` at ``tau`` (``_LmiBlocks``) has
+    every eigenvalue below ``-tol``, the one test that accepts.
+
+    ``G + tol I`` is negative definite exactly when ``S11 + tol I`` is and
+    ``S22 + tol I + S21 (-S11 - tol I)^-1 S21^T`` is, with
+    ``S22 = -tau I``; the Schur term at ``tau`` is ``D_tau C D_tau``, ``C``
+    the term at ``tau = 1`` (``_schur_term``, or ``schur`` when the caller
+    has it for this ``tol``).  So one ``(r + q)``-sized Cholesky decides,
+    after ``C``.  A ``tol`` or a Schur complement that is not finite (an
+    overflow) rejects, with no warning."""
+    if not tol < math.inf:
+        return False
+    C = _schur_term(blocks, tol) if schur is None else schur
+    if C is None:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.ones(len(C))
+        d[: len(blocks.phi2E)] = tau
+        S = C * d
+        S *= d[:, None]
+        S.flat[:: len(S) + 1] -= tau
+        return bool(np.isfinite(S).all()) and cholesky_negative_definite(S, tol)
 
 
 def lmi_verify(
@@ -390,21 +458,21 @@ def lmi_verify(
 ) -> bool:
     """Whether a certificate satisfies the cited block inequality.
 
-    The block matrix is assembled exactly as displayed (symmetric stars
-    filled by transposition; the certificate's ``Q`` is exactly symmetric)
-    and tested by ``_accepts``, as every candidate of ``lmi_search`` is.
-    An inequality that overflows is not satisfied.
+    The inequality's blocks at the certificate's ``Q`` (exactly symmetric)
+    are tested by ``_accepts`` at ``1e-9 |G|_inf``, as every screened
+    candidate of ``lmi_search`` is.  An inequality that overflows is not
+    satisfied.
     """
     loop = _robust_loop(lmi_id, nominal, structure, gains)
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = _assemble_lmi(cert.assembled(), cert.tau, loop, structure)
-    return _accepts(G, np.empty_like(G))
+    blocks = _lmi_blocks(cert.assembled(), loop, structure, cert.p)
+    return _accepts(blocks, cert.tau, _tolerance(blocks, cert.tau))
 
 
 def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
     """The search's seed: the solution ``X`` of ``M0^T X M0 - X + I = 0``
     for the loop ``M0`` (``p x p`` blocks), scaled to unit 2-norm, or None
-    when that loop is not stable or ``X`` is not found positive definite.
+    when that loop is not finite or not stable, or ``X`` is not found
+    positive definite.
 
     ``X = sum_k (M0^k)^T M0^k`` is summed by squared Smith doubling (R. A.
     Smith, SIAM J. Appl. Math. 16(1), 1968): from ``X = I``, ``A = M0``,
@@ -416,7 +484,7 @@ def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
     are its powers and ``X``: the doubling then runs on the stack of its
     ``p`` small steps, batched, and the result is scattered back.
     """
-    if block_spectral_radius(M0, p)[0] >= 1.0:
+    if not np.isfinite(M0).all() or block_spectral_radius(M0, p)[0] >= 1.0:
         return None
     steps, structure = time_steps(M0, p)
     A = steps if structure == "decoupled" else M0
@@ -444,69 +512,32 @@ def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
     return Qfull
 
 
-def _lmi_grid(Qfull: np.ndarray, loop, structure, work: np.ndarray):
-    """The search's candidates in grid order, as ``(Q, tau, G(tau), screened)``.
+def _lmi_grid(Qfull: np.ndarray, loop, structure):
+    """The search's candidates in grid order, as ``(Q, tau, blocks, screened)``.
 
-    For each block rescaling ``Q = D Qfull D`` of the seed, the inequality
-    is assembled once, at ``tau = 1``.  Each ``tau`` then overwrites only
-    what depends on it, in place: block ``(2, 0)`` becomes ``tau`` times
-    its value at ``tau = 1`` and is mirrored by transposition, and the
-    diagonal of blocks 2 and 3 becomes ``-tau``.  So ``G`` stays exactly
-    symmetric, and it equals a fresh assembly exactly when ``phi2`` is the
-    identity (otherwise to rounding, since ``(tau phi2) E`` and
-    ``tau (phi2 E)`` round differently).  One ``G`` is reused by every
-    candidate.  Symmetry is checked once, exactly, on the seed (else
-    ``ValueError``): ``_assemble_lmi`` mirrors every off-diagonal block
-    and the rescalings are by powers of two, so every ``G`` is then
-    exactly symmetric.
+    For each block rescaling ``Q = D Qfull D`` of the seed, the
+    inequality's blocks (``_LmiBlocks``, at ``tau = 1``) are formed once
+    and serve every ``tau``.  Symmetry is checked once, exactly, on the
+    seed (else ``ValueError``): the rescalings are by powers of two, so
+    every ``Q`` is then exactly symmetric.
 
     ``screened`` is False when ``G(tau)`` is not negative definite even
-    without a tolerance.  The leading ``2n x 2n`` block of ``G`` does not
-    depend on ``tau``, so its Schur term ``C`` (``(r + q) x (r + q)``, see
-    ``matanalysis.negative_definite_schur_term``, which forms it per time
-    step when that block couples no two of the ``p`` time steps) is formed
-    once per rescaling, at ``tau = 1``; the trailing rows at ``tau`` are
-    ``D_tau = diag(tau I_r, I_q)`` times those at ``tau = 1``, so ``G(tau)``
-    is negative definite exactly when the leading block is and
-    ``D_tau C D_tau - tau I`` is.  Overflow warns nowhere here: a screen
-    that is not finite rejects its candidate, and an infinite ``G(tau)``
-    leaves the full test's tolerance infinite (see ``_accepts``).
-    ``work`` is scratch of ``G``'s shape (C-contiguous), holding the
-    factors and each screen, used here only before a candidate is
-    yielded, so the caller may use it in between.
+    without a tolerance: ``_accepts`` at ``tol = 0``, on the Schur term at
+    ``tau = 1`` that is formed once per rescaling (``_schur_term``), since
+    ``S11`` does not depend on ``tau``.
     """
     if not np.array_equal(Qfull, Qfull.T):
         raise ValueError("matrix is not symmetric: the seed differs from its transpose")
     p = Qfull.shape[0] // 3
-    edges = _lmi_edges(len(Qfull), structure)
-    n, k, r = edges[1], edges[2], edges[3] - edges[2]
-    row2 = slice(k, k + r)
-    diag = np.arange(k, edges[4])
-    m = len(diag)
-    d_tau = np.ones(m)
-    G = np.empty_like(work)
-    S = work.reshape(-1)[: m * m].reshape(m, m)
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
         d = np.concatenate([np.full(p, scale), np.ones(2 * p)])
         Q = d[:, None] * Qfull
         Q *= d  # D Qfull D, entry by entry in the same order
-        _assemble_lmi(Q, 1.0, loop, structure, out=G)
-        at_one = G[row2, :n].copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            C = negative_definite_schur_term(G, k, work, p)
+        blocks = _lmi_blocks(Q, loop, structure, p)
+        C = _schur_term(blocks, 0.0)
         for tau in np.logspace(-4, 4, 17):
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(at_one, tau, out=G[row2, :n])
-                screened = C is not None
-                if screened:
-                    d_tau[:r] = tau
-                    np.multiply(C, d_tau, out=S)
-                    S *= d_tau[:, None]
-                    S.flat[:: m + 1] -= tau
-                    screened = np.isfinite(S).all() and cholesky_negative_definite(S, 0.0, S)
-            G[:n, row2] = G[row2, :n].T
-            G[diag, diag] = -tau
-            yield Q, float(tau), G, bool(screened)
+            screened = C is not None and _accepts(blocks, tau, 0.0, C)
+            yield Q, float(tau), blocks, screened
 
 
 def lmi_search(
@@ -521,26 +552,22 @@ def lmi_search(
     closed matrix, summed by doubling (``_lyapunov_seed``), tries a few
     block rescalings of that seed, and sweeps ``tau`` over a log grid,
     returning the first certificate that verifies.  Each candidate is
-    first screened on the ``tau``-dependent Schur complement of the
-    inequality (see ``_lmi_grid``); one that passes costs one in-place
-    Cholesky factorisation of the whole inequality by ``_accepts``, the
-    test ``lmi_verify`` applies, which alone accepts.  The screen tests
-    with no tolerance, so it rejects only candidates that test rejects.
-    The rescalings are positive definite by congruence with the checked
-    seed, so only the returned certificate is built and validated.
-    Absence of a certificate is a legitimate outcome (None), not an error.
+    first screened: ``_accepts`` with no tolerance, on the Schur term of
+    its rescaling (see ``_lmi_grid``).  One that passes is tested by
+    ``_accepts`` at ``1e-9 |G(tau)|_inf``, the test ``lmi_verify``
+    applies, which alone accepts.  The screen tests with no tolerance,
+    so it rejects only candidates that test rejects.  The rescalings are
+    positive definite by congruence with the checked seed, so only the
+    returned certificate is built and validated.  Absence of a
+    certificate is a legitimate outcome (None), not an error.
     """
     loop = _robust_loop(lmi_id, nominal, structure, gains)
     p = gains.observer.p
     Qfull = _lyapunov_seed(loop[0], p)
     if Qfull is None:
         return None
-    n = _lmi_edges(len(Qfull), structure)[-1]
-    work = np.empty((n, n))
-    grid = _lmi_grid(Qfull, loop, structure, work)
-    for Q, tau, G, screened in grid:
-        if screened and _accepts(G, work):
-            grid.close()  # frees the Schur term before the certificate is validated
+    for Q, tau, blocks, screened in _lmi_grid(Qfull, loop, structure):
+        if screened and _accepts(blocks, tau, _tolerance(blocks, tau)):
             return LmiCertificate(Q11=Q[:p, :p], Q21=Q[p:, :p], Q22=Q[p:, p:], tau=tau)
     return None
 
@@ -561,13 +588,16 @@ def certificate_to_dict(cert: LmiCertificate) -> dict:
 
 def _json_matrix(M: np.ndarray) -> str:
     """``M`` as ``json.dump(M.tolist(), indent=2)`` lays it out one level
-    deep in a document; every entry is finite, so ``float.__repr__`` is
-    what ``json`` writes for it, and what ``str`` of a row's list writes
-    between its ``", "``."""
-    rows = (
-        "[\n      " + str(row)[1:-1].replace(", ", ",\n      ") + "\n    ]" for row in M.tolist()
-    )
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+    deep in a document.  Every entry is finite, so ``json`` writes
+    ``float.__repr__`` of it: that is called only on the entries that are
+    not ``+0.0`` (``-0.0`` among them), and every other entry is the
+    literal ``0.0``."""
+    rows, cols = np.nonzero((M != 0) | np.signbit(M))
+    text = [["0.0"] * M.shape[1] for _ in range(M.shape[0])]
+    for i, j, x in zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist()):
+        text[i][j] = float.__repr__(x)
+    lines = ("[\n      " + ",\n      ".join(row) + "\n    ]" for row in text)
+    return "[\n    " + ",\n    ".join(lines) + "\n  ]"
 
 
 def save_certificate(path, cert: LmiCertificate) -> None:

@@ -6,6 +6,11 @@ its block-triangular target, ``load_certificate`` (with
 ``stability.save_certificate`` writes, rejecting a malformed one, and
 ``theorem_implication_check`` samples structured model errors
 (``sample_structured_delta``) to test what a verified certificate claims.
+``_assemble_lmi`` forms the whole inequality densely and
+``cholesky_negative_definite`` tests it by one in-place LAPACK Cholesky,
+as ``stability`` once did: the oracle of the Schur split that
+``stability._accepts`` decides by.  ``inequality_of`` forms the matrix
+that a split's blocks stand for.
 """
 
 import json
@@ -18,6 +23,7 @@ from iterlearn.matanalysis import block_spectral_radius, induced_norm
 from iterlearn.plant import StructuredUncertainty, TransferPlant
 from iterlearn.stability import (
     SEPARATION_IDS,
+    _LmiBlocks,
     LmiCertificate,
     _at_error,
     _robust_form,
@@ -133,3 +139,84 @@ def theorem_implication_check(
         if block_spectral_radius(M, gains.K.shape[1])[0] >= 1.0:
             return False
     return True
+
+
+def _lmi_edges(n: int, structure) -> np.ndarray:
+    """Block edges of the inequality around a loop of dimension ``n``: blocks
+    of sizes ``[n, n, r, q]``, ``r`` rows of ``phi2``, ``q`` columns of ``phi1``."""
+    return np.cumsum([0, n, n, structure.phi2.shape[0], structure.phi1.shape[1]])
+
+
+def _assemble_lmi(Q: np.ndarray, tau: float, loop, structure, out=None) -> np.ndarray:
+    """The S-procedure inequality of the loop ``(M0, D, E)`` at ``Q`` and ``tau``:
+
+        [[-Q,              *,                 *,        *     ],
+         [Q M0,            -Q,                *,        *     ],
+         [tau phi2 E,      0,                 -tau I,   *     ],
+         [0,               phi1^T D^T Q,      0,        -tau I]]
+
+    with the stars filled by transposition (see ``_lmi_edges`` for the
+    block sizes).  ``tau`` enters only block ``(2, 0)`` (linearly, mirrored
+    into block ``(0, 2)``) and the diagonal ``-tau`` of blocks 2 and 3.
+    """
+    M0, D, E = loop
+    if Q.shape != M0.shape:
+        raise ValueError("certificate dimension does not match the problem")
+    phi1, phi2 = structure.phi1, structure.phi2
+    edges = _lmi_edges(len(M0), structure)
+    G = np.empty((edges[-1], edges[-1])) if out is None else out
+    G.fill(0.0)
+
+    def put(i, j, blk):
+        """Block (i, j) of the lower triangle, mirrored by transposition."""
+        rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
+        G[rows, cols] = blk
+        if i != j:
+            G[cols, rows] = G[rows, cols].T
+
+    put(0, 0, -Q)
+    put(1, 0, Q @ M0)
+    put(1, 1, -Q)
+    put(2, 0, tau * phi2 @ E)
+    put(2, 2, -tau * np.eye(phi2.shape[0]))
+    put(3, 1, phi1.T @ D.T @ Q)
+    put(3, 3, -tau * np.eye(phi1.shape[1]))
+    return G
+
+
+def cholesky_negative_definite(S: np.ndarray, tol: float, work: np.ndarray) -> bool:
+    """Whether every eigenvalue of the symmetric ``S`` lies below ``-tol``.
+
+    That holds exactly when ``-S - tol I`` is positive definite, that is
+    when its Cholesky factorisation exists.  LAPACK ``dpotrf`` factors it
+    in place in ``work``, a C-contiguous float array of the shape of ``S``
+    (``S`` itself may serve, and is then overwritten); one triangle is
+    read, so ``S`` must be exactly symmetric.  This costs about a third of
+    a symmetric eigenvalue solve and allocates nothing.
+    """
+    from scipy.linalg.lapack import dpotrf  # deferred: simulate needs no scipy
+
+    np.negative(S, out=work)
+    work.flat[:: work.shape[0] + 1] -= tol
+    # the transpose of a C-contiguous array is Fortran-contiguous, so the
+    # factorisation runs in place instead of on a copy
+    _, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0
+
+
+def inequality_of(blocks: _LmiBlocks, tau: float) -> np.ndarray:
+    """The inequality that ``blocks`` stand for at ``tau``, formed densely:
+    its trailing rows are ``tau (phi2 E)``, as ``stability._accepts`` scales them."""
+    Q, QM0, A, B, _ = blocks
+    n, r, q = len(Q), len(A), len(B)
+    k = 2 * n + r
+    S = np.zeros((k + q, k + q))
+    S[:n, :n] = S[n : 2 * n, n : 2 * n] = -Q
+    S[n : 2 * n, :n] = QM0
+    S[:n, n : 2 * n] = QM0.T
+    S[2 * n : k, :n] = tau * A
+    S[:n, 2 * n : k] = S[2 * n : k, :n].T
+    S[k:, n : 2 * n] = B
+    S[n : 2 * n, k:] = B.T
+    S[np.arange(2 * n, k + q), np.arange(2 * n, k + q)] = -tau
+    return S

@@ -385,8 +385,8 @@ def test_criterion_9_matrix_analysis_suite():
     assert induced_norm(M, "infinity") == 7.0
     assert induced_norm(M, "one") == 6.0
     assert induced_norm(np.diag([3.0, -4.0]), "two") == pytest.approx(4.0, abs=1e-14)
-    assert cholesky_negative_definite(-np.eye(3), 0.0, np.empty((3, 3))) is True
-    assert cholesky_negative_definite(np.eye(3), 0.0, np.empty((3, 3))) is False
+    assert cholesky_negative_definite(-np.eye(3), 0.0) is True
+    assert cholesky_negative_definite(np.eye(3), 0.0) is False
     assert spectral_radius(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
     report(
         9,

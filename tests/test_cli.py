@@ -256,7 +256,9 @@ UNUSABLE_NUMBER_FIELDS = {
 
 def assert_field_is_config_error(tmp_path, capsys, command, path, value):
     """``command`` on the reference experiment with the field at ``path`` set
-    to ``value`` exits 2 with one ``error:`` line naming the field."""
+    to ``value`` exits 2 with one ``error:`` line naming the field, and
+    writes nothing: the whole config is checked before the output directory
+    is made."""
     config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
     doc = json.loads(config.read_text())
     parent = doc
@@ -269,6 +271,7 @@ def assert_field_is_config_error(tmp_path, capsys, command, path, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path[-1] in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("path, value", MALFORMED_FIELDS, ids=MALFORMED_FIELD_IDS)
@@ -336,6 +339,26 @@ def test_array_entries_that_are_not_numbers_are_config_errors(
     assert not (tmp_path / "out" / "plot.svg").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize(
+    "name, value",
+    [("L1", _as_strings(_EYE)), ("K", [["a"]]), ("Hbar", {"file": "missing.txt"})],
+    ids=["L1=strings", "K=string", "Hbar=missing-file"],
+)
+def test_invalid_gain_leaves_no_output_directory(tmp_path, capsys, command, name, value):
+    # the gains are parsed and every seed's gain set built at load, before
+    # the output directory is made
+    config = write_reference_experiment(tmp_path, seeds=[1, 2], iterations=5)
+    doc = json.loads(config.read_text())
+    doc["gains"][name] = value
+    write_json(config, doc)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(config), "--out", str(out), "--quiet"])
+    assert rc in (EXIT_CONFIG, EXIT_IO)
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_lift_rejects_system_entries_that_are_not_numbers(tmp_path, capsys):
     sys_file = tmp_path / "sys.json"
     doc = {"format_version": 1, "A": [[1.0]], "B": [["1"]], "C": [[1.0]], "horizon": 2}
@@ -372,7 +395,7 @@ def test_output_dir_of_wrong_type_is_config_error(tmp_path, capsys, monkeypatch,
 
 
 def test_simulate_loads_no_scipy(tmp_path):
-    # scipy is imported only where a check needs LAPACK; a simulation never does
+    # the library runs on numpy alone; scipy is only the tests' oracle
     config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
     src = str(Path(iterlearn.__file__).parents[1])
     script = (
@@ -385,6 +408,69 @@ def test_simulate_loads_no_scipy(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True
     )
     assert done.stdout == "0 []\n"
+
+
+def test_check_with_a_structure_loads_no_scipy(tmp_path):
+    # the certificate search and its file need no scipy either
+    config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
+    doc = json.loads(config.read_text())
+    doc["structure"] = {"phi1": (0.05 * np.eye(_T)).tolist(), "phi2": _EYE}
+    write_json(config, doc)
+    src = str(Path(iterlearn.__file__).parents[1])
+    out = tmp_path / "out"
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import iterlearn.cli\n"
+        f"rc = iterlearn.cli.main(['check', '--config', {str(config)!r}, '--out', "
+        f"{str(out)!r}, '--quiet'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout == "0 []\n"
+    assert json.loads((out / "report.json").read_text())["lmi"]["found"] is True
+    assert load_certificate(out / "certificate.json").tau > 0
+
+
+def overflow_config(tmp_path):
+    """A direct plant [[10.0]] with a gain of 1e308: I - P K overflows."""
+    doc = {
+        "format_version": 1,
+        "plant": {"kind": "direct", "nominal": [[10.0]]},
+        "target": [1.0],
+        "gains": {
+            "K": [[1e308]],
+            "H": {"directive": "pseudo_inverse_H"},
+            "L1": {"scaled_identity": 0.9},
+            "L2": {"scaled_identity": 0.1},
+        },
+        "structure": {"phi1": [[0.1]], "phi2": [[1.0]]},
+        "laws": ["p_type", "eso_mixed"],
+        "iterations": 5,
+    }
+    path = tmp_path / "overflow.json"
+    write_json(path, doc)
+    return path
+
+
+def test_a_loop_that_overflows_is_a_verdict(tmp_path, capsys):
+    # not a config error: simulate reports the divergence (every run
+    # diverged, exit 3) with summary.json, check reports the verdict
+    config = overflow_config(tmp_path)
+    sim, chk = tmp_path / "sim", tmp_path / "chk"
+    assert main(["simulate", "--config", str(config), "--out", str(sim), "--quiet"]) == EXIT_DIVERGED
+    assert main(["check", "--config", str(config), "--out", str(chk), "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    summary = json.loads((sim / "summary.json").read_text())
+    report = json.loads((chk / "report.json").read_text())
+    assert all(run["diverged"] for run in summary["runs"])
+    assert summary["conditions"] == report["conditions"]
+    reports = {r["condition_id"]: r for r in report["conditions"]["0"]}
+    for cid in ("eq04", "eq41", "eq48"):
+        assert reports[cid]["method"] == "non_finite"
+        assert reports[cid]["rho"] == math.inf and reports[cid]["holds"] is False
+    assert reports["eq17"]["method"] == "dense" and reports["eq17"]["holds"]  # no gain K in it
+    assert report["lmi"] == {"id": "eq44", "found": False}
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])

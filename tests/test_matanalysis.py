@@ -7,6 +7,7 @@ from iterlearn.matanalysis import (
     eigenvalues,
     format_matrix_text,
     induced_norm,
+    negative_definite_schur_term,
     parse_matrix_text,
     spectral_radius,
     time_steps,
@@ -252,11 +253,10 @@ def test_induced_norm_unknown_kind():
 # ---------------------------------------------------------------------------
 
 def negative_definite(S, tol=None):
-    """``cholesky_negative_definite`` on a fresh work buffer, at ``tol``
-    (default ``1e-10 |S|_inf``)."""
+    """``cholesky_negative_definite`` at ``tol`` (default ``1e-10 |S|_inf``)."""
     if tol is None:
         tol = 1e-10 * induced_norm(S, "infinity")
-    return cholesky_negative_definite(S, tol, np.empty(S.shape))
+    return cholesky_negative_definite(S, tol)
 
 
 def test_negative_definite_trivial():
@@ -311,14 +311,33 @@ def test_negative_definite_agrees_with_eigvalsh():
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_cholesky_kernel_factors_in_place():
+def test_cholesky_kernel_shifts_by_tol_and_leaves_its_input():
     S = -np.diag([1.0, 2.0, 3.0])
-    work = np.empty((3, 3))
-    assert cholesky_negative_definite(S, 0.5, work) is True
-    # the factor of -S - 0.5 I is left in the work buffer's lower triangle
-    assert np.allclose(np.diag(work), np.sqrt([0.5, 1.5, 2.5]), rtol=0, atol=1e-15)
+    assert cholesky_negative_definite(S) is True
+    assert cholesky_negative_definite(S, 0.5) is True
+    assert cholesky_negative_definite(S, 1.0) is False  # -S - I is singular
     assert np.array_equal(S, -np.diag([1.0, 2.0, 3.0]))
-    assert cholesky_negative_definite(S, 1.0, work) is False
+
+
+def test_schur_term_of_a_stack_is_the_block_diagonal_term():
+    # a (T, c, c) stack stands for its block diagonal matrix, and S21T's
+    # rows for that matrix's rows, step by step
+    rng = np.random.default_rng(9)
+    T, c, m = 4, 3, 5
+    A = rng.standard_normal((T, c, c))
+    S11 = -(A @ np.swapaxes(A, 1, 2) + np.eye(c))
+    S21T = rng.standard_normal((T, c, m))
+    dense11 = np.zeros((T * c, T * c))
+    for t in range(T):
+        dense11[t * c : (t + 1) * c, t * c : (t + 1) * c] = S11[t]
+    dense21T = S21T.reshape(T * c, m)
+    C = negative_definite_schur_term(S11, S21T)
+    oracle = dense21T.T @ np.linalg.solve(-dense11, dense21T)
+    assert np.abs(C - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    dense = negative_definite_schur_term(dense11, dense21T)
+    assert np.abs(dense - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    S11[2] *= -1  # one step positive definite
+    assert negative_definite_schur_term(S11, S21T) is None
 
 
 # the kernel reads one triangle, so its input must be exactly symmetric; the

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -21,13 +22,7 @@ from iterlearn.learner import (
     synth_H_pseudo,
     synth_Hbar,
 )
-from iterlearn.matanalysis import (
-    block_spectral_radius,
-    cholesky_negative_definite,
-    induced_norm,
-    negative_definite_schur_term,
-    time_steps,
-)
+from iterlearn.matanalysis import block_spectral_radius, induced_norm, time_steps
 from iterlearn.observer import ObserverGain, error_dynamics_matrix
 from iterlearn.plant import (
     StructuredUncertainty,
@@ -40,13 +35,15 @@ from iterlearn.stability import (
     SEPARATION_IDS,
     _CATALOG,
     LmiCertificate,
-    _assemble_lmi,
+    _accepts,
     _at_error,
-    _lmi_edges,
+    _lmi_blocks,
     _lmi_grid,
     _lyapunov_seed,
     _robust_form,
     _robust_loop,
+    _schur_term,
+    _tolerance,
     certificate_to_dict,
     check_condition,
     lmi_search,
@@ -57,7 +54,10 @@ from iterlearn.stability import (
 
 from extended_state import build_extended, law_map
 from stability_oracles import (
+    _assemble_lmi,
     certificate_from_dict,
+    cholesky_negative_definite,
+    inequality_of,
     load_certificate,
     sample_structured_delta,
     theorem_implication_check,
@@ -447,20 +447,23 @@ def test_lmi_verify_rejects_an_inequality_that_overflows():
 
 
 def test_search_and_verify_accept_by_one_test(monkeypatch):
+    # the screen is the acceptor at tol = 0; the search's last call, the
+    # full test that accepted, is the call lmi_verify makes
     calls = []
     accepts = stability._accepts
 
-    def counted(G, work):
-        calls.append(len(G))
-        return accepts(G, work)
+    def counted(blocks, tau, tol, schur=None):
+        calls.append((b"".join(X.tobytes() for X in blocks[:4]), blocks.steps, tau, tol))
+        return accepts(blocks, tau, tol, schur)
 
     monkeypatch.setattr(stability, "_accepts", counted)
     P0, gains44, _, structure = small_instance(eta=0.1)
     cert = lmi_search("eq44", P0, structure, gains44)
-    assert cert is not None and len(calls) >= 1
+    assert cert is not None and len(calls) >= 2
+    assert calls[-1][3] > 0 and all(call[3] == 0.0 for call in calls[:-1])
     searched = len(calls)
     assert lmi_verify("eq44", cert, P0, structure, gains44) is True
-    assert calls[searched:] == [calls[0]]
+    assert calls[searched:] == [calls[searched - 1]]
 
 
 def test_lmi_verify_zero_structure_with_lyapunov_seed():
@@ -691,6 +694,29 @@ def test_certificate_writer_matches_json_dump(tmp_path):
         assert back.tau == cert.tau
 
 
+def test_certificate_writer_writes_zeros_as_literals(tmp_path):
+    # a time-structured certificate is mostly zeros, which are written as
+    # the literals 0.0 and -0.0; the other entries (subnormals, 1e16 and
+    # 1e-5 among them) as float.__repr__, byte for byte as json.dump does
+    path = tmp_path / "cert.json"
+    Q = np.diag([1e16, 3.0, 1.0, 2.0, 1.0, 1e-5])
+    Q[0, 2] = Q[2, 0] = -0.0  # in Q11
+    Q[3, 0] = Q[0, 3] = -0.0  # in Q21
+    Q[4, 5] = Q[5, 4] = -0.0  # in Q22
+    Q[1, 4] = Q[4, 1] = 5e-324
+    Q[2, 5] = Q[5, 2] = 2.5e-310
+    Q[3, 4] = Q[4, 3] = 1e-5
+    cert = LmiCertificate(Q11=Q[:2, :2], Q21=Q[2:, :2], Q22=Q[2:, 2:], tau=1e16)
+    assert np.signbit(cert.Q22[2, 3]) and np.signbit(cert.Q21[1, 0])
+    wide = lmi_search("eq101", *wide_reference_problem(20))
+    assert np.count_nonzero(wide.assembled()) < wide.assembled().size // 5
+    for c in (cert, wide, LmiCertificate(Q11=Q[:2, :2], Q21=-Q[2:, :2], Q22=Q[2:, 2:], tau=1e-5)):
+        save_certificate(path, c)
+        assert path.read_bytes() == json_dump_bytes(c)
+        back = load_certificate(path)
+        assert back.assembled().tobytes() == c.assembled().tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the search against its first form
 # ---------------------------------------------------------------------------
@@ -803,6 +829,7 @@ def eigvalsh_verdict(G):
 
 
 def cholesky_verdict(G):
+    """``lmi_verify``'s test by one dense Cholesky factorisation."""
     tol = 1e-9 * induced_norm(G, "infinity")
     return cholesky_negative_definite(G, tol, np.empty(G.shape))
 
@@ -830,13 +857,12 @@ def random_lmi_problem(rng, lmi_id, p, identity_phi2):
 
 
 def grid_of(lmi_id, nominal, structure, gains):
-    """Every candidate of the search, with ``G(tau)`` copied out."""
+    """Every candidate of the search, with the ``G(tau)`` its blocks stand for."""
     loop = _robust_loop(lmi_id, nominal, structure, gains)
     Qfull = _lyapunov_seed(loop[0], gains.observer.p)
     assert Qfull is not None
-    n = _lmi_edges(len(Qfull), structure)[-1]
-    grid = _lmi_grid(Qfull, loop, structure, np.empty((n, n)))
-    return [(Q, tau, G.copy()) for Q, tau, G, _ in grid]
+    grid = _lmi_grid(Qfull, loop, structure)
+    return [(Q, tau, inequality_of(blocks, tau)) for Q, tau, blocks, _ in grid]
 
 
 def assert_same_certificate_as_scipy_seeded(cert, lmi_id, problem, budget=200):
@@ -1064,9 +1090,8 @@ def test_lmi_grid_rejects_an_asymmetric_seed():
     loop = _robust_loop("eq101", *problem)
     Qfull = _lyapunov_seed(loop[0], 2)
     Qfull[0, 1] = np.nextafter(Qfull[0, 1], np.inf)
-    n = _lmi_edges(len(Qfull), problem[1])[-1]
     with pytest.raises(ValueError, match="not symmetric"):
-        next(_lmi_grid(Qfull, loop, problem[1], np.empty((n, n))))
+        next(_lmi_grid(Qfull, loop, problem[1]))
 
 
 def test_lyapunov_seed_imports_no_scipy():
@@ -1100,9 +1125,8 @@ def test_screen_rejects_only_what_the_full_test_rejects():
         loop = _robust_loop(lmi_id, *problem)
         Qfull = _lyapunov_seed(loop[0], problem[2].observer.p)
         assert Qfull is not None
-        n = _lmi_edges(len(Qfull), problem[1])[-1]
-        for _, _, G, screened in _lmi_grid(Qfull, loop, problem[1], np.empty((n, n))):
-            verdict = cholesky_verdict(G)
+        for _, tau, blocks, screened in _lmi_grid(Qfull, loop, problem[1]):
+            verdict = cholesky_verdict(inequality_of(blocks, tau))
             assert screened or not verdict
             counts[screened, verdict] += 1
     assert sum(counts.values()) == len(problems) * 85
@@ -1145,61 +1169,81 @@ def decoupled_problems(bs=(1, 3)):
 
 
 def batched_factorisations(monkeypatch):
-    """The shapes ``np.linalg.cholesky`` is called on: within a search, only
-    the per-step Schur term calls it."""
+    """The shapes ``np.linalg.cholesky`` is called on: within a search, a
+    stack of steps only by the per-step Schur term."""
     shapes, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
     return shapes
 
 
+def oracle_schur_term(blocks, tol):
+    """The Schur term at ``tau = 1`` by one dense solve on the inequality
+    the blocks stand for."""
+    G = inequality_of(blocks, 1.0)
+    k = 2 * len(blocks.Q)
+    return G[k:, :k] @ np.linalg.solve(-G[:k, :k] - tol * np.eye(k), G[k:, :k].T)
+
+
 def test_per_step_schur_term_matches_the_dense_factorisation(monkeypatch):
-    # a block below 2 reads no time structure, so it takes the dense path
+    # one time step (steps = 1) reads no time structure, so it takes the
+    # dense path; both match a dense solve, with and without a tolerance
     shapes = batched_factorisations(monkeypatch)
     for p, (loop, structure, Q) in decoupled_problems():
-        G = _assemble_lmi(Q, 1.0, loop, structure)
-        k, work = 2 * len(Q), np.empty(G.shape)
-        C = negative_definite_schur_term(G, k, work, p)
-        dense = negative_definite_schur_term(G, k, work, 1)
-        assert shapes.pop() == (p, k // p, k // p) and not shapes
-        assert np.abs(C - dense).max() <= 1e-12 * np.abs(dense).max()
-        # one step made positive definite: no Schur term on either path
-        steps = np.arange(0, k, p)
-        bad = G.copy()
-        bad[np.ix_(steps + 1, steps + 1)] *= -1
-        assert time_steps(bad[:k, :k], p)[1] == "decoupled"
-        assert negative_definite_schur_term(bad, k, work, p) is None
-        assert negative_definite_schur_term(bad, k, work, 1) is None
+        blocks = _lmi_blocks(Q, loop, structure, p)
+        k = 2 * len(Q)
+        for tol in (0.0, _tolerance(blocks, 1.0)):
+            C = _schur_term(blocks, tol)
+            dense = _schur_term(blocks._replace(steps=1), tol)
+            assert shapes == [(p, k // p, k // p), (k, k)]
+            shapes.clear()
+            assert np.abs(C - dense).max() <= 1e-12 * np.abs(dense).max()
+            oracle = oracle_schur_term(blocks, tol)
+            assert np.abs(C - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        # time step 1 made positive definite: no Schur term on either path
+        steps = np.arange(0, len(Q), p) + 1
+        bad = blocks._replace(Q=Q.copy(), QM0=blocks.QM0.copy())
+        for X in (bad.Q, bad.QM0):
+            X[np.ix_(steps, steps)] *= -1
+        assert time_steps(bad.Q, p)[1] == time_steps(bad.QM0, p)[1] == "decoupled"
+        assert _schur_term(bad, 0.0) is None
+        assert _schur_term(bad._replace(steps=1), 0.0) is None
         shapes.clear()
         # one entry of 1e-300 couples time steps 0 and 1: the dense path
-        coupled = G.copy()
-        coupled[0, 1] = coupled[1, 0] = 1e-300
-        C_coupled = negative_definite_schur_term(coupled, k, work, p)
-        assert not shapes
-        assert C_coupled.tobytes() == negative_definite_schur_term(coupled, k, work, 1).tobytes()
-        assert np.abs(C_coupled - C).max() <= 1e-12 * np.abs(dense).max()
+        coupled = blocks._replace(Q=Q.copy())
+        coupled.Q[0, 1] = coupled.Q[1, 0] = 1e-300
+        C_coupled = _schur_term(coupled, 0.0)
+        assert all(len(shape) == 2 for shape in shapes)
+        assert C_coupled.tobytes() == _schur_term(coupled._replace(steps=1), 0.0).tobytes()
+        C = _schur_term(blocks, 0.0)
+        assert np.abs(C_coupled - C).max() <= 1e-12 * np.abs(C).max()
+        shapes.clear()
 
 
 def test_wide_search_forms_the_schur_term_per_step(monkeypatch):
-    # the dense Schur term, as the search formed it before, returns the
-    # same certificate bit for bit
-    def dense(S, k, work, block):
-        return negative_definite_schur_term(S, k, work, 1)
+    # the dense Schur term (one time step reads no time structure) returns
+    # the same certificate bit for bit
+    schur_term = stability._schur_term
+
+    def dense(blocks, tol):
+        return schur_term(blocks._replace(steps=1), tol)
 
     for horizon in (20, 100):
         problem = wide_reference_problem(horizon)
         with monkeypatch.context() as m:
             shapes = batched_factorisations(m)
             cert = lmi_search("eq101", *problem)
-        assert shapes and set(shapes) == {(horizon, 6, 6)}
+        batched = [shape for shape in shapes if len(shape) == 3]
+        assert batched and set(batched) == {(horizon, 6, 6)}
         with monkeypatch.context() as m:
-            m.setattr(stability, "negative_definite_schur_term", dense)
+            m.setattr(stability, "_schur_term", dense)
             ref = lmi_search("eq101", *problem)
         assert cert is not None and ref is not None and cert.tau == ref.tau
         assert cert.assembled().tobytes() == ref.assembled().tobytes()
         if horizon == 100:
-            # tau = 1e-4 at the second rescaling, 0.5: two Schur terms
+            # tau = 1e-4 at the second rescaling, 0.5: a Schur term per
+            # rescaling for the screen, and one at the full test's tolerance
             seed = _lyapunov_seed(_robust_loop("eq101", *problem)[0], horizon)
-            assert cert.tau == 1e-4 and len(shapes) == 2
+            assert cert.tau == 1e-4 and len(batched) == 3
             assert np.array_equal(cert.Q11, 0.25 * seed[:horizon, :horizon])
             assert np.array_equal(cert.Q22, seed[horizon:, horizon:])
 
@@ -1210,14 +1254,89 @@ def test_screen_rejects_only_what_the_full_test_rejects_on_decoupled_problems():
     counts = {(s, v): 0 for s in (False, True) for v in (False, True)}
     problems = decoupled_problems(bs=(3,))
     for p, (loop, structure, Qfull) in problems:
-        n = _lmi_edges(len(Qfull), structure)[-1]
-        for _, _, G, screened in _lmi_grid(Qfull, loop, structure, np.empty((n, n))):
+        for _, tau, blocks, screened in _lmi_grid(Qfull, loop, structure):
+            G = inequality_of(blocks, tau)
             assert time_steps(G[: 6 * p, : 6 * p], p)[1] == "decoupled"
             verdict = cholesky_verdict(G)
             assert screened or not verdict
             counts[screened, verdict] += 1
     assert sum(counts.values()) == len(problems) * 85
     assert counts[False, False] > 0 and counts[True, True] > 0
+
+
+def search_problems():
+    """The 413 search problems the doubling seed was first compared on: the
+    random problems of rng seeds 20, 12, 44, 41 and 43, drawn as the search
+    tests draw them, the six of rng seed 65 (``p = 3``, each kind of
+    ``phi2``) and the wide problem at T = 20 and 100.  The random problems'
+    leading blocks couple time steps; the wide problems' couple none."""
+    problems = []
+    for seed, count in ((20, 10), (12, 30), (44, 60), (41, 15), (43, 20)):
+        rng = np.random.default_rng(seed)
+        problems += [
+            (lmi_id, random_lmi_problem(rng, lmi_id, i % 5 + 1, identity_phi2=i % 2 == 0))
+            for i in range(count)
+            for lmi_id in LMI_IDS
+        ]
+    rng = np.random.default_rng(65)
+    problems += [
+        (lmi_id, random_lmi_problem(rng, lmi_id, 3, identity_phi2))
+        for lmi_id in LMI_IDS
+        for identity_phi2 in (True, False)
+    ]
+    return problems + [("eq101", wide_reference_problem(20)), ("eq101", wide_reference_problem(100))]
+
+
+def split_against_oracle(Qfull, loop, structure):
+    """Each candidate of the grid as ``(Q, tau, verdict)``, with the verdict
+    of the split acceptor at ``1e-9 ||G||_inf`` asserted against one dense
+    Cholesky of the inequality as first assembled (``(tau phi2) E``, not
+    ``tau (phi2 E)``).  They may differ only where the largest eigenvalue
+    of ``G`` (the smallest of ``-G``) lies within 1e-12 relative of
+    ``-tol``; such a candidate's verdict is None."""
+    candidates = []
+    for Q, tau, blocks, screened in _lmi_grid(Qfull, loop, structure):
+        G = _assemble_lmi(Q, tau, loop, structure)
+        tol, split_tol = 1e-9 * induced_norm(G, "infinity"), _tolerance(blocks, tau)
+        assert abs(split_tol - tol) <= 1e-13 * tol
+        verdict = _accepts(blocks, tau, split_tol)
+        assert screened or not verdict
+        if verdict != cholesky_negative_definite(G, tol, np.empty(G.shape)):
+            assert abs(np.linalg.eigvalsh(G).max() + tol) <= 1e-12 * tol
+            verdict = None
+        candidates.append((Q, tau, verdict))
+    return candidates
+
+
+def test_split_acceptor_agrees_with_the_dense_oracle():
+    # every candidate of the 413 search problems (the random ones coupled,
+    # the wide ones decoupled) and of random decoupled problems; the search
+    # returns the first candidate the dense oracle accepts
+    found = 0
+    for lmi_id, problem in search_problems():
+        loop = _robust_loop(lmi_id, *problem)
+        Qfull = _lyapunov_seed(loop[0], problem[2].observer.p)
+        cert = lmi_search(lmi_id, *problem)
+        if Qfull is None:
+            assert cert is None
+            continue
+        verdicts = split_against_oracle(Qfull, loop, problem[1])
+        decided = list(itertools.takewhile(lambda c: c[2] is not None, verdicts))
+        accepted = [(Q, tau) for Q, tau, verdict in decided if verdict]
+        if accepted:
+            Q, tau = accepted[0]
+            assert cert.tau == tau and cert.assembled().tobytes() == Q.tobytes()
+            found += 1
+        elif len(decided) == len(verdicts):
+            assert cert is None
+    assert 200 < found < 413
+    verdicts = [  # the wide problem at T = 100 stands for the large ones
+        verdict
+        for p, (loop, structure, Qfull) in decoupled_problems(bs=(3,))
+        if p < 100
+        for _, _, verdict in split_against_oracle(Qfull, loop, structure)
+    ]
+    assert 0 < sum(map(bool, verdicts)) < len(verdicts) and None not in verdicts
 
 
 def certificate_accepts(Q):
@@ -1334,6 +1453,26 @@ def test_loop_at_a_model_error_keeps_the_dense_channel_bits():
                 loop = _robust_form(_CATALOG[cid][0], P.nominal, gains, cid)
                 expected = parent_at_error(loop, P.delta)
                 assert loop_matrix(cid, P, gains).tobytes() == expected.tobytes()
+
+
+def test_a_loop_that_overflows_is_a_verdict_without_warnings():
+    # I - P0 K overflows at K = 1e308: each condition through it reads an
+    # infinite radius and does not hold, and no certificate is searched
+    P0, K, og = np.array([[10.0]]), np.array([[1e308]]), ObserverGain.diagonal(1, 0.9, 0.1)
+    gains44 = GainSet(K=K, H=np.array([[0.1]]), observer=og)
+    gains65 = GainSet(K=K, Hbar=np.array([[0.1]]), observer=og)
+    structure = StructuredUncertainty(phi1=np.array([[0.1]]), phi2=np.array([[1.0]]))
+    plant = TransferPlant(nominal=P0, delta=np.array([[0.01]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cid, gains in (("eq04", gains44), ("eq41", gains44), ("eq48", gains44), ("eq62", gains65)):
+            report = check_condition(cid, plant, gains)
+            assert report.method == "non_finite" and report.rho == math.inf
+            assert not report.holds and report.margin == -math.inf
+        assert check_condition("eq17", plant, gains44).holds
+        assert lmi_search("eq44", P0, structure, gains44) is None
+        assert lmi_search("eq65", P0, structure, gains65) is None
+        assert _lyapunov_seed(np.array([[0.5, math.inf], [0.0, 0.5]]), 1) is None
 
 
 def test_ill_posed_certificate_problems_raise():
