@@ -4,7 +4,7 @@ Experiments are described by a JSON config (``format_version`` 1); runs
 are deterministic per (config, seed) and emit per-run trace CSVs, a
 summary JSON, condition/certificate reports, and SVG convergence plots.
 Exit codes: 0 success, 2 config error, 3 numeric divergence in all runs,
-4 I/O failure.
+4 I/O failure.  A float that is not finite is written to JSON as null.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from dataclasses import replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import learner, plant, stability
 from .learner import GainSet, LearningLaw, SimulationConfig
 from .matanalysis import as_matrix, save_matrix
 from .observer import ObserverGain
-from .svgplot import write_convergence_svg
+from .svgplot import render_convergence_svg, write_convergence_svg
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,11 +99,12 @@ def _file(obj: dict, name: str, base: Path) -> Path:
 
 def _matrix_field(obj, name: str, base: Path) -> np.ndarray:
     """A matrix given inline as nested arrays or as a matrix-text file ref."""
-    if isinstance(obj, dict) and "file" in obj:
-        from .matanalysis import load_matrix
-
-        return load_matrix(_file(obj, name, base))
+    path = _file(obj, name, base) if isinstance(obj, dict) and "file" in obj else None
     try:
+        if path is not None:
+            from .matanalysis import load_matrix
+
+            return load_matrix(path)
         return as_matrix(plant.json_floats(obj, name), name)
     except ValueError as exc:
         raise ConfigError(f"invalid matrix for {name!r}: {exc}") from exc
@@ -151,8 +151,8 @@ class Experiment:
     is written.  Each seed's plant is built once and shared by every run,
     condition report and certificate search of that seed.  Every seed
     shares one nominal map, ``nominal`` (a zero or a lifted nominal for a
-    lifted plant), each law and one gain set, ``gains``;
-    ``hbar_from_nominal`` reads ``nominal``.  Only a ``pseudo_inverse_H``
+    lifted plant), each law and one gain set, ``gains``, built at load
+    (``hbar_from_nominal`` reads ``nominal``).  Only a ``pseudo_inverse_H``
     reads the seed's plant, so ``gains_for`` gives each seed the shared set
     with its own ``H``, built once per seed.
     """
@@ -167,7 +167,7 @@ class Experiment:
         self.base = base
         try:
             self.laws: list[str] = _array(doc["laws"], "laws")
-            self.iterations = _integer(doc["iterations"], "iterations")
+            self.set_iterations(_integer(doc["iterations"], "iterations"))
         except KeyError as exc:
             raise ConfigError(f"config missing field {exc}") from exc
         if not self.laws:
@@ -176,8 +176,6 @@ class Experiment:
             if mode not in learner.LAW_MODES:
                 raise ConfigError(f"unknown law {mode!r}")
         _distinct(self.laws, "laws")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be at least 1")
         seeds = _array(doc.get("seeds", [0]), "seeds")
         self.seeds = _distinct([_integer(s, "seeds entry") for s in seeds], "seeds")
         if not self.seeds:
@@ -216,6 +214,10 @@ class Experiment:
                 )
             else:
                 self.surrogate = _matrix_field(surr, "surrogate", base)
+            if self.surrogate.shape != (p, m):
+                raise ConfigError(
+                    f"surrogate must be {p}x{m} for this plant, got shape {self.surrogate.shape}"
+                )
 
         self.structure = None
         struct = doc.get("structure")
@@ -228,7 +230,22 @@ class Experiment:
                 )
             except KeyError as exc:
                 raise ConfigError(f"structure missing field {exc}") from exc
+            if self.structure.phi1.shape[0] != p or self.structure.phi2.shape[1] != m:
+                raise ConfigError(
+                    f"structure.phi1 must have {p} rows and structure.phi2 {m} columns"
+                    " for this plant"
+                )
+        try:
+            self.gains = self._parse_gains()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         self.check_gains()
+
+    def set_iterations(self, iterations: int) -> None:
+        """Set the run length, from the config or an override."""
+        if iterations < 1:
+            raise ConfigError("iterations must be at least 1")
+        self.iterations = iterations
 
     # -- plant ---------------------------------------------------------
     def _parse_plant(self, doc: dict) -> tuple[int, int]:
@@ -281,9 +298,10 @@ class Experiment:
         if sys_doc is None:
             raise ConfigError("ilc_lift plant requires a 'system' field")
         _object(sys_doc, "plant.system")
+        path = _file(sys_doc, "plant.system", self.base) if "file" in sys_doc else None
         try:
-            if "file" in sys_doc:
-                return plant.load_ilc_system(_file(sys_doc, "plant.system", self.base))
+            if path is not None:
+                return plant.load_ilc_system(path)
             return plant.parse_ilc_system(sys_doc)
         except ValueError as exc:
             raise ConfigError(f"invalid ILC system: {exc}") from exc
@@ -308,10 +326,8 @@ class Experiment:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    @cached_property
-    def gains(self) -> GainSet:
-        """The gain set every seed shares, without a ``pseudo_inverse_H``.  An
-        invalid gain raises ``ValueError``, which ``gains_for`` makes a ``ConfigError``."""
+    def _parse_gains(self) -> GainSet:
+        """The gain set every seed shares, without a ``pseudo_inverse_H``."""
         doc = self._gains_doc
         K_doc = doc.get("K")
         if K_doc is None:
@@ -366,15 +382,16 @@ class Experiment:
 
     # -- per-run config ---------------------------------------------------
     def simulation_config(self, law_mode: str, seed: int) -> SimulationConfig:
-        if law_mode not in self._laws:
-            surrogate = self.surrogate if law_mode == "eso_model_free" else None
-            self._laws[law_mode] = LearningLaw(mode=law_mode, surrogate=surrogate)
+        gains = self.gains_for(seed)
         try:
+            if law_mode not in self._laws:
+                surrogate = self.surrogate if law_mode == "eso_model_free" else None
+                self._laws[law_mode] = LearningLaw(mode=law_mode, surrogate=surrogate)
             return SimulationConfig(
                 plant=self.plant_for(seed),
                 target=self.target,
                 uncertainty=self.uncertainty,
-                gains=self.gains_for(seed),
+                gains=gains,
                 law=self._laws[law_mode],
                 iterations=self.iterations,
                 u0=self.u0,
@@ -427,9 +444,19 @@ def load_experiment(path) -> Experiment:
     return Experiment(doc, base=path.parent)
 
 
+def _strict(obj):
+    """``obj`` with each float that is not finite as None: JSON has no
+    literal for it, so it is written as null."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_strict(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -443,7 +470,10 @@ def _say(quiet: bool, *args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_lift(args) -> int:
-    sys_obj = plant.load_ilc_system(args.input)
+    try:
+        sys_obj = plant.load_ilc_system(args.input)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     P, Q, S = plant.lift_ilc(sys_obj)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -466,7 +496,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError("--seeds must list at least one seed")
         exp.check_gains()
     if args.iterations is not None:
-        exp.iterations = args.iterations
+        exp.set_iterations(args.iterations)
+    configs = {law: [exp.simulation_config(law, seed) for seed in exp.seeds] for law in exp.laws}
     out = Path(args.out or exp.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -474,8 +505,7 @@ def cmd_simulate(args) -> int:
     runs = []
     curves = []
     for law in exp.laws:
-        configs = [exp.simulation_config(law, seed) for seed in exp.seeds]
-        for seed, trace in zip(exp.seeds, learner.run_batch(configs, states=False)):
+        for seed, trace in zip(exp.seeds, learner.run_batch(configs[law], states=False)):
             trace_file = out / f"trace_{law}_seed{seed}.csv"
             learner.write_trace_csv(trace_file, trace)
             n = len(trace)
@@ -493,7 +523,11 @@ def cmd_simulate(args) -> int:
                     "diverged_component": trace.diverged_component,
                 }
             )
-            curves.append((f"{law} seed {seed}", trace.err_inf))
+            # a diverged run is drawn up to its first error that is not finite
+            finite = np.isfinite(trace.err_inf)
+            n_finite = n if finite.all() else int(np.argmin(finite))
+            if n_finite:
+                curves.append((f"{law} seed {seed}", trace.err_inf[:n_finite]))
             _say(
                 args.quiet,
                 f"{law} seed {seed}: tail {runs[-1]['final_tail_err']:.3e}"
@@ -508,8 +542,13 @@ def cmd_simulate(args) -> int:
         "conditions": exp.condition_map(),
     }
     _write_json(out / "summary.json", summary)
-    write_convergence_svg(out / "plot.svg", curves, title="convergence")
-    _say(args.quiet, f"wrote {out / 'summary.json'} and {out / 'plot.svg'}")
+    written = [out / "summary.json"]
+    if curves:
+        write_convergence_svg(out / "plot.svg", curves, title="convergence")
+        written.append(out / "plot.svg")
+    else:  # no run has a finite error to draw; no plot of another run stays
+        (out / "plot.svg").unlink(missing_ok=True)
+    _say(args.quiet, "wrote " + " and ".join(map(str, written)))
     if all(r["diverged"] for r in runs):
         return EXIT_DIVERGED
     return EXIT_OK
@@ -534,22 +573,23 @@ def cmd_check(args) -> int:
             report["lmi"].update(certificate_file=cert_file.name, tau=cert.tau)
     _write_json(out / "report.json", report)
     if not args.quiet:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
-    curves = []
-    for path in args.traces:
-        data = learner.read_trace_csv(path)
-        curves.append((Path(path).stem, data["err_inf"]))
+    try:
+        curves = [(Path(path).stem, learner.read_trace_csv(path)["err_inf"]) for path in args.traces]
+        svg = render_convergence_svg(curves, title="convergence")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(args.out or "plot.svg")
     if out.suffix != ".svg":
         out.mkdir(parents=True, exist_ok=True)
         out = out / "plot.svg"
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
-    write_convergence_svg(out, curves, title="convergence")
+    out.write_bytes(svg.encode("ascii"))
     _say(args.quiet, f"wrote {out}")
     return EXIT_OK
 
@@ -595,7 +635,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

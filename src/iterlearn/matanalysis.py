@@ -111,18 +111,16 @@ def block_spectral_radius(M, block: int) -> tuple[float, str]:
     ``[X_ac[t, t]]``; every ``t`` is solved, in one batched call, and the
     method is ``"block_triangular"``.  A dense solve would scatter such a
     ``block``-fold defective eigenvalue by about ``eps^(1/block)``.  Any
-    other matrix, or a ``block`` below 2 or not dividing the size, takes
-    the dense solve and the method ``"dense"``.
+    other matrix, or a ``block`` below 2 or not dividing the size, is one
+    step, ``M[None]``, solved whole, and the method is ``"dense"``.
     """
     M = as_square(M)
     steps, structure = time_steps(M, block)
-    if structure is None:
-        return spectral_radius(M), "dense"
     try:
-        w = np.linalg.eigvals(steps)
+        w = np.linalg.eigvals(M[None] if structure is None else steps)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic input
         raise RuntimeError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return float(np.abs(w).max()), "block_triangular"
+    return float(np.abs(w).max()), "dense" if structure is None else "block_triangular"
 
 
 def induced_norm(M, kind: str = "infinity") -> float:
@@ -165,13 +163,12 @@ def negative_definite_schur_term(S11: np.ndarray, S21T: np.ndarray) -> np.ndarra
     That matrix is negative definite exactly when ``S11`` is and its Schur
     complement ``S22 + C`` is.  Returns ``C``, or None when ``S11`` is not
     negative definite (the Cholesky factorisation ``-S11 = L L^T`` fails).
-    ``S11`` is ``k x k`` and ``S21T`` ``k x m``; or ``S11`` is a
-    ``(T, c, c)`` stack that stands for the block diagonal matrix of its
-    steps, and ``S21T`` the ``(T, c, m)`` stack of the matching rows of
-    ``S21^T``: one batched Cholesky factors every step.  ``X = L^-1 S21^T``
-    is one (batched) product with the inverse factors, and ``C = X^T X``,
-    summed over the steps.  One triangle of ``S11`` is read, so it must be
-    exactly symmetric.
+    ``S11`` is a ``(T, c, c)`` stack that stands for the block diagonal
+    matrix of its steps (a ``k x k`` matrix is one step), and ``S21T`` the
+    ``(T, c, m)`` stack of the matching rows of ``S21^T``: one batched
+    Cholesky factors every step.  ``X = L^-1 S21^T`` is one batched product
+    with the inverse factors, and ``C = X^T X``, summed over the steps.
+    One triangle of ``S11`` is read, so it must be exactly symmetric.
     """
     try:
         L = np.linalg.cholesky(-S11)

@@ -9,10 +9,10 @@ conditions for every admissible structured model error (``eq44``,
 ``eq65``, ``eq101``).  One test, ``_accepts``, decides whether an
 inequality holds, for ``lmi_verify`` and for every candidate of the
 search: the Schur split at its leading block, from its blocks, so the
-whole inequality is never formed.  The search is a heuristic seeded by
-the discrete Lyapunov (Stein) solution of the loop, summed by doubling
-in numpy (per time step when the loop couples no two time steps), not a
-general-purpose semidefinite solver.
+whole inequality is never formed.  Below ``lmi_search`` and ``lmi_verify``
+every matrix is a stack of time steps (``_steps``; a loop that couples
+steps is one step).  The search is a heuristic seeded by the discrete
+Lyapunov (Stein) solution of the loop, not a semidefinite solver.
 Every catalog loop, every inequality's loop and every separation target
 is laid out by ``_robust_form`` as ``M0 + D delta E``; the tests check
 each unseparated loop against its law's step in the engine.  The laws run
@@ -318,10 +318,6 @@ class LmiCertificate:
         if not cholesky_negative_definite(np.negative(S, out=Q)):
             raise ValueError("assembled Q must be positive definite")
 
-    @property
-    def p(self) -> int:
-        return self.Q11.shape[0]
-
     def assembled(self) -> np.ndarray:
         return np.block([[self.Q11, self.Q21.T], [self.Q21, self.Q22]])
 
@@ -337,11 +333,30 @@ def _robust_loop(lmi_id: str, nominal, structure, gains):
     return _robust_form(_CATALOG[lmi_id][0], P0, gains, lmi_id)
 
 
+def _steps(p: int, *Ms: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each matrix of ``Ms`` as a stack of time steps: its ``p`` steps
+    (``matanalysis.time_steps``) when every one of ``Ms`` couples no two
+    time steps, else the whole matrix as one step, ``M[None]``.  Read
+    time-major, each matrix is block diagonal in the steps of its stack."""
+    read = [time_steps(M, p) for M in Ms]
+    if all(structure == "decoupled" for _, structure in read):
+        return tuple(steps for steps, _ in read)
+    return tuple(M[None] for M in Ms)
+
+
+def _scatter(Qs: np.ndarray) -> np.ndarray:
+    """The matrix whose stack of time steps (``_steps``) is ``Qs``."""
+    (s, c, _), t = Qs.shape, np.arange(len(Qs))
+    Q = np.zeros((c, s, c, s))
+    Q[:, t, :, t] = Qs
+    return Q.reshape(c * s, c * s)
+
+
 class _LmiBlocks(NamedTuple):
     """The blocks of the S-procedure inequality of a loop ``(M0, D, E)`` at
-    ``Q``, at ``tau = 1``; ``steps`` is the number of time steps its
-    leading block is read by (``matanalysis.time_steps``).  At ``tau`` the
-    inequality is
+    ``Q``, at ``tau = 1``, per time step (``_steps``): the steps of ``Q``
+    and ``Q M0``, and the rows of ``(phi2 E)^T`` and ``(phi1^T D^T Q)^T``
+    at each.  At ``tau`` the inequality is
 
         [[-Q,              *,                 *,        *     ],
          [Q M0,            -Q,                *,        *     ],
@@ -356,36 +371,39 @@ class _LmiBlocks(NamedTuple):
 
     Q: np.ndarray
     QM0: np.ndarray
-    phi2E: np.ndarray
-    phi1DQ: np.ndarray
-    steps: int
+    phi2E_T: np.ndarray
+    phi1DQ_T: np.ndarray
 
 
-def _lmi_blocks(Q: np.ndarray, loop, structure, steps: int) -> _LmiBlocks:
+def _lmi_blocks(Qs: np.ndarray, M0s: np.ndarray, loop, structure) -> _LmiBlocks:
     """The inequality's blocks (``_LmiBlocks``) of the loop ``(M0, D, E)``
-    at ``Q``.  A product that overflows warns nowhere: its tolerance is not
-    finite, which rejects it (``_accepts``)."""
-    M0, D, E = loop
-    if Q.shape != M0.shape:
-        raise ValueError("certificate dimension does not match the problem")
+    at the stack ``Qs``, with ``M0s`` the loop's stack of the same ``s``
+    steps; column ``i s + t`` of ``phi2 E`` and of ``phi1^T D^T`` is
+    ``[t, :, i]`` of its columns per step.  A product that overflows warns
+    nowhere: its tolerance is not finite, which rejects it (``_accepts``)."""
+    _, D, E = loop
     with np.errstate(over="ignore", invalid="ignore"):
-        return _LmiBlocks(Q, Q @ M0, structure.phi2 @ E, structure.phi1.T @ D.T @ Q, steps)
+        A, W = (
+            X.reshape(len(X), -1, len(Qs)).transpose(2, 0, 1)
+            for X in (structure.phi2 @ E, structure.phi1.T @ D.T)
+        )
+        return _LmiBlocks(Qs, Qs @ M0s, np.swapaxes(A, 1, 2), np.swapaxes(W @ Qs, 1, 2))
 
 
 def _tolerance(blocks: _LmiBlocks, tau: float) -> float:
     """``1e-9 |G(tau)|_inf``, the largest absolute row sum of the
-    inequality, from its blocks' absolute row and column sums (``Q`` is
-    symmetric).  Not finite when a sum overflows, with no warning."""
-    Q, QM0, A, B = (np.abs(X) for X in blocks[:4])
+    inequality, from its blocks' absolute row and column sums at each step
+    (``Q`` is symmetric).  Not finite when a sum overflows, with no warning."""
+    Q, QM0, A_T, B_T = (np.abs(X) for X in blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        q_rows = Q.sum(axis=1)
+        q_rows = Q.sum(axis=2)
         rows = (
-            q_rows + QM0.sum(axis=0) + tau * A.sum(axis=0),
-            QM0.sum(axis=1) + q_rows + B.sum(axis=0),
-            tau * A.sum(axis=1) + tau,
-            B.sum(axis=1) + tau,
+            q_rows + QM0.sum(axis=1) + tau * A_T.sum(axis=2),
+            QM0.sum(axis=2) + q_rows + B_T.sum(axis=2),
+            tau * A_T.sum(axis=(0, 1)) + tau,
+            B_T.sum(axis=(0, 1)) + tau,
         )
-        return 1e-9 * float(np.concatenate(rows).max())
+        return 1e-9 * float(np.max([X.max() for X in rows]))
 
 
 def _schur_term(blocks: _LmiBlocks, tol: float) -> np.ndarray | None:
@@ -393,33 +411,20 @@ def _schur_term(blocks: _LmiBlocks, tol: float) -> np.ndarray | None:
     ``tau = 1`` (``(r + q) x (r + q)``), or None when ``S11 + tol I`` is not
     negative definite (``matanalysis.negative_definite_schur_term``).
 
-    When ``Q`` and ``Q M0`` couple no two of the ``steps`` time steps
-    (``time_steps``), ``S11`` is, time-major, block diagonal: it is passed
-    as the ``(steps, 2b, 2b)`` stack of its steps (``b`` signals), with the
-    columns of ``S21`` gathered per step, and factored by one batched
-    Cholesky.  Any other ``S11`` is formed densely (``2n x 2n``).  An
+    Time-major, ``S11`` is block diagonal in the steps of the blocks: it
+    is passed as the ``(s, 2c, 2c)`` stack of its steps, with the rows of
+    ``S21^T`` at each step, and factored by one batched Cholesky.  An
     overflow warns nowhere: it leaves the term not finite."""
-    Q, QM0, A, B, steps = blocks
-    n, r, m = len(Q), len(A), len(A) + len(B)
-    Qs, q_structure = time_steps(Q, steps)
-    Ms, m_structure = time_steps(QM0, steps)
-    if q_structure == m_structure == "decoupled":
-        b = n // steps
-        S11 = np.empty((steps, 2 * b, 2 * b))
-        S11[:, :b, :b] = S11[:, b:, b:] = -Qs
-        S11[:, b:, :b] = Ms
-        S11[:, :b, b:] = np.swapaxes(Ms, 1, 2)
-        S21T = np.zeros((steps, 2 * b, m))  # S21T[t, i] = S21[:, i steps + t]
-        S21T[:, :b, :r] = A.reshape(r, b, steps).T
-        S21T[:, b:, r:] = B.reshape(-1, b, steps).T
-    else:
-        S11 = np.empty((2 * n, 2 * n))
-        S11[:n, :n] = S11[n:, n:] = -Q
-        S11[n:, :n], S11[:n, n:] = QM0, QM0.T
-        S21T = np.zeros((2 * n, m))
-        S21T[:n, :r], S21T[n:, r:] = A.T, B.T
-    diag = np.arange(S11.shape[-1])
-    S11[..., diag, diag] += tol
+    Q, QM0, A_T, B_T = blocks
+    s, c, r = A_T.shape
+    S11 = np.empty((s, 2 * c, 2 * c))
+    S11[:, :c, :c] = S11[:, c:, c:] = -Q
+    S11[:, c:, :c] = QM0
+    S11[:, :c, c:] = np.swapaxes(QM0, 1, 2)
+    S21T = np.zeros((s, 2 * c, r + B_T.shape[2]))
+    S21T[:, :c, :r], S21T[:, c:, r:] = A_T, B_T
+    diag = np.arange(2 * c)
+    S11[:, diag, diag] += tol
     with np.errstate(over="ignore", invalid="ignore"):
         return negative_definite_schur_term(S11, S21T)
 
@@ -442,7 +447,7 @@ def _accepts(blocks: _LmiBlocks, tau: float, tol: float, schur=None) -> bool:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.ones(len(C))
-        d[: len(blocks.phi2E)] = tau
+        d[: blocks.phi2E_T.shape[2]] = tau
         S = C * d
         S *= d[:, None]
         S.flat[:: len(S) + 1] -= tau
@@ -459,35 +464,35 @@ def lmi_verify(
     """Whether a certificate satisfies the cited block inequality.
 
     The inequality's blocks at the certificate's ``Q`` (exactly symmetric)
-    are tested by ``_accepts`` at ``1e-9 |G|_inf``, as every screened
-    candidate of ``lmi_search`` is.  An inequality that overflows is not
-    satisfied.
+    and the loop's ``M0``, gathered together into steps by ``_steps``, are
+    tested by ``_accepts`` at ``1e-9 |G|_inf``, as every screened candidate
+    of ``lmi_search`` is.  An inequality that overflows is not satisfied.
     """
     loop = _robust_loop(lmi_id, nominal, structure, gains)
-    blocks = _lmi_blocks(cert.assembled(), loop, structure, cert.p)
+    Q = cert.assembled()
+    if Q.shape != loop[0].shape:
+        raise ValueError("certificate dimension does not match the problem")
+    blocks = _lmi_blocks(*_steps(gains.observer.p, Q, loop[0]), loop, structure)
     return _accepts(blocks, cert.tau, _tolerance(blocks, cert.tau))
 
 
-def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
+def _lyapunov_seed(M0: np.ndarray, p: int, M0s: np.ndarray) -> np.ndarray | None:
     """The search's seed: the solution ``X`` of ``M0^T X M0 - X + I = 0``
-    for the loop ``M0`` (``p x p`` blocks), scaled to unit 2-norm, or None
-    when that loop is not finite or not stable, or ``X`` is not found
-    positive definite.
+    for the loop ``M0`` (``p x p`` blocks), in the steps of its stack
+    ``M0s`` (``_steps``), scaled to unit 2-norm, or None when that loop
+    is not finite or not stable, or ``X`` is not found positive definite.
 
     ``X = sum_k (M0^k)^T M0^k`` is summed by squared Smith doubling (R. A.
     Smith, SIAM J. Appl. Math. 16(1), 1968): from ``X = I``, ``A = M0``,
     each ``X += A^T X A``, ``A = A A`` doubles the terms summed.  The rest,
     ``A^T X_inf A``, is below ``X``'s rounding once ``|A|_F^2 <= eps``; a
     sum that is not there within 64 doublings, or that overflows, gives
-    None, with no warning.  A loop that couples no two time steps
-    (``matanalysis.time_steps``) is, time-major, block diagonal, and so
-    are its powers and ``X``: the doubling then runs on the stack of its
-    ``p`` small steps, batched, and the result is scattered back.
+    None, with no warning.  Each step of ``M0`` is summed on its own, and
+    so are its powers and ``X``: the doubling runs on the stack, batched.
     """
     if not np.isfinite(M0).all() or block_spectral_radius(M0, p)[0] >= 1.0:
         return None
-    steps, structure = time_steps(M0, p)
-    A = steps if structure == "decoupled" else M0
+    A = M0s
     X = np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()
     eps = np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
@@ -503,41 +508,36 @@ def _lyapunov_seed(M0: np.ndarray, p: int) -> np.ndarray | None:
     w = np.linalg.eigvalsh(X)
     if w[..., 0].min() <= 0:
         return None
-    X /= w[..., -1].max()
-    if structure != "decoupled":
-        return X
-    Qfull = np.zeros(M0.shape)
-    rows = np.arange(0, len(M0), p)[:, None] + np.arange(p)  # rows[i, t] = i p + t
-    Qfull[rows[:, None, :], rows[None, :, :]] = np.moveaxis(X, 0, -1)
-    return Qfull
+    return X / w[..., -1].max()
 
 
-def _lmi_grid(Qfull: np.ndarray, loop, structure):
-    """The search's candidates in grid order, as ``(Q, tau, blocks, screened)``.
+def _lmi_grid(Xs: np.ndarray, M0s: np.ndarray, loop, structure):
+    """The search's candidates in grid order, as ``(Qs, tau, blocks, screened)``.
 
-    For each block rescaling ``Q = D Qfull D`` of the seed, the
-    inequality's blocks (``_LmiBlocks``, at ``tau = 1``) are formed once
-    and serve every ``tau``.  Symmetry is checked once, exactly, on the
-    seed (else ``ValueError``): the rescalings are by powers of two, so
-    every ``Q`` is then exactly symmetric.
+    For each block rescaling ``Q = D X D`` of the seed, on the stack ``Xs``
+    (``scale`` on the first third of the rows of each step), the blocks
+    (``_LmiBlocks``, at ``tau = 1``) of the inequality on the loop's stack
+    ``M0s`` are formed once and serve every ``tau``.  Symmetry is checked
+    once, exactly, on the seed (else ``ValueError``): the rescalings are
+    by powers of two, so every ``Q`` is then exactly symmetric.
 
     ``screened`` is False when ``G(tau)`` is not negative definite even
     without a tolerance: ``_accepts`` at ``tol = 0``, on the Schur term at
     ``tau = 1`` that is formed once per rescaling (``_schur_term``), since
     ``S11`` does not depend on ``tau``.
     """
-    if not np.array_equal(Qfull, Qfull.T):
+    if not np.array_equal(Xs, np.swapaxes(Xs, 1, 2)):
         raise ValueError("matrix is not symmetric: the seed differs from its transpose")
-    p = Qfull.shape[0] // 3
+    b = Xs.shape[1] // 3
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
-        d = np.concatenate([np.full(p, scale), np.ones(2 * p)])
-        Q = d[:, None] * Qfull
-        Q *= d  # D Qfull D, entry by entry in the same order
-        blocks = _lmi_blocks(Q, loop, structure, p)
+        d = np.concatenate([np.full(b, scale), np.ones(2 * b)])
+        Qs = d[:, None] * Xs
+        Qs *= d  # D X D, entry by entry in the same order
+        blocks = _lmi_blocks(Qs, M0s, loop, structure)
         C = _schur_term(blocks, 0.0)
         for tau in np.logspace(-4, 4, 17):
             screened = C is not None and _accepts(blocks, tau, 0.0, C)
-            yield Q, float(tau), blocks, screened
+            yield Qs, float(tau), blocks, screened
 
 
 def lmi_search(
@@ -563,11 +563,13 @@ def lmi_search(
     """
     loop = _robust_loop(lmi_id, nominal, structure, gains)
     p = gains.observer.p
-    Qfull = _lyapunov_seed(loop[0], p)
-    if Qfull is None:
+    (M0s,) = _steps(p, loop[0])
+    Xs = _lyapunov_seed(loop[0], p, M0s)
+    if Xs is None:
         return None
-    for Q, tau, blocks, screened in _lmi_grid(Qfull, loop, structure):
+    for Qs, tau, blocks, screened in _lmi_grid(Xs, M0s, loop, structure):
         if screened and _accepts(blocks, tau, _tolerance(blocks, tau)):
+            Q = _scatter(Qs)
             return LmiCertificate(Q11=Q[:p, :p], Q21=Q[p:, :p], Q22=Q[p:, p:], tau=tau)
     return None
 

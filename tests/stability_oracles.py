@@ -10,7 +10,8 @@ its block-triangular target, ``load_certificate`` (with
 ``cholesky_negative_definite`` tests it by one in-place LAPACK Cholesky,
 as ``stability`` once did: the oracle of the Schur split that
 ``stability._accepts`` decides by.  ``inequality_of`` forms the matrix
-that a split's blocks stand for.
+that a split's blocks stand for, scattering each stack of time steps
+back into its matrix (``scatter_steps``).
 """
 
 import json
@@ -204,10 +205,24 @@ def cholesky_negative_definite(S: np.ndarray, tol: float, work: np.ndarray) -> b
     return info == 0
 
 
+def scatter_steps(steps):
+    """The matrix whose time-major steps are ``steps`` (``(p, b, b)``): a
+    ``b x b`` grid of diagonal ``p x p`` blocks, entry by entry."""
+    p, b, _ = steps.shape
+    M = np.zeros((b * p, b * p))
+    for t in range(p):
+        idx = np.arange(b) * p + t
+        M[np.ix_(idx, idx)] = steps[t]
+    return M
+
+
 def inequality_of(blocks: _LmiBlocks, tau: float) -> np.ndarray:
-    """The inequality that ``blocks`` stand for at ``tau``, formed densely:
-    its trailing rows are ``tau (phi2 E)``, as ``stability._accepts`` scales them."""
-    Q, QM0, A, B, _ = blocks
+    """The inequality that ``blocks`` stand for at ``tau``, formed densely
+    from their steps: its trailing rows are ``tau (phi2 E)``, as
+    ``stability._accepts`` scales them."""
+    Q, QM0 = scatter_steps(blocks.Q), scatter_steps(blocks.QM0)
+    # [t, i, k] of the rows per step is row i s + t
+    A, B = (X.transpose(2, 1, 0).reshape(X.shape[2], -1) for X in blocks[2:])
     n, r, q = len(Q), len(A), len(B)
     k = 2 * n + r
     S = np.zeros((k + q, k + q))

@@ -165,7 +165,7 @@ def test_simulate_empty_overrides_are_config_errors(tmp_path, capsys, flag, valu
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])
@@ -376,9 +376,7 @@ def test_check_file_reference_of_wrong_type_is_config_error(tmp_path, capsys, pa
     write_json(config, doc)
     rc = main(["check", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert ".".join(path) + ".file must be a string" in err
+    assert capsys.readouterr().err == f"error: {'.'.join(path)}.file must be a string, got 5\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])
@@ -461,16 +459,99 @@ def test_a_loop_that_overflows_is_a_verdict(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(sim), "--quiet"]) == EXIT_DIVERGED
     assert main(["check", "--config", str(config), "--out", str(chk), "--quiet"]) == EXIT_OK
     assert capsys.readouterr().err == ""
-    summary = json.loads((sim / "summary.json").read_text())
-    report = json.loads((chk / "report.json").read_text())
+    # an infinite radius and margin are written as null, in strict JSON
+    summary = strict_json(sim / "summary.json")
+    report = strict_json(chk / "report.json")
     assert all(run["diverged"] for run in summary["runs"])
     assert summary["conditions"] == report["conditions"]
     reports = {r["condition_id"]: r for r in report["conditions"]["0"]}
     for cid in ("eq04", "eq41", "eq48"):
         assert reports[cid]["method"] == "non_finite"
-        assert reports[cid]["rho"] == math.inf and reports[cid]["holds"] is False
+        assert reports[cid]["rho"] is None and reports[cid]["holds"] is False
+        assert reports[cid]["margin"] is None
     assert reports["eq17"]["method"] == "dense" and reports["eq17"]["holds"]  # no gain K in it
     assert report["lmi"] == {"id": "eq44", "found": False}
+
+
+def strict_json(path):
+    """The JSON document at ``path``, refusing ``NaN`` and ``Infinity``,
+    which RFC 8259 has no literal for."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "u0, K, drawn", [(None, 1e9, True), ([1e10], 0.5, False)], ids=["gain", "initial_input"]
+)
+def test_a_run_whose_error_overflows_is_divergence(tmp_path, capsys, u0, K, drawn):
+    # the error of a direct plant [[1e300]] overflows at the second row, or
+    # already at the first: each run is drawn up to its last finite error,
+    # and a run with none is left out, so with no curve there is no plot,
+    # not even the one an earlier run left in the directory
+    doc = {
+        "format_version": 1,
+        "plant": {"kind": "direct", "nominal": [[1e300]]},
+        "target": [1.0],
+        "gains": {"K": [[K]]},
+        "laws": ["p_type"],
+        "iterations": 5,
+    }
+    if u0 is not None:
+        doc["u0"] = u0
+    config = tmp_path / "config.json"
+    write_json(config, doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "plot.svg").write_text("a plot of an earlier run")
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_DIVERGED
+    assert capsys.readouterr().err == ""
+    (run,) = strict_json(out / "summary.json")["runs"]
+    trace = read_trace_csv(out / run["trace_file"])
+    assert run["diverged"] and not np.isfinite(trace["err_inf"][-1])
+    if drawn:
+        assert run["sup_err"] is None and run["final_tail_err"] is None
+        assert trace["err_inf"][0] == 1.0
+        # one curve of the one finite error
+        assert (out / "plot.svg").read_text().count("<polyline") == 1
+    else:
+        assert len(trace["err_inf"]) == 1
+        assert not (out / "plot.svg").exists()
+
+
+def test_a_value_error_after_load_keeps_its_traceback(tmp_path, monkeypatch):
+    # only a ConfigError is a config error (exit 2): a ValueError raised
+    # after the config is loaded is a fault of the program, and propagates
+    config = scalar_config(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken condition")
+
+    monkeypatch.setattr(iterlearn.stability, "check_condition", broken)
+    for command in ("simulate", "check"):
+        with pytest.raises(ValueError, match="broken condition"):
+            main([command, "--config", str(config), "--out", str(tmp_path / command), "--quiet"])
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_a_rank_deficient_pseudo_inverse_plant_is_a_config_error(tmp_path, capsys, command):
+    doc = {
+        "format_version": 1,
+        "plant": {"kind": "direct", "nominal": [[1.0, 2.0], [2.0, 4.0]]},
+        "target": [1.0, 1.0],
+        "gains": {"K": [[0.1, 0.0], [0.0, 0.1]], "H": {"directive": "pseudo_inverse_H"}},
+        "laws": ["p_type"],
+        "iterations": 5,
+    }
+    config = tmp_path / "config.json"
+    write_json(config, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    err = "error: P must have full row rank for the pseudo-inverse gain\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])
@@ -695,8 +776,41 @@ def test_check_rejects_what_simulate_rejects(tmp_path, capsys, case):
         assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert not out.exists()
         errors.append(captured.err)
     assert errors[0] == errors[1] == f"error: {message}\n"
+
+
+MISFIT_STRUCTURE = "structure.phi1 must have 2 rows and structure.phi2 2 columns for this plant"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("structure", {"phi1": [[0.05]], "phi2": K2}, MISFIT_STRUCTURE),
+        ("structure", {"phi1": K2, "phi2": [[1.0, 0.0, 0.0]]}, MISFIT_STRUCTURE),
+        (
+            "surrogate", [[1.0, 0.0, 0.0], [0.2, 0.9, 0.0]],
+            "surrogate must be 2x2 for this plant, got shape (2, 3)",
+        ),
+    ],
+    ids=["phi1_rows", "phi2_columns", "surrogate"],
+)
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_a_structure_or_surrogate_that_misfits_the_plant_is_a_config_error(
+    tmp_path, capsys, command, field, value, message
+):
+    # checked at load: the certificate search, and the condition eq95
+    # around the surrogate (with no eso_model_free law to check it), would
+    # only meet the shapes after the output directory is made
+    config = small_config(tmp_path, {"K": K2, "H": H2, **OBSERVER}, ["p_type"])
+    doc = json.loads(config.read_text())
+    doc[field] = value
+    write_json(config, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def hand_rule_condition_ids(observer, H, Hbar, surrogate, nominal):

@@ -43,6 +43,7 @@ from iterlearn.stability import (
     _robust_form,
     _robust_loop,
     _schur_term,
+    _steps,
     _tolerance,
     certificate_to_dict,
     check_condition,
@@ -60,6 +61,7 @@ from stability_oracles import (
     inequality_of,
     load_certificate,
     sample_structured_delta,
+    scatter_steps,
     theorem_implication_check,
     verify_separation,
 )
@@ -453,7 +455,7 @@ def test_search_and_verify_accept_by_one_test(monkeypatch):
     accepts = stability._accepts
 
     def counted(blocks, tau, tol, schur=None):
-        calls.append((b"".join(X.tobytes() for X in blocks[:4]), blocks.steps, tau, tol))
+        calls.append((b"".join(X.tobytes() for X in blocks), blocks.Q.shape, tau, tol))
         return accepts(blocks, tau, tol, schur)
 
     monkeypatch.setattr(stability, "_accepts", counted)
@@ -856,13 +858,25 @@ def random_lmi_problem(rng, lmi_id, p, identity_phi2):
     return P0, StructuredUncertainty(phi1=phi1, phi2=phi2), gains
 
 
+def seed_of(M0, p):
+    """``_lyapunov_seed`` of the loop ``M0``, on its stack of time steps."""
+    return _lyapunov_seed(M0, p, *_steps(p, M0))
+
+
+def dense_seed(M0, p):
+    """``_lyapunov_seed``, scattered from its stack of time steps into a matrix."""
+    X = seed_of(M0, p)
+    return None if X is None else scatter_steps(X)
+
+
 def grid_of(lmi_id, nominal, structure, gains):
-    """Every candidate of the search, with the ``G(tau)`` its blocks stand for."""
+    """Every candidate of the search, its ``Q`` scattered from its stack,
+    with the ``G(tau)`` its blocks stand for."""
     loop = _robust_loop(lmi_id, nominal, structure, gains)
-    Qfull = _lyapunov_seed(loop[0], gains.observer.p)
-    assert Qfull is not None
-    grid = _lmi_grid(Qfull, loop, structure)
-    return [(Q, tau, inequality_of(blocks, tau)) for Q, tau, blocks, _ in grid]
+    Xs = seed_of(loop[0], gains.observer.p)
+    assert Xs is not None
+    grid = _lmi_grid(Xs, *_steps(gains.observer.p, loop[0]), loop, structure)
+    return [(scatter_steps(Qs), tau, inequality_of(blocks, tau)) for Qs, tau, blocks, _ in grid]
 
 
 def assert_same_certificate_as_scipy_seeded(cert, lmi_id, problem, budget=200):
@@ -883,7 +897,7 @@ def test_lmi_search_matches_reference_on_random_problems():
     for i in range(10):
         for lmi_id in LMI_IDS:
             problem = random_lmi_problem(rng, lmi_id, i % 5 + 1, identity_phi2=i % 2 == 0)
-            ref = reference_lmi_search(lmi_id, *problem, seed=_lyapunov_seed)
+            ref = reference_lmi_search(lmi_id, *problem, seed=dense_seed)
             cert = lmi_search(lmi_id, *problem)
             assert_same_certificate_as_scipy_seeded(cert, lmi_id, problem)
             if ref is None:
@@ -893,7 +907,7 @@ def test_lmi_search_matches_reference_on_random_problems():
             assert cert.assembled().tobytes() == ref.assembled().tobytes()
             found += 1
             past_first_scale += (
-                reference_lmi_search(lmi_id, *problem, budget=17, seed=_lyapunov_seed) is None
+                reference_lmi_search(lmi_id, *problem, budget=17, seed=dense_seed) is None
             )
     # both outcomes occur, and some certificates lie past the first scale's 17 candidates
     assert 0 < past_first_scale < found < 30
@@ -929,17 +943,6 @@ def wide_reference_problem(horizon):
     gains = presets.reference_gains(surrogate)
     I = np.eye(horizon)
     return surrogate, StructuredUncertainty(phi1=0.05 * I, phi2=I), gains
-
-
-def scatter_steps(steps):
-    """The loop whose time-major steps are ``steps`` (``(p, b, b)``): a
-    ``b x b`` grid of diagonal ``p x p`` blocks, entry by entry."""
-    p, b, _ = steps.shape
-    M = np.zeros((b * p, b * p))
-    for t in range(p):
-        idx = np.arange(b) * p + t
-        M[np.ix_(idx, idx)] = steps[t]
-    return M
 
 
 def random_decoupled_loop(rng, p, b):
@@ -979,7 +982,7 @@ def seed_problems():
 
 def test_lyapunov_seed_matches_scipy_and_solves_the_stein_equation():
     for M0, p in seed_problems():
-        Q, ref = _lyapunov_seed(M0, p), scipy_lyapunov_seed(M0, p)
+        Q, ref = dense_seed(M0, p), scipy_lyapunov_seed(M0, p)
         assert Q is not None and ref is not None
         assert np.array_equal(Q, Q.T)
         assert np.abs(Q - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -995,12 +998,12 @@ def test_lyapunov_seed_matches_scipy_and_solves_the_stein_equation():
 def test_lyapunov_seed_rejects_unstable_and_overflowing_loops_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _lyapunov_seed(np.diag([0.5, 1.0]), 1) is None  # rho = 1
-        assert _lyapunov_seed(np.diag([0.5, -1.5]), 1) is None
+        assert seed_of(np.diag([0.5, 1.0]), 1) is None  # rho = 1
+        assert seed_of(np.diag([0.5, -1.5]), 1) is None
         # stable, with transients past the float range: |M0|_F^2 overflows
         # at once, or the sum does while the powers still decay
-        assert _lyapunov_seed(np.array([[0.5, 1e200], [0.0, 0.5]]), 1) is None
-        assert _lyapunov_seed(np.array([[0.5, 1e154], [0.0, 0.5]]), 1) is None
+        assert seed_of(np.array([[0.5, 1e200], [0.0, 0.5]]), 1) is None
+        assert seed_of(np.array([[0.5, 1e154], [0.0, 0.5]]), 1) is None
         # the same as each entry times I_3, summed per time step, and the
         # radius 1 or 1.5 in one step among stable ones
         for M0 in (
@@ -1012,7 +1015,7 @@ def test_lyapunov_seed_rejects_unstable_and_overflowing_loops_without_warnings()
             scatter_steps(np.array([[[0.5]], [[-1.5]], [[0.25]]])),
         ):
             assert time_steps(M0, 3)[1] == "decoupled"
-            assert _lyapunov_seed(M0, 3) is None
+            assert seed_of(M0, 3) is None
 
 
 def test_lyapunov_seed_converges_within_the_cap_near_the_stability_edge():
@@ -1020,7 +1023,7 @@ def test_lyapunov_seed_converges_within_the_cap_near_the_stability_edge():
     # series is I / (1 - rho^2), so the seed is I
     rho, t = 1 - 1e-6, 0.3
     M0 = rho * np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-    Q = _lyapunov_seed(np.kron(np.eye(2), M0), 2)
+    Q = dense_seed(np.kron(np.eye(2), M0), 2)
     assert Q is not None
     assert np.abs(Q - np.eye(4)).max() <= 1e-12
 
@@ -1034,7 +1037,7 @@ def test_both_seed_paths_converge_within_the_cap_near_the_stability_edge():
     for p in (2, 5):
         M = np.kron(M0, np.eye(p))
         assert time_steps(M, p)[1] == "decoupled"
-        Q = _lyapunov_seed(M, p)
+        Q = dense_seed(M, p)
         assert Q is not None
         assert np.abs(Q - np.eye(2 * p)).max() <= 1e-12
 
@@ -1045,21 +1048,29 @@ def test_per_step_seed_rejects_a_loop_with_one_indefinite_step():
     bad = 0.5 * np.eye(4) + 1e8 * np.eye(4, k=1)
     M0 = scatter_steps(np.stack([0.5 * np.eye(4), bad]))
     assert time_steps(M0, 2)[1] == "decoupled"
-    assert _lyapunov_seed(M0, 2) is None and _lyapunov_seed(M0, 1) is None
-    assert _lyapunov_seed(scatter_steps(np.stack([0.5 * np.eye(4)] * 2)), 2) is not None
+    assert seed_of(M0, 2) is None and seed_of(M0, 1) is None
+    assert seed_of(scatter_steps(np.stack([0.5 * np.eye(4)] * 2)), 2) is not None
+
+
+def one_step(p, *Ms):
+    """``stability._steps`` as if every loop coupled time steps: each
+    matrix whole, as one step."""
+    return tuple(M[None] for M in Ms)
 
 
 def test_per_step_seed_reaches_the_dense_seeds_certificate_on_the_wide_problem(monkeypatch):
-    # with p = 1 no time structure is read, so the dense doubling runs
+    # with p = 1 no time structure is read, so the doubling runs on one
+    # step, the whole loop; with every matrix one step, so does the search
     for horizon in (20, 100):
         problem = wide_reference_problem(horizon)
         M0 = _robust_loop("eq101", *problem)[0]
         assert time_steps(M0, horizon)[1] == "decoupled"
-        Q, dense = _lyapunov_seed(M0, horizon), _lyapunov_seed(M0, 1)
-        assert np.abs(Q - dense).max() <= 1e-12 * np.abs(dense).max()
+        Q, dense = dense_seed(M0, horizon), seed_of(M0, 1)
+        assert dense.shape == (1, 3 * horizon, 3 * horizon)
+        assert np.abs(Q - dense[0]).max() <= 1e-12 * np.abs(dense).max()
         cert = lmi_search("eq101", *problem)
         with monkeypatch.context() as m:
-            m.setattr(stability, "_lyapunov_seed", lambda M0, p: dense)
+            m.setattr(stability, "_steps", one_step)
             ref = lmi_search("eq101", *problem)
         assert cert is not None and ref is not None
         assert cert.tau == ref.tau
@@ -1077,7 +1088,7 @@ def test_lyapunov_seed_rejects_the_transient_bad_model_free_loops():
     for draw in (0, 21):
         M = loop_matrix("eq102", presets.reference_plant(draw, 100), gains, surrogate)
         assert block_spectral_radius(M, 100)[0] < 1
-        assert _lyapunov_seed(M, 100) is None
+        assert seed_of(M, 100) is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # scipy warns that it perturbed its input
             assert scipy_lyapunov_seed(M, 100) is None
@@ -1088,10 +1099,10 @@ def test_lmi_grid_rejects_an_asymmetric_seed():
     # from a symmetric seed is exactly symmetric
     problem = random_lmi_problem(np.random.default_rng(3), "eq101", 2, identity_phi2=True)
     loop = _robust_loop("eq101", *problem)
-    Qfull = _lyapunov_seed(loop[0], 2)
-    Qfull[0, 1] = np.nextafter(Qfull[0, 1], np.inf)
+    Xs = seed_of(loop[0], 2)
+    Xs[0, 0, 1] = np.nextafter(Xs[0, 0, 1], np.inf)
     with pytest.raises(ValueError, match="not symmetric"):
-        next(_lmi_grid(Qfull, loop, problem[1]))
+        next(_lmi_grid(Xs, *_steps(2, loop[0]), loop, problem[1]))
 
 
 def test_lyapunov_seed_imports_no_scipy():
@@ -1099,15 +1110,16 @@ def test_lyapunov_seed_imports_no_scipy():
     script = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "import numpy as np\n"
-        "from iterlearn.stability import _lyapunov_seed\n"
-        "print(_lyapunov_seed(np.diag([0.5, 0.25, 0.125]), 1).shape,"
-        " _lyapunov_seed(np.kron(np.diag([0.5, 0.25]), np.eye(2)), 2).shape,"
+        "from iterlearn.stability import _lyapunov_seed, _steps\n"
+        "seed = lambda M0, p: _lyapunov_seed(M0, p, *_steps(p, M0))\n"
+        "print(seed(np.diag([0.5, 0.25, 0.125]), 1).shape,"
+        " seed(np.kron(np.diag([0.5, 0.25]), np.eye(2)), 2).shape,"
         " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True
     )
-    assert done.stdout == "(3, 3) (4, 4) []\n"
+    assert done.stdout == "(1, 3, 3) (2, 2, 2) []\n"
 
 
 def test_screen_rejects_only_what_the_full_test_rejects():
@@ -1123,9 +1135,10 @@ def test_screen_rejects_only_what_the_full_test_rejects():
     counts = {(s, v): 0 for s in (False, True) for v in (False, True)}
     for lmi_id, problem in problems:
         loop = _robust_loop(lmi_id, *problem)
-        Qfull = _lyapunov_seed(loop[0], problem[2].observer.p)
-        assert Qfull is not None
-        for _, tau, blocks, screened in _lmi_grid(Qfull, loop, problem[1]):
+        Xs = seed_of(loop[0], problem[2].observer.p)
+        assert Xs is not None
+        p = problem[2].observer.p
+        for _, tau, blocks, screened in _lmi_grid(Xs, *_steps(p, loop[0]), loop, problem[1]):
             verdict = cholesky_verdict(inequality_of(blocks, tau))
             assert screened or not verdict
             counts[screened, verdict] += 1
@@ -1155,7 +1168,7 @@ def random_decoupled_problem(rng, p, b):
     loop = (M0, rng.standard_normal((n, p)), rng.standard_normal((p, n)))
     phi1 = 10 ** rng.uniform(-3, -1) * rng.standard_normal((p, int(rng.integers(1, 4))))
     phi2 = rng.standard_normal((int(rng.integers(1, 4)), p))
-    return loop, StructuredUncertainty(phi1=phi1, phi2=phi2), _lyapunov_seed(M0, p)
+    return loop, StructuredUncertainty(phi1=phi1, phi2=phi2), seed_of(M0, p)
 
 
 def decoupled_problems(bs=(1, 3)):
@@ -1180,53 +1193,52 @@ def oracle_schur_term(blocks, tol):
     """The Schur term at ``tau = 1`` by one dense solve on the inequality
     the blocks stand for."""
     G = inequality_of(blocks, 1.0)
-    k = 2 * len(blocks.Q)
+    k = 2 * blocks.Q.shape[0] * blocks.Q.shape[1]
     return G[k:, :k] @ np.linalg.solve(-G[:k, :k] - tol * np.eye(k), G[k:, :k].T)
 
 
 def test_per_step_schur_term_matches_the_dense_factorisation(monkeypatch):
-    # one time step (steps = 1) reads no time structure, so it takes the
-    # dense path; both match a dense solve, with and without a tolerance
+    # the same blocks as one time step (each stack scattered whole) take
+    # one Cholesky of the whole leading block; both match a dense solve,
+    # with and without a tolerance
     shapes = batched_factorisations(monkeypatch)
-    for p, (loop, structure, Q) in decoupled_problems():
-        blocks = _lmi_blocks(Q, loop, structure, p)
+    for p, (loop, structure, Xs) in decoupled_problems():
+        (M0s,) = _steps(p, loop[0])
+        blocks = _lmi_blocks(Xs, M0s, loop, structure)
+        Q = scatter_steps(Xs)
+        whole = _lmi_blocks(Q[None], loop[0][None], loop, structure)
         k = 2 * len(Q)
         for tol in (0.0, _tolerance(blocks, 1.0)):
             C = _schur_term(blocks, tol)
-            dense = _schur_term(blocks._replace(steps=1), tol)
-            assert shapes == [(p, k // p, k // p), (k, k)]
+            dense = _schur_term(whole, tol)
+            assert shapes == [(p, k // p, k // p), (1, k, k)]
             shapes.clear()
             assert np.abs(C - dense).max() <= 1e-12 * np.abs(dense).max()
             oracle = oracle_schur_term(blocks, tol)
             assert np.abs(C - oracle).max() <= 1e-12 * np.abs(oracle).max()
-        # time step 1 made positive definite: no Schur term on either path
-        steps = np.arange(0, len(Q), p) + 1
-        bad = blocks._replace(Q=Q.copy(), QM0=blocks.QM0.copy())
-        for X in (bad.Q, bad.QM0):
-            X[np.ix_(steps, steps)] *= -1
-        assert time_steps(bad.Q, p)[1] == time_steps(bad.QM0, p)[1] == "decoupled"
+        # time step 1 made positive definite: no Schur term either way
+        bad = blocks._replace(Q=Xs.copy(), QM0=blocks.QM0.copy())
+        bad.Q[1] *= -1
+        bad.QM0[1] *= -1
         assert _schur_term(bad, 0.0) is None
-        assert _schur_term(bad._replace(steps=1), 0.0) is None
+        bad_whole = _lmi_blocks(scatter_steps(bad.Q)[None], loop[0][None], loop, structure)
+        bad_whole.QM0[0] = scatter_steps(bad.QM0)
+        assert _schur_term(bad_whole, 0.0) is None
         shapes.clear()
-        # one entry of 1e-300 couples time steps 0 and 1: the dense path
-        coupled = blocks._replace(Q=Q.copy())
-        coupled.Q[0, 1] = coupled.Q[1, 0] = 1e-300
-        C_coupled = _schur_term(coupled, 0.0)
-        assert all(len(shape) == 2 for shape in shapes)
-        assert C_coupled.tobytes() == _schur_term(coupled._replace(steps=1), 0.0).tobytes()
+        # one entry of 1e-300 couples time steps 0 and 1: each matrix is one step
+        coupled = Q.copy()
+        coupled[0, 1] = coupled[1, 0] = 1e-300
+        C_coupled = _schur_term(_lmi_blocks(*_steps(p, coupled, loop[0]), loop, structure), 0.0)
+        assert shapes == [(1, k, k)]
         C = _schur_term(blocks, 0.0)
         assert np.abs(C_coupled - C).max() <= 1e-12 * np.abs(C).max()
         shapes.clear()
 
 
 def test_wide_search_forms_the_schur_term_per_step(monkeypatch):
-    # the dense Schur term (one time step reads no time structure) returns
-    # the same certificate bit for bit
-    schur_term = stability._schur_term
-
-    def dense(blocks, tol):
-        return schur_term(blocks._replace(steps=1), tol)
-
+    # the Schur term is formed per step; the search with every matrix as
+    # one time step (``_steps`` replaced), from the same seed, returns the
+    # same certificate bit for bit
     for horizon in (20, 100):
         problem = wide_reference_problem(horizon)
         with monkeypatch.context() as m:
@@ -1234,18 +1246,49 @@ def test_wide_search_forms_the_schur_term_per_step(monkeypatch):
             cert = lmi_search("eq101", *problem)
         batched = [shape for shape in shapes if len(shape) == 3]
         assert batched and set(batched) == {(horizon, 6, 6)}
+        seed = seed_of(_robust_loop("eq101", *problem)[0], horizon)
+        assert seed.shape == (horizon, 3, 3)
         with monkeypatch.context() as m:
-            m.setattr(stability, "_schur_term", dense)
+            m.setattr(stability, "_steps", one_step)
+            m.setattr(stability, "_lyapunov_seed", lambda M0, p, M0s: scatter_steps(seed)[None])
+            shapes = batched_factorisations(m)
             ref = lmi_search("eq101", *problem)
+        assert {shape for shape in shapes if len(shape) == 3} == {(1, 6 * horizon, 6 * horizon)}
         assert cert is not None and ref is not None and cert.tau == ref.tau
         assert cert.assembled().tobytes() == ref.assembled().tobytes()
         if horizon == 100:
             # tau = 1e-4 at the second rescaling, 0.5: a Schur term per
             # rescaling for the screen, and one at the full test's tolerance
-            seed = _lyapunov_seed(_robust_loop("eq101", *problem)[0], horizon)
+            seed = scatter_steps(seed)
             assert cert.tau == 1e-4 and len(batched) == 3
             assert np.array_equal(cert.Q11, 0.25 * seed[:horizon, :horizon])
             assert np.array_equal(cert.Q22, seed[horizon:, horizon:])
+
+
+def test_verify_of_a_certificate_that_couples_two_steps_agrees_with_the_dense_oracle(
+    monkeypatch,
+):
+    # one symmetric entry of 1e-300 couples time steps 0 and 1 of the wide
+    # certificate: lmi_verify then reads Q and M0 as one step each, and its
+    # verdict is that of one dense Cholesky of the inequality, at the
+    # certificate's tau and at the largest of the grid
+    shapes = batched_factorisations(monkeypatch)
+    verdicts = []
+    for h in (20, 100):
+        problem = wide_reference_problem(h)
+        loop = _robust_loop("eq101", *problem)
+        found = lmi_search("eq101", *problem)
+        Q = found.assembled()
+        Q[0, 1] = Q[1, 0] = 1e-300
+        assert time_steps(Q, h)[1] is None
+        for tau in (found.tau, 1e4):
+            cert = LmiCertificate(Q11=Q[:h, :h], Q21=Q[h:, :h], Q22=Q[h:, h:], tau=tau)
+            assert cert.Q11[0, 1] == cert.Q11[1, 0] == 1e-300
+            shapes.clear()
+            verdicts.append(lmi_verify("eq101", cert, *problem))
+            assert shapes[0] == (1, 6 * h, 6 * h)
+            assert verdicts[-1] == cholesky_verdict(_assemble_lmi(Q, tau, loop, problem[1]))
+    assert verdicts == [True, False, True, False]
 
 
 def test_screen_rejects_only_what_the_full_test_rejects_on_decoupled_problems():
@@ -1253,8 +1296,8 @@ def test_screen_rejects_only_what_the_full_test_rejects_on_decoupled_problems():
     # no two time steps (so a per-step Schur term) at every rescaling
     counts = {(s, v): 0 for s in (False, True) for v in (False, True)}
     problems = decoupled_problems(bs=(3,))
-    for p, (loop, structure, Qfull) in problems:
-        for _, tau, blocks, screened in _lmi_grid(Qfull, loop, structure):
+    for p, (loop, structure, Xs) in problems:
+        for _, tau, blocks, screened in _lmi_grid(Xs, *_steps(p, loop[0]), loop, structure):
             G = inequality_of(blocks, tau)
             assert time_steps(G[: 6 * p, : 6 * p], p)[1] == "decoupled"
             verdict = cholesky_verdict(G)
@@ -1287,7 +1330,7 @@ def search_problems():
     return problems + [("eq101", wide_reference_problem(20)), ("eq101", wide_reference_problem(100))]
 
 
-def split_against_oracle(Qfull, loop, structure):
+def split_against_oracle(Xs, loop, structure, p):
     """Each candidate of the grid as ``(Q, tau, verdict)``, with the verdict
     of the split acceptor at ``1e-9 ||G||_inf`` asserted against one dense
     Cholesky of the inequality as first assembled (``(tau phi2) E``, not
@@ -1295,7 +1338,8 @@ def split_against_oracle(Qfull, loop, structure):
     of ``G`` (the smallest of ``-G``) lies within 1e-12 relative of
     ``-tol``; such a candidate's verdict is None."""
     candidates = []
-    for Q, tau, blocks, screened in _lmi_grid(Qfull, loop, structure):
+    for Qs, tau, blocks, screened in _lmi_grid(Xs, *_steps(p, loop[0]), loop, structure):
+        Q = scatter_steps(Qs)
         G = _assemble_lmi(Q, tau, loop, structure)
         tol, split_tol = 1e-9 * induced_norm(G, "infinity"), _tolerance(blocks, tau)
         assert abs(split_tol - tol) <= 1e-13 * tol
@@ -1315,12 +1359,12 @@ def test_split_acceptor_agrees_with_the_dense_oracle():
     found = 0
     for lmi_id, problem in search_problems():
         loop = _robust_loop(lmi_id, *problem)
-        Qfull = _lyapunov_seed(loop[0], problem[2].observer.p)
+        Xs = seed_of(loop[0], problem[2].observer.p)
         cert = lmi_search(lmi_id, *problem)
-        if Qfull is None:
+        if Xs is None:
             assert cert is None
             continue
-        verdicts = split_against_oracle(Qfull, loop, problem[1])
+        verdicts = split_against_oracle(Xs, loop, problem[1], problem[2].observer.p)
         decided = list(itertools.takewhile(lambda c: c[2] is not None, verdicts))
         accepted = [(Q, tau) for Q, tau, verdict in decided if verdict]
         if accepted:
@@ -1332,9 +1376,9 @@ def test_split_acceptor_agrees_with_the_dense_oracle():
     assert 200 < found < 413
     verdicts = [  # the wide problem at T = 100 stands for the large ones
         verdict
-        for p, (loop, structure, Qfull) in decoupled_problems(bs=(3,))
+        for p, (loop, structure, Xs) in decoupled_problems(bs=(3,))
         if p < 100
-        for _, _, verdict in split_against_oracle(Qfull, loop, structure)
+        for _, _, verdict in split_against_oracle(Xs, loop, structure, p)
     ]
     assert 0 < sum(map(bool, verdicts)) < len(verdicts) and None not in verdicts
 
@@ -1472,7 +1516,7 @@ def test_a_loop_that_overflows_is_a_verdict_without_warnings():
         assert check_condition("eq17", plant, gains44).holds
         assert lmi_search("eq44", P0, structure, gains44) is None
         assert lmi_search("eq65", P0, structure, gains65) is None
-        assert _lyapunov_seed(np.array([[0.5, math.inf], [0.0, 0.5]]), 1) is None
+        assert seed_of(np.array([[0.5, math.inf], [0.0, 0.5]]), 1) is None
 
 
 def test_ill_posed_certificate_problems_raise():
@@ -1506,10 +1550,10 @@ def test_wide_search_budget_pins_grid_order_and_memory():
     problem = wide_reference_problem(100)
     # the first scale's 17 candidates all fail; the 18th, the first of
     # scale 0.5, verifies
-    assert reference_lmi_search("eq101", *problem, budget=17, seed=_lyapunov_seed) is None
+    assert reference_lmi_search("eq101", *problem, budget=17, seed=dense_seed) is None
 
     ref, ref_peak = traced_peak(
-        reference_lmi_search, "eq101", *problem, budget=18, seed=_lyapunov_seed
+        reference_lmi_search, "eq101", *problem, budget=18, seed=dense_seed
     )
     cert, peak = traced_peak(lmi_search, "eq101", *problem)
 
