@@ -72,6 +72,17 @@ def _distinct(values: list, name: str) -> list:
     return values
 
 
+def _seeds(values, name: str) -> list[int]:
+    """The distinct nonnegative integer seeds of the array ``values``, at
+    least one."""
+    seeds = _distinct([_integer(s, f"{name} entry") for s in _array(values, name)], name)
+    if not seeds:
+        raise ConfigError(f"{name} must list at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"{name} entry must be nonnegative, got {min(seeds)}")
+    return seeds
+
+
 def _directive(obj):
     """The ``directive`` of a gain given as an object, else None."""
     return obj.get("directive") if isinstance(obj, dict) else None
@@ -144,17 +155,17 @@ def _parse_uncertainty(obj, dimension: int) -> plant.UncertaintyModel:
 
 
 class Experiment:
-    """A parsed config able to materialize per-seed runs.
+    """A config built whole: every seed's plant, gain set and runs.
 
-    The whole config is parsed and checked at load, every seed's gain set
-    included (``check_gains``), so a config error is raised before anything
-    is written.  Each seed's plant is built once and shared by every run,
-    condition report and certificate search of that seed.  Every seed
-    shares one nominal map, ``nominal`` (a zero or a lifted nominal for a
-    lifted plant), each law and one gain set, ``gains``, built at load
-    (``hbar_from_nominal`` reads ``nominal``).  Only a ``pseudo_inverse_H``
-    reads the seed's plant, so ``gains_for`` gives each seed the shared set
-    with its own ``H``, built once per seed.
+    ``plants`` and ``seed_gains`` map each seed to its plant and gain set,
+    and ``configs`` each law to its runs, one ``SimulationConfig`` per seed
+    in the order of ``seeds``.  All of it is built here, so a config error
+    is raised before anything is written and nothing after can fail for a
+    config reason.  Every seed shares one nominal map, ``nominal`` (a zero
+    or a lifted nominal for a lifted plant), one ``LearningLaw`` per law
+    and one gain set, ``gains`` (``hbar_from_nominal`` reads ``nominal``).
+    Only a ``pseudo_inverse_H`` reads the seed's plant, so with it each
+    seed's gain set is ``gains`` with the seed's own ``H``.
     """
 
     def __init__(self, doc: dict, base: Path):
@@ -167,7 +178,7 @@ class Experiment:
         self.base = base
         try:
             self.laws: list[str] = _array(doc["laws"], "laws")
-            self.set_iterations(_integer(doc["iterations"], "iterations"))
+            self.iterations = _integer(doc["iterations"], "iterations")
         except KeyError as exc:
             raise ConfigError(f"config missing field {exc}") from exc
         if not self.laws:
@@ -176,20 +187,14 @@ class Experiment:
             if mode not in learner.LAW_MODES:
                 raise ConfigError(f"unknown law {mode!r}")
         _distinct(self.laws, "laws")
-        seeds = _array(doc.get("seeds", [0]), "seeds")
-        self.seeds = _distinct([_integer(s, "seeds entry") for s in seeds], "seeds")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        self.seeds = _seeds(doc.get("seeds", [0]), "seeds")
         self.output_dir = doc.get("output_dir")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {json.dumps(self.output_dir)}")
 
         self._gains_doc = _object(doc.get("gains") or {}, "gains")
-        self._ilc_base: plant.LiftedIlcSystem | None = None
-        self._plants: dict[int, plant.TransferPlant] = {}
-        self._seed_gains: dict[int, GainSet] = {}
-        self._laws: dict[str, LearningLaw] = {}
-        p, m = self._parse_plant(_object(doc.get("plant"), "plant"))
+        self.plants = self._parse_plant(_object(doc.get("plant"), "plant"))
+        p, m = self.nominal.shape
         if doc.get("target") is None:
             raise ConfigError("config missing field 'target'")
         self.target = _vector(doc["target"], "target", p)
@@ -207,9 +212,12 @@ class Experiment:
                 band = _object(surr["banded"], "surrogate.banded")
                 from .presets import banded_surrogate
 
+                size = _integer(band["size"], "surrogate.banded.size")
+                if size < 1:
+                    raise ConfigError(f"surrogate.banded.size must be at least 1, got {size}")
                 diagonals = _array(band["diagonals"], "surrogate.banded.diagonals")
                 self.surrogate = banded_surrogate(
-                    _integer(band["size"], "surrogate.banded.size"),
+                    size,
                     tuple(_number(d, "surrogate.banded.diagonals entry") for d in diagonals),
                 )
             else:
@@ -235,63 +243,44 @@ class Experiment:
                     f"structure.phi1 must have {p} rows and structure.phi2 {m} columns"
                     " for this plant"
                 )
-        try:
-            self.gains = self._parse_gains()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        self.check_gains()
-
-    def set_iterations(self, iterations: int) -> None:
-        """Set the run length, from the config or an override."""
-        if iterations < 1:
-            raise ConfigError("iterations must be at least 1")
-        self.iterations = iterations
+        self.gains = self._parse_gains()
+        self.seed_gains = {seed: self._gains(seed) for seed in self.seeds}
+        self.configs = {law: self._runs(law) for law in self.laws}
 
     # -- plant ---------------------------------------------------------
-    def _parse_plant(self, doc: dict) -> tuple[int, int]:
-        """Read what of the plant does not depend on the seed; return its shape."""
+    def _parse_plant(self, doc: dict) -> dict[int, plant.TransferPlant]:
+        """Read the plant, set ``nominal`` and return each seed's plant."""
         kind = doc.get("kind", "direct")
         if kind == "direct":
             delta = doc.get("delta")
             try:
-                self._direct = plant.TransferPlant(
+                direct = plant.TransferPlant(
                     nominal=_matrix_field(doc["nominal"], "plant.nominal", self.base),
                     delta=delta if delta is None else _matrix_field(delta, "plant.delta", self.base),
                 )
             except KeyError as exc:
                 raise ConfigError(f"plant missing field {exc}") from exc
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            self.nominal = self._direct.nominal
-            return self._direct.shape
+            self.nominal = direct.nominal
+            return dict.fromkeys(self.seeds, direct)
         if kind != "ilc_lift":
             raise ConfigError(f"unknown plant kind {kind!r}")
-        self._ilc_base = self._ilc_system(doc)
-        self._level = _number(doc.get("element_uncertainty", 0.0), "plant.element_uncertainty")
-        if self._level < 0:
-            raise ConfigError(f"plant.element_uncertainty must be nonnegative, got {self._level}")
+        sys0 = self._ilc_system(doc)
+        level = _number(doc.get("element_uncertainty", 0.0), "plant.element_uncertainty")
+        if level < 0:
+            raise ConfigError(f"plant.element_uncertainty must be nonnegative, got {level}")
         role = doc.get("role", "model_free")
-        horizon = self._ilc_base.horizon
-        shape = horizon * self._ilc_base.n_outputs, horizon * self._ilc_base.n_inputs
         if role == "uncertain_nominal":
-            self.nominal, _, _ = plant.lift_ilc(self._ilc_base)
+            self.nominal, _, _ = plant.lift_ilc(sys0)
         elif role == "model_free":
-            self.nominal = np.zeros(shape)
+            self.nominal = np.zeros((sys0.horizon * sys0.n_outputs, sys0.horizon * sys0.n_inputs))
         else:
             raise ConfigError(f"unknown plant role {role!r}")
-        return shape
-
-    def plant_for(self, seed: int) -> plant.TransferPlant:
-        if self._ilc_base is None:
-            return self._direct
-        if seed not in self._plants:
-            sys0 = self._ilc_base
-            sys_true = plant.perturb_system(sys0, self._level, seed) if self._level > 0 else sys0
+        plants = {}
+        for seed in self.seeds:
+            sys_true = plant.perturb_system(sys0, level, seed) if level > 0 else sys0
             P_true, _, _ = plant.lift_ilc(sys_true)
-            self._plants[seed] = plant.TransferPlant(
-                nominal=self.nominal, delta=P_true - self.nominal
-            )
-        return self._plants[seed]
+            plants[seed] = plant.TransferPlant(nominal=self.nominal, delta=P_true - self.nominal)
+        return plants
 
     def _ilc_system(self, doc) -> plant.LiftedIlcSystem:
         sys_doc = doc.get("system")
@@ -307,24 +296,11 @@ class Experiment:
             raise ConfigError(f"invalid ILC system: {exc}") from exc
 
     # -- gains ----------------------------------------------------------
-    def check_gains(self) -> None:
-        """Build every seed's gain set, so that an invalid gain is a
-        ``ConfigError`` before anything is written."""
-        for seed in self.seeds:
-            self.gains_for(seed)
-
-    def gains_for(self, seed: int) -> GainSet:
-        """The seed's gains: ``gains``, with the seed's own ``pseudo_inverse_H``,
-        built once per seed like its plant."""
-        try:
-            if _directive(self._gains_doc.get("H")) != "pseudo_inverse_H":
-                return self.gains
-            if seed not in self._seed_gains:
-                H = learner.synth_H_pseudo(self.plant_for(seed).full())
-                self._seed_gains[seed] = replace(self.gains, H=H)
-            return self._seed_gains[seed]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    def _gains(self, seed: int) -> GainSet:
+        """The seed's gains: ``gains``, with the seed's own ``pseudo_inverse_H``."""
+        if _directive(self._gains_doc.get("H")) != "pseudo_inverse_H":
+            return self.gains
+        return replace(self.gains, H=learner.synth_H_pseudo(self.plants[seed].full()))
 
     def _parse_gains(self) -> GainSet:
         """The gain set every seed shares, without a ``pseudo_inverse_H``."""
@@ -346,7 +322,7 @@ class Experiment:
             K = _matrix_field(K_doc, "gains.K", self.base)
 
         H, H_doc, d = None, doc.get("H"), _directive(doc.get("H"))
-        if d and d != "pseudo_inverse_H":  # that one is each seed's, from gains_for
+        if d and d != "pseudo_inverse_H":  # that one is each seed's, from _gains
             raise ConfigError(f"unknown H directive {d!r}")
         if H_doc is not None and not d:
             H = _matrix_field(H_doc, "gains.H", self.base)
@@ -380,25 +356,21 @@ class Experiment:
             observer = ObserverGain(*(obs_gain(doc[n], f"gains.{n}") for n in ("L1", "L2")))
         return GainSet(K=K, H=H, Hbar=Hbar, observer=observer)
 
-    # -- per-run config ---------------------------------------------------
-    def simulation_config(self, law_mode: str, seed: int) -> SimulationConfig:
-        gains = self.gains_for(seed)
-        try:
-            if law_mode not in self._laws:
-                surrogate = self.surrogate if law_mode == "eso_model_free" else None
-                self._laws[law_mode] = LearningLaw(mode=law_mode, surrogate=surrogate)
-            return SimulationConfig(
-                plant=self.plant_for(seed),
-                target=self.target,
-                uncertainty=self.uncertainty,
-                gains=gains,
-                law=self._laws[law_mode],
-                iterations=self.iterations,
-                u0=self.u0,
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    # -- runs ------------------------------------------------------------
+    def _runs(self, law_mode: str) -> list[SimulationConfig]:
+        """The law's run for each seed, all with one ``LearningLaw``."""
+        surrogate = self.surrogate if law_mode == "eso_model_free" else None
+        shared = dict(
+            target=self.target,
+            uncertainty=self.uncertainty,
+            law=LearningLaw(mode=law_mode, surrogate=surrogate),
+            iterations=self.iterations,
+            u0=self.u0,
+        )
+        return [
+            SimulationConfig(plant=self.plants[s], gains=self.seed_gains[s], seed=s, **shared)
+            for s in self.seeds
+        ]
 
     # -- condition reports -------------------------------------------------
     def condition_map(self) -> dict[str, list[dict]]:
@@ -413,10 +385,10 @@ class Experiment:
 
     def condition_reports(self, seed: int, forms=None) -> list[stability.ConditionReport]:
         """The seed's reports of its conditions (``stability.applicable_conditions``).
-        ``forms`` maps ``(id, gain set)`` to the gain set, the condition's
-        form and its report if no model error enters it, so seeds sharing
-        the dict and a gain set add only their model error and radius."""
-        a_plant, gains = self.plant_for(seed), self.gains_for(seed)
+        ``forms`` maps ``(id, gain set)`` to the condition's form and its
+        report if no model error enters it, so seeds sharing the dict and a
+        gain set add only their model error and radius."""
+        a_plant, gains = self.plants[seed], self.seed_gains[seed]
         forms = {} if forms is None else forms
 
         def report(cid, form):
@@ -424,24 +396,38 @@ class Experiment:
 
         reports = []
         for cid in stability.applicable_conditions(gains, self.nominal, self.surrogate):
-            key = (cid, id(gains))  # the value keeps the gain set, and so its id, alive
+            key = (cid, id(gains))
             if key not in forms:
                 form = stability.condition_form(cid, a_plant, gains, self.surrogate)
                 error_free = cid in stability.ERROR_FREE_IDS
-                forms[key] = gains, form, report(cid, form) if error_free else None
-            _, form, shared = forms[key]
+                forms[key] = form, report(cid, form) if error_free else None
+            form, shared = forms[key]
             reports.append(shared or report(cid, form))
         return reports
 
 
-def load_experiment(path) -> Experiment:
+def load_experiment(
+    path, seeds: list[int] | None = None, iterations: int | None = None
+) -> Experiment:
+    """The experiment of the config at ``path``, built whole (``Experiment``),
+    with ``seeds`` and ``iterations``, when given, in place of the config's.
+    A ``ValueError`` raised by the build is a ``ConfigError`` here, and
+    nowhere else."""
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return Experiment(doc, base=path.parent)
+    if isinstance(doc, dict):
+        overrides = {"seeds": seeds, "iterations": iterations}
+        doc.update((key, value) for key, value in overrides.items() if value is not None)
+    try:
+        return Experiment(doc, base=path.parent)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _strict(obj):
@@ -485,19 +471,14 @@ def cmd_lift(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    exp = load_experiment(args.config)
+    seeds = None
     if args.seeds is not None:
         try:  # each entry a JSON integer, as in the config's seeds
             seeds = json.loads(f"[{args.seeds}]")
         except ValueError:
             raise ConfigError(f"--seeds must list integers, got {args.seeds!r}") from None
-        exp.seeds = _distinct([_integer(s, "--seeds entry") for s in seeds], "--seeds")
-        if not exp.seeds:
-            raise ConfigError("--seeds must list at least one seed")
-        exp.check_gains()
-    if args.iterations is not None:
-        exp.set_iterations(args.iterations)
-    configs = {law: [exp.simulation_config(law, seed) for seed in exp.seeds] for law in exp.laws}
+        seeds = _seeds(seeds, "--seeds")
+    exp = load_experiment(args.config, seeds, args.iterations)
     out = Path(args.out or exp.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -505,7 +486,7 @@ def cmd_simulate(args) -> int:
     runs = []
     curves = []
     for law in exp.laws:
-        for seed, trace in zip(exp.seeds, learner.run_batch(configs[law], states=False)):
+        for seed, trace in zip(exp.seeds, learner.run_batch(exp.configs[law], states=False)):
             trace_file = out / f"trace_{law}_seed{seed}.csv"
             learner.write_trace_csv(trace_file, trace)
             n = len(trace)
@@ -556,8 +537,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     exp = load_experiment(args.config)
-    for law in exp.laws:  # rejects what simulate rejects
-        exp.simulation_config(law, exp.seeds[0])
     out = Path(args.out or exp.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     report = {"format_version": FORMAT_VERSION, "conditions": exp.condition_map()}
@@ -565,7 +544,7 @@ def cmd_check(args) -> int:
         seed = exp.seeds[0]
         ids = [r["condition_id"] for r in report["conditions"][str(seed)]]
         lmi_id, nominal = stability.certified_inequality(ids, exp.nominal, exp.surrogate)
-        cert = lmi_id and stability.lmi_search(lmi_id, nominal, exp.structure, exp.gains_for(seed))
+        cert = lmi_id and stability.lmi_search(lmi_id, nominal, exp.structure, exp.seed_gains[seed])
         report["lmi"] = {"id": lmi_id, "found": cert is not None}
         if cert is not None:
             cert_file = out / "certificate.json"

@@ -114,6 +114,8 @@ class UncertaintyModel:
             raise ValueError(f"unknown uncertainty kind {self.kind!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.kind == "constant":
             self.value = self._vector(self.value, "value")
         elif self.kind == "ramp":

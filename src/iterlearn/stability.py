@@ -375,19 +375,26 @@ class _LmiBlocks(NamedTuple):
     phi1DQ_T: np.ndarray
 
 
-def _lmi_blocks(Qs: np.ndarray, M0s: np.ndarray, loop, structure) -> _LmiBlocks:
-    """The inequality's blocks (``_LmiBlocks``) of the loop ``(M0, D, E)``
-    at the stack ``Qs``, with ``M0s`` the loop's stack of the same ``s``
-    steps; column ``i s + t`` of ``phi2 E`` and of ``phi1^T D^T`` is
-    ``[t, :, i]`` of its columns per step.  A product that overflows warns
-    nowhere: its tolerance is not finite, which rejects it (``_accepts``)."""
+def _structure_steps(loop, structure, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(phi2 E)^T`` and ``phi1^T D^T`` of the loop ``(M0, D, E)`` per step
+    of a stack of ``s`` (column ``i s + t`` is ``[t, :, i]`` before the
+    transpose), formed once per search or verification: no ``Q`` enters
+    them.  A product that overflows warns nowhere: its tolerance is not
+    finite, which rejects it (``_accepts``)."""
     _, D, E = loop
     with np.errstate(over="ignore", invalid="ignore"):
         A, W = (
-            X.reshape(len(X), -1, len(Qs)).transpose(2, 0, 1)
+            X.reshape(len(X), -1, s).transpose(2, 0, 1)
             for X in (structure.phi2 @ E, structure.phi1.T @ D.T)
         )
-        return _LmiBlocks(Qs, Qs @ M0s, np.swapaxes(A, 1, 2), np.swapaxes(W @ Qs, 1, 2))
+    return np.swapaxes(A, 1, 2), W
+
+
+def _lmi_blocks(Qs: np.ndarray, M0s: np.ndarray, A_T, W) -> _LmiBlocks:
+    """The inequality's blocks (``_LmiBlocks``) at the stack ``Qs``, on the
+    loop's stack ``M0s`` of the same steps and its ``_structure_steps``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _LmiBlocks(Qs, Qs @ M0s, A_T, np.swapaxes(W @ Qs, 1, 2))
 
 
 def _tolerance(blocks: _LmiBlocks, tau: float) -> float:
@@ -472,7 +479,8 @@ def lmi_verify(
     Q = cert.assembled()
     if Q.shape != loop[0].shape:
         raise ValueError("certificate dimension does not match the problem")
-    blocks = _lmi_blocks(*_steps(gains.observer.p, Q, loop[0]), loop, structure)
+    Qs, M0s = _steps(gains.observer.p, Q, loop[0])
+    blocks = _lmi_blocks(Qs, M0s, *_structure_steps(loop, structure, len(Qs)))
     return _accepts(blocks, cert.tau, _tolerance(blocks, cert.tau))
 
 
@@ -529,11 +537,12 @@ def _lmi_grid(Xs: np.ndarray, M0s: np.ndarray, loop, structure):
     if not np.array_equal(Xs, np.swapaxes(Xs, 1, 2)):
         raise ValueError("matrix is not symmetric: the seed differs from its transpose")
     b = Xs.shape[1] // 3
+    A_T, W = _structure_steps(loop, structure, len(Xs))
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
         d = np.concatenate([np.full(b, scale), np.ones(2 * b)])
         Qs = d[:, None] * Xs
         Qs *= d  # D X D, entry by entry in the same order
-        blocks = _lmi_blocks(Qs, M0s, loop, structure)
+        blocks = _lmi_blocks(Qs, M0s, A_T, W)
         C = _schur_term(blocks, 0.0)
         for tau in np.logspace(-4, 4, 17):
             screened = C is not None and _accepts(blocks, tau, 0.0, C)

@@ -191,10 +191,10 @@ def test_simulate_duplicate_seed_override_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["1_0", "+2", "01", "1.0", "true", "1,2,"])
+@pytest.mark.parametrize("value", ["1_0", "+2", "01", "1.0", "true", "1,2,", "-2", "3,-1"])
 def test_simulate_seed_override_takes_json_integers(tmp_path, capsys, value):
-    # each --seeds entry is read as the config's seeds are, a JSON integer:
-    # int() would run 1_0 as seed 10 and +2 as seed 2
+    # each --seeds entry is read as the config's seeds are, a JSON integer
+    # not below 0: int() would run 1_0 as seed 10 and +2 as seed 2
     config = write_reference_experiment(tmp_path, seeds=[1], iterations=5)
     out = tmp_path / "out"
     argv = ["simulate", "--config", str(config), "--out", str(out), "--seeds", value]
@@ -209,6 +209,7 @@ MALFORMED_FIELDS = [
     (("seeds",), [None]),
     (("seeds",), "12"),
     (("seeds",), [1.5]),
+    (("seeds",), [1, -1]),
     (("iterations",), None),
     (("iterations",), "30"),
     (("iterations",), 2.5),
@@ -245,6 +246,11 @@ MALFORMED_FIELD_IDS = [
 UNUSABLE_NUMBER_FIELDS = {
     "element_uncertainty=NaN": (("plant", "element_uncertainty"), math.nan),
     "element_uncertainty=-0.3": (("plant", "element_uncertainty"), -0.3),
+    "size=-1": (("surrogate", "banded", "size"), -1),
+    "size=0": (("surrogate", "banded", "size"), 0),
+    "uncertainty.seed=-3": (
+        ("uncertainty",), {"kind": "seeded_bounded", "bound": 0.1, "seed": -3}
+    ),
     "bound=NaN": (("uncertainty",), {"kind": "seeded_bounded", "bound": math.nan}),
     "bound=Infinity": (("uncertainty",), {"kind": "seeded_bounded", "bound": math.inf}),
     "scaled_identity=Infinity": (("gains", "L1"), {"scaled_identity": math.inf}),
@@ -616,6 +622,18 @@ def test_malformed_ilc_system_file_is_config_error(tmp_path, capsys, command, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_a_negative_seed_of_a_direct_plant_is_a_config_error(tmp_path, capsys, command):
+    # the seed reaches only the uncertainty of a direct plant, when its runs
+    # are stepped; it is still rejected at load
+    uncertainty = {"kind": "seeded_bounded", "bound": 0.1, "seed": None}
+    config = scalar_config(tmp_path, uncertainty=uncertainty, seeds=(-1,))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: seeds entry must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
 def test_simulate_all_diverged_exit_code(tmp_path):
     config = scalar_config(tmp_path, k_val=3.0, iterations=400)
     out = tmp_path / "out"
@@ -631,6 +649,20 @@ def test_simulate_invalid_config(tmp_path):
     bad = tmp_path / "c.json"
     write_json(bad, {"format_version": 1, "laws": [], "iterations": 5})
     assert main(["simulate", "--config", str(bad), "--quiet"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_an_integer_json_cannot_read_is_a_config_error(tmp_path, capsys, command):
+    # json.load raises a ValueError that is not a JSONDecodeError for an
+    # integer of more than 4300 digits
+    config = scalar_config(tmp_path)
+    text = config.read_text().replace('"iterations": 30', '"iterations": ' + "9" * 5000)
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON in ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulate_missing_config_is_io_error(tmp_path):
@@ -656,7 +688,7 @@ def test_simulate_unresolvable_directive(tmp_path):
 def test_gains_that_do_not_read_the_plant_are_built_once(tmp_path):
     config = write_reference_experiment(tmp_path, seeds=[1, 2], iterations=5)
     exp = load_experiment(config)
-    a, b = (exp.simulation_config("eso_model_free", seed) for seed in (1, 2))
+    a, b = exp.configs["eso_model_free"]  # seeds 1 and 2
     assert a.plant is not b.plant
     assert a.law is b.law
     for name in ("K", "Hbar", "observer"):
@@ -664,12 +696,13 @@ def test_gains_that_do_not_read_the_plant_are_built_once(tmp_path):
     # the pseudo-inverse gain reads each seed's plant
     doc = json.loads(config.read_text())
     doc["gains"] = {"K": doc["gains"]["K"], "H": {"directive": "pseudo_inverse_H"}}
+    doc["laws"] = ["p_type"]  # the one law these gains serve; every run is built at load
     write_json(config, doc)
     exp = load_experiment(config)
-    a, b = exp.gains_for(1), exp.gains_for(2)
+    a, b = exp.seed_gains[1], exp.seed_gains[2]
     assert a.K is b.K
     for seed, gains in ((1, a), (2, b)):
-        P = exp.plant_for(seed).full()
+        P = exp.plants[seed].full()
         assert np.array_equal(gains.H, synth_H_pseudo(P))
     assert not np.array_equal(a.H, b.H)
 
@@ -992,8 +1025,8 @@ def test_simulate_writes_the_traces_of_recorded_runs(tmp_path):
     exp = load_experiment(config)
     diverged = 0
     for law in exp.laws:
-        for seed in exp.seeds:
-            trace = run(exp.simulation_config(law, seed))
+        for seed, run_config in zip(exp.seeds, exp.configs[law]):
+            trace = run(run_config)
             diverged += trace.diverged
             text = (out / f"trace_{law}_seed{seed}.csv").read_text(encoding="ascii")
             assert text == trace_to_csv(trace)
@@ -1074,6 +1107,47 @@ def test_pseudo_inverse_H_is_built_once_per_seed(tmp_path, monkeypatch):
         assert main([command, "--config", str(config), "--out", str(tmp_path / command),
                      "--quiet"]) == EXIT_OK
         assert len(calls) == len(seeds)
+
+
+def test_every_lift_and_pseudo_inverse_happens_at_load(tmp_path, monkeypatch):
+    # the experiment is built whole by load_experiment: each seed's plant,
+    # gain set and runs; the commands only read them
+    from collections import Counter
+
+    from iterlearn import cli, learner, plant
+
+    seeds = [1, 2, 3]
+    config = write_reference_experiment(tmp_path, seeds=seeds, iterations=5)
+    doc = json.loads(config.read_text())
+    _pseudo_inverse_H(doc)
+    doc["plant"]["role"] = "uncertain_nominal"  # one more lift: the nominal system
+    doc["structure"] = {"phi1": (0.05 * np.eye(20)).tolist(), "phi2": np.eye(20).tolist()}
+    write_json(config, doc)
+
+    calls, at_load = Counter(), []
+    for module, name in ((plant, "lift_ilc"), (learner, "synth_H_pseudo")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+        )
+    real_load = cli.load_experiment
+
+    def load(*args):
+        exp = real_load(*args)
+        assert list(exp.plants) == list(exp.seed_gains) == exp.seeds == seeds
+        for law in exp.laws:
+            assert [c.seed for c in exp.configs[law]] == seeds
+        at_load.append(Counter(calls))
+        return exp
+
+    monkeypatch.setattr(cli, "load_experiment", load)
+    for command in ("simulate", "check"):
+        calls.clear()
+        at_load.clear()
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command),
+                     "--quiet"]) == EXIT_OK
+        assert calls == {"lift_ilc": len(seeds) + 1, "synth_H_pseudo": len(seeds)}
+        assert at_load == [calls]
 
 
 def test_pseudo_inverse_H_keeps_the_eq41_loop_block_triangular(tmp_path):
@@ -1164,7 +1238,7 @@ def test_condition_reports_reuse_the_seed_independent_work(tmp_path, monkeypatch
     # each seed's reports are those of a fresh experiment's check_condition
     for seed in seeds:
         fresh = load_experiment(config)
-        a_plant, gains = fresh.plant_for(seed), fresh.gains_for(seed)
+        a_plant, gains = fresh.plants[seed], fresh.seed_gains[seed]
         expected = [
             stability.check_condition(cid, a_plant, gains, fresh.surrogate).to_dict()
             for cid in ids

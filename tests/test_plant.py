@@ -226,6 +226,15 @@ def test_seeded_bounded_deterministic_and_bounded():
     assert np.abs(rows).max() <= 0.3
 
 
+def test_a_negative_seed_is_rejected():
+    # numpy's default_rng takes no seed below 0
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        UncertaintyModel.seeded_bounded(4, bound=0.3, seed=-1)
+    unseeded = UncertaintyModel(kind="seeded_bounded", dimension=4, bound=0.3)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -2"):
+        unseeded.with_seed(-2)
+
+
 ALL_KIND_MODELS = [
     UncertaintyModel.zero(2),
     UncertaintyModel.constant([0.3, -1.0]),

@@ -44,6 +44,7 @@ from iterlearn.stability import (
     _robust_loop,
     _schur_term,
     _steps,
+    _structure_steps,
     _tolerance,
     certificate_to_dict,
     check_condition,
@@ -1181,6 +1182,11 @@ def decoupled_problems(bs=(1, 3)):
     ]
 
 
+def lmi_blocks(Qs, M0s, loop, structure):
+    """``_lmi_blocks`` with the loop's ``_structure_steps`` formed for it."""
+    return _lmi_blocks(Qs, M0s, *_structure_steps(loop, structure, len(Qs)))
+
+
 def batched_factorisations(monkeypatch):
     """The shapes ``np.linalg.cholesky`` is called on: within a search, a
     stack of steps only by the per-step Schur term."""
@@ -1204,9 +1210,9 @@ def test_per_step_schur_term_matches_the_dense_factorisation(monkeypatch):
     shapes = batched_factorisations(monkeypatch)
     for p, (loop, structure, Xs) in decoupled_problems():
         (M0s,) = _steps(p, loop[0])
-        blocks = _lmi_blocks(Xs, M0s, loop, structure)
+        blocks = lmi_blocks(Xs, M0s, loop, structure)
         Q = scatter_steps(Xs)
-        whole = _lmi_blocks(Q[None], loop[0][None], loop, structure)
+        whole = lmi_blocks(Q[None], loop[0][None], loop, structure)
         k = 2 * len(Q)
         for tol in (0.0, _tolerance(blocks, 1.0)):
             C = _schur_term(blocks, tol)
@@ -1221,14 +1227,14 @@ def test_per_step_schur_term_matches_the_dense_factorisation(monkeypatch):
         bad.Q[1] *= -1
         bad.QM0[1] *= -1
         assert _schur_term(bad, 0.0) is None
-        bad_whole = _lmi_blocks(scatter_steps(bad.Q)[None], loop[0][None], loop, structure)
+        bad_whole = lmi_blocks(scatter_steps(bad.Q)[None], loop[0][None], loop, structure)
         bad_whole.QM0[0] = scatter_steps(bad.QM0)
         assert _schur_term(bad_whole, 0.0) is None
         shapes.clear()
         # one entry of 1e-300 couples time steps 0 and 1: each matrix is one step
         coupled = Q.copy()
         coupled[0, 1] = coupled[1, 0] = 1e-300
-        C_coupled = _schur_term(_lmi_blocks(*_steps(p, coupled, loop[0]), loop, structure), 0.0)
+        C_coupled = _schur_term(lmi_blocks(*_steps(p, coupled, loop[0]), loop, structure), 0.0)
         assert shapes == [(1, k, k)]
         C = _schur_term(blocks, 0.0)
         assert np.abs(C_coupled - C).max() <= 1e-12 * np.abs(C).max()
@@ -1263,6 +1269,26 @@ def test_wide_search_forms_the_schur_term_per_step(monkeypatch):
             assert cert.tau == 1e-4 and len(batched) == 3
             assert np.array_equal(cert.Q11, 0.25 * seed[:horizon, :horizon])
             assert np.array_equal(cert.Q22, seed[horizon:, horizon:])
+
+
+def test_the_structure_products_are_formed_once_per_search_and_verify(monkeypatch):
+    # phi2 E and phi1^T D^T do not depend on Q: the search at T = 100
+    # visits two rescalings (it finds its certificate at the second), and
+    # it and a verification each form them once
+    from collections import Counter
+
+    calls = Counter()
+    for name in ("_structure_steps", "_lmi_blocks"):
+        real = getattr(stability, name)
+        monkeypatch.setattr(
+            stability, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+        )
+    problem = wide_reference_problem(100)
+    cert = lmi_search("eq101", *problem)
+    assert calls == {"_structure_steps": 1, "_lmi_blocks": 2}
+    calls.clear()
+    assert lmi_verify("eq101", cert, *problem)
+    assert calls == {"_structure_steps": 1, "_lmi_blocks": 1}
 
 
 def test_verify_of_a_certificate_that_couples_two_steps_agrees_with_the_dense_oracle(
