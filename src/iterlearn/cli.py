@@ -375,34 +375,15 @@ class Experiment:
     # -- condition reports -------------------------------------------------
     def condition_map(self) -> dict[str, list[dict]]:
         """Each seed's condition reports, as written to summary.json and
-        report.json.  The seeds share one dict of forms, released after this
-        pass, before ``check`` searches for a certificate."""
-        forms: dict = {}
-        return {
-            str(seed): [r.to_dict() for r in self.condition_reports(seed, forms)]
-            for seed in self.seeds
-        }
-
-    def condition_reports(self, seed: int, forms=None) -> list[stability.ConditionReport]:
-        """The seed's reports of its conditions (``stability.applicable_conditions``).
-        ``forms`` maps ``(id, gain set)`` to the condition's form and its
-        report if no model error enters it, so seeds sharing the dict and a
-        gain set add only their model error and radius."""
-        a_plant, gains = self.plants[seed], self.seed_gains[seed]
-        forms = {} if forms is None else forms
-
-        def report(cid, form):
-            return stability.check_condition(cid, a_plant, gains, self.surrogate, form)
-
-        reports = []
-        for cid in stability.applicable_conditions(gains, self.nominal, self.surrogate):
-            key = (cid, id(gains))
-            if key not in forms:
-                form = stability.condition_form(cid, a_plant, gains, self.surrogate)
-                error_free = cid in stability.ERROR_FREE_IDS
-                forms[key] = form, report(cid, form) if error_free else None
-            form, shared = forms[key]
-            reports.append(shared or report(cid, form))
+        report.json: one ``stability.condition_reports`` per gain set, for
+        every seed at once unless each seed has its own ``pseudo_inverse_H``."""
+        shared = all(self.seed_gains[seed] is self.gains for seed in self.seeds)
+        reports = {}
+        for group in [self.seeds] if shared else [[seed] for seed in self.seeds]:
+            batch = stability.condition_reports(
+                [self.plants[seed] for seed in group], self.seed_gains[group[0]], self.surrogate
+            )
+            reports.update((str(seed), [r.to_dict() for r in rs]) for seed, rs in zip(group, batch))
         return reports
 
 
@@ -541,10 +522,9 @@ def cmd_check(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report = {"format_version": FORMAT_VERSION, "conditions": exp.condition_map()}
     if exp.structure is not None:
-        seed = exp.seeds[0]
-        ids = [r["condition_id"] for r in report["conditions"][str(seed)]]
-        lmi_id, nominal = stability.certified_inequality(ids, exp.nominal, exp.surrogate)
-        cert = lmi_id and stability.lmi_search(lmi_id, nominal, exp.structure, exp.seed_gains[seed])
+        gains = exp.seed_gains[exp.seeds[0]]
+        lmi_id, nominal = stability.certified_inequality(gains, exp.nominal, exp.surrogate)
+        cert = lmi_id and stability.lmi_search(lmi_id, nominal, exp.structure, gains)
         report["lmi"] = {"id": lmi_id, "found": cert is not None}
         if cert is not None:
             cert_file = out / "certificate.json"

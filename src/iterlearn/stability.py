@@ -14,8 +14,10 @@ every matrix is a stack of time steps (``_steps``; a loop that couples
 steps is one step).  The search is a heuristic seeded by the discrete
 Lyapunov (Stein) solution of the loop, not a semidefinite solver.
 Every catalog loop, every inequality's loop and every separation target
-is laid out by ``_robust_form`` as ``M0 + D delta E``; the tests check
-each unseparated loop against its law's step in the engine.  The laws run
+is laid out by ``_robust_form`` as ``M0 + D delta E``, and
+``condition_reports`` builds each ``M0`` once for plants that share a
+nominal map and gain set; the tests check each unseparated loop against
+its law's step in the engine.  The laws run
 ``eq04`` (``p_type``), ``eq04`` with ``eq17`` (``eso_full_state``, its
 observer on the true map), ``eq41`` and ``eq62`` (``eso_mixed`` and
 ``eso_robust``, on the nominal map) and ``eq102`` (``eso_model_free``).
@@ -44,14 +46,13 @@ __all__ = [
     "CONDITION_IDS",
     "SEPARATION_IDS",
     "LMI_IDS",
-    "ERROR_FREE_IDS",
     "ConditionReport",
     "LmiCertificate",
     "applicable_conditions",
     "certified_inequality",
-    "condition_form",
     "loop_matrix",
     "check_condition",
+    "condition_reports",
     "lmi_verify",
     "lmi_search",
     "certificate_to_dict",
@@ -77,10 +78,6 @@ _CATALOG = {
     "eq101": ("aggregated", "surrogate", "phi1 sigma phi2", "eq102 for every structured error"),
 }
 
-#: Conditions no model error enters: their matrix is the loop at zero error.
-ERROR_FREE_IDS = tuple(cid for cid in CONDITION_IDS if _CATALOG[cid][2] is None)
-
-
 def applicable_conditions(gains: GainSet, nominal, surrogate=None) -> list[str]:
     """The catalog conditions of a config, in ``CONDITION_IDS`` order: each
     whose design's gains ``gains`` hold all, whose map exists (a surrogate
@@ -97,13 +94,12 @@ def applicable_conditions(gains: GainSet, nominal, surrogate=None) -> list[str]:
     return [cid for cid in CONDITION_IDS if applies(*_CATALOG[cid])]
 
 
-def certified_inequality(condition_ids, nominal, surrogate=None):
-    """The inequality ``check`` searches for a config with the conditions
-    ``condition_ids`` (in ``CONDITION_IDS`` order), and the map it is built
-    around: the inequality at the design and map of the last condition
-    that has one (``eq102`` before ``eq62`` before ``eq41``), else
-    ``(None, None)``."""
-    for cid in reversed(condition_ids):
+def certified_inequality(gains: GainSet, nominal, surrogate=None):
+    """The inequality ``check`` searches for a config, and the map it is
+    built around: the inequality at the design and map of the last of its
+    ``applicable_conditions`` that has one (``eq102`` before ``eq62`` before
+    ``eq41``), else ``(None, None)``."""
+    for cid in reversed(applicable_conditions(gains, nominal, surrogate)):
         for lmi_id in LMI_IDS:
             if _CATALOG[lmi_id][:2] == _CATALOG[cid][:2]:
                 return lmi_id, surrogate if _CATALOG[lmi_id][1] == "surrogate" else nominal
@@ -192,12 +188,7 @@ def _at_error(loop, delta: np.ndarray) -> np.ndarray:
     return M
 
 
-def condition_form(
-    condition_id: str,
-    plant: TransferPlant | None = None,
-    gains: GainSet | None = None,
-    surrogate=None,
-):
+def _form(condition_id: str, plant: TransferPlant | None, gains: GainSet | None, surrogate):
     """A catalog condition's loop before any model error enters it: the map
     it is built around and its layout ``(M0, D, E)`` there, from
     ``_robust_form`` for the design ``_CATALOG`` names (``eq17``: None and
@@ -217,12 +208,35 @@ def condition_form(
     return X, _robust_form(design, X, gains, condition_id)
 
 
+def _loop_at(condition_id: str, form, plant: TransferPlant | None) -> np.ndarray:
+    """The condition's matrix: its ``_form`` at the model error of ``plant``
+    that the catalog names."""
+    X, loop = form
+    error = _CATALOG[condition_id][2]
+    if error is None:
+        return loop[0]
+    plant = _require(plant, "a plant", condition_id)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _at_error(loop, plant.delta if error == "plant.delta" else plant.full() - X)
+
+
+def _report(condition_id: str, M: np.ndarray, gains: GainSet) -> ConditionReport:
+    """The report of the condition's matrix ``M``, solved block by block in
+    time; a matrix that is not finite reads ``rho`` infinite."""
+    if np.isfinite(M).all():
+        rho, method = block_spectral_radius(M, gains.K.shape[1])
+    else:
+        rho, method = math.inf, "non_finite"
+    return ConditionReport(
+        condition_id=condition_id, rho=rho, holds=rho < 1.0, matrix_dim=M.shape[0], method=method
+    )
+
+
 def loop_matrix(
     condition_id: str,
     plant: TransferPlant | None = None,
     gains: GainSet | None = None,
     surrogate=None,
-    form=None,
 ) -> np.ndarray:
     """The block matrix of a catalog condition.
 
@@ -232,16 +246,8 @@ def loop_matrix(
     the plant's ``delta``, or the true map minus the surrogate (``eq102``).
     So ``eq04`` is ``I - P K`` with ``P`` the true map, and the model-free
     loop reads the same whether a plant is ``nominal + delta`` or ``0 + P``.
-    ``form``, when given, is the condition's ``condition_form`` for the
-    same gains, surrogate and nominal map, and is not built again.
     """
-    X, loop = condition_form(condition_id, plant, gains, surrogate) if form is None else form
-    error = _CATALOG[condition_id][2]
-    if error is None:
-        return loop[0]
-    plant = _require(plant, "a plant", condition_id)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _at_error(loop, plant.delta if error == "plant.delta" else plant.full() - X)
+    return _loop_at(condition_id, _form(condition_id, plant, gains, surrogate), plant)
 
 
 def check_condition(
@@ -249,24 +255,31 @@ def check_condition(
     plant: TransferPlant | None = None,
     gains: GainSet | None = None,
     surrogate=None,
-    form=None,
 ) -> ConditionReport:
     """Spectral radius of a catalog condition's block matrix; holds if < 1.
 
     Every block of the matrix is ``p x p``, with ``p`` the error dimension
-    of the gains, so a lifted loop is solved block by block in time.
-    ``form`` is as in ``loop_matrix``.  A matrix that is not finite (the
-    loop overflowed) is a verdict, not an error: ``rho`` is infinite and
-    the condition does not hold.
+    of the gains, so a lifted loop is solved block by block in time.  A
+    matrix that is not finite (the loop overflowed) is a verdict, not an
+    error: ``rho`` is infinite and the condition does not hold.
     """
-    M = loop_matrix(condition_id, plant, gains, surrogate, form)
-    if np.isfinite(M).all():
-        rho, method = block_spectral_radius(M, gains.K.shape[1])
-    else:
-        rho, method = math.inf, "non_finite"
-    return ConditionReport(
-        condition_id=condition_id, rho=rho, holds=rho < 1.0, matrix_dim=M.shape[0], method=method
-    )
+    return _report(condition_id, loop_matrix(condition_id, plant, gains, surrogate), gains)
+
+
+def condition_reports(plants, gains: GainSet, surrogate=None) -> list[list[ConditionReport]]:
+    """Each plant's reports (``check_condition``) of the conditions that
+    apply (``applicable_conditions``), for one or more plants that share one
+    nominal map and the gain set ``gains``.  Each condition's loop at zero
+    model error is built once, and so is the report of a condition that no
+    model error enters; per plant only its error is added and the radius
+    solved."""
+    reports = [[] for _ in plants]
+    for cid in applicable_conditions(gains, plants[0].nominal, surrogate):
+        form = _form(cid, plants[0], gains, surrogate)
+        shared = _CATALOG[cid][2] is None and _report(cid, _loop_at(cid, form, None), gains)
+        for plant_reports, a_plant in zip(reports, plants):
+            plant_reports.append(shared or _report(cid, _loop_at(cid, form, a_plant), gains))
+    return reports
 
 
 # ---------------------------------------------------------------------------

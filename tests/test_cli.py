@@ -535,7 +535,7 @@ def test_a_value_error_after_load_keeps_its_traceback(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("broken condition")
 
-    monkeypatch.setattr(iterlearn.stability, "check_condition", broken)
+    monkeypatch.setattr(iterlearn.stability, "condition_reports", broken)
     for command in ("simulate", "check"):
         with pytest.raises(ValueError, match="broken condition"):
             main([command, "--config", str(config), "--out", str(tmp_path / command), "--quiet"])
@@ -1214,27 +1214,27 @@ def test_condition_reports_reuse_the_seed_independent_work(tmp_path, monkeypatch
     edit(doc)
     write_json(config, doc)
 
-    def counted(real, counter):
-        def call(cid, *args):
-            counter[cid] += 1
-            return real(cid, *args)
+    def counted(real, counter, at):
+        def call(*args):
+            counter[args[at]] += 1
+            return real(*args)
 
         return call
 
-    forms, checks = Counter(), Counter()
-    monkeypatch.setattr(stability, "condition_form", counted(stability.condition_form, forms))
-    monkeypatch.setattr(stability, "check_condition", counted(stability.check_condition, checks))
-    conditions = load_experiment(config).condition_map()
+    exp, forms, radii = load_experiment(config), Counter(), Counter()
+    monkeypatch.setattr(stability, "_robust_form", counted(stability._robust_form, forms, 3))
+    monkeypatch.setattr(stability, "_report", counted(stability._report, radii, 0))
+    conditions = exp.condition_map()
     monkeypatch.undo()
 
-    # one form per gain set; a report no model error enters, once with it
+    # one form per condition per gain set; a radius no model error enters,
+    # once per gain set; every other radius, once per seed
     ids = [r["condition_id"] for r in conditions["1"]]
     assert {"eq17", "eq95"} <= set(ids)
     per_set = len(seeds) if gains_read_plant else 1
     assert forms == {cid: per_set for cid in ids}
-    assert checks == {
-        cid: per_set if cid in stability.ERROR_FREE_IDS else len(seeds) for cid in ids
-    }
+    error_free = {"eq17", "eq48", "eq95"}
+    assert radii == {cid: per_set if cid in error_free else len(seeds) for cid in ids}
     # each seed's reports are those of a fresh experiment's check_condition
     for seed in seeds:
         fresh = load_experiment(config)
@@ -1244,6 +1244,33 @@ def test_condition_reports_reuse_the_seed_independent_work(tmp_path, monkeypatch
             for cid in ids
         ]
         assert conditions[str(seed)] == expected
+
+
+def test_condition_map_memory_does_not_grow_with_the_seeds(tmp_path):
+    # with a pseudo_inverse_H each seed has its own gain set, and no seed's
+    # loops are held while the next seed is judged
+    import tracemalloc
+
+    from iterlearn.presets import reference_seeds
+
+    seeds = reference_seeds(8, start=0, horizon=100)
+    peaks = {}
+    for count in (4, 8):
+        config = write_reference_experiment(
+            tmp_path / str(count), seeds=seeds[:count], iterations=5, horizon=100
+        )
+        doc = json.loads(config.read_text())
+        _pseudo_inverse_H(doc)
+        _uncertain_nominal(doc)
+        write_json(config, doc)
+        exp = load_experiment(config)
+        tracemalloc.start()
+        try:
+            exp.condition_map()
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= 1.2 * peaks[4]
 
 
 def observer_divergence_config(tmp_path, laws):

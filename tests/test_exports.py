@@ -89,3 +89,47 @@ def test_top_level_names_come_from_their_modules():
         "_verifies",
     }
     assert not any(hasattr(importlib.import_module(name), n) for name in MODULES for n in oracles)
+
+
+#: the iterlearn names the benchmark harness (perfbench/) calls, by module
+BENCHMARK_NAMES = {
+    "cli": ["main", "load_experiment"],
+    "presets": [
+        "reference_seeds",
+        "write_reference_experiment",
+        "reference_gains",
+        "banded_surrogate",
+        "perturbed_reference_system",
+        "reference_config",
+    ],
+    "stability": ["check_condition", "lmi_search", "certificate_to_dict", "StructuredUncertainty"],
+    "learner": ["run"],
+}
+
+
+def test_the_benchmark_harness_names_resolve():
+    # the harness lives apart from the tests: a name it calls that is gone
+    # would break only the benchmark run
+    missing = [
+        f"{module}.{name}"
+        for module, names in BENCHMARK_NAMES.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"iterlearn.{module}"), name, None))
+    ]
+    assert not missing
+
+
+def test_certificate_dict_holds_the_dense_blocks_the_harness_reads():
+    import numpy as np
+
+    from iterlearn import presets, stability
+
+    T = 10
+    S = presets.banded_surrogate(T)
+    structure = stability.StructuredUncertainty(phi1=0.05 * np.eye(T), phi2=np.eye(T))
+    cert = stability.lmi_search("eq101", S, structure, presets.reference_gains(S))
+    doc = stability.certificate_to_dict(cert)
+    Q11, Q21, Q22 = (np.asarray(doc[key], dtype=float) for key in ("Q11", "Q21", "Q22"))
+    assert (Q11.shape, Q21.shape, Q22.shape) == ((T, T), (2 * T, T), (2 * T, 2 * T))
+    assert np.array_equal(np.block([[Q11, Q21.T], [Q21, Q22]]), cert.assembled())
+    assert doc["tau"] == cert.tau

@@ -248,8 +248,9 @@ def test_reference_experiment_reports_are_all_block_triangular(tmp_path):
     # silent fall back to the dense solve would bring the wrong verdicts back
     config = presets.write_reference_experiment(tmp_path, seeds=[0, 11], horizon=100)
     exp = cli.load_experiment(config)
-    for seed in exp.seeds:
-        reports = [r.to_dict() for r in exp.condition_reports(seed)]
+    conditions = exp.condition_map()
+    assert list(conditions) == ["0", "11"]
+    for reports in conditions.values():
         assert [r["condition_id"] for r in reports] == ["eq04", "eq17", "eq62", "eq95", "eq102"]
         for r in reports:
             assert r["method"] == "block_triangular"
