@@ -343,14 +343,22 @@ def run_batch(configs, states: bool = True) -> list[IterationTrace]:
     P = _product(c.plant.full() for c in configs)
     negK = _product((c.gains.K for c in configs), negate=True)
     target = np.stack([c.target for c in configs])[..., None]
-    # the whole drift, as a cumulative one is a single cumsum
-    N = np.empty((iterations + 1, runs, p, 1))  # becomes y = P u + N row by row
+    # the whole drift, as a cumulative one is a single cumsum: one table for
+    # each uncertainty model (runs of one experiment share theirs), and the
+    # runs that read it (keyed by identity: ``models`` keeps every model
+    # alive, so no id is reused)
+    models = [c.uncertainty.with_seed(c.seed) for c in configs]
+    drifts: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for b, model in enumerate(models):
+        if id(model) not in drifts:
+            drifts[id(model)] = (uncertainty_sequence(model, iterations + 1), [])
+        drifts[id(model)][1].append(b)
     rows = iterations if states else _CHUNK
     u = np.zeros((rows + 1, runs, m, 1))
     for b, c in enumerate(configs):
-        N[:, b, :, 0] = uncertainty_sequence(c.uncertainty.with_seed(c.seed), iterations + 1)
         if c.u0 is not None:
             u[0, b, :, 0] = c.u0
+    y = np.empty((rows, runs, p, 1))  # each chunk's N, then y = P u + N row by row
     e = np.empty((rows, runs, p, 1))
     ubar = np.empty((rows, runs, m, 1))
     carried = [u]
@@ -383,11 +391,13 @@ def run_batch(configs, states: bool = True) -> list[IterationTrace]:
             for s in carried:
                 s[0] = s[_CHUNK]
         w = slice(k0 - offset, k1 - offset)
-        if uses_observer:  # before these rows of N become y
-            np.subtract(N[k0:k1], N[k0 + 1 : k1 + 1], out=d_true[w])
+        for table, readers in drifts.values():
+            y[w, readers] = table[k0:k1, None, :, None]
+            if uses_observer:
+                d_true[w, readers] = (table[k0:k1] - table[k0 + 1 : k1 + 1])[:, None, :, None]
         for k in range(k0, k1):
             i = k - offset
-            U, Y, E, Ub = u[i], N[k], e[i], ubar[i]
+            U, Y, E, Ub = u[i], y[i], e[i], ubar[i]
             P(U, out=tmp_p)
             Y += tmp_p
             np.subtract(target, Y, out=E)
@@ -456,7 +466,7 @@ def run_batch(configs, states: bool = True) -> list[IterationTrace]:
         IterationTrace(
             mode=mode,
             u=row(u, b, k),
-            y=row(N, b, k),
+            y=row(y, b, k),
             e=row(e, b, k),
             ubar=row(ubar, b, k),
             e_hat=row(e_hat, b, k),
@@ -538,17 +548,24 @@ def estimate_stability_profile(
 # the divergence cap.
 # ---------------------------------------------------------------------------
 
-def _trace_csv_rows(trace: IterationTrace) -> bytes:
-    """The CSV rows: ``k`` and the flag as integers, each float as
-    ``'%.17g'``, joined from one table of 32-byte fields."""
-    n = len(trace)
+# rows formatted at once by ``write_trace_csv``: the temporaries of a whole
+# long trace (a 1.6 MB peak at 2000 rows) are fresh pages on every call,
+# which cost more than the arithmetic (as for ``textfmt``'s ``_F2_BLOCK``)
+_CSV_BLOCK = 1024
+
+
+def _trace_csv_rows(trace: IterationTrace, start: int = 0, stop: int | None = None) -> bytes:
+    """The CSV rows ``start`` to ``stop`` (all by default): ``k`` and the
+    flag as integers, each float as ``'%.17g'``, joined from one table of
+    32-byte fields."""
+    stop = len(trace) if stop is None else stop
     columns = (trace.err_inf, trace.err_2, trace.u_norm, trace.ubar_norm, trace.obs_err_norm)
-    flag = np.zeros(n, np.int64)
-    if trace.diverged and n:
+    flag = np.zeros(stop - start, np.int64)
+    if trace.diverged and start < stop == len(trace):
         flag[-1] = 1
-    fields = np.empty((n, len(columns) + 2, 32), np.uint8)
-    fields[:, 0] = int_fields(np.arange(n))
-    fields[:, 1:-1] = g17_fields(np.column_stack(columns))
+    fields = np.empty((stop - start, len(columns) + 2, 32), np.uint8)
+    fields[:, 0] = int_fields(np.arange(start, stop))
+    fields[:, 1:-1] = g17_fields(np.column_stack([c[start:stop] for c in columns]))
     fields[:, -1] = int_fields(flag)
     return join_fields(fields, b",,,,,,\n")
 
@@ -558,10 +575,12 @@ def trace_to_csv(trace: IterationTrace) -> str:
 
 
 def write_trace_csv(path, trace: IterationTrace) -> None:
-    rows = _trace_csv_rows(trace)
+    """Write ``trace_to_csv(trace)``, formatted ``_CSV_BLOCK`` rows at a time."""
+    n = len(trace)
     with open(path, "wb") as fh:
         fh.write(TRACE_CSV_HEADER.encode("ascii") + b"\n")
-        fh.write(rows)
+        for start in range(0, n, _CSV_BLOCK):
+            fh.write(_trace_csv_rows(trace, start, min(start + _CSV_BLOCK, n)))
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:

@@ -22,6 +22,7 @@ __all__ = [
     "spectral_radius",
     "time_steps",
     "block_spectral_radius",
+    "steps_spectral_radius",
     "induced_norm",
     "cholesky_negative_definite",
     "negative_definite_schur_term",
@@ -116,11 +117,19 @@ def block_spectral_radius(M, block: int) -> tuple[float, str]:
     """
     M = as_square(M)
     steps, structure = time_steps(M, block)
+    rho = steps_spectral_radius(M[None] if structure is None else steps)
+    return rho, "dense" if structure is None else "block_triangular"
+
+
+def steps_spectral_radius(steps: np.ndarray) -> float:
+    """Largest eigenvalue modulus over a ``(s, b, b)`` stack of matrices,
+    all solved in one batched call: the spectral radius of a loop that is
+    block triangular in time with these steps on its diagonal."""
     try:
-        w = np.linalg.eigvals(M[None] if structure is None else steps)
+        w = np.linalg.eigvals(steps)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic input
         raise RuntimeError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return float(np.abs(w).max()), "dense" if structure is None else "block_triangular"
+    return float(np.abs(w).max())
 
 
 def induced_norm(M, kind: str = "infinity") -> float:
@@ -145,10 +154,12 @@ def cholesky_negative_definite(S: np.ndarray, tol: float = 0.0) -> bool:
     That holds exactly when ``-S - tol I`` is positive definite, that is
     when its Cholesky factorisation exists.  One triangle is read, so ``S``
     must be exactly symmetric.  This costs about a third of a symmetric
-    eigenvalue solve.
+    eigenvalue solve.  A ``(s, n, n)`` stack stands for the block diagonal
+    matrix of its steps: one batched factorisation decides for all.
     """
     N = np.negative(S)
-    N.flat[:: len(N) + 1] -= tol
+    d = np.arange(N.shape[-1])
+    N[..., d, d] -= tol
     try:
         np.linalg.cholesky(N)
     except np.linalg.LinAlgError:
@@ -156,7 +167,9 @@ def cholesky_negative_definite(S: np.ndarray, tol: float = 0.0) -> bool:
     return True
 
 
-def negative_definite_schur_term(S11: np.ndarray, S21T: np.ndarray) -> np.ndarray | None:
+def negative_definite_schur_term(
+    S11: np.ndarray, S21T: np.ndarray, B: np.ndarray | None = None
+) -> np.ndarray | None:
     """The Schur term ``C = S21 (-S11)^-1 S21^T`` of a symmetric matrix
     ``[[S11, S21^T], [S21, S22]]`` at its leading block ``S11``.
 
@@ -168,14 +181,35 @@ def negative_definite_schur_term(S11: np.ndarray, S21T: np.ndarray) -> np.ndarra
     ``(T, c, m)`` stack of the matching rows of ``S21^T``: one batched
     Cholesky factors every step.  ``X = L^-1 S21^T`` is one batched product
     with the inverse factors, and ``C = X^T X``, summed over the steps.
+
+    With ``B``, each step of ``S21^T`` is ``[[S21T, 0], [0, B]]``, block
+    diagonal over the two halves of its ``c`` rows, and the zero blocks are
+    not multiplied: ``L^-1`` is lower triangular, so in those blocks
+    ``X = [[X00, 0], [X10, X11]]`` (the rounding that numpy's general
+    inverse leaves above its diagonal is taken as the zero it is) and
+    ``C = [[X00^T X00 + X10^T X10, X10^T X11], [X11^T X10, X11^T X11]]``,
+    formed in place, ``X00`` let go before ``X11`` is formed.
     One triangle of ``S11`` is read, so it must be exactly symmetric.
     """
     try:
         L = np.linalg.cholesky(-S11)
     except np.linalg.LinAlgError:
         return None
-    X = (np.linalg.inv(L) @ S21T).reshape(-1, S21T.shape[-1])
-    return X.T @ X
+    Linv = np.linalg.inv(L)
+    if B is None:
+        X = (Linv @ S21T).reshape(-1, S21T.shape[-1])
+        return X.T @ X
+    h, m = S21T.shape[-2:]
+    C = np.empty((m + B.shape[-1], m + B.shape[-1]))
+    X = (Linv[..., :h, :h] @ S21T).reshape(-1, m)
+    C[:m, :m] = X.T @ X
+    X = (Linv[..., h:, :h] @ S21T).reshape(-1, m)
+    Y = (Linv[..., h:, h:] @ B).reshape(-1, B.shape[-1])
+    C[:m, :m] += X.T @ X
+    C[:m, m:] = X.T @ Y
+    C[m:, :m] = C[:m, m:].T
+    C[m:, m:] = Y.T @ Y
+    return C
 
 
 # ---------------------------------------------------------------------------

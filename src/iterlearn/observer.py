@@ -51,8 +51,15 @@ class ObserverGain:
         return np.vstack([self.L1, self.L2])
 
 
-def error_dynamics_matrix(gains: ObserverGain) -> np.ndarray:
-    """Closed observer matrix ``Abar - [L1; L2] @ Cbar``."""
-    p = gains.p
-    I = np.eye(p)
-    return np.block([[I - gains.L1, I], [-gains.L2, I]])
+def error_dynamics_matrix(gains: ObserverGain, steps: bool = False) -> np.ndarray:
+    """Closed observer matrix ``Abar - [L1; L2] @ Cbar``.
+
+    With ``steps``, the ``(p, 2, 2)`` stack whose step ``t`` is that matrix
+    of the gains' ``(t, t)`` entries, ``[[1 - L1[t, t], 1], [-L2[t, t], 1]]``:
+    when neither gain has a nonzero above its diagonal, the matrix is block
+    lower triangular in time (time-major), with these steps on its diagonal.
+    """
+    L1, L2, I = gains.L1, gains.L2, np.eye(gains.p)
+    if steps:
+        L1, L2, I = (np.diagonal(X)[:, None, None] for X in (L1, L2, I))
+    return np.block([[I - L1, I], [-L2, I]])

@@ -9,15 +9,18 @@ conditions for every admissible structured model error (``eq44``,
 ``eq65``, ``eq101``).  One test, ``_accepts``, decides whether an
 inequality holds, for ``lmi_verify`` and for every candidate of the
 search: the Schur split at its leading block, from its blocks, so the
-whole inequality is never formed.  Below ``lmi_search`` and ``lmi_verify``
-every matrix is a stack of time steps (``_steps``; a loop that couples
-steps is one step).  The search is a heuristic seeded by the discrete
-Lyapunov (Stein) solution of the loop, not a semidefinite solver.
-Every catalog loop, every inequality's loop and every separation target
-is laid out by ``_robust_form`` as ``M0 + D delta E``, and
-``condition_reports`` builds each ``M0`` once for plants that share a
-nominal map and gain set; the tests check each unseparated loop against
-its law's step in the engine.  The laws run
+whole inequality is never formed.  The search is a heuristic seeded by
+the discrete Lyapunov (Stein) solution of the loop, not a semidefinite
+solver.  Every catalog loop, every inequality's loop and every separation
+target is laid out by ``_robust_form`` as ``M0 + D delta E``, over a stack
+of time steps: when no factor has a nonzero above its diagonal (a lifted
+plant's), step ``t`` is the layout of the factors' ``(t, t)`` entries and
+the loop is never formed; otherwise the loop is one step, whole.  The
+reports, the search, ``lmi_verify`` and ``LmiCertificate`` all read such
+stacks (``_steps``).  ``condition_reports`` lays out each ``M0`` once for
+plants that share a nominal map and gain set; the tests check each
+unseparated loop against its law's step in the engine, and each report in
+steps against ``loop_matrix``, the loop whole.  The laws run
 ``eq04`` (``p_type``), ``eq04`` with ``eq17`` (``eso_full_state``, its
 observer on the true map), ``eq41`` and ``eq62`` (``eso_mixed`` and
 ``eso_robust``, on the nominal map) and ``eq102`` (``eso_model_free``).
@@ -26,7 +29,7 @@ observer on the true map), ``eq41`` and ``eq62`` (``eso_mixed`` and
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +41,7 @@ from .matanalysis import (
     block_spectral_radius,
     cholesky_negative_definite,
     negative_definite_schur_term,
+    steps_spectral_radius,
     time_steps,
 )
 from .plant import StructuredUncertainty, TransferPlant
@@ -128,7 +132,14 @@ class ConditionReport:
         return 1.0 - self.rho
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "margin": self.margin}
+        return {
+            "condition_id": self.condition_id,
+            "rho": self.rho,
+            "holds": self.holds,
+            "matrix_dim": self.matrix_dim,
+            "method": self.method,
+            "margin": self.margin,
+        }
 
 
 def _require(value, name: str, condition_id: str):
@@ -137,99 +148,187 @@ def _require(value, name: str, condition_id: str):
     return value
 
 
-def _robust_form(design: str, P0: np.ndarray, gains: GainSet, cid: str):
-    """The one layout of a design's loop around the map ``P0``: the loop at
-    zero model error, ``M0``, and the channel ``(D, E)`` through which an
-    error ``delta`` enters it, so that the loop at ``delta`` is ``M0 + D delta E``.
-    ``learning`` is ``(I - P0 K, -I, K)``; with the observer loop ``A_lc``,
-    ``compensated`` (gain ``H``) is ``([[I - P0 K, -P0 H F], [0, A_lc]],
-    [-I; Cbar^T], [K, H F])`` and ``aggregated`` (gain ``Hbar``) is
-    ``([[I - P0 K, Hbar F], [0, A_lc]], [-I; -Lbar], [K, 0])``, with
-    ``Lbar = [L1; L2]``.  The selectors ``F = [0, I]`` and
-    ``Cbar^T = [I; 0]`` are placed, not multiplied.  ``observer`` is
-    ``(A_lc, None, None)``.  A design's gain that ``gains`` lack
+class _Loop(NamedTuple):
+    """A design's loop ``M0 + D delta E`` over a stack of time steps
+    (``_robust_form``).  ``M0`` is the ``(s, b n, b n)`` stack of the loop
+    at zero model error; ``D`` holds the channel's ``b`` row blocks and
+    ``E`` its ``b`` column blocks, each a whole factor (``p x p``, and
+    ``m x p`` in ``E``) or None where the channel is zero, with ``D[0] = -I``.
+    With ``steps``, step ``t`` of ``M0`` is the layout of the factors'
+    ``(t, t)`` entries (``s = p``, ``n = 1``); else ``M0[0]`` is the whole
+    loop (``s = 1``, ``n = p``)."""
+
+    M0: np.ndarray
+    D: tuple
+    E: tuple
+    steps: bool
+
+
+def _lower(*Xs: np.ndarray) -> bool:
+    """Whether every one of ``Xs`` is square with no nonzero above its
+    diagonal: read time-major, no entry couples a step to a later one."""
+    return all(X.shape[0] == X.shape[1] and not np.triu(X, 1).any() for X in Xs)
+
+
+def _view(X: np.ndarray, steps: bool) -> np.ndarray:
+    """The factor ``X`` on a layout's stack: its ``(t, t)`` entries as
+    ``(p, 1, 1)`` steps, or ``X`` whole as one step."""
+    return np.diagonal(X)[:, None, None] if steps else X[None]
+
+
+def _times(A: np.ndarray, B: np.ndarray, steps: bool) -> np.ndarray:
+    """``A @ B`` on a layout's stack.  Per step it is the product of the
+    ``(t, t)`` entries, which is the dense product's ``(t, t)`` entry when
+    neither factor has a nonzero above its diagonal: every other term of
+    that sum is an exact zero.  Adding ``0.0`` turns a ``-0.0`` product
+    into the ``+0.0`` that such a sum gives."""
+    return A * B + 0.0 if steps else A @ B
+
+
+def _robust_form(design: str, P0, gains: GainSet, cid: str, steps: bool = True) -> _Loop:
+    """The one layout of a design's loop around the map ``P0`` (``_Loop``):
+    the loop at zero model error, ``M0``, and the channel ``(D, E)`` through
+    which an error ``delta`` enters it, so that the loop at ``delta`` is
+    ``M0 + D delta E``.  ``learning`` is ``(I - P0 K, -I, K)``; with the
+    observer loop ``A_lc``, ``compensated`` (gain ``H``) is
+    ``([[I - P0 K, -P0 H F], [0, A_lc]], [-I; Cbar^T], [K, H F])`` and
+    ``aggregated`` (gain ``Hbar``) is ``([[I - P0 K, Hbar F], [0, A_lc]],
+    [-I; -Lbar], [K, 0])``, with ``Lbar = [L1; L2]``.  The selectors
+    ``F = [0, I]`` and ``Cbar^T = [I; 0]`` are placed, not multiplied.
+    ``observer`` is ``(A_lc, (), ())``.
+
+    With ``steps`` (the default), when ``p >= 2`` and none of the factors
+    that enter ``M0`` (``P0``, ``K``, the design's ``H`` or ``Hbar``,
+    ``L1``, ``L2``) has a nonzero above its diagonal, ``M0`` is laid out as
+    its ``p`` time steps, each from the factors' ``(t, t)`` entries: the
+    loop is then block lower triangular in time, and its spectrum is the
+    union of theirs.  Otherwise, or without ``steps``, ``M0`` is the whole
+    matrix as one step.  A design's gain that ``gains`` lack
     (``learner.DESIGN_GAINS``) raises ``ValueError``.  A product that
     overflows leaves the loop infinite, with no warning.
     """
     require_gains(design, gains, f"condition {cid}")
     K, og = gains.K, gains.observer
     if design == "observer":
-        return error_dynamics_matrix(og), None, None
+        steps = steps and og.p >= 2 and _lower(og.L1, og.L2)
+        A_lc = error_dynamics_matrix(og, steps)
+        return _Loop(A_lc if steps else A_lc[None], (), (), steps)
     p = P0.shape[0]
-    I = np.eye(p)
+    gain = {"learning": None, "compensated": gains.H, "aggregated": gains.Hbar}[design]
+    factors = (P0, K) if gain is None else (P0, K, gain, og.L1, og.L2)
+    steps = steps and p >= 2 and _lower(*factors)
+    n, s = (1, p) if steps else (p, 1)
+    I = np.ones((s, 1, 1)) if steps else np.eye(p)[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        learning = I - P0 @ K if P0.any() else I
+        learning = I - _times(_view(P0, steps), _view(K, steps), steps) if P0.any() else I
         if design == "learning":
-            return learning, -I, K
+            return _Loop(learning, (-np.eye(p),), (K,), steps)
         if og.p != p:
             raise ValueError("nominal map and observer gains disagree on dimension")
-        M0, D, E = np.zeros((3 * p, 3 * p)), np.zeros((3 * p, p)), np.zeros((K.shape[0], 3 * p))
-        M0[:p, :p], M0[p:, p:], D[:p], E[:, :p] = learning, error_dynamics_matrix(og), -I, K
+        M0 = np.zeros((s, 3 * n, 3 * n))
+        M0[:, :n, :n] = learning
+        M0[:, n:, n:] = error_dynamics_matrix(og, steps)
         if design == "compensated":
-            M0[:p, 2 * p :], D[p : 2 * p], E[:, 2 * p :] = -P0 @ gains.H, I, gains.H
-        else:
-            M0[:p, 2 * p :] = gains.Hbar
-            D[p:] = -og.stacked
-    return M0, D, E
+            M0[:, :n, 2 * n :] = -_times(_view(P0, steps), _view(gain, steps), steps)
+            return _Loop(M0, (-np.eye(p), np.eye(p), None), (K, None, gain), steps)
+        M0[:, :n, 2 * n :] = _view(gain, steps)
+    return _Loop(M0, (-np.eye(p), -og.L1, -og.L2), (K, None, None), steps)
 
 
-def _at_error(loop, delta: np.ndarray) -> np.ndarray:
-    """``M0 + D delta E``, adding ``D (delta E_j)`` only on the column blocks
-    ``E_j`` of ``E`` (each as wide as ``delta`` is tall) that are not zero.
-    The top block of ``D`` is ``-I`` in every design, so ``delta E_j`` is
-    subtracted there and only the rows below it are multiplied."""
-    M0, D, E = loop
-    M, p = M0.copy(), D.shape[1]
-    for j in range(0, E.shape[1], p):
-        if E[:, j : j + p].any():
-            dE = delta @ E[:, j : j + p]
-            M[:p, j : j + p] -= dE
-            M[p:, j : j + p] += D[p:] @ dE
+def _at_error(loop: _Loop, delta: np.ndarray) -> np.ndarray:
+    """``M0 + D delta E`` on the loop's stack, adding ``D (delta E_j)`` only
+    for the column blocks ``E_j`` that are not zero.  The top block of ``D``
+    is ``-I`` in every design, so ``delta E_j`` is subtracted there and the
+    rows below it are multiplied as one stacked product.  On a layout in
+    steps, ``delta`` must have no nonzero above its diagonal (``_lower``):
+    only its ``(t, t)`` entries are read."""
+    M, steps = loop.M0.copy(), loop.steps
+    s, n = len(M), M.shape[-1] // len(loop.E)
+    below = [np.zeros((s, n, n)) if X is None else _view(X, steps) for X in loop.D[1:]]
+    below = np.concatenate(below, axis=1) if below else None
+    d = _view(delta, steps)
+    for j, Ej in enumerate(loop.E):
+        if Ej is not None and Ej.any():
+            dE = _times(d, _view(Ej, steps), steps)
+            M[:, :n, j * n : (j + 1) * n] -= dE
+            if below is not None:
+                M[:, n:, j * n : (j + 1) * n] += _times(below, dE, steps)
     return M
 
 
-def _form(condition_id: str, plant: TransferPlant | None, gains: GainSet | None, surrogate):
-    """A catalog condition's loop before any model error enters it: the map
-    it is built around and its layout ``(M0, D, E)`` there, from
-    ``_robust_form`` for the design ``_CATALOG`` names (``eq17``: None and
-    ``(A_lc, None, None)``).  It reads the gains, the surrogate and the
-    plant's nominal map only, so one form serves every plant that shares
-    them."""
+def _around(condition_id: str, plant: TransferPlant | None, gains: GainSet | None, surrogate):
+    """The map a catalog condition's loop is built around (``_CATALOG``):
+    the surrogate, the plant's nominal map, or None (``eq17``)."""
     if condition_id not in CONDITION_IDS:
         raise ValueError(f"unknown condition id {condition_id!r}")
     if gains is None:
         raise ValueError(f"condition {condition_id} requires gains")
-    design, around, _, _ = _CATALOG[condition_id]
-    X = None
+    around = _CATALOG[condition_id][1]
     if around == "surrogate":
-        X = as_matrix(_require(surrogate, "a surrogate", condition_id), "surrogate")
-    elif around == "nominal":
-        X = _require(plant, "a plant", condition_id).nominal
-    return X, _robust_form(design, X, gains, condition_id)
+        return as_matrix(_require(surrogate, "a surrogate", condition_id), "surrogate")
+    if around == "nominal":
+        return _require(plant, "a plant", condition_id).nominal
+    return None
 
 
-def _loop_at(condition_id: str, form, plant: TransferPlant | None) -> np.ndarray:
-    """The condition's matrix: its ``_form`` at the model error of ``plant``
-    that the catalog names."""
-    X, loop = form
-    error = _CATALOG[condition_id][2]
-    if error is None:
-        return loop[0]
+def _error(condition_id: str, plant: TransferPlant | None, X) -> np.ndarray:
+    """The model error of ``plant`` that the catalog names for the
+    condition, around the map ``X``: its ``delta``, or the true map minus
+    ``X``."""
     plant = _require(plant, "a plant", condition_id)
+    if _CATALOG[condition_id][2] == "plant.delta":
+        return plant.delta
     with np.errstate(over="ignore", invalid="ignore"):
-        return _at_error(loop, plant.delta if error == "plant.delta" else plant.full() - X)
+        return plant.full() - X
 
 
-def _report(condition_id: str, M: np.ndarray, gains: GainSet) -> ConditionReport:
-    """The report of the condition's matrix ``M``, solved block by block in
-    time; a matrix that is not finite reads ``rho`` infinite."""
+def _radius(Ms: np.ndarray, block: int) -> tuple[float, str]:
+    """The spectral radius of a loop on its stack ``Ms``, and how it was
+    found: steps of a loop that is block triangular in time in one batched
+    solve, one step by ``matanalysis.block_spectral_radius``."""
+    if len(Ms) > 1:
+        return steps_spectral_radius(Ms), "block_triangular"
+    return block_spectral_radius(Ms[0], block)
+
+
+def _report(condition_id: str, M: np.ndarray, block: int) -> ConditionReport:
+    """The report of the condition's loop on its stack ``M`` (``_radius``);
+    a loop that is not finite reads ``rho`` infinite."""
     if np.isfinite(M).all():
-        rho, method = block_spectral_radius(M, gains.K.shape[1])
+        rho, method = _radius(M, block)
     else:
         rho, method = math.inf, "non_finite"
     return ConditionReport(
-        condition_id=condition_id, rho=rho, holds=rho < 1.0, matrix_dim=M.shape[0], method=method
+        condition_id=condition_id,
+        rho=rho,
+        holds=rho < 1.0,
+        matrix_dim=len(M) * M.shape[-1],
+        method=method,
     )
+
+
+def _reports(condition_id: str, plants, gains: GainSet | None, surrogate) -> list[ConditionReport]:
+    """The condition's report for each of ``plants``, which share one
+    nominal map.  Its layout (``_robust_form``) is built once in steps,
+    and once whole if a plant's error has a nonzero above its diagonal;
+    per plant only its error is added and the radius solved.  A report
+    that no model error enters is solved once, for all."""
+    X = _around(condition_id, plants[0], gains, surrogate)
+    design, _, error, _ = _CATALOG[condition_id]
+    block = gains.K.shape[1]
+    if error is None:
+        loop = _robust_form(design, X, gains, condition_id)
+        return [_report(condition_id, loop.M0, block)] * len(plants)
+    require_gains(design, gains, f"condition {condition_id}")
+    loops, reports = {}, []
+    for plant in plants:
+        delta = _error(condition_id, plant, X)
+        steps = _lower(delta)
+        if steps not in loops:
+            loops[steps] = _robust_form(design, X, gains, condition_id, steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports.append(_report(condition_id, _at_error(loops[steps], delta), block))
+    return reports
 
 
 def loop_matrix(
@@ -238,7 +337,8 @@ def loop_matrix(
     gains: GainSet | None = None,
     surrogate=None,
 ) -> np.ndarray:
-    """The block matrix of a catalog condition.
+    """The block matrix of a catalog condition, whole: the dense oracle of
+    the layout in steps that ``check_condition`` solves.
 
     ``eq17`` is the observer loop ``A_lc``.  Every other condition is its
     design's loop (``_CATALOG``) from ``_robust_form``, around the plant's
@@ -247,7 +347,13 @@ def loop_matrix(
     So ``eq04`` is ``I - P K`` with ``P`` the true map, and the model-free
     loop reads the same whether a plant is ``nominal + delta`` or ``0 + P``.
     """
-    return _loop_at(condition_id, _form(condition_id, plant, gains, surrogate), plant)
+    X = _around(condition_id, plant, gains, surrogate)
+    loop = _robust_form(_CATALOG[condition_id][0], X, gains, condition_id, steps=False)
+    if _CATALOG[condition_id][2] is None:
+        return loop.M0[0]
+    delta = _error(condition_id, plant, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _at_error(loop, delta)[0]
 
 
 def check_condition(
@@ -259,26 +365,28 @@ def check_condition(
     """Spectral radius of a catalog condition's block matrix; holds if < 1.
 
     Every block of the matrix is ``p x p``, with ``p`` the error dimension
-    of the gains, so a lifted loop is solved block by block in time.  A
-    matrix that is not finite (the loop overflowed) is a verdict, not an
-    error: ``rho`` is infinite and the condition does not hold.
+    of the gains.  When no factor of the loop, the plant's error among
+    them, has a nonzero above its diagonal, the loop is block lower
+    triangular in time and is solved as its ``p`` time steps, in one
+    batched call, without forming it; otherwise the whole matrix is solved
+    (``matanalysis.block_spectral_radius``).  A loop that is not finite
+    (it overflowed) is a verdict, not an error: ``rho`` is infinite and
+    the condition does not hold.
     """
-    return _report(condition_id, loop_matrix(condition_id, plant, gains, surrogate), gains)
+    return _reports(condition_id, [plant], gains, surrogate)[0]
 
 
 def condition_reports(plants, gains: GainSet, surrogate=None) -> list[list[ConditionReport]]:
     """Each plant's reports (``check_condition``) of the conditions that
     apply (``applicable_conditions``), for one or more plants that share one
     nominal map and the gain set ``gains``.  Each condition's loop at zero
-    model error is built once, and so is the report of a condition that no
-    model error enters; per plant only its error is added and the radius
+    model error is laid out once, and so is the report of a condition that
+    no model error enters; per plant only its error is added and the radius
     solved."""
     reports = [[] for _ in plants]
     for cid in applicable_conditions(gains, plants[0].nominal, surrogate):
-        form = _form(cid, plants[0], gains, surrogate)
-        shared = _CATALOG[cid][2] is None and _report(cid, _loop_at(cid, form, None), gains)
-        for plant_reports, a_plant in zip(reports, plants):
-            plant_reports.append(shared or _report(cid, _loop_at(cid, form, a_plant), gains))
+        for plant_reports, report in zip(reports, _reports(cid, plants, gains, surrogate)):
+            plant_reports.append(report)
     return reports
 
 
@@ -286,75 +394,125 @@ def condition_reports(plants, gains: GainSet, surrogate=None) -> list[list[Condi
 # Block matrix inequalities
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(init=False)
 class LmiCertificate:
     """Structured positive-definite ``Q`` and scalar ``tau`` for the
     robustness inequalities.
 
-    The assembled matrix ``[[Q11, Q21^T], [Q21, Q22]]`` must be symmetric
-    positive definite and ``tau`` finite and strictly positive; violating
-    either makes the certificate invalid (an error), distinct from a valid
-    certificate that merely fails an inequality.  Symmetry is to
-    ``1e-10 max(1, |Q|_max)``, and the blocks ``Q11`` and ``Q22`` are kept
-    symmetrised, ``(X + X^T) / 2``, so that ``Q`` and every inequality
-    assembled from it are exactly symmetric (an exactly symmetric block is
-    kept bit for bit).  Positive definiteness of that ``Q``, with no
-    tolerance, is decided by its Cholesky factorisation
-    (``matanalysis.cholesky_negative_definite`` on ``-Q``).
+    ``Q = [[Q11, Q21^T], [Q21, Q22]]`` is held as ``steps``, the stack of
+    its time steps (``_steps``): ``(p, 3, 3)`` when it couples no two
+    steps, else ``(1, 3p, 3p)``, the whole of it.  It is built from its
+    blocks, ``LmiCertificate(Q11, Q21, Q22, tau)``, or from that stack
+    (``from_steps``), and the blocks and ``assembled()`` scatter it back.
+    ``Q`` must be symmetric positive definite and ``tau`` finite and
+    strictly positive; violating either makes the certificate invalid (an
+    error), distinct from a valid certificate that merely fails an
+    inequality.  Symmetry is to ``1e-10 max(1, |Q|_max)``, checked per
+    step, and each step is kept symmetrised, ``(X + X^T) / 2``, so that
+    ``Q`` and every inequality assembled from it are exactly symmetric (an
+    exactly symmetric step is kept bit for bit).  Positive definiteness,
+    with no tolerance, is decided by one batched Cholesky factorisation of
+    the steps (``matanalysis.cholesky_negative_definite`` on ``-Q``).
     """
 
-    Q11: np.ndarray
-    Q21: np.ndarray
-    Q22: np.ndarray
+    steps: np.ndarray
     tau: float
 
-    def __post_init__(self):
-        self.Q11 = as_matrix(self.Q11, "Q11")
-        self.Q21 = as_matrix(self.Q21, "Q21")
-        self.Q22 = as_matrix(self.Q22, "Q22")
-        p = self.Q11.shape[0]
-        if self.Q11.shape != (p, p):
+    def __init__(self, Q11, Q21, Q22, tau):
+        Q11, Q21, Q22 = as_matrix(Q11, "Q11"), as_matrix(Q21, "Q21"), as_matrix(Q22, "Q22")
+        p = Q11.shape[0]
+        if Q11.shape != (p, p):
             raise ValueError("Q11 must be square")
-        if self.Q21.shape != (2 * p, p):
+        if Q21.shape != (2 * p, p):
             raise ValueError("Q21 must be 2p x p")
-        if self.Q22.shape != (2 * p, 2 * p):
+        if Q22.shape != (2 * p, 2 * p):
             raise ValueError("Q22 must be 2p x 2p")
-        self.tau = float(self.tau)
+        steps = _steps(p, np.block([[Q11, Q21.T], [Q21, Q22]]))
+        self._validate(steps, tau)
+
+    @classmethod
+    def from_steps(cls, steps: np.ndarray, tau: float) -> "LmiCertificate":
+        """The certificate whose ``Q`` has the stack of time steps ``steps``."""
+        cert = cls.__new__(cls)
+        cert._validate(steps, tau)
+        return cert
+
+    def _validate(self, steps: np.ndarray, tau) -> None:
+        self.tau = float(tau)
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
-        Q = self.assembled()
-        if np.abs(Q - Q.T).max() > 1e-10 * max(1.0, np.abs(Q).max()):
+        S = np.swapaxes(steps, 1, 2)
+        if np.abs(steps - S).max() > 1e-10 * max(1.0, np.abs(steps).max()):
             raise ValueError("assembled Q must be symmetric")
-        S = Q + Q.T
+        S = S + steps
         S *= 0.5
-        self.Q11, self.Q22 = S[:p, :p], S[p:, p:]
-        if not cholesky_negative_definite(np.negative(S, out=Q)):
+        if not cholesky_negative_definite(-S):
             raise ValueError("assembled Q must be positive definite")
+        self.steps = S
 
     def assembled(self) -> np.ndarray:
-        return np.block([[self.Q11, self.Q21.T], [self.Q21, self.Q22]])
+        return _scatter(self.steps)
+
+    @property
+    def p(self) -> int:
+        return len(self.steps) * self.steps.shape[1] // 3
+
+    @property
+    def Q11(self) -> np.ndarray:
+        return self.assembled()[: self.p, : self.p]
+
+    @property
+    def Q21(self) -> np.ndarray:
+        return self.assembled()[self.p :, : self.p]
+
+    @property
+    def Q22(self) -> np.ndarray:
+        return self.assembled()[self.p :, self.p :]
 
 
-def _robust_loop(lmi_id: str, nominal, structure, gains):
-    """The inequality's loop ``(M0, D, E)`` around ``nominal``, from
-    ``_robust_form`` for the design ``_CATALOG`` names."""
+class _LmiLoop(NamedTuple):
+    """The loop an inequality's certificate is sought on (``_robust_loop``):
+    ``M0``, the stack of time steps (``_steps``) of the loop at zero model
+    error, and its channel ``(D, E)``, blocks as in ``_Loop``."""
+
+    M0: np.ndarray
+    D: tuple
+    E: tuple
+
+
+def _robust_loop(lmi_id: str, nominal, structure, gains) -> _LmiLoop:
+    """The inequality's loop around ``nominal`` (``_LmiLoop``), from
+    ``_robust_form`` for the design ``_CATALOG`` names, with ``M0`` as the
+    stack the certificate is sought on: the loop's time steps when it
+    couples no two of them, else the whole loop as one step.  Laid out in
+    steps, it couples none exactly when every block of ``M0`` is diagonal:
+    ``P0 K``, ``L1``, ``L2`` and ``P0 H`` or ``Hbar``.  This is what the
+    search and ``lmi_verify`` read."""
     if lmi_id not in LMI_IDS:
         raise ValueError(f"unknown inequality id {lmi_id!r}")
     P0 = as_matrix(nominal, "nominal")
     if structure.phi1.shape[0] != P0.shape[0] or structure.phi2.shape[1] != gains.K.shape[0]:
         raise ValueError("structure dimensions do not match the plant")
-    return _robust_form(_CATALOG[lmi_id][0], P0, gains, lmi_id)
+    design = _CATALOG[lmi_id][0]
+    loop = _robust_form(design, P0, gains, lmi_id)
+    if loop.steps:
+        og = gains.observer
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain = P0 @ gains.H if design == "compensated" else gains.Hbar
+            blocks = (P0 @ gains.K, og.L1, og.L2, gain)
+        if not any(np.tril(X, -1).any() for X in blocks):
+            return _LmiLoop(loop.M0, loop.D, loop.E)
+        loop = _robust_form(design, P0, gains, lmi_id, steps=False)
+    return _LmiLoop(_steps(gains.observer.p, loop.M0[0]), loop.D, loop.E)
 
 
-def _steps(p: int, *Ms: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each matrix of ``Ms`` as a stack of time steps: its ``p`` steps
-    (``matanalysis.time_steps``) when every one of ``Ms`` couples no two
-    time steps, else the whole matrix as one step, ``M[None]``.  Read
-    time-major, each matrix is block diagonal in the steps of its stack."""
-    read = [time_steps(M, p) for M in Ms]
-    if all(structure == "decoupled" for _, structure in read):
-        return tuple(steps for steps, _ in read)
-    return tuple(M[None] for M in Ms)
+def _steps(p: int, M: np.ndarray) -> np.ndarray:
+    """``M`` as a stack of time steps: its ``p`` steps
+    (``matanalysis.time_steps``) when it couples no two time steps, else
+    the whole matrix as one step, ``M[None]``.  Read time-major, ``M`` is
+    block diagonal in the steps of its stack."""
+    steps, structure = time_steps(M, p)
+    return steps if structure == "decoupled" else M[None]
 
 
 def _scatter(Qs: np.ndarray) -> np.ndarray:
@@ -388,26 +546,30 @@ class _LmiBlocks(NamedTuple):
     phi1DQ_T: np.ndarray
 
 
-def _structure_steps(loop, structure, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(phi2 E)^T`` and ``phi1^T D^T`` of the loop ``(M0, D, E)`` per step
+def _structure_steps(loop: _LmiLoop, structure, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(phi2 E)^T`` and ``phi1^T D^T`` of the loop (``_LmiLoop``) per step
     of a stack of ``s`` (column ``i s + t`` is ``[t, :, i]`` before the
     transpose), formed once per search or verification: no ``Q`` enters
-    them.  A product that overflows warns nowhere: its tolerance is not
-    finite, which rejects it (``_accepts``)."""
-    _, D, E = loop
+    them.  Only the channel's blocks that are not zero are multiplied.  A
+    product that overflows warns nowhere: its tolerance is not finite,
+    which rejects it (``_accepts``)."""
+    p = loop.E[0].shape[1]
+
+    def per_step(phi, blocks):
+        X = np.concatenate([np.zeros((len(phi), p)) if B is None else phi @ B for B in blocks], 1)
+        return X.reshape(len(X), -1, s).transpose(2, 0, 1)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        A, W = (
-            X.reshape(len(X), -1, s).transpose(2, 0, 1)
-            for X in (structure.phi2 @ E, structure.phi1.T @ D.T)
-        )
-    return np.swapaxes(A, 1, 2), W
+        A = per_step(structure.phi2, loop.E)
+        W = per_step(structure.phi1.T, [None if B is None else B.T for B in loop.D])
+    return np.ascontiguousarray(np.swapaxes(A, 1, 2)), np.ascontiguousarray(W)
 
 
 def _lmi_blocks(Qs: np.ndarray, M0s: np.ndarray, A_T, W) -> _LmiBlocks:
     """The inequality's blocks (``_LmiBlocks``) at the stack ``Qs``, on the
     loop's stack ``M0s`` of the same steps and its ``_structure_steps``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _LmiBlocks(Qs, Qs @ M0s, A_T, np.swapaxes(W @ Qs, 1, 2))
+        return _LmiBlocks(Qs, Qs @ M0s, A_T, np.ascontiguousarray(np.swapaxes(W @ Qs, 1, 2)))
 
 
 def _tolerance(blocks: _LmiBlocks, tau: float) -> float:
@@ -432,21 +594,21 @@ def _schur_term(blocks: _LmiBlocks, tol: float) -> np.ndarray | None:
     negative definite (``matanalysis.negative_definite_schur_term``).
 
     Time-major, ``S11`` is block diagonal in the steps of the blocks: it
-    is passed as the ``(s, 2c, 2c)`` stack of its steps, with the rows of
-    ``S21^T`` at each step, and factored by one batched Cholesky.  An
-    overflow warns nowhere: it leaves the term not finite."""
+    is passed as the ``(s, 2c, 2c)`` stack of its steps and factored by one
+    batched Cholesky.  At each step ``S21^T`` is block diagonal, the rows
+    ``(phi2 E)^T`` over the first ``c`` and ``(phi1^T D^T Q)^T`` over the
+    last: only these two blocks are multiplied.  An overflow warns nowhere:
+    it leaves the term not finite."""
     Q, QM0, A_T, B_T = blocks
-    s, c, r = A_T.shape
-    S11 = np.empty((s, 2 * c, 2 * c))
+    c = Q.shape[1]
+    S11 = np.empty((len(Q), 2 * c, 2 * c))
     S11[:, :c, :c] = S11[:, c:, c:] = -Q
     S11[:, c:, :c] = QM0
     S11[:, :c, c:] = np.swapaxes(QM0, 1, 2)
-    S21T = np.zeros((s, 2 * c, r + B_T.shape[2]))
-    S21T[:, :c, :r], S21T[:, c:, r:] = A_T, B_T
     diag = np.arange(2 * c)
     S11[:, diag, diag] += tol
     with np.errstate(over="ignore", invalid="ignore"):
-        return negative_definite_schur_term(S11, S21T)
+        return negative_definite_schur_term(S11, A_T, B_T)
 
 
 def _accepts(blocks: _LmiBlocks, tau: float, tol: float, schur=None) -> bool:
@@ -469,6 +631,7 @@ def _accepts(blocks: _LmiBlocks, tau: float, tol: float, schur=None) -> bool:
         d = np.ones(len(C))
         d[: blocks.phi2E_T.shape[2]] = tau
         S = C * d
+        C = None  # a term formed here is let go before the factorisation
         S *= d[:, None]
         S.flat[:: len(S) + 1] -= tau
         return bool(np.isfinite(S).all()) and cholesky_negative_definite(S, tol)
@@ -484,24 +647,27 @@ def lmi_verify(
     """Whether a certificate satisfies the cited block inequality.
 
     The inequality's blocks at the certificate's ``Q`` (exactly symmetric)
-    and the loop's ``M0``, gathered together into steps by ``_steps``, are
-    tested by ``_accepts`` at ``1e-9 |G|_inf``, as every screened candidate
-    of ``lmi_search`` is.  An inequality that overflows is not satisfied.
+    and the loop's ``M0``, each on its stack of time steps (both whole when
+    either couples two steps), are tested by ``_accepts`` at
+    ``1e-9 |G|_inf``, as every screened candidate of ``lmi_search`` is.  An
+    inequality that overflows is not satisfied.
     """
     loop = _robust_loop(lmi_id, nominal, structure, gains)
-    Q = cert.assembled()
-    if Q.shape != loop[0].shape:
+    Qs, M0s = cert.steps, loop.M0
+    if len(Qs) * Qs.shape[1] != len(M0s) * M0s.shape[1]:
         raise ValueError("certificate dimension does not match the problem")
-    Qs, M0s = _steps(gains.observer.p, Q, loop[0])
+    if len(Qs) != len(M0s):
+        Qs, M0s = _scatter(Qs)[None], _scatter(M0s)[None]
     blocks = _lmi_blocks(Qs, M0s, *_structure_steps(loop, structure, len(Qs)))
     return _accepts(blocks, cert.tau, _tolerance(blocks, cert.tau))
 
 
-def _lyapunov_seed(M0: np.ndarray, p: int, M0s: np.ndarray) -> np.ndarray | None:
+def _lyapunov_seed(M0s: np.ndarray, p: int) -> np.ndarray | None:
     """The search's seed: the solution ``X`` of ``M0^T X M0 - X + I = 0``
     for the loop ``M0`` (``p x p`` blocks), in the steps of its stack
     ``M0s`` (``_steps``), scaled to unit 2-norm, or None when that loop
-    is not finite or not stable, or ``X`` is not found positive definite.
+    is not finite or not stable (``_radius``), or ``X`` is not found
+    positive definite.
 
     ``X = sum_k (M0^k)^T M0^k`` is summed by squared Smith doubling (R. A.
     Smith, SIAM J. Appl. Math. 16(1), 1968): from ``X = I``, ``A = M0``,
@@ -511,7 +677,7 @@ def _lyapunov_seed(M0: np.ndarray, p: int, M0s: np.ndarray) -> np.ndarray | None
     None, with no warning.  Each step of ``M0`` is summed on its own, and
     so are its powers and ``X``: the doubling runs on the stack, batched.
     """
-    if not np.isfinite(M0).all() or block_spectral_radius(M0, p)[0] >= 1.0:
+    if not np.isfinite(M0s).all() or _radius(M0s, p)[0] >= 1.0:
         return None
     A = M0s
     X = np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()
@@ -532,13 +698,14 @@ def _lyapunov_seed(M0: np.ndarray, p: int, M0s: np.ndarray) -> np.ndarray | None
     return X / w[..., -1].max()
 
 
-def _lmi_grid(Xs: np.ndarray, M0s: np.ndarray, loop, structure):
+def _lmi_grid(Xs: np.ndarray, M0s: np.ndarray, A_T: np.ndarray, W: np.ndarray):
     """The search's candidates in grid order, as ``(Qs, tau, blocks, screened)``.
 
     For each block rescaling ``Q = D X D`` of the seed, on the stack ``Xs``
     (``scale`` on the first third of the rows of each step), the blocks
     (``_LmiBlocks``, at ``tau = 1``) of the inequality on the loop's stack
-    ``M0s`` are formed once and serve every ``tau``.  Symmetry is checked
+    ``M0s`` and its ``_structure_steps`` are formed once and serve every
+    ``tau``.  Symmetry is checked
     once, exactly, on the seed (else ``ValueError``): the rescalings are
     by powers of two, so every ``Q`` is then exactly symmetric.
 
@@ -550,8 +717,8 @@ def _lmi_grid(Xs: np.ndarray, M0s: np.ndarray, loop, structure):
     if not np.array_equal(Xs, np.swapaxes(Xs, 1, 2)):
         raise ValueError("matrix is not symmetric: the seed differs from its transpose")
     b = Xs.shape[1] // 3
-    A_T, W = _structure_steps(loop, structure, len(Xs))
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
+        blocks = C = None  # the last rescaling's, freed before the next is formed
         d = np.concatenate([np.full(b, scale), np.ones(2 * b)])
         Qs = d[:, None] * Xs
         Qs *= d  # D X D, entry by entry in the same order
@@ -584,15 +751,15 @@ def lmi_search(
     certificate is a legitimate outcome (None), not an error.
     """
     loop = _robust_loop(lmi_id, nominal, structure, gains)
-    p = gains.observer.p
-    (M0s,) = _steps(p, loop[0])
-    Xs = _lyapunov_seed(loop[0], p, M0s)
+    M0s, Xs = loop.M0, _lyapunov_seed(loop.M0, gains.observer.p)
     if Xs is None:
         return None
-    for Qs, tau, blocks, screened in _lmi_grid(Xs, M0s, loop, structure):
+    A_T, W = _structure_steps(loop, structure, len(Xs))
+    loop = None  # its channel's factors are not needed past here
+    for Qs, tau, blocks, screened in _lmi_grid(Xs, M0s, A_T, W):
         if screened and _accepts(blocks, tau, _tolerance(blocks, tau)):
-            Q = _scatter(Qs)
-            return LmiCertificate(Q11=Q[:p, :p], Q21=Q[p:, :p], Q22=Q[p:, p:], tau=tau)
+            return LmiCertificate.from_steps(Qs, tau)
+        blocks = None  # not held while the grid forms the next rescaling's
     return None
 
 
@@ -610,15 +777,14 @@ def certificate_to_dict(cert: LmiCertificate) -> dict:
     }
 
 
-def _json_matrix(M: np.ndarray) -> str:
-    """``M`` as ``json.dump(M.tolist(), indent=2)`` lays it out one level
-    deep in a document.  Every entry is finite, so ``json`` writes
-    ``float.__repr__`` of it: that is called only on the entries that are
-    not ``+0.0`` (``-0.0`` among them), and every other entry is the
-    literal ``0.0``."""
-    rows, cols = np.nonzero((M != 0) | np.signbit(M))
-    text = [["0.0"] * M.shape[1] for _ in range(M.shape[0])]
-    for i, j, x in zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist()):
+def _json_matrix(shape, rows, cols, values) -> str:
+    """A matrix of ``shape`` that is ``+0.0`` but for ``values`` at
+    ``(rows, cols)``, as ``json.dump(M.tolist(), indent=2)`` lays it out one
+    level deep in a document.  Every entry is finite, so ``json`` writes
+    ``float.__repr__`` of it: that is called only on the given entries
+    (``-0.0`` among them), and every other entry is the literal ``0.0``."""
+    text = [["0.0"] * shape[1] for _ in range(shape[0])]
+    for i, j, x in zip(rows.tolist(), cols.tolist(), values.tolist()):
         text[i][j] = float.__repr__(x)
     lines = ("[\n      " + ",\n      ".join(row) + "\n    ]" for row in text)
     return "[\n    " + ",\n    ".join(lines) + "\n  ]"
@@ -627,11 +793,17 @@ def _json_matrix(M: np.ndarray) -> str:
 def save_certificate(path, cert: LmiCertificate) -> None:
     """Write ``certificate_to_dict(cert)`` as ``json.dump(..., indent=2,
     sort_keys=True)`` and a newline would, byte for byte, without the
-    pure-Python encoder."""
-    text = (
-        f'{{\n  "Q11": {_json_matrix(cert.Q11)},\n  "Q21": {_json_matrix(cert.Q21)},\n'
-        f'  "Q22": {_json_matrix(cert.Q22)},\n  "format_version": 1,\n'
-        f'  "tau": {float.__repr__(cert.tau)}\n}}\n'
-    )
+    pure-Python encoder, from the certificate's stack of time steps: entry
+    ``[t, a, b]`` of a stack of ``s`` is ``Q[a s + t, b s + t]``, and every
+    other entry of ``Q`` is ``+0.0``."""
+    Qs, p = cert.steps, cert.p
+    t, a, b = np.nonzero((Qs != 0) | np.signbit(Qs))
+    rows, cols, values = a * len(Qs) + t, b * len(Qs) + t, Qs[t, a, b]
+    blocks = (("Q11", 0, 0, (p, p)), ("Q21", p, 0, (2 * p, p)), ("Q22", p, p, (2 * p, 2 * p)))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+        fh.write("{\n")
+        for name, r0, c0, shape in blocks:
+            at = (rows >= r0) & (rows < r0 + shape[0]) & (cols >= c0) & (cols < c0 + shape[1])
+            text = _json_matrix(shape, rows[at] - r0, cols[at] - c0, values[at])
+            fh.write(f'  "{name}": {text},\n')
+        fh.write(f'  "format_version": 1,\n  "tau": {float.__repr__(cert.tau)}\n}}\n')

@@ -6,7 +6,7 @@ its block-triangular target, ``load_certificate`` (with
 ``stability.save_certificate`` writes, rejecting a malformed one, and
 ``theorem_implication_check`` samples structured model errors
 (``sample_structured_delta``) to test what a verified certificate claims.
-``_assemble_lmi`` forms the whole inequality densely and
+``_assemble_lmi`` forms the whole inequality densely (on ``dense_loop``) and
 ``cholesky_negative_definite`` tests it by one in-place LAPACK Cholesky,
 as ``stability`` once did: the oracle of the Schur split that
 ``stability._accepts`` decides by.  ``inequality_of`` forms the matrix
@@ -26,9 +26,10 @@ from iterlearn.stability import (
     SEPARATION_IDS,
     _LmiBlocks,
     LmiCertificate,
-    _at_error,
+    _LmiLoop,
     _robust_form,
     _robust_loop,
+    _steps,
     lmi_verify,
     loop_matrix,
 )
@@ -62,10 +63,11 @@ def verify_separation(
         T[p:, p:] = -np.eye(2 * p)
     elif identity_id == "eq61":
         M = law_map("eso_robust", P0, gains)
-        target = _robust_form("compensated", P0, replace(gains, H=K @ gains.Hbar), identity_id)[0]
+        gains = replace(gains, H=K @ gains.Hbar)
+        target = _robust_form("compensated", P0, gains, identity_id, steps=False).M0[0]
     else:
         M = law_map("eso_full_state" if identity_id == "eq20" else "eso_mixed", P, gains)
-        target = _robust_form("compensated", P, gains, identity_id)[0]
+        target = _robust_form("compensated", P, gains, identity_id, steps=False).M0[0]
         if identity_id == "eq20":  # the law feeds e_hat where eq30's feeds E
             target[:p, p : 2 * p] = -P @ K
     transformed = T @ M @ np.linalg.inv(T)
@@ -134,9 +136,9 @@ def theorem_implication_check(
     ``M0 + D delta E`` must have a spectral radius below one."""
     if not lmi_verify(lmi_id, cert, nominal, structure, gains):
         raise ValueError("certificate does not verify; implication check requires one")
-    loop = _robust_loop(lmi_id, nominal, structure, gains)
+    M0, D, E = dense_loop(_robust_loop(lmi_id, nominal, structure, gains))
     for child in np.random.SeedSequence(seed).spawn(samples):
-        M = _at_error(loop, sample_structured_delta(structure, child))
+        M = M0 + D @ (sample_structured_delta(structure, child) @ E)
         if block_spectral_radius(M, gains.K.shape[1])[0] >= 1.0:
             return False
     return True
@@ -149,7 +151,8 @@ def _lmi_edges(n: int, structure) -> np.ndarray:
 
 
 def _assemble_lmi(Q: np.ndarray, tau: float, loop, structure, out=None) -> np.ndarray:
-    """The S-procedure inequality of the loop ``(M0, D, E)`` at ``Q`` and ``tau``:
+    """The S-procedure inequality of the loop (a ``stability._LmiLoop``, as
+    ``dense_loop``) at ``Q`` and ``tau``:
 
         [[-Q,              *,                 *,        *     ],
          [Q M0,            -Q,                *,        *     ],
@@ -160,7 +163,7 @@ def _assemble_lmi(Q: np.ndarray, tau: float, loop, structure, out=None) -> np.nd
     block sizes).  ``tau`` enters only block ``(2, 0)`` (linearly, mirrored
     into block ``(0, 2)``) and the diagonal ``-tau`` of blocks 2 and 3.
     """
-    M0, D, E = loop
+    M0, D, E = dense_loop(loop)
     if Q.shape != M0.shape:
         raise ValueError("certificate dimension does not match the problem")
     phi1, phi2 = structure.phi1, structure.phi2
@@ -214,6 +217,28 @@ def scatter_steps(steps):
         idx = np.arange(b) * p + t
         M[np.ix_(idx, idx)] = steps[t]
     return M
+
+
+def dense_loop(loop):
+    """The whole ``(M0, D, E)`` of a layout (``stability._Loop`` or
+    ``stability._LmiLoop``) whose ``M0`` stack is one step or time steps:
+    ``M0`` scattered from its steps, the channel's blocks placed, zero where
+    they are None."""
+    p = loop.E[0].shape[1]
+    D = np.vstack([np.zeros((p, p)) if B is None else B for B in loop.D])
+    E = np.hstack([np.zeros((len(loop.E[0]), p)) if B is None else B for B in loop.E])
+    return scatter_steps(loop.M0), D, E
+
+
+def layout_of(M0, D, E, p):
+    """The layout (``stability._LmiLoop``) of a loop ``(M0, D, E)`` given whole,
+    with ``p`` time steps: ``M0`` as its steps when it couples none, else
+    whole, and the channel as its ``p``-row and ``p``-column blocks."""
+    M0s = _steps(p, M0)
+    b = len(M0) // p
+    D = tuple(D[i * p : (i + 1) * p] for i in range(b))
+    E = tuple(E[:, j * p : (j + 1) * p] for j in range(b))
+    return _LmiLoop(M0s, D, E)
 
 
 def inequality_of(blocks: _LmiBlocks, tau: float) -> np.ndarray:

@@ -1214,20 +1214,23 @@ def test_condition_reports_reuse_the_seed_independent_work(tmp_path, monkeypatch
     edit(doc)
     write_json(config, doc)
 
-    def counted(real, counter, at):
+    def counted(real, counter, at, shapes=None):
         def call(*args):
             counter[args[at]] += 1
+            if shapes is not None:
+                shapes[args[0]].add(args[1].shape)
             return real(*args)
 
         return call
 
-    exp, forms, radii = load_experiment(config), Counter(), Counter()
+    exp, forms, radii, solved = load_experiment(config), Counter(), Counter(), {}
+    solved.update((cid, set()) for cid in stability.CONDITION_IDS)
     monkeypatch.setattr(stability, "_robust_form", counted(stability._robust_form, forms, 3))
-    monkeypatch.setattr(stability, "_report", counted(stability._report, radii, 0))
+    monkeypatch.setattr(stability, "_report", counted(stability._report, radii, 0, solved))
     conditions = exp.condition_map()
     monkeypatch.undo()
 
-    # one form per condition per gain set; a radius no model error enters,
+    # one layout per condition per gain set; a radius no model error enters,
     # once per gain set; every other radius, once per seed
     ids = [r["condition_id"] for r in conditions["1"]]
     assert {"eq17", "eq95"} <= set(ids)
@@ -1235,7 +1238,14 @@ def test_condition_reports_reuse_the_seed_independent_work(tmp_path, monkeypatch
     assert forms == {cid: per_set for cid in ids}
     error_free = {"eq17", "eq48", "eq95"}
     assert radii == {cid: per_set if cid in error_free else len(seeds) for cid in ids}
-    # each seed's reports are those of a fresh experiment's check_condition
+    # each loop is solved as its 20 time steps, none of them formed whole,
+    # but where the direct plant's error couples them
+    for cid in ids:
+        b = 1 if cid in ("eq04", "eq48", "eq95") else 2 if cid == "eq17" else 3
+        whole = variant == "direct_plant" and cid not in error_free
+        assert solved[cid] == {(1, 20 * b, 20 * b) if whole else (20, b, b)}
+    # each seed's reports are those of a fresh experiment's check_condition,
+    # and those of the whole loop (``loop_matrix``) solved as it once was
     for seed in seeds:
         fresh = load_experiment(config)
         a_plant, gains = fresh.plants[seed], fresh.seed_gains[seed]
@@ -1244,6 +1254,39 @@ def test_condition_reports_reuse_the_seed_independent_work(tmp_path, monkeypatch
             for cid in ids
         ]
         assert conditions[str(seed)] == expected
+        whole = [
+            stability._report(
+                cid, stability.loop_matrix(cid, a_plant, gains, fresh.surrogate)[None], 20
+            ).to_dict()
+            for cid in ids
+        ]
+        assert json.dumps(conditions[str(seed)]) == json.dumps(whole)
+
+
+def test_check_round_memory_is_bounded(tmp_path):
+    # one check round at T = 100 with a structure block: the loops, the
+    # certificate search and the certificate are held as time steps, so no
+    # 300 x 300 matrix is formed after load
+    import tracemalloc
+
+    from iterlearn.presets import reference_seeds
+
+    config = write_reference_experiment(
+        tmp_path, seeds=reference_seeds(4, start=5, horizon=100), iterations=5, horizon=100
+    )
+    doc = json.loads(config.read_text())
+    doc["structure"] = {"phi1": (0.05 * np.eye(100)).tolist(), "phi2": np.eye(100).tolist()}
+    write_json(config, doc)
+    argv = ["check", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]
+    assert main(argv) == EXIT_OK  # the first round imports and caches what it needs
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["lmi"]["found"]
+    assert peak <= 3.4e6
 
 
 def test_condition_map_memory_does_not_grow_with_the_seeds(tmp_path):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from iterlearn import presets
+from iterlearn import learner, presets
 from iterlearn.learner import (
     GainSet,
     LearningLaw,
@@ -565,6 +565,35 @@ def test_trace_csv_matches_per_value_formatter(tmp_path):
     assert trace_to_csv(first).endswith(",1\n")
     empty = dataclasses.replace(odd, **{c: special[:0] for c in columns})
     assert trace_to_csv(empty) == reference_trace_csv(empty) == TRACE_CSV_HEADER + "\n"
+
+
+def test_trace_csv_is_written_in_blocks_with_the_same_bytes(tmp_path, monkeypatch):
+    # write_trace_csv formats _CSV_BLOCK rows at a time; the flag of a
+    # diverged run stays on the last row only, and k runs on across blocks
+    rng = np.random.default_rng(8)
+    columns = ("err_inf", "err_2", "u_norm", "ubar_norm", "obs_err_norm")
+    n = 2 * learner._CSV_BLOCK + 3
+    base = run(
+        SimulationConfig(
+            plant=scalar_plant(),
+            target=np.array([1.0]),
+            uncertainty=UncertaintyModel.zero(1),
+            gains=GainSet(K=np.array([[0.5]])),
+            law=LearningLaw(mode="p_type"),
+            iterations=1,
+        )
+    )
+    values = {c: rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for c in columns}
+    for diverged in (False, True):
+        trace = dataclasses.replace(base, diverged=diverged, **values)
+        for block in (learner._CSV_BLOCK, 5, n):
+            monkeypatch.setattr(learner, "_CSV_BLOCK", block)
+            path = tmp_path / f"{diverged}-{block}.csv"
+            write_trace_csv(path, trace)
+            assert path.read_text() == trace_to_csv(trace) == reference_trace_csv(trace)
+    empty = dataclasses.replace(base, **{c: values[c][:0] for c in columns})
+    write_trace_csv(tmp_path / "empty.csv", empty)
+    assert (tmp_path / "empty.csv").read_text() == TRACE_CSV_HEADER + "\n"
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov
 
 from iterlearn import cli, presets, stability
@@ -40,12 +42,14 @@ from iterlearn.stability import (
     _lmi_blocks,
     _lmi_grid,
     _lyapunov_seed,
+    _report,
     _robust_form,
     _robust_loop,
     _schur_term,
     _steps,
     _structure_steps,
     _tolerance,
+    applicable_conditions,
     certificate_to_dict,
     check_condition,
     lmi_search,
@@ -59,7 +63,9 @@ from stability_oracles import (
     _assemble_lmi,
     certificate_from_dict,
     cholesky_negative_definite,
+    dense_loop,
     inequality_of,
+    layout_of,
     load_certificate,
     sample_structured_delta,
     scatter_steps,
@@ -298,6 +304,125 @@ def test_missing_ingredients_raise():
         check_condition("eq95", plant, gains)  # no surrogate
     with pytest.raises(ValueError):
         check_condition("eq01", plant, gains)  # unknown id
+
+
+# ---------------------------------------------------------------------------
+# the layout in time steps
+# ---------------------------------------------------------------------------
+
+def random_lower(rng, T, scale=1.0, diagonal=1.0):
+    """A random ``T x T`` factor with no nonzero above its diagonal: about
+    a third of its lower entries exact zeros, some of them ``-0.0``."""
+    X = np.tril(scale * rng.standard_normal((T, T)), -1) + np.diag(
+        diagonal * rng.uniform(0.5, 1.5, T) * rng.choice([-1.0, 1.0], T)
+    )
+    zero = np.tril(rng.random((T, T)) < 1 / 3)
+    X[zero] = 0.0 * rng.choice([-1.0, 1.0], int(zero.sum()))
+    return X
+
+
+def dense_report(cid, plant, gains, surrogate):
+    """The report of the condition's loop whole, as ``check_condition``
+    once solved it: ``block_spectral_radius`` of ``loop_matrix``."""
+    return _report(cid, loop_matrix(cid, plant, gains, surrogate)[None], gains.K.shape[1])
+
+
+def assert_same_report(report, oracle):
+    assert np.float64(report.rho).tobytes() == np.float64(oracle.rho).tobytes()
+    assert (report.holds, report.method, report.matrix_dim) == (
+        oracle.holds,
+        oracle.method,
+        oracle.matrix_dim,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 12), kind=st.sampled_from(
+    ["nominal", "uncertain_nominal", "model_free"]
+))
+def test_step_reports_equal_the_dense_loops_on_lower_triangular_factors(seed, T, kind):
+    # every catalog loop of factors with no nonzero above their diagonal is
+    # solved in steps, and reads bit for bit what its whole matrix reads
+    rng = np.random.default_rng(seed)
+    P = random_lower(rng, T)
+    delta = 0.1 * random_lower(rng, T, diagonal=0.5)
+    plant = {
+        "nominal": TransferPlant(nominal=P),
+        "uncertain_nominal": TransferPlant(nominal=P, delta=delta),
+        "model_free": TransferPlant(nominal=np.zeros((T, T)), delta=P),
+    }[kind]
+    K, Hbar = random_lower(rng, T, 0.3), random_lower(rng, T, 0.3)
+    observer = ObserverGain(L1=random_lower(rng, T, 0.2), L2=random_lower(rng, T, 0.1, 0.2))
+    gains = GainSet(K=K, H=K @ Hbar, Hbar=Hbar, observer=observer)
+    surrogate = random_lower(rng, T)
+    cids = applicable_conditions(gains, plant.nominal, surrogate)
+    assert {"eq04", "eq17", "eq41", "eq62", "eq95", "eq102"} <= set(cids)
+    for cid in cids:
+        report = check_condition(cid, plant, gains, surrogate)
+        assert_same_report(report, dense_report(cid, plant, gains, surrogate))
+        assert report.method == ("block_triangular" if T >= 2 else "dense")
+        X = surrogate if _CATALOG[cid][1] == "surrogate" else plant.nominal
+        loop = _robust_form(_CATALOG[cid][0], X, gains, cid)
+        assert loop.steps == (T >= 2)
+        # each step is the whole loop's (t, t) entries, signed zeros and all
+        error = _CATALOG[cid][2]
+        if error is not None:
+            delta = plant.delta if error == "plant.delta" else plant.full() - X
+            loop = loop._replace(M0=_at_error(loop, delta))
+        if T >= 2:
+            steps = time_steps(loop_matrix(cid, plant, gains, surrogate), T)[0]
+            assert np.ascontiguousarray(steps).tobytes() == loop.M0.tobytes()
+
+
+def test_a_factor_with_one_nonzero_above_its_diagonal_is_solved_whole():
+    # one entry of 1e-3 above the diagonal of K, of the plant's error or of
+    # the surrogate: that loop is laid out whole and reads as it always did
+    T = 20
+    surrogate = presets.banded_surrogate(T)
+    gains = presets.reference_gains(surrogate)
+    plant = presets.reference_plant(5, T)
+    K = gains.K.copy()
+    K[3, 7] = 1e-3
+    coupled = GainSet(K=K, Hbar=gains.Hbar, observer=gains.observer)
+    delta = plant.delta.copy()
+    delta[0, 1] = 1e-3
+    S = surrogate.copy()
+    S[2, 5] = 1e-3
+    cases = [
+        ("eq04", plant, coupled, surrogate),
+        ("eq102", plant, coupled, surrogate),
+        ("eq04", TransferPlant(nominal=plant.nominal, delta=delta), gains, surrogate),
+        ("eq95", plant, gains, S),
+        ("eq102", plant, gains, S),
+    ]
+    for cid, a_plant, a_gains, a_surrogate in cases:
+        report = check_condition(cid, a_plant, a_gains, a_surrogate)
+        assert_same_report(report, dense_report(cid, a_plant, a_gains, a_surrogate))
+        assert report.method == "dense"
+    assert not _robust_form("learning", plant.nominal, coupled, "eq04").steps
+    # without the entry every one of these loops is laid out in steps
+    assert all(
+        check_condition(cid, plant, gains, surrogate).method == "block_triangular"
+        for cid in ("eq04", "eq95", "eq102")
+    )
+
+
+def test_a_loop_whose_coupling_overflows_reads_its_steps():
+    # the steps 1 - P[t, t] K[t, t] are finite, while P K below the
+    # diagonal overflows: the whole loop is not finite, but its spectrum is
+    # that of its steps, so check_condition reads them and holds
+    P = np.array([[1.0, 0.0], [1e308, 1.0]])
+    K = np.array([[10.0, 0.0], [0.0, 0.5]])
+    plant, gains = TransferPlant(nominal=P), GainSet(K=K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(loop_matrix("eq04", plant, gains)).all()
+        assert dense_report("eq04", plant, gains, None).method == "non_finite"
+        report = check_condition("eq04", plant, gains)
+    assert report.method == "block_triangular" and report.rho == 9.0 and not report.holds
+    K[0, 0] = 1.5
+    report = check_condition("eq04", plant, GainSet(K=K))
+    assert report.method == "block_triangular" and report.rho == 0.5 and report.holds
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +815,17 @@ def test_certificate_writer_matches_json_dump(tmp_path):
     Q[1, 2] = Q[2, 1] = 1e-300
     for tau in (1.0, 5e-324, 1e300, 1e-4):
         certs.append(LmiCertificate(Q11=Q[:1, :1], Q21=Q[1:, :1], Q22=Q[1:, 1:], tau=tau))
+    # Q of random steps, held as its (p, 3, 3) stack: one step has an
+    # entry -0.0, and one is built from the blocks of the scattered Q; the
+    # dense random Q above couple steps, so each is one step
+    A = rng.standard_normal((5, 3, 3))
+    steps = A @ np.swapaxes(A, 1, 2) + np.eye(3)
+    steps[2, 0, 2] = steps[2, 2, 0] = -0.0
+    stepped = LmiCertificate.from_steps(steps, 0.25)
+    Q = scatter_steps(steps)
+    certs += [stepped, LmiCertificate(Q11=Q[:5, :5], Q21=Q[5:, :5], Q22=Q[5:, 5:], tau=3.0)]
+    assert [cert.steps.shape for cert in certs[-2:]] == [(5, 3, 3)] * 2
+    assert np.signbit(stepped.Q21[7, 2]) and certs[3].steps.shape == (1, 12, 12)
     for cert in certs:
         save_certificate(path, cert)
         assert path.read_bytes() == json_dump_bytes(cert)
@@ -861,8 +997,9 @@ def random_lmi_problem(rng, lmi_id, p, identity_phi2):
 
 
 def seed_of(M0, p):
-    """``_lyapunov_seed`` of the loop ``M0``, on its stack of time steps."""
-    return _lyapunov_seed(M0, p, *_steps(p, M0))
+    """``_lyapunov_seed`` of the loop ``M0``, given whole or as its stack of
+    time steps (``_steps``)."""
+    return _lyapunov_seed(M0 if M0.ndim == 3 else _steps(p, M0), p)
 
 
 def dense_seed(M0, p):
@@ -877,7 +1014,7 @@ def grid_of(lmi_id, nominal, structure, gains):
     loop = _robust_loop(lmi_id, nominal, structure, gains)
     Xs = seed_of(loop[0], gains.observer.p)
     assert Xs is not None
-    grid = _lmi_grid(Xs, *_steps(gains.observer.p, loop[0]), loop, structure)
+    grid = lmi_grid(Xs, loop, structure)
     return [(scatter_steps(Qs), tau, inequality_of(blocks, tau)) for Qs, tau, blocks, _ in grid]
 
 
@@ -970,7 +1107,9 @@ def seed_problems():
             for lmi_id in LMI_IDS
         ]
     problems += [("eq101", wide_reference_problem(20)), ("eq101", wide_reference_problem(100))]
-    loops = [(_robust_loop(lmi_id, *pr)[0], pr[2].observer.p) for lmi_id, pr in problems]
+    loops = [
+        (dense_loop(_robust_loop(lmi_id, *pr))[0], pr[2].observer.p) for lmi_id, pr in problems
+    ]
     rng = np.random.default_rng(31)
     for p in (2, 5, 100):
         for b in (1, 3):
@@ -1054,10 +1193,16 @@ def test_per_step_seed_rejects_a_loop_with_one_indefinite_step():
     assert seed_of(scatter_steps(np.stack([0.5 * np.eye(4)] * 2)), 2) is not None
 
 
-def one_step(p, *Ms):
-    """``stability._steps`` as if every loop coupled time steps: each
-    matrix whole, as one step."""
-    return tuple(M[None] for M in Ms)
+def one_step(monkeypatch):
+    """Replace ``stability._robust_loop`` as if every loop coupled time
+    steps: its ``M0`` whole, as one step."""
+    real = stability._robust_loop
+
+    def whole(*args):
+        loop = real(*args)
+        return loop._replace(M0=scatter_steps(loop.M0)[None])
+
+    monkeypatch.setattr(stability, "_robust_loop", whole)
 
 
 def test_per_step_seed_reaches_the_dense_seeds_certificate_on_the_wide_problem(monkeypatch):
@@ -1065,17 +1210,17 @@ def test_per_step_seed_reaches_the_dense_seeds_certificate_on_the_wide_problem(m
     # step, the whole loop; with every matrix one step, so does the search
     for horizon in (20, 100):
         problem = wide_reference_problem(horizon)
-        M0 = _robust_loop("eq101", *problem)[0]
+        M0 = dense_loop(_robust_loop("eq101", *problem))[0]
         assert time_steps(M0, horizon)[1] == "decoupled"
         Q, dense = dense_seed(M0, horizon), seed_of(M0, 1)
         assert dense.shape == (1, 3 * horizon, 3 * horizon)
         assert np.abs(Q - dense[0]).max() <= 1e-12 * np.abs(dense).max()
         cert = lmi_search("eq101", *problem)
         with monkeypatch.context() as m:
-            m.setattr(stability, "_steps", one_step)
+            one_step(m)
             ref = lmi_search("eq101", *problem)
         assert cert is not None and ref is not None
-        assert cert.tau == ref.tau
+        assert cert.tau == ref.tau and ref.steps.shape == (1, 3 * horizon, 3 * horizon)
         # within 1e-12, so at the same rescaling (another moves Q11 by 2x)
         Q, Q_ref = cert.assembled(), ref.assembled()
         assert np.abs(Q - Q_ref).max() <= 1e-12 * np.abs(Q_ref).max()
@@ -1104,7 +1249,7 @@ def test_lmi_grid_rejects_an_asymmetric_seed():
     Xs = seed_of(loop[0], 2)
     Xs[0, 0, 1] = np.nextafter(Xs[0, 0, 1], np.inf)
     with pytest.raises(ValueError, match="not symmetric"):
-        next(_lmi_grid(Xs, *_steps(2, loop[0]), loop, problem[1]))
+        next(lmi_grid(Xs, loop, problem[1]))
 
 
 def test_lyapunov_seed_imports_no_scipy():
@@ -1113,7 +1258,7 @@ def test_lyapunov_seed_imports_no_scipy():
         f"import sys; sys.path.insert(0, {src!r})\n"
         "import numpy as np\n"
         "from iterlearn.stability import _lyapunov_seed, _steps\n"
-        "seed = lambda M0, p: _lyapunov_seed(M0, p, *_steps(p, M0))\n"
+        "seed = lambda M0, p: _lyapunov_seed(_steps(p, M0), p)\n"
         "print(seed(np.diag([0.5, 0.25, 0.125]), 1).shape,"
         " seed(np.kron(np.diag([0.5, 0.25]), np.eye(2)), 2).shape,"
         " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -1140,7 +1285,7 @@ def test_screen_rejects_only_what_the_full_test_rejects():
         Xs = seed_of(loop[0], problem[2].observer.p)
         assert Xs is not None
         p = problem[2].observer.p
-        for _, tau, blocks, screened in _lmi_grid(Xs, *_steps(p, loop[0]), loop, problem[1]):
+        for _, tau, blocks, screened in lmi_grid(Xs, loop, problem[1]):
             verdict = cholesky_verdict(inequality_of(blocks, tau))
             assert screened or not verdict
             counts[screened, verdict] += 1
@@ -1167,7 +1312,7 @@ def random_decoupled_problem(rng, p, b):
     channel ``(D, E)`` and a random structure, with the loop's seed."""
     M0 = random_decoupled_loop(rng, p, b)
     n = b * p
-    loop = (M0, rng.standard_normal((n, p)), rng.standard_normal((p, n)))
+    loop = layout_of(M0, rng.standard_normal((n, p)), rng.standard_normal((p, n)), p)
     phi1 = 10 ** rng.uniform(-3, -1) * rng.standard_normal((p, int(rng.integers(1, 4))))
     phi2 = rng.standard_normal((int(rng.integers(1, 4)), p))
     return loop, StructuredUncertainty(phi1=phi1, phi2=phi2), seed_of(M0, p)
@@ -1181,6 +1326,11 @@ def decoupled_problems(bs=(1, 3)):
         for p in (2, 5, 100)
         for b in bs
     ]
+
+
+def lmi_grid(Xs, loop, structure):
+    """``_lmi_grid`` on the loop's stack and its ``_structure_steps``."""
+    return _lmi_grid(Xs, loop.M0, *_structure_steps(loop, structure, len(Xs)))
 
 
 def lmi_blocks(Qs, M0s, loop, structure):
@@ -1210,10 +1360,10 @@ def test_per_step_schur_term_matches_the_dense_factorisation(monkeypatch):
     # with and without a tolerance
     shapes = batched_factorisations(monkeypatch)
     for p, (loop, structure, Xs) in decoupled_problems():
-        (M0s,) = _steps(p, loop[0])
+        M0s, M0 = loop.M0, scatter_steps(loop.M0)
         blocks = lmi_blocks(Xs, M0s, loop, structure)
         Q = scatter_steps(Xs)
-        whole = lmi_blocks(Q[None], loop[0][None], loop, structure)
+        whole = lmi_blocks(Q[None], M0[None], loop, structure)
         k = 2 * len(Q)
         for tol in (0.0, _tolerance(blocks, 1.0)):
             C = _schur_term(blocks, tol)
@@ -1228,14 +1378,14 @@ def test_per_step_schur_term_matches_the_dense_factorisation(monkeypatch):
         bad.Q[1] *= -1
         bad.QM0[1] *= -1
         assert _schur_term(bad, 0.0) is None
-        bad_whole = lmi_blocks(scatter_steps(bad.Q)[None], loop[0][None], loop, structure)
+        bad_whole = lmi_blocks(scatter_steps(bad.Q)[None], M0[None], loop, structure)
         bad_whole.QM0[0] = scatter_steps(bad.QM0)
         assert _schur_term(bad_whole, 0.0) is None
         shapes.clear()
         # one entry of 1e-300 couples time steps 0 and 1: each matrix is one step
         coupled = Q.copy()
         coupled[0, 1] = coupled[1, 0] = 1e-300
-        C_coupled = _schur_term(lmi_blocks(*_steps(p, coupled, loop[0]), loop, structure), 0.0)
+        C_coupled = _schur_term(lmi_blocks(_steps(p, coupled), M0[None], loop, structure), 0.0)
         assert shapes == [(1, k, k)]
         C = _schur_term(blocks, 0.0)
         assert np.abs(C_coupled - C).max() <= 1e-12 * np.abs(C).max()
@@ -1243,31 +1393,38 @@ def test_per_step_schur_term_matches_the_dense_factorisation(monkeypatch):
 
 
 def test_wide_search_forms_the_schur_term_per_step(monkeypatch):
-    # the Schur term is formed per step; the search with every matrix as
-    # one time step (``_steps`` replaced), from the same seed, returns the
-    # same certificate bit for bit
+    # the loop is laid out in steps from its factors and the Schur term is
+    # formed per step, and the certificate checks its own steps last; the
+    # search with the loop whole, as one time step (``_robust_loop``
+    # replaced), from the same seed, returns the same certificate bit for bit
     for horizon in (20, 100):
         problem = wide_reference_problem(horizon)
+        loop = _robust_loop("eq101", *problem)
+        nominal, _, gains = problem
+        assert _robust_form(_CATALOG["eq101"][0], nominal, gains, "eq101").steps
+        assert loop.M0.shape == (horizon, 3, 3)
         with monkeypatch.context() as m:
             shapes = batched_factorisations(m)
             cert = lmi_search("eq101", *problem)
         batched = [shape for shape in shapes if len(shape) == 3]
-        assert batched and set(batched) == {(horizon, 6, 6)}
-        seed = seed_of(_robust_loop("eq101", *problem)[0], horizon)
+        assert batched[-1] == (horizon, 3, 3) and cert.steps.shape == (horizon, 3, 3)
+        assert batched[:-1] and set(batched[:-1]) == {(horizon, 6, 6)}
+        seed = seed_of(loop.M0, horizon)
         assert seed.shape == (horizon, 3, 3)
         with monkeypatch.context() as m:
-            m.setattr(stability, "_steps", one_step)
-            m.setattr(stability, "_lyapunov_seed", lambda M0, p, M0s: scatter_steps(seed)[None])
+            one_step(m)
+            m.setattr(stability, "_lyapunov_seed", lambda M0s, p: scatter_steps(seed)[None])
             shapes = batched_factorisations(m)
             ref = lmi_search("eq101", *problem)
-        assert {shape for shape in shapes if len(shape) == 3} == {(1, 6 * horizon, 6 * horizon)}
+        whole = {(1, 6 * horizon, 6 * horizon), (1, 3 * horizon, 3 * horizon)}
+        assert {shape for shape in shapes if len(shape) == 3} == whole
         assert cert is not None and ref is not None and cert.tau == ref.tau
         assert cert.assembled().tobytes() == ref.assembled().tobytes()
         if horizon == 100:
             # tau = 1e-4 at the second rescaling, 0.5: a Schur term per
             # rescaling for the screen, and one at the full test's tolerance
             seed = scatter_steps(seed)
-            assert cert.tau == 1e-4 and len(batched) == 3
+            assert cert.tau == 1e-4 and len(batched) == 4
             assert np.array_equal(cert.Q11, 0.25 * seed[:horizon, :horizon])
             assert np.array_equal(cert.Q22, seed[horizon:, horizon:])
 
@@ -1324,7 +1481,7 @@ def test_screen_rejects_only_what_the_full_test_rejects_on_decoupled_problems():
     counts = {(s, v): 0 for s in (False, True) for v in (False, True)}
     problems = decoupled_problems(bs=(3,))
     for p, (loop, structure, Xs) in problems:
-        for _, tau, blocks, screened in _lmi_grid(Xs, *_steps(p, loop[0]), loop, structure):
+        for _, tau, blocks, screened in lmi_grid(Xs, loop, structure):
             G = inequality_of(blocks, tau)
             assert time_steps(G[: 6 * p, : 6 * p], p)[1] == "decoupled"
             verdict = cholesky_verdict(G)
@@ -1365,7 +1522,7 @@ def split_against_oracle(Xs, loop, structure, p):
     of ``G`` (the smallest of ``-G``) lies within 1e-12 relative of
     ``-tol``; such a candidate's verdict is None."""
     candidates = []
-    for Qs, tau, blocks, screened in _lmi_grid(Xs, *_steps(p, loop[0]), loop, structure):
+    for Qs, tau, blocks, screened in lmi_grid(Xs, loop, structure):
         Q = scatter_steps(Qs)
         G = _assemble_lmi(Q, tau, loop, structure)
         tol, split_tol = 1e-9 * induced_norm(G, "infinity"), _tolerance(blocks, tau)
@@ -1481,12 +1638,12 @@ def test_loop_at_a_model_error_is_nominal_plus_channel():
     for i in range(15):
         for lmi_id in LMI_IDS:
             P0, structure, gains = random_lmi_problem(rng, lmi_id, i % 5 + 1, i % 2 == 0)
-            loop = _robust_loop(lmi_id, P0, structure, gains)
+            loop = _robust_form(_CATALOG[lmi_id][0], P0, gains, lmi_id, steps=False)
             for child in np.random.SeedSequence(i).spawn(4):
                 delta = sample_structured_delta(structure, child)
                 plant = TransferPlant(nominal=P0, delta=delta)
                 oracle = oracle_loop_matrix(ORACLE_IMPLIED[lmi_id], plant, gains, P0)
-                M = _at_error(loop, delta)
+                M = _at_error(loop, delta)[0]
                 assert np.abs(M - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -1508,9 +1665,10 @@ def test_loop_at_a_model_error_keeps_the_dense_channel_bits():
     for i in range(20):
         for lmi_id in LMI_IDS:
             P0, structure, gains = random_lmi_problem(rng, lmi_id, i % 5 + 1, i % 2 == 0)
-            loop = _robust_loop(lmi_id, P0, structure, gains)
+            loop = _robust_form(_CATALOG[lmi_id][0], P0, gains, lmi_id, steps=False)
             delta = sample_structured_delta(structure, np.random.SeedSequence(i))
-            assert _at_error(loop, delta).tobytes() == parent_at_error(loop, delta).tobytes()
+            expected = parent_at_error(dense_loop(loop), delta)
+            assert _at_error(loop, delta)[0].tobytes() == expected.tobytes()
         plant = random_plant(rng, with_delta=True)
         with_H = random_gainset(rng, plant, with_Hbar=False)
         with_Hbar = random_gainset(rng, plant, with_H=False)
@@ -1521,8 +1679,8 @@ def test_loop_at_a_model_error_keeps_the_dense_channel_bits():
             expected = parent_at_error(learning, P.delta)
             assert loop_matrix("eq04", P, with_H).tobytes() == expected.tobytes()
             for cid, gains in (("eq41", with_H), ("eq62", with_Hbar)):
-                loop = _robust_form(_CATALOG[cid][0], P.nominal, gains, cid)
-                expected = parent_at_error(loop, P.delta)
+                loop = _robust_form(_CATALOG[cid][0], P.nominal, gains, cid, steps=False)
+                expected = parent_at_error(dense_loop(loop), P.delta)
                 assert loop_matrix(cid, P, gains).tobytes() == expected.tobytes()
 
 
